@@ -73,6 +73,8 @@ class VideoSample:
         dims = {c.shape[1] for c in self.clips if c.ndim == 2}
         if any(c.ndim != 2 or c.shape[0] < 1 for c in self.clips) or len(dims) != 1:
             raise CorpusError(f"video {self.id!r} has empty or inconsistent clips")
+        if not np.isfinite(np.concatenate(self.clips)).all():
+            raise CorpusError(f"video {self.id!r} has a non-finite frame feature")
 
     def __eq__(self, other) -> bool:
         return (
@@ -104,6 +106,8 @@ class ParagraphSample:
         dims = {s.shape[1] for s in self.sentences if s.ndim == 2}
         if any(s.ndim != 2 or s.shape[0] < 1 for s in self.sentences) or len(dims) != 1:
             raise CorpusError(f"paragraph {self.id!r} has empty or inconsistent sentences")
+        if not np.isfinite(np.concatenate(self.sentences)).all():
+            raise CorpusError(f"paragraph {self.id!r} has a non-finite word feature")
 
     def __eq__(self, other) -> bool:
         return (

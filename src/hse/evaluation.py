@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Corpus, ParagraphSample, VideoSample
 from .errors import ContractError, DegenerateInputError
-from .model import HseModelParams, encode_flat, encode_hierarchical
+from .model import HseModelParams, encode_batch, encode_flat_batch, encode_sequences
 
 __all__ = [
     "RetrievalReport",
@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 DEFAULT_TOPK = (1, 5, 50)
+ENCODE_CHUNK_PAIRS = 16  # pairs encoded per GRU batch by encode_corpus
 
 
 def cosine_matrix(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
@@ -154,16 +155,19 @@ def encode_corpus(
         raise ContractError(f"unknown encoding mode {mode!r}")
     videos = []
     paragraphs = []
-    for video, paragraph in corpus.pairs:
-        video = _truncated(video, max_units)
-        paragraph = _truncated(paragraph, max_units)
+    # a chunk at a time, so that the padded GRU states of the whole corpus
+    # are never held at once
+    for start in range(0, len(corpus.pairs), ENCODE_CHUNK_PAIRS):
+        chunk = corpus.pairs[start : start + ENCODE_CHUNK_PAIRS]
+        vs = [_truncated(video, max_units) for video, _ in chunk]
+        ps = [_truncated(paragraph, max_units) for _, paragraph in chunk]
         if mode == "flat":
-            videos.append(encode_flat(params.enc_v_low, video).values)
-            paragraphs.append(encode_flat(params.enc_p_low, paragraph).values)
+            videos.append(encode_flat_batch(params.enc_v_low, vs).values)
+            paragraphs.append(encode_flat_batch(params.enc_p_low, ps).values)
         else:
-            videos.append(encode_hierarchical(params, video, carry_low_state).high.values)
-            paragraphs.append(encode_hierarchical(params, paragraph, carry_low_state).high.values)
-    return np.stack(videos), np.stack(paragraphs)
+            videos.append(encode_batch(params, vs, carry_low_state).high.values)
+            paragraphs.append(encode_batch(params, ps, carry_low_state).high.values)
+    return np.concatenate(videos), np.concatenate(paragraphs)
 
 
 def evaluate_retrieval(
@@ -220,14 +224,8 @@ def zeroshot_classify(
         raise ContractError("zeroshot_classify requires at least one label phrase")
     if not labeled_clips:
         raise ContractError("zeroshot_classify requires at least one clip")
-    from .model import encode_sequence  # clip/phrase level, not whole samples
-
-    label_embs = np.stack(
-        [encode_sequence(params.enc_p_low, list(phrase)).values for phrase in label_phrases]
-    )
-    clip_embs = np.stack(
-        [encode_sequence(params.enc_v_low, list(frames)).values for frames, _ in labeled_clips]
-    )
+    label_embs = encode_sequences(params.enc_p_low, label_phrases).values
+    clip_embs = encode_sequences(params.enc_v_low, [frames for frames, _ in labeled_clips]).values
     true_labels = [int(label) for _, label in labeled_clips]
     sims = cosine_matrix(clip_embs, label_embs)
     predicted = [int(j) for j in np.argmax(sims, axis=1)]

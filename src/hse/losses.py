@@ -34,9 +34,11 @@ import numpy as np
 from . import tensorkit as tk
 from .errors import ConfigError, ContractError, DegenerateInputError, ShapeError
 from .model import (
+    EncodedBatch,
     HseModelParams,
-    decode_hierarchical,
-    encode_hierarchical,
+    decode_batch,
+    encode_batch,
+    pad_sequences,
 )
 from .tensorkit import Tensor
 
@@ -134,15 +136,7 @@ def similarity_matrix(us: Sequence[Tensor], ws: Sequence[Tensor]) -> Tensor:
         raise ShapeError(
             f"embedding dimensions differ: {u_mat.values.shape[1]} vs {w_mat.values.shape[1]}"
         )
-    nu = tk.sqrt(tk.reduce_sum(tk.square(u_mat), axis=1))
-    nw = tk.sqrt(tk.reduce_sum(tk.square(w_mat), axis=1))
-    if np.any(nu.values == 0.0) or np.any(nw.values == 0.0):
-        raise DegenerateInputError("zero-norm embedding in similarity computation")
-    dots = tk.matmul(u_mat, tk.transpose(w_mat))
-    norm_outer = tk.matmul(
-        tk.reshape(nu, (len(us), 1)), tk.reshape(nw, (1, len(ws)))
-    )
-    return tk.div(dots, norm_outer)
+    return tk.cosine(u_mat, w_mat)
 
 
 def ranking_loss_from_similarity(sim: Tensor, margin: float, sign_mode: str = "corrected") -> Tensor:
@@ -270,11 +264,23 @@ def loss_cluster_low(
     )
 
 
+def _averaged_similarity(
+    clips: Sequence[Sequence[Tensor]], sentences: Sequence[Sequence[Tensor]]
+) -> Tensor:
+    """Matrix whose entry (a, b) is the mean cosine similarity over all
+    combinations of the clips of pair a and the sentences of pair b: one
+    similarity matrix of every clip against every sentence, reduced by
+    block means. Each block is computed from its own rows alone, so entry
+    (a, b) is the same bits as avg_match(clips[a], sentences[b])."""
+    if any(not cs for cs in clips) or any(not ss for ss in sentences):
+        raise ContractError("avg_match requires nonempty embedding lists")
+    sim = similarity_matrix([c for cs in clips for c in cs], [s for ss in sentences for s in ss])
+    return tk.segment_mean(sim, [len(cs) for cs in clips], [len(ss) for ss in sentences])
+
+
 def avg_match(clips: Sequence[Tensor], sentences: Sequence[Tensor]) -> Tensor:
     """Mean cosine similarity over all clip/sentence combinations of one pair."""
-    if not clips or not sentences:
-        raise ContractError("avg_match requires nonempty embedding lists")
-    return tk.reduce_mean(similarity_matrix(clips, sentences))
+    return tk.reshape(_averaged_similarity([clips], [sentences]), ())
 
 
 def loss_match_low_weak(
@@ -288,11 +294,30 @@ def loss_match_low_weak(
     avg_match(clips of pair a, sentences of pair b)."""
     if len(clips) != len(sentences) or not clips:
         raise ContractError("loss_match_low_weak requires a nonempty batch of pairs")
-    rows = []
-    for cs in clips:
-        rows.append(tk.stack([avg_match(cs, ss) for ss in sentences]))
-    avg = tk.stack(rows)
-    return ranking_loss_from_similarity(avg, beta_prime, sign_mode)
+    return ranking_loss_from_similarity(
+        _averaged_similarity(clips, sentences), beta_prime, sign_mode
+    )
+
+
+def _reconstruction_error(
+    low_hat: Tensor,
+    low_targets: np.ndarray,
+    units_hat: Tensor,
+    unit_targets: np.ndarray,
+    unit_weights: np.ndarray,
+) -> Tensor:
+    """sum |low_hat - low_targets|^2 + sum_r unit_weights[r] |units_hat[r] - unit_targets[r]|^2
+    over the rows of two 2-d tensors and their constant targets."""
+    low_err = tk.reduce_sum(tk.square(tk.sub(low_hat, tk.constant(low_targets))))
+    weights = tk.constant(np.broadcast_to(unit_weights[:, None], unit_targets.shape))
+    unit_err = tk.reduce_sum(
+        tk.mul(tk.square(tk.sub(units_hat, tk.constant(unit_targets))), weights)
+    )
+    return tk.add(low_err, unit_err)
+
+
+def _target_rows(targets: Sequence) -> np.ndarray:
+    return np.stack([t.values if isinstance(t, Tensor) else np.asarray(t) for t in targets])
 
 
 def loss_reconstruct(
@@ -317,16 +342,38 @@ def loss_reconstruct(
             raise ContractError(
                 f"unit {i}: decoded {len(rows)} feature vectors, target has {raw.shape[0]}"
             )
-    targets = tk.constant(
-        np.stack([t.values if isinstance(t, Tensor) else np.asarray(t) for t in encoded_low])
+    return _reconstruction_error(
+        tk.stack(list(decoded_low)),
+        _target_rows(encoded_low),
+        tk.stack([row for rows in decoded_units for row in rows]),
+        np.concatenate(list(raw_units)),
+        np.concatenate([np.full(raw.shape[0], 1.0 / raw.shape[0]) for raw in raw_units]),
     )
-    low_hat = tk.stack(list(decoded_low))
-    total = tk.reduce_sum(tk.square(tk.sub(low_hat, targets)))
-    for rows, raw in zip(decoded_units, raw_units):
-        unit_hat = tk.stack(list(rows))
-        err = tk.reduce_sum(tk.square(tk.sub(unit_hat, tk.constant(raw))))
-        total = tk.add(total, tk.mul_scalar(err, 1.0 / raw.shape[0]))
-    return total
+
+
+def _batch_reconstruct(
+    params: HseModelParams,
+    encoded: EncodedBatch,
+    units: Sequence[Sequence[np.ndarray]],
+    low_targets: np.ndarray,
+    modality: str,
+) -> Tensor:
+    """loss_reconstruct summed over a batch of samples of one modality,
+    decoded in one decode_batch call. units[k] holds the raw clips
+    (sentences) of sample k; low_targets their target embeddings, stacked."""
+    raw = [u for us in units for u in us]
+    unit_lengths = [[u.shape[0] for u in us] for us in units]
+    decoded = decode_batch(params, encoded.high, unit_lengths, modality)
+    padded, lengths = pad_sequences(raw)
+    lengths = np.asarray(lengths)[:, None]
+    weights = (np.arange(decoded.steps)[None, :] < lengths) / lengths  # 1/n_i, 0 on padding
+    return _reconstruction_error(
+        decoded.low,
+        low_targets,
+        decoded.units,
+        padded.reshape(-1, padded.shape[2]),
+        weights.reshape(-1),
+    )
 
 
 def total_loss(
@@ -351,21 +398,14 @@ def total_loss(
     if not batch:
         raise ContractError("total_loss requires a nonempty batch")
     k = len(batch)
-    videos = []
-    paragraphs = []
-    clip_embs: list[list[Tensor]] = []
-    sent_embs: list[list[Tensor]] = []
-    v_hier = []
-    p_hier = []
-    for video, paragraph in batch:
-        ve = encode_hierarchical(params, video, carry_low_state)
-        pe = encode_hierarchical(params, paragraph, carry_low_state)
-        v_hier.append(ve)
-        p_hier.append(pe)
-        videos.append(ve.high)
-        paragraphs.append(pe.high)
-        clip_embs.append(ve.low)
-        sent_embs.append(pe.low)
+    v_batch = encode_batch(params, [video for video, _ in batch], carry_low_state)
+    p_batch = encode_batch(params, [paragraph for _, paragraph in batch], carry_low_state)
+    v_hier = v_batch.samples()
+    p_hier = p_batch.samples()
+    videos = [ve.high for ve in v_hier]
+    paragraphs = [pe.high for pe in p_hier]
+    clip_embs = [ve.low for ve in v_hier]
+    sent_embs = [pe.low for pe in p_hier]
 
     norm = 1.0 / k
     mh = tk.mul_scalar(
@@ -392,24 +432,18 @@ def total_loss(
         )
 
     if config.tau > 0.0:
-        rec_sum = None
-        for idx, ((video, paragraph), ve, pe) in enumerate(zip(batch, v_hier, p_hier)):
-            if reconstruction_targets is None:
-                v_targets, p_targets = ve.low, pe.low
-            else:
-                v_targets, p_targets = reconstruction_targets[idx]
-            v_low_hat, v_units_hat = decode_hierarchical(
-                params, ve.high, video.n, video.n_i, "video"
-            )
-            p_low_hat, p_units_hat = decode_hierarchical(
-                params, pe.high, paragraph.m, paragraph.word_counts, "text"
-            )
-            rec = tk.add(
-                loss_reconstruct(v_targets, v_low_hat, v_units_hat, video.clips),
-                loss_reconstruct(p_targets, p_low_hat, p_units_hat, paragraph.sentences),
-            )
-            rec_sum = rec if rec_sum is None else tk.add(rec_sum, rec)
-        rec = tk.mul_scalar(rec_sum, norm)
+        if reconstruction_targets is None:
+            v_targets, p_targets = v_batch.low.values, p_batch.low.values
+        else:
+            v_targets = _target_rows([t for vt, _ in reconstruction_targets for t in vt])
+            p_targets = _target_rows([t for _, pt in reconstruction_targets for t in pt])
+        v_rec = _batch_reconstruct(
+            params, v_batch, [v.clips for v, _ in batch], v_targets, "video"
+        )
+        p_rec = _batch_reconstruct(
+            params, p_batch, [p.sentences for _, p in batch], p_targets, "text"
+        )
+        rec = tk.mul_scalar(tk.add(v_rec, p_rec), norm)
     else:
         rec = tk.constant(0.0)
 

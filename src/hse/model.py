@@ -1,4 +1,5 @@
-"""GRU cell, flat-sequence encoder, hierarchical encoders, and layer-wise decoders.
+"""GRU parameters, flat-sequence encoder, hierarchical encoders, and
+layer-wise decoders.
 
 Sequence embeddings are channel-wise maxima over the per-step GRU hidden
 outputs. The hierarchical encoders embed each clip (sentence) independently
@@ -9,6 +10,14 @@ clip (sentence), each projected to a generated low-level embedding that in
 turn seeds the low-level decoder GRU emitting generated frame (word)
 features. Decoder step inputs are zero vectors; the hidden state carries
 all information.
+
+Every GRU runs through tensorkit.gru_sequence over a padded batch:
+encode_batch and decode_batch handle all samples of one modality at once
+(one GRU run per level), encode_sequences and encode_flat_batch a batch of
+plain sequences. The per-sample functions (encode_sequence, encode_flat,
+encode_hierarchical, decode_hierarchical) are batches of one. A sample's
+embedding is the same bits alone or in any batch. gru_step is the
+single-step cell, kept as a reference.
 """
 
 from __future__ import annotations
@@ -28,11 +37,18 @@ __all__ = [
     "DecoderParams",
     "HseModelParams",
     "HierEmbedding",
+    "EncodedBatch",
+    "DecodedBatch",
     "build_params",
     "gru_step",
+    "pad_sequences",
+    "encode_sequences",
     "encode_sequence",
     "encode_flat",
+    "encode_flat_batch",
+    "encode_batch",
     "encode_hierarchical",
+    "decode_batch",
     "decode_hierarchical",
 ]
 
@@ -95,6 +111,10 @@ class GruParams:
     def named(self, prefix: str) -> Iterable[tuple[str, Tensor]]:
         for f in _GRU_FIELDS:
             yield f"{prefix}.{f}", getattr(self, f)
+
+    def gates(self) -> list[Tensor]:
+        """The nine cell tensors in the order tensorkit.gru_sequence takes."""
+        return [getattr(self, f) for f in _GRU_FIELDS]
 
     def validate(self) -> None:
         d, h = self.input_dim, self.hidden_dim
@@ -213,10 +233,37 @@ class HierEmbedding:
     low: list[Tensor]
     high: Tensor
 
-    def __post_init__(self):
-        for t in [*self.low, self.high]:
-            if not np.all(np.isfinite(t.values)):
-                raise HseError("non-finite embedding produced by encoder")
+
+@dataclass
+class EncodedBatch:
+    """Embeddings of a batch of samples of one modality. low holds every
+    clip (sentence) of every sample, sample by sample; counts[k] of its rows
+    belong to sample k."""
+
+    low: Tensor  # [N, hidden_low]
+    high: Tensor  # [K, hidden_high]
+    counts: list[int]
+
+    def samples(self) -> list[HierEmbedding]:
+        """One HierEmbedding per sample, whose tensors are rows of low/high."""
+        out = []
+        start = 0
+        for k, n in enumerate(self.counts):
+            rows = [tk.take(self.low, i) for i in range(start, start + n)]
+            out.append(HierEmbedding(low=rows, high=tk.take(self.high, k)))
+            start += n
+        return out
+
+
+@dataclass
+class DecodedBatch:
+    """Generated embeddings and features of a batch of samples. units holds
+    steps rows per clip (sentence), clip by clip; the rows past a clip's
+    length are padding."""
+
+    low: Tensor  # [N, hidden_low]
+    units: Tensor  # [N * steps, feature dim]
+    steps: int
 
 
 def _as_input(x) -> Tensor:
@@ -228,6 +275,9 @@ def gru_step(params: GruParams, x, h: Tensor) -> Tensor:
 
     z = sigmoid(Wz x + Uz h + bz), r = sigmoid(Wr x + Ur h + br),
     cand = tanh(Wh x + Uh (r*h) + bh), h' = (1 - z)*h + z*cand.
+
+    The encoders and decoders run tensorkit.gru_sequence instead; this
+    single-step cell is the reference it is tested against.
     """
     x = _as_input(x)
     if x.values.ndim != 1 or x.values.shape[0] != params.input_dim:
@@ -247,18 +297,53 @@ def gru_step(params: GruParams, x, h: Tensor) -> Tensor:
     return tk.add(tk.mul(keep, h), tk.mul(z, cand))
 
 
+def pad_sequences(sequences: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int]]:
+    """Stack [T_b, D] sequences into a zero-padded [B, max T_b, D] array;
+    returns it with the lengths T_b."""
+    seqs = [np.asarray(s, dtype=np.float64) for s in sequences]
+    if not seqs:
+        raise ContractError("need at least one sequence")
+    dim = seqs[0].shape[-1] if seqs[0].ndim == 2 else -1
+    if any(s.ndim != 2 or s.shape[0] < 1 or s.shape[1] != dim for s in seqs):
+        raise ShapeError(
+            f"sequences must be nonempty [T, D] arrays of one width, got shapes "
+            f"{[list(s.shape) for s in seqs]}"
+        )
+    lengths = [s.shape[0] for s in seqs]
+    out = np.zeros((len(seqs), max(lengths), dim))
+    for b, s in enumerate(seqs):
+        out[b, : s.shape[0]] = s
+    return out, lengths
+
+
+def _segment_rows(starts: Sequence[int], lengths: Sequence[int]) -> np.ndarray:
+    """[len(starts), max length] row indices: row i lists starts[i] ..
+    starts[i] + lengths[i] - 1, padded by repeating its last index."""
+    steps = np.arange(max(lengths))[None, :]
+    last = np.asarray(lengths)[:, None] - 1
+    return np.asarray(starts)[:, None] + np.minimum(steps, last)
+
+
+def encode_sequences(params: GruParams, sequences: Sequence[np.ndarray]) -> Tensor:
+    """Embed a batch of [T_b, D] feature sequences in one GRU run from a
+    zero state: the [B, H] channel-wise maxima of their hidden states."""
+    x, lengths = pad_sequences(sequences)
+    return tk.masked_max(tk.gru_sequence(tk.constant(x), lengths, params.gates()), lengths)
+
+
 def encode_sequence(params: GruParams, xs: Sequence, h0: Tensor | None = None) -> Tensor:
-    """Run the GRU from a zero state over xs and channel-wise max-pool the
-    per-step hidden outputs into a fixed-size embedding."""
-    xs = list(xs)
+    """Run the GRU from h0 (zero by default) over xs and channel-wise
+    max-pool the per-step hidden outputs into a fixed-size embedding."""
+    xs = [_as_input(x) for x in xs]
     if not xs:
         raise ContractError("encode_sequence requires a nonempty sequence")
-    h = h0 if h0 is not None else tk.constant(np.zeros(params.hidden_dim))
-    outputs = []
-    for x in xs:
-        h = gru_step(params, x, h)
-        outputs.append(h)
-    return tk.reduce_max(tk.stack(outputs), axis=0)
+    if any(x.values.shape != (params.input_dim,) for x in xs):
+        raise ShapeError(f"encode_sequence inputs must have shape [{params.input_dim}]")
+    seq = tk.reshape(tk.stack(xs), (1, len(xs), params.input_dim))
+    if h0 is not None:
+        h0 = tk.reshape(h0, (1, params.hidden_dim))
+    states = tk.gru_sequence(seq, [len(xs)], params.gates(), h0)
+    return tk.take(tk.masked_max(states, [len(xs)]), 0)
 
 
 def _units_of(sample) -> list[np.ndarray]:
@@ -270,12 +355,68 @@ def _units_of(sample) -> list[np.ndarray]:
     return units
 
 
-def encode_flat(params: GruParams, sample) -> Tensor:
+def encode_flat_batch(params: GruParams, samples: Sequence) -> Tensor:
     """Flat-sequence baseline: ignore clip/sentence boundaries and encode the
-    concatenation of all frames (words) as one sequence."""
-    units = _units_of(sample)
-    flattened = [row for unit in units for row in unit]
-    return encode_sequence(params, flattened)
+    concatenation of each sample's frames (words) as one sequence. Returns
+    the [K, H] embeddings."""
+    return encode_sequences(params, [np.concatenate(_units_of(s)) for s in samples])
+
+
+def encode_flat(params: GruParams, sample) -> Tensor:
+    """encode_flat_batch for one sample."""
+    return tk.take(encode_flat_batch(params, [sample]), 0)
+
+
+def encode_batch(
+    params: HseModelParams,
+    samples: Sequence,
+    carry_low_state: bool = False,
+) -> EncodedBatch:
+    """Embed every clip (sentence) of a batch of videos (paragraphs)
+    independently, then embed each sample's sequence of those embeddings
+    with the high-level encoder: one GRU run per level.
+
+    carry_low_state threads the low-level GRU state across unit boundaries
+    instead of resetting it to zero per unit: the low level then runs over
+    each sample's concatenated frames, and embeddings are still pooled per
+    unit. Off by default.
+    """
+    if not samples:
+        raise ContractError("encode_batch requires at least one sample")
+    unit_lists = [_units_of(s) for s in samples]
+    video = hasattr(samples[0], "clips")
+    if any(hasattr(s, "clips") != video for s in samples):
+        raise ContractError("encode_batch requires samples of one modality")
+    if any(not units for units in unit_lists):
+        raise ContractError("encode_hierarchical requires at least one clip/sentence")
+    if video:
+        enc_low, enc_high = params.enc_v_low, params.enc_v_high
+    else:
+        enc_low, enc_high = params.enc_p_low, params.enc_p_high
+    counts = [len(units) for units in unit_lists]
+    lengths = [u.shape[0] for units in unit_lists for u in units]
+    if carry_low_state:
+        # one run per sample over its concatenated frames; each unit's steps
+        # are then gathered from the flattened [K * T, H] states
+        x, totals = pad_sequences([np.concatenate(units) for units in unit_lists])
+        steps = x.shape[1]
+        starts = [
+            k * steps + offset
+            for k, units in enumerate(unit_lists)
+            for offset in np.cumsum([0] + [u.shape[0] for u in units[:-1]])
+        ]
+        states = tk.gru_sequence(tk.constant(x), totals, enc_low.gates())
+        flat = tk.reshape(states, (len(samples) * steps, enc_low.hidden_dim))
+        per_unit = tk.take(flat, _segment_rows(starts, lengths))
+    else:
+        x, _ = pad_sequences([u for units in unit_lists for u in units])
+        per_unit = tk.gru_sequence(tk.constant(x), lengths, enc_low.gates())
+    low = tk.masked_max(per_unit, lengths)
+    high_in = tk.take(low, _segment_rows(np.cumsum([0] + counts[:-1]), counts))
+    high = tk.masked_max(tk.gru_sequence(high_in, counts, enc_high.gates()), counts)
+    if not (np.all(np.isfinite(low.values)) and np.all(np.isfinite(high.values))):
+        raise HseError("non-finite embedding produced by encoder")
+    return EncodedBatch(low=low, high=high, counts=counts)
 
 
 def encode_hierarchical(
@@ -283,33 +424,53 @@ def encode_hierarchical(
     sample,
     carry_low_state: bool = False,
 ) -> HierEmbedding:
-    """Embed each clip (sentence) independently, then embed the sequence of
-    those embeddings with the high-level encoder.
+    """encode_batch for one video or paragraph."""
+    return encode_batch(params, [sample], carry_low_state).samples()[0]
 
-    carry_low_state threads the low-level GRU state across unit boundaries
-    instead of resetting it to zero per unit; embeddings are still pooled
-    per unit. Off by default.
+
+def _project(dec: DecoderParams, states: Tensor) -> Tensor:
+    """Affine map out_w h + out_b of every row of a 2-d tensor of states."""
+    ones = tk.constant(np.ones((states.values.shape[0], 1)))
+    bias = tk.matmul(ones, tk.reshape(dec.out_b, (1, dec.out_b.values.shape[0])))
+    return tk.add(tk.matmul(states, tk.transpose(dec.out_w)), bias)
+
+
+def decode_batch(
+    params: HseModelParams,
+    high: Tensor,
+    unit_lengths: Sequence[Sequence[int]],
+    modality: str,
+) -> DecodedBatch:
+    """Generate, for each row k of the [K, hidden_high] embeddings high,
+    len(unit_lengths[k]) low-level embeddings and then unit_lengths[k][i]
+    feature vectors from the i-th of them.
+
+    The high-level decoder GRU starts from the sample embedding and runs one
+    step per clip (sentence) on zero inputs; every hidden state is projected
+    to a generated low-level embedding. Each of those seeds the low-level
+    decoder GRU for one step per frame (word), whose hidden states are
+    projected to generated features. One GRU run per level.
     """
-    units = _units_of(sample)
-    if hasattr(sample, "clips"):
-        enc_low, enc_high = params.enc_v_low, params.enc_v_high
+    if modality == "video":
+        dec_high, dec_low = params.dec_v_high, params.dec_v_low
+    elif modality == "text":
+        dec_high, dec_low = params.dec_p_high, params.dec_p_low
     else:
-        enc_low, enc_high = params.enc_p_low, params.enc_p_high
-    if not units:
-        raise ContractError("encode_hierarchical requires at least one clip/sentence")
-    low: list[Tensor] = []
-    h = tk.constant(np.zeros(enc_low.hidden_dim))
-    for unit in units:
-        if carry_low_state:
-            outputs = []
-            for x in unit:
-                h = gru_step(enc_low, x, h)
-                outputs.append(h)
-            low.append(tk.reduce_max(tk.stack(outputs), axis=0))
-        else:
-            low.append(encode_sequence(enc_low, unit))
-    high = encode_sequence(enc_high, low)
-    return HierEmbedding(low=low, high=high)
+        raise ContractError(f"unknown modality {modality!r}")
+    counts = [len(n_i) for n_i in unit_lengths]
+    lengths = [int(c) for n_i in unit_lengths for c in n_i]
+    if not counts or min(counts) < 1 or min(lengths) < 1:
+        raise ContractError("decode_hierarchical requires n >= 1 and every n_i >= 1")
+    k, n_max, t_max = len(counts), max(counts), max(lengths)
+    zeros = tk.constant(np.zeros((k, n_max, DECODER_INPUT_DIM)))
+    states = tk.gru_sequence(zeros, counts, dec_high.gru.gates(), high)
+    valid = [b * n_max + i for b, n in enumerate(counts) for i in range(n)]
+    flat = tk.reshape(states, (k * n_max, dec_high.gru.hidden_dim))
+    low = _project(dec_high, tk.take(flat, valid))
+    zeros = tk.constant(np.zeros((len(lengths), t_max, DECODER_INPUT_DIM)))
+    unit_states = tk.gru_sequence(zeros, lengths, dec_low.gru.gates(), low)
+    flat = tk.reshape(unit_states, (len(lengths) * t_max, dec_low.gru.hidden_dim))
+    return DecodedBatch(low=low, units=_project(dec_low, flat), steps=t_max)
 
 
 def decode_hierarchical(
@@ -319,35 +480,15 @@ def decode_hierarchical(
     n_i: Sequence[int],
     modality: str,
 ) -> tuple[list[Tensor], list[list[Tensor]]]:
-    """Generate n low-level embeddings from a whole-sample embedding, then
-    n_i[i] feature vectors from each of them.
-
-    The high-level decoder GRU starts from the sample embedding and runs n
-    steps on zero inputs; every hidden state is projected to a generated
-    low-level embedding. Each of those seeds the low-level decoder GRU for
-    n_i[i] steps, whose hidden states are projected to generated features.
-    """
-    if modality == "video":
-        dec_high, dec_low = params.dec_v_high, params.dec_v_low
-    elif modality == "text":
-        dec_high, dec_low = params.dec_p_high, params.dec_p_low
-    else:
-        raise ContractError(f"unknown modality {modality!r}")
+    """decode_batch for one sample embedding: n generated low-level
+    embeddings, and n_i[i] generated feature vectors from the i-th."""
     n_i = [int(c) for c in n_i]
     if n < 1 or len(n_i) != n or any(c < 1 for c in n_i):
         raise ContractError("decode_hierarchical requires n >= 1 and every n_i >= 1")
-    zero_in = tk.constant(np.zeros(DECODER_INPUT_DIM))
-    low_hat: list[Tensor] = []
-    h = high
-    for _ in range(n):
-        h = gru_step(dec_high.gru, zero_in, h)
-        low_hat.append(tk.add(tk.matmul(dec_high.out_w, h), dec_high.out_b))
-    units_hat: list[list[Tensor]] = []
-    for i in range(n):
-        hl = low_hat[i]
-        rows: list[Tensor] = []
-        for _ in range(n_i[i]):
-            hl = gru_step(dec_low.gru, zero_in, hl)
-            rows.append(tk.add(tk.matmul(dec_low.out_w, hl), dec_low.out_b))
-        units_hat.append(rows)
+    decoded = decode_batch(params, tk.reshape(high, (1, high.values.size)), [n_i], modality)
+    low_hat = [tk.take(decoded.low, i) for i in range(n)]
+    units_hat = [
+        [tk.take(decoded.units, i * decoded.steps + j) for j in range(count)]
+        for i, count in enumerate(n_i)
+    ]
     return low_hat, units_hat

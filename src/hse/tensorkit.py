@@ -8,8 +8,11 @@ topological order because records are appended as operations run.
 Tapes are single use; build a fresh one per optimization step.
 
 Broadcasting is deliberately restricted to elementwise same-shape
-operands (plus scalar constants); sequence batching happens one
-sample at a time in the model layer.
+operands (plus scalar constants). Sequences are batched by padding:
+gru_sequence runs a GRU over a padded [B, T, D] batch with per-row
+lengths and records the whole run as one tape record, masked_max pools
+it over the valid steps, and take gathers rows, so a model layer can
+encode a whole batch with a handful of records.
 """
 
 from __future__ import annotations
@@ -46,6 +49,11 @@ __all__ = [
     "reduce_sum",
     "reduce_mean",
     "reduce_max",
+    "take",
+    "cosine",
+    "segment_mean",
+    "gru_sequence",
+    "masked_max",
     "zero_grads",
     "finite_diff_check",
     "FiniteDiffReport",
@@ -111,6 +119,10 @@ class Tape:
 
 _TAPE_STACK: list[Tape] = []
 
+# recorded outputs point here once their tape is replayed (see backward)
+_SPENT_TAPE = Tape()
+_SPENT_TAPE._used = True
+
 
 def _active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
@@ -156,6 +168,12 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         back(g)
+    # Each output references its tape, which references the output: a
+    # reference cycle that would keep the whole graph alive until a garbage
+    # collection. Re-pointing the outputs at a shared spent tape frees the
+    # graph as soon as the caller drops the tape.
+    for out, _ in tape._records:
+        out.tape = _SPENT_TAPE
 
 
 def zero_grads(tensors: Sequence[Tensor]) -> None:
@@ -317,8 +335,12 @@ def mul_scalar(a: Tensor, c: float) -> Tensor:
     return out
 
 
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-v))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    ov = 1.0 / (1.0 + np.exp(-a.values))
+    ov = _sigmoid(a.values)
     out = Tensor(ov, requires_grad=a.requires_grad)
 
     def back(g):
@@ -432,6 +454,228 @@ def reduce_max(a: Tensor, axis: int) -> Tensor:
     def back(g):
         buf = np.zeros_like(av)
         np.put_along_axis(buf, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis)
+        _acc(a, buf)
+
+    _record(out, back)
+    return out
+
+
+def take(a: Tensor, index) -> Tensor:
+    """Rows of a picked along axis 0 by an int or an int array (any shape);
+    the result has shape index.shape + a.shape[1:]. Repeated rows receive
+    the sum of their gradients."""
+    n = a.values.shape[0] if a.values.ndim else 0
+    idx = np.asarray(index, dtype=np.intp)
+    if n == 0 or idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ShapeError(f"take index out of range for {n} rows")
+    if idx.ndim == 0:
+        idx = int(idx)
+    out = Tensor(a.values[idx], requires_grad=a.requires_grad)
+
+    def back(g):
+        if a.grad is None:
+            a.grad = np.zeros_like(a.values)
+        if isinstance(idx, int):
+            a.grad[idx] += g
+        else:
+            np.add.at(a.grad, idx, g)
+
+    _record(out, back)
+    return out
+
+
+def cosine(u: Tensor, w: Tensor) -> Tensor:
+    """Cosine similarity of every row of u [N, D] with every row of w [M, D].
+
+    Each entry is computed from its two rows alone (elementwise products
+    summed along D), so it does not depend on the other rows or on the
+    rows' positions, to the last bit."""
+    uv, wv = u.values, w.values
+    if uv.ndim != 2 or wv.ndim != 2 or uv.shape[1] != wv.shape[1]:
+        raise ShapeError(
+            f"cosine needs [N, D] and [M, D] operands, got {list(uv.shape)} and {list(wv.shape)}"
+        )
+    nu = np.sqrt(np.sum(uv * uv, axis=1))
+    nw = np.sqrt(np.sum(wv * wv, axis=1))
+    if np.any(nu == 0.0) or np.any(nw == 0.0):
+        raise DegenerateInputError("zero-norm embedding in similarity computation")
+    norms = nu[:, None] * nw[None, :]
+    ov = np.sum(uv[:, None, :] * wv[None, :, :], axis=2) / norms
+    out = Tensor(ov, requires_grad=u.requires_grad or w.requires_grad)
+
+    def back(g):
+        gn = g / norms
+        if u.requires_grad:
+            _acc(u, gn @ wv - (np.sum(g * ov, axis=1) / (nu * nu))[:, None] * uv)
+        if w.requires_grad:
+            _acc(w, gn.T @ uv - (np.sum(g * ov, axis=0) / (nw * nw))[:, None] * wv)
+
+    _record(out, back)
+    return out
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(counts)[:-1]))
+
+
+def segment_mean(a: Tensor, row_counts: Sequence[int], col_counts: Sequence[int]) -> Tensor:
+    """Block means of a 2-d tensor: rows split into consecutive segments of
+    row_counts, columns into segments of col_counts; entry (p, q) is the mean
+    of block (p, q). Each block is summed on its own, so its mean does not
+    depend on where the block sits."""
+    rows = np.asarray(row_counts, dtype=np.intp)
+    cols = np.asarray(col_counts, dtype=np.intp)
+    av = a.values
+    if (
+        av.ndim != 2 or rows.ndim != 1 or cols.ndim != 1 or not rows.size or not cols.size
+        or rows.min() < 1 or cols.min() < 1 or (rows.sum(), cols.sum()) != av.shape
+    ):
+        raise ShapeError(
+            f"segment_mean: segments {rows.tolist()} x {cols.tolist()} "
+            f"do not tile shape {list(av.shape)}"
+        )
+    sizes = np.outer(rows, cols).astype(np.float64)
+    sums = np.add.reduceat(np.add.reduceat(av, _offsets(cols), axis=1), _offsets(rows), axis=0)
+    out = Tensor(sums / sizes, requires_grad=a.requires_grad)
+
+    def back(g):
+        _acc(a, np.repeat(np.repeat(g / sizes, rows, axis=0), cols, axis=1))
+
+    _record(out, back)
+    return out
+
+
+def _rowwise(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a @ w.T with every row of a multiplied on its own (a batched
+    matrix-vector product), so a row's result is the same bits whatever the
+    other rows are and wherever it sits."""
+    return np.matmul(a[..., None, :], w.T)[..., 0, :]
+
+
+def _step_mask(lengths, batch: int, steps: int) -> np.ndarray:
+    """[batch, steps] mask of the valid steps, from per-row lengths in 1..steps."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.shape != (batch,) or batch and (lengths.min() < 1 or lengths.max() > steps):
+        raise ShapeError(f"need {batch} lengths in 1..{steps}, got {lengths.tolist()}")
+    return np.arange(steps)[None, :] < lengths[:, None]
+
+
+def gru_sequence(x: Tensor, lengths, gates: Sequence[Tensor], h0: Tensor | None = None) -> Tensor:
+    """Hidden states of a GRU run over a padded batch, recorded as one
+    tape record.
+
+    x is [B, T, D]; row b has lengths[b] valid steps (1..T) followed by
+    padding. gates are the nine cell tensors w_z, u_z, b_z, w_r, u_r, b_r,
+    w_h, u_h, b_h (shapes [H, D], [H, H], [H]). h0 is an optional [B, H]
+    initial state, zero when omitted. Returns the [B, T, H] states; at a
+    padded step a row carries its state forward unchanged.
+
+        z = sigmoid(Wz x + Uz h + bz), r = sigmoid(Wr x + Ur h + br),
+        cand = tanh(Wh x + Uh (r*h) + bh), h' = (1 - z)*h + z*cand.
+
+    The gate weights are stacked into [3H, D] and [3H, H] per call: the
+    input term of every step is one product, and a step costs two products
+    for the whole batch. Rows are multiplied one at a time (_rowwise), so a
+    sequence's states are the same bits alone or anywhere in any batch. The
+    backward pass is written out by hand (backpropagation through time).
+    """
+    if len(gates) != 9:
+        raise ContractError(f"gru_sequence needs the 9 gate tensors, got {len(gates)}")
+    w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = gates
+    xv = x.values
+    hid = u_z.values.shape[0] if u_z.values.ndim == 2 else -1
+    if xv.ndim != 3:
+        raise ShapeError(f"gru_sequence input must be [B, T, D], got shape {list(xv.shape)}")
+    bsz, steps, dim = xv.shape
+    for name, t, shape in zip(
+        ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h"),
+        gates,
+        [(hid, dim), (hid, hid), (hid,)] * 3,
+    ):
+        if t.values.shape != shape:
+            raise ShapeError(
+                f"gru_sequence {name} has shape {list(t.values.shape)}, expected {list(shape)}"
+            )
+    if h0 is not None and h0.values.shape != (bsz, hid):
+        raise ShapeError(
+            f"gru_sequence h0 has shape {list(h0.values.shape)}, expected {[bsz, hid]}"
+        )
+    mask = _step_mask(lengths, bsz, steps)
+    w = np.concatenate([w_z.values, w_r.values, w_h.values])
+    u = np.concatenate([u_z.values, u_r.values, u_h.values])
+    u_zr, u_c = u[: 2 * hid], u[2 * hid :]
+    xw = _rowwise(xv, w)
+    h_init = np.zeros((bsz, hid)) if h0 is None else h0.values
+    h = h_init
+    parents = [x, *gates] + ([h0] if h0 is not None else [])
+    requires_grad = any(p.requires_grad for p in parents)
+    keep = requires_grad and _active_tape() is not None
+    hs = np.empty((bsz, steps, hid))
+    if keep:
+        zs, rs, cands = np.empty_like(hs), np.empty_like(hs), np.empty_like(hs)
+    b_zr = np.concatenate([b_z.values, b_r.values])
+    full = mask.all(axis=0)  # steps at which no row is padding
+    for t in range(steps):
+        zr = _sigmoid((xw[:, t, : 2 * hid] + _rowwise(h, u_zr)) + b_zr)
+        z, r = zr[:, :hid], zr[:, hid:]
+        cand = np.tanh((xw[:, t, 2 * hid :] + _rowwise(r * h, u_c)) + b_h.values)
+        new = (1.0 - z) * h + z * cand
+        h = new if full[t] else np.where(mask[:, t, None], new, h)
+        hs[:, t] = h
+        if keep:
+            zs[:, t], rs[:, t], cands[:, t] = z, r, cand
+    out = Tensor(hs, requires_grad=requires_grad)
+    if not keep:
+        return out
+    h_prev = np.concatenate([h_init[:, None, :], hs[:, :-1]], axis=1)
+
+    def back(g):
+        da = np.zeros((bsz, steps, 3 * hid))  # gate pre-activation gradients
+        dh = np.zeros((bsz, hid))
+        for t in range(steps - 1, -1, -1):
+            dh = dh + g[:, t]
+            valid = mask[:, t, None]
+            dnew = dh if full[t] else np.where(valid, dh, 0.0)
+            z, r, cand, hp = zs[:, t], rs[:, t], cands[:, t], h_prev[:, t]
+            da_c = dnew * z * (1.0 - cand * cand)
+            d_rh = da_c @ u_c
+            da[:, t, :hid] = dnew * (cand - hp) * z * (1.0 - z)
+            da[:, t, hid : 2 * hid] = d_rh * hp * r * (1.0 - r)
+            da[:, t, 2 * hid :] = da_c
+            dprev = dnew * (1.0 - z) + d_rh * r + da[:, t, : 2 * hid] @ u_zr
+            dh = dprev if full[t] else np.where(valid, dprev, dh)
+        flat = da.reshape(-1, 3 * hid)
+        dw = flat.T @ xv.reshape(-1, dim)
+        du_zr = flat[:, : 2 * hid].T @ h_prev.reshape(-1, hid)
+        du_c = flat[:, 2 * hid :].T @ (rs * h_prev).reshape(-1, hid)
+        db = flat.sum(axis=0)
+        for k in range(3):
+            gate = slice(k * hid, (k + 1) * hid)
+            _acc(gates[3 * k], dw[gate])
+            _acc(gates[3 * k + 1], du_zr[gate] if k < 2 else du_c)
+            _acc(gates[3 * k + 2], db[gate])
+        if x.requires_grad:
+            _acc(x, da @ w)
+        if h0 is not None and h0.requires_grad:
+            _acc(h0, dh)
+
+    _record(out, back)
+    return out
+
+
+def masked_max(a: Tensor, lengths) -> Tensor:
+    """Channel-wise max of a [B, T, H] tensor over the first lengths[b]
+    steps of each row; gradient flows to the first attaining step."""
+    av = a.values
+    if av.ndim != 3:
+        raise ShapeError(f"masked_max expects a [B, T, H] tensor, got shape {list(a.shape)}")
+    mask = _step_mask(lengths, av.shape[0], av.shape[1])
+    idx = np.argmax(np.where(mask[:, :, None], av, -np.inf), axis=1)[:, None, :]
+    out = Tensor(np.take_along_axis(av, idx, axis=1)[:, 0, :], requires_grad=a.requires_grad)
+
+    def back(g):
+        buf = np.zeros_like(av)
+        np.put_along_axis(buf, idx, g[:, None, :], axis=1)
         _acc(a, buf)
 
     _record(out, back)

@@ -136,6 +136,20 @@ class TestCorpusIO:
         with pytest.raises(CorpusError, match="no clips"):
             load_corpus(path)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '{"id": "b", "clips": [[[1.0], [NaN]]], "sentences": [[[1.0]]]}',
+            '{"id": "b", "clips": [[[1.0]]], "sentences": [[[-Infinity]]]}',
+        ],
+    )
+    def test_non_finite_feature_names_file_and_line(self, tmp_path, bad):
+        path = tmp_path / "c.jsonl"
+        good = '{"id": "a", "clips": [[[1.0]]], "sentences": [[[1.0]]]}'
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(CorpusError, match=r"c\.jsonl: line 2: .*non-finite"):
+            load_corpus(path)
+
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         rec = '{"id": "a", "clips": [[[1.0]]], "sentences": [[[1.0]]]}'

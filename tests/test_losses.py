@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from hse.data import ParagraphSample, VideoSample
+from hse.data import ParagraphSample, SynthSpec, VideoSample, synth_generate
 from hse.errors import ConfigError, ContractError, DegenerateInputError
 from hse.losses import (
     LossConfig,
@@ -21,7 +21,7 @@ from hse.losses import (
     total_loss,
 )
 from hse.model import ModelDims
-from hse.tensorkit import Tensor
+from hse.tensorkit import Tape, Tensor, backward
 from hse.training import init_params
 
 
@@ -363,6 +363,21 @@ class TestTotalLoss:
         params = init_params(ModelDims(d_v=2, d_t=2, hidden_low=2, hidden_high=2), 0)
         with pytest.raises(ContractError):
             total_loss([], params, LossConfig())
+
+    def test_full_objective_step_records_few_tape_records(self):
+        # the acceptance overfit shape: 8 pairs of 3 clips x 4 frames and
+        # 3 sentences x 4 words, d=16, hidden 32, reconstruction on
+        spec = SynthSpec(
+            num_pairs=8, num_events=4, clips_per_pair=(3, 3), frames_per_clip=(4, 4),
+            words_per_sentence=(4, 4), d_v=16, d_t=16, seed=7,
+        )
+        corpus, _ = synth_generate(spec)
+        params = init_params(ModelDims(d_v=16, d_t=16, hidden_low=32, hidden_high=32), 7)
+        with Tape() as tape:
+            bd = total_loss(corpus.pairs, params, LossConfig(tau=5e-4))
+            backward(bd.node)
+        assert bd.reconstruct > 0.0
+        assert len(tape) < 500
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):

@@ -9,12 +9,13 @@ from hse.model import (
     ModelDims,
     build_params,
     decode_hierarchical,
+    encode_batch,
     encode_flat,
     encode_hierarchical,
     encode_sequence,
     gru_step,
 )
-from hse.tensorkit import Tensor, finite_diff_check
+from hse.tensorkit import Tape, Tensor, finite_diff_check
 from hse.training import init_params
 
 
@@ -73,6 +74,63 @@ class TestGruStep:
             gru_step(p, np.zeros(5), Tensor(np.zeros(3)))
         with pytest.raises(ShapeError):
             gru_step(p, np.zeros(2), Tensor(np.zeros(2)))
+
+
+def ragged_batch(rng, input_dim, steps):
+    """One row per length 1..steps, in shuffled order, zero-padded."""
+    lengths = rng.permutation(np.arange(1, steps + 1))
+    x = rng.normal(size=(steps, steps, input_dim))
+    x[np.arange(steps)[None, :] >= lengths[:, None]] = 0.0
+    return x, [int(n) for n in lengths]
+
+
+class TestGruSequence:
+    def test_matches_gru_step_loop_on_ragged_batch(self):
+        rng = np.random.default_rng(21)
+        p = random_gru(rng, 3, 4)
+        x, lengths = ragged_batch(rng, 3, 5)
+        h0 = rng.normal(size=(5, 4))
+        states = tk.gru_sequence(tk.constant(x), lengths, p.gates(), tk.constant(h0)).values
+        for b, n in enumerate(lengths):
+            h = Tensor(h0[b])
+            for step in range(5):
+                if step < n:
+                    h = gru_step(p, x[b, step], h)
+                    assert np.allclose(states[b, step], h.values, rtol=0.0, atol=1e-12)
+                else:  # padding carries the last state unchanged
+                    assert np.array_equal(states[b, step], states[b, n - 1])
+
+    def test_gradients_vs_finite_differences(self):
+        rng = np.random.default_rng(22)
+        p = random_gru(rng, 3, 4)
+        x_values, lengths = ragged_batch(rng, 3, 4)
+        x = Tensor(x_values, requires_grad=True)
+        h0 = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        weight = tk.constant(rng.normal(size=(4, 4, 4)))
+
+        def f(ps):
+            return tk.reduce_sum(tk.mul(tk.gru_sequence(x, lengths, p.gates(), h0), weight))
+
+        report = finite_diff_check(f, [*p.gates(), x, h0])
+        assert report.max_rel_err < 1e-4
+        assert len(report.per_param_max) == 11
+
+    def test_one_tape_record_per_run(self):
+        rng = np.random.default_rng(23)
+        p = random_gru(rng, 2, 3)
+        x, lengths = ragged_batch(rng, 2, 4)
+        with Tape() as tape:
+            tk.gru_sequence(tk.constant(x), lengths, p.gates())
+        assert len(tape) == 1
+
+    def test_shape_errors(self):
+        p = GruParams.zeros(2, 3)
+        with pytest.raises(ShapeError):
+            tk.gru_sequence(tk.constant(np.zeros((2, 4, 5))), [4, 4], p.gates())
+        with pytest.raises(ShapeError):
+            tk.gru_sequence(tk.constant(np.zeros((2, 4, 2))), [4, 5], p.gates())
+        with pytest.raises(ShapeError):
+            tk.gru_sequence(tk.constant(np.zeros((2, 4, 2))), [4, 4], p.gates(), tk.constant(np.zeros((1, 3))))
 
 
 class TestEncodeSequence:
@@ -195,6 +253,40 @@ class TestEncodeHierarchical:
             return tk.reduce_sum(tk.mul(encode_hierarchical(self.params, video).high, weight))
 
         assert finite_diff_check(f, enc_params).max_rel_err < 1e-4
+
+
+class TestEncodeBatch:
+    def setup_method(self):
+        self.rng = np.random.default_rng(24)
+        self.params = init_params(ModelDims(d_v=4, d_t=3, hidden_low=5, hidden_high=6), 4)
+
+    def _videos(self, k):
+        return [
+            VideoSample(
+                f"v{i}",
+                [self.rng.normal(size=(int(self.rng.integers(1, 6)), 4))
+                 for _ in range(int(self.rng.integers(1, 5)))],
+            )
+            for i in range(k)
+        ]
+
+    @pytest.mark.parametrize("carry", [False, True])
+    def test_sample_alone_equals_sample_in_ragged_batch(self, carry):
+        videos = self._videos(6)
+        batch = encode_batch(self.params, videos, carry_low_state=carry).samples()
+        for video, in_batch in zip(videos, batch):
+            alone = encode_hierarchical(self.params, video, carry_low_state=carry)
+            assert np.allclose(alone.high.values, in_batch.high.values, rtol=0.0, atol=1e-12)
+            # rows are multiplied one at a time, so the match is exact
+            assert np.array_equal(alone.high.values, in_batch.high.values)
+            for a, b in zip(alone.low, in_batch.low):
+                assert np.array_equal(a.values, b.values)
+
+    def test_mixed_modalities_rejected(self):
+        video = self._videos(1)[0]
+        paragraph = ParagraphSample("p", [self.rng.normal(size=(2, 3))])
+        with pytest.raises(ContractError):
+            encode_batch(self.params, [video, paragraph])
 
 
 class TestDecodeHierarchical:

@@ -255,3 +255,78 @@ def test_forward_deterministic():
     a = tk.reduce_sum(tk.mul(Tensor(vals), Tensor(vals))).item()
     b = tk.reduce_sum(tk.mul(Tensor(vals), Tensor(vals))).item()
     assert a == b
+
+
+class TestBatchPrimitives:
+    def test_take_gathers_rows_and_sums_repeated_gradients(self):
+        a = t(np.arange(6.0).reshape(3, 2))
+        with Tape():
+            rows = tk.take(a, np.array([[2, 0], [2, 2]]))
+            assert rows.values.tolist() == [[[4.0, 5.0], [0.0, 1.0]], [[4.0, 5.0], [4.0, 5.0]]]
+            backward(tk.reduce_sum(tk.add(tk.reduce_sum(rows), tk.reduce_sum(tk.take(a, 1)))))
+        assert a.grad.tolist() == [[1.0, 1.0], [1.0, 1.0], [3.0, 3.0]]
+
+    def test_take_out_of_range(self):
+        with pytest.raises(ShapeError):
+            tk.take(t(np.zeros((2, 2))), 2)
+
+    def test_masked_max_ties_pick_first_index(self):
+        a = t([[[1.0, 5.0], [3.0, 5.0], [3.0, 2.0]]])
+        with Tape():
+            out = tk.masked_max(a, [3])
+            backward(tk.reduce_sum(out))
+        assert out.values.tolist() == [[3.0, 5.0]]
+        assert a.grad.tolist() == [[[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]]
+
+    def test_masked_max_ignores_padded_steps(self):
+        a = t([[[1.0], [9.0]], [[2.0], [9.0]]])
+        with Tape():
+            out = tk.masked_max(a, [1, 2])
+            backward(tk.reduce_sum(out))
+        assert out.values.tolist() == [[1.0], [9.0]]
+        assert a.grad.tolist() == [[[1.0], [0.0]], [[0.0], [1.0]]]
+
+    def test_masked_max_lengths_checked(self):
+        with pytest.raises(ShapeError):
+            tk.masked_max(t(np.zeros((2, 3, 1))), [1, 4])
+        with pytest.raises(ShapeError):
+            tk.masked_max(t(np.zeros((2, 3, 1))), [0, 1])
+
+    def test_segment_mean_blocks(self):
+        a = t(np.arange(12.0).reshape(3, 4))
+        out = tk.segment_mean(a, [2, 1], [1, 3])
+        expected = [[(0 + 4) / 2, (1 + 2 + 3 + 5 + 6 + 7) / 6], [8.0, (9 + 10 + 11) / 3]]
+        assert np.allclose(out.values, expected, atol=1e-12)
+        with pytest.raises(ShapeError):
+            tk.segment_mean(a, [2, 2], [4])
+
+    def test_segment_mean_block_does_not_depend_on_position(self):
+        rng = np.random.default_rng(3)
+        big = rng.normal(size=(9, 11))
+        means = tk.segment_mean(t(big), [4, 5], [3, 8]).values
+        alone = tk.segment_mean(t(big[4:, 3:].copy()), [5], [8]).values
+        assert means[1, 1] == alone[0, 0]
+
+    def test_cosine_matches_pairwise_formula(self):
+        rng = np.random.default_rng(5)
+        u, w = rng.normal(size=(3, 4)), rng.normal(size=(2, 4))
+        out = tk.cosine(t(u), t(w)).values
+        for i in range(3):
+            for j in range(2):
+                want = u[i] @ w[j] / (np.linalg.norm(u[i]) * np.linalg.norm(w[j]))
+                assert out[i, j] == pytest.approx(want, abs=1e-12)
+
+    def test_new_primitives_match_finite_differences(self):
+        rng = np.random.default_rng(7)
+        weight = lambda *shape: tk.constant(rng.normal(size=shape))
+        lengths = [2, 3, 1]
+        cases = [
+            ("take", lambda ps: tk.reduce_sum(tk.mul(tk.take(ps[0], np.array([[1, 0], [1, 1]])), weight(2, 2, 4))), [t(rng.normal(size=(3, 4)))]),
+            ("cosine", lambda ps: tk.reduce_sum(tk.mul(tk.cosine(ps[0], ps[1]), weight(3, 2))), [t(rng.normal(size=(3, 4))), t(rng.normal(size=(2, 4)))]),
+            ("cosine_self", lambda ps: tk.reduce_sum(tk.mul(tk.cosine(ps[0], ps[0]), weight(3, 3))), [t(rng.normal(size=(3, 4)))]),
+            ("segment_mean", lambda ps: tk.reduce_sum(tk.mul(tk.segment_mean(ps[0], [1, 2], [3, 1]), weight(2, 2))), [t(rng.normal(size=(3, 4)))]),
+            ("masked_max", lambda ps: tk.reduce_sum(tk.mul(tk.masked_max(ps[0], lengths), weight(3, 2))), [t(rng.normal(size=(3, 3, 2)))]),
+        ]
+        for name, f, params in cases:
+            report = finite_diff_check(f, params)
+            assert report.max_rel_err < 1e-4, (name, report.max_rel_err)
