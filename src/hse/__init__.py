@@ -30,23 +30,19 @@ from .errors import (
 from .evaluation import (
     RetrievalReport,
     ZeroShotReport,
-    evaluate_partial,
     evaluate_retrieval,
     median_rank,
     rank_matrix,
     recall_at_k,
     zeroshot_classify,
 )
-from .losses import LossBreakdown, LossConfig, avg_match, match, total_loss
+from .losses import LossBreakdown, LossConfig, avg_match, total_loss
 from .model import (
     GruParams,
-    HierEmbedding,
     HseModelParams,
     ModelDims,
-    decode_hierarchical,
-    encode_flat,
-    encode_hierarchical,
-    encode_sequence,
+    decode_batch,
+    encode_batch,
     gru_step,
 )
 from .tensorkit import Tape, Tensor, backward, finite_diff_check

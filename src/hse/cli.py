@@ -29,7 +29,7 @@ from .data import (
     synth_generate,
 )
 from .errors import ConfigError, HseError
-from .evaluation import evaluate_partial, evaluate_retrieval, zeroshot_classify
+from .evaluation import evaluate_retrieval, zeroshot_classify
 from .gradcheck import run_gradient_suite
 from .losses import LossConfig
 from .training import TrainConfig, train
@@ -176,7 +176,7 @@ def _cmd_synth(args) -> int:
         d_t=args.dt,
         noise_std=args.noise_std,
         seed=args.seed,
-        correspondence=args.correspondence if args.correspondence != "none" else "strong",
+        correspondence=args.correspondence,
     )
     started = time.monotonic()
     corpus, labels = synth_generate(spec)
@@ -276,8 +276,8 @@ def _cmd_partial_eval(args) -> int:
     params, corpus = _load_eval_inputs(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = evaluate_partial(
-        params, corpus, args.max_units, topk=_parse_topk(args.topk), mode=args.mode
+    reports = evaluate_retrieval(
+        params, corpus, topk=_parse_topk(args.topk), mode=args.mode, max_units=args.max_units
     )
     outputs = _write_retrieval(out_dir, f"retrieval_partial_{args.max_units}", reports)
     for report in reports:

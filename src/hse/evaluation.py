@@ -26,7 +26,6 @@ __all__ = [
     "median_rank",
     "encode_corpus",
     "evaluate_retrieval",
-    "evaluate_partial",
     "zeroshot_classify",
 ]
 
@@ -176,31 +175,14 @@ def evaluate_retrieval(
     topk: Sequence[int] = DEFAULT_TOPK,
     mode: str = "hierarchical",
     carry_low_state: bool = False,
+    max_units: int | None = None,
 ) -> tuple[RetrievalReport, RetrievalReport]:
     """Both retrieval directions over whole-sample embeddings: returns
-    (paragraph->video, video->paragraph) reports."""
-    videos, paragraphs = encode_corpus(params, corpus, mode, None, carry_low_state)
-    p2v = RetrievalReport.from_ranks(
-        "paragraph_to_video", rank_matrix(paragraphs, videos), topk
-    )
-    v2p = RetrievalReport.from_ranks(
-        "video_to_paragraph", rank_matrix(videos, paragraphs), topk
-    )
-    return p2v, v2p
-
-
-def evaluate_partial(
-    params: HseModelParams,
-    corpus: Corpus,
-    max_units: int,
-    topk: Sequence[int] = DEFAULT_TOPK,
-    mode: str = "hierarchical",
-    carry_low_state: bool = False,
-) -> tuple[RetrievalReport, RetrievalReport]:
-    """Retrieval after truncating every sample to its first max_units
-    clips/sentences."""
-    if max_units < 1:
-        raise ContractError("evaluate_partial requires max_units >= 1")
+    (paragraph->video, video->paragraph) reports. With max_units, every
+    sample is first truncated to its first max_units clips/sentences
+    (retrieval from partial observations)."""
+    if max_units is not None and max_units < 1:
+        raise ContractError("evaluate_retrieval requires max_units >= 1")
     videos, paragraphs = encode_corpus(params, corpus, mode, max_units, carry_low_state)
     p2v = RetrievalReport.from_ranks(
         "paragraph_to_video", rank_matrix(paragraphs, videos), topk

@@ -16,7 +16,7 @@ import numpy as np
 from . import losses, tensorkit as tk
 from .data import ParagraphSample, VideoSample
 from .errors import ContractError
-from .model import ModelDims, decode_hierarchical, encode_hierarchical
+from .model import ModelDims, decode_batch, encode_batch
 from .tensorkit import FiniteDiffReport, Tensor
 from .training import init_params
 
@@ -52,27 +52,29 @@ def _leaf(rng, size) -> Tensor:
     return Tensor(rng.normal(0.0, 1.0, size=size), requires_grad=True)
 
 
-def _embedding_batch(rng) -> tuple[list[Tensor], list[Tensor], int]:
+def _embedding_batch(rng) -> tuple[Tensor, Tensor]:
     k = int(rng.integers(2, 5))
     d = int(rng.integers(2, 9))
-    return [_leaf(rng, d) for _ in range(k)], [_leaf(rng, d) for _ in range(k)], k
+    return _leaf(rng, (k, d)), _leaf(rng, (k, d))
 
 
-def _nested_batch(rng, aligned: bool) -> tuple[list[list[Tensor]], list[list[Tensor]]]:
+def _nested_batch(rng, aligned: bool) -> tuple[Tensor, list[int], Tensor, list[int]]:
+    """Clip and sentence embedding matrices with their per-pair counts."""
     k = int(rng.integers(2, 4))
     d = int(rng.integers(2, 7))
-    clips: list[list[Tensor]] = []
-    sents: list[list[Tensor]] = []
+    clips: list[np.ndarray] = []
+    sents: list[np.ndarray] = []
     for _ in range(k):
         n = int(rng.integers(1, 4))
         m = n if aligned else int(rng.integers(1, 4))
-        clips.append([_leaf(rng, d) for _ in range(n)])
-        sents.append([_leaf(rng, d) for _ in range(m)])
-    return clips, sents
-
-
-def _flatten(nested: list[list[Tensor]]) -> list[Tensor]:
-    return [t for row in nested for t in row]
+        clips.append(rng.normal(0.0, 1.0, size=(n, d)))
+        sents.append(rng.normal(0.0, 1.0, size=(m, d)))
+    return (
+        Tensor(np.concatenate(clips), requires_grad=True),
+        [len(c) for c in clips],
+        Tensor(np.concatenate(sents), requires_grad=True),
+        [len(s) for s in sents],
+    )
 
 
 def _random_pair(rng, d_v: int, d_t: int, max_units=3, max_len=4):
@@ -88,46 +90,25 @@ def _random_pair(rng, d_v: int, d_t: int, max_units=3, max_len=4):
 
 def _trial(component: str, rng: np.random.Generator, sign_mode: str) -> FiniteDiffReport:
     margin = 0.2
-    if component == "loss_match_high":
-        videos, paragraphs, k = _embedding_batch(rng)
-        params = videos + paragraphs
+    if component in ("loss_match_high", "loss_cluster_high"):
+        loss = getattr(losses, component)
 
         def f(ps):
-            return losses.loss_match_high(ps[:k], ps[k:], margin, sign_mode)
+            return loss(ps[0], ps[1], margin, sign_mode)
 
-        return tk.finite_diff_check(f, params)
-
-    if component == "loss_cluster_high":
-        videos, paragraphs, k = _embedding_batch(rng)
-        params = videos + paragraphs
-
-        def f(ps):
-            return losses.loss_cluster_high(ps[:k], ps[k:], margin, sign_mode)
-
-        return tk.finite_diff_check(f, params)
+        return tk.finite_diff_check(f, list(_embedding_batch(rng)))
 
     if component in ("loss_match_low", "loss_cluster_low", "loss_match_low_weak"):
         aligned = component != "loss_match_low_weak"
-        clips, sents = _nested_batch(rng, aligned)
-        shapes = ([len(r) for r in clips], [len(r) for r in sents])
-        params = _flatten(clips) + _flatten(sents)
+        clips, clip_counts, sents, sent_counts = _nested_batch(rng, aligned)
 
         def f(ps):
-            cs, ss = [], []
-            i = 0
-            for count in shapes[0]:
-                cs.append(list(ps[i : i + count]))
-                i += count
-            for count in shapes[1]:
-                ss.append(list(ps[i : i + count]))
-                i += count
-            if component == "loss_match_low":
-                return losses.loss_match_low(cs, ss, margin, sign_mode)
             if component == "loss_cluster_low":
-                return losses.loss_cluster_low(cs, ss, margin, sign_mode)
-            return losses.loss_match_low_weak(cs, ss, margin, sign_mode)
+                return losses.loss_cluster_low(ps[0], ps[1], margin, sign_mode)
+            loss = losses.loss_match_low if aligned else losses.loss_match_low_weak
+            return loss(ps[0], clip_counts, ps[1], sent_counts, margin, sign_mode)
 
-        return tk.finite_diff_check(f, params)
+        return tk.finite_diff_check(f, [clips, sents])
 
     if component == "loss_reconstruct":
         d_v = int(rng.integers(2, 6))
@@ -135,15 +116,15 @@ def _trial(component: str, rng: np.random.Generator, sign_mode: str) -> FiniteDi
         dims = ModelDims(d_v=d_v, d_t=d_v, hidden_low=hid, hidden_high=hid)
         model = init_params(dims, int(rng.integers(0, 2**31)))
         video, _ = _random_pair(rng, d_v, d_v)
-        target_low = [tk.constant(rng.normal(0.0, 1.0, size=hid)) for _ in range(video.n)]
-        high = tk.constant(rng.normal(0.0, 1.0, size=hid))
+        target_low = rng.normal(0.0, 1.0, size=(video.n, hid))
+        high = tk.constant(rng.normal(0.0, 1.0, size=(1, hid)))
         dec_params = [t for _, t in model.dec_v_high.named("h")] + [
             t for _, t in model.dec_v_low.named("l")
         ]
 
         def f(ps):
-            low_hat, units_hat = decode_hierarchical(model, high, video.n, video.n_i, "video")
-            return losses.loss_reconstruct(target_low, low_hat, units_hat, video.clips)
+            decoded = decode_batch(model, high, [video.n_i], "video")
+            return losses.loss_reconstruct(decoded, target_low, video.clips)
 
         return tk.finite_diff_check(f, dec_params)
 
@@ -162,13 +143,10 @@ def _trial(component: str, rng: np.random.Generator, sign_mode: str) -> FiniteDi
         params = [t for _, t in model.named_parameters()]
         # reconstruction targets carry no gradient, so the differenced
         # function must hold them fixed at the evaluation point
-        frozen = []
-        for video, paragraph in batch:
-            ve = encode_hierarchical(model, video)
-            pe = encode_hierarchical(model, paragraph)
-            frozen.append(
-                ([t.values.copy() for t in ve.low], [t.values.copy() for t in pe.low])
-            )
+        frozen = (
+            encode_batch(model, [video for video, _ in batch]).low.values,
+            encode_batch(model, [paragraph for _, paragraph in batch]).low.values,
+        )
 
         def f(ps):
             return losses.total_loss(batch, model, cfg, reconstruction_targets=frozen).node
@@ -183,14 +161,13 @@ def _trial(component: str, rng: np.random.Generator, sign_mode: str) -> FiniteDi
         dims = ModelDims(d_v=d_v, d_t=d_v, hidden_low=hid, hidden_high=hid)
         model = init_params(dims, int(rng.integers(0, 2**31)))
         video, _ = _random_pair(rng, d_v, d_v)
-        weight = tk.constant(rng.normal(0.0, 1.0, size=hid))
+        weight = tk.constant(rng.normal(0.0, 1.0, size=(1, hid)))
         enc_params = [t for _, t in model.enc_v_low.named("l")] + [
             t for _, t in model.enc_v_high.named("h")
         ]
 
         def f(ps):
-            emb = encode_hierarchical(model, video)
-            return tk.reduce_sum(tk.mul(emb.high, weight))
+            return tk.reduce_sum(tk.mul(encode_batch(model, [video]).high, weight))
 
         return tk.finite_diff_check(f, enc_params)
 
@@ -201,17 +178,18 @@ def _trial(component: str, rng: np.random.Generator, sign_mode: str) -> FiniteDi
         model = init_params(dims, int(rng.integers(0, 2**31)))
         n = int(rng.integers(1, 4))
         n_i = [int(rng.integers(1, 4)) for _ in range(n)]
-        high = tk.constant(rng.normal(0.0, 1.0, size=hid))
+        high = tk.constant(rng.normal(0.0, 1.0, size=(1, hid)))
         dec_params = [t for _, t in model.dec_v_high.named("h")] + [
             t for _, t in model.dec_v_low.named("l")
         ]
+        steps = max(n_i)
+        generated = [i * steps + j for i, count in enumerate(n_i) for j in range(count)]
 
         def f(ps):
-            low_hat, units_hat = decode_hierarchical(model, high, n, n_i, "video")
-            total = tk.reduce_sum(tk.stack(low_hat))
-            for rows in units_hat:
-                total = tk.add(total, tk.reduce_sum(tk.stack(rows)))
-            return total
+            decoded = decode_batch(model, high, [n_i], "video")
+            return tk.add(
+                tk.reduce_sum(decoded.low), tk.reduce_sum(tk.take(decoded.units, generated))
+            )
 
         return tk.finite_diff_check(f, dec_params)
 

@@ -2,6 +2,11 @@
 layer-wise reconstruction, weak-correspondence approximation, and the
 combined objective.
 
+Embeddings arrive as matrices, one row per item, the way encode_batch
+produces them: videos and paragraphs as [K, E], the clips (sentences) of a
+batch as [N, E], pair after pair, with counts[k] of those rows belonging to
+pair k. Every similarity matrix is one tensorkit.cosine over two of them.
+
 Sign convention. The ranking and clustering losses exist in two modes:
 
 * "corrected" (default): the standard triplet direction. For a batch of K
@@ -19,7 +24,8 @@ Sign convention. The ranking and clustering losses exist in two modes:
   ([a + match(v_k, p_k) - match(v_k', p_k)]_+ and
   [margin + 1 - match(x', x)]_+), kept selectable for auditability.
 
-All ranking losses share one kernel over a K x K similarity matrix, so the
+Here match(u, w) is the cosine similarity u.w / (|u||w|). All ranking
+losses share one kernel over a K x K similarity matrix, so the
 weak-correspondence loss is by construction the high-level matching loss
 applied to the matrix of averaged clip/sentence similarities.
 """
@@ -32,21 +38,13 @@ from typing import Sequence
 import numpy as np
 
 from . import tensorkit as tk
-from .errors import ConfigError, ContractError, DegenerateInputError, ShapeError
-from .model import (
-    EncodedBatch,
-    HseModelParams,
-    decode_batch,
-    encode_batch,
-    pad_sequences,
-)
+from .errors import ConfigError, ContractError, ShapeError
+from .model import DecodedBatch, HseModelParams, decode_batch, encode_batch, pad_sequences
 from .tensorkit import Tensor
 
 __all__ = [
     "LossConfig",
     "LossBreakdown",
-    "match",
-    "similarity_matrix",
     "ranking_loss_from_similarity",
     "loss_match_high",
     "loss_match_low",
@@ -112,31 +110,21 @@ class LossBreakdown:
         }
 
 
-def match(u: Tensor, w: Tensor) -> Tensor:
-    """Cosine similarity u.w / (|u||w|) as a differentiable scalar."""
-    if u.values.ndim != 1 or w.values.ndim != 1 or u.values.shape != w.values.shape:
+def _rows(embeddings: Tensor) -> int:
+    if embeddings.values.ndim != 2:
         raise ShapeError(
-            f"match expects equal-length vectors, got {list(u.shape)} and {list(w.shape)}"
+            f"embeddings must be an [N, E] matrix, got shape {list(embeddings.shape)}"
         )
-    nu = tk.sqrt(tk.reduce_sum(tk.square(u)))
-    nw = tk.sqrt(tk.reduce_sum(tk.square(w)))
-    if nu.item() == 0.0 or nw.item() == 0.0:
-        raise DegenerateInputError("match called with a zero-norm vector")
-    dot = tk.reduce_sum(tk.mul(u, w))
-    return tk.div(dot, tk.mul(nu, nw))
+    return embeddings.values.shape[0]
 
 
-def similarity_matrix(us: Sequence[Tensor], ws: Sequence[Tensor]) -> Tensor:
-    """Matrix of cosine similarities, entry (i, j) = match(us[i], ws[j])."""
-    if not us or not ws:
-        raise ContractError("similarity_matrix requires nonempty embedding lists")
-    u_mat = tk.stack(list(us))
-    w_mat = tk.stack(list(ws))
-    if u_mat.values.shape[1] != w_mat.values.shape[1]:
-        raise ShapeError(
-            f"embedding dimensions differ: {u_mat.values.shape[1]} vs {w_mat.values.shape[1]}"
+def _check_counts(embeddings: Tensor, counts: Sequence[int], what: str) -> None:
+    """counts must split the rows of embeddings into nonempty per-pair runs."""
+    if not counts or min(counts) < 1 or sum(counts) != _rows(embeddings):
+        raise ContractError(
+            f"{what} counts {list(counts)} do not split {_rows(embeddings)} rows into "
+            "nonempty per-pair runs"
         )
-    return tk.cosine(u_mat, w_mat)
 
 
 def ranking_loss_from_similarity(sim: Tensor, margin: float, sign_mode: str = "corrected") -> Tensor:
@@ -147,14 +135,11 @@ def ranking_loss_from_similarity(sim: Tensor, margin: float, sign_mode: str = "c
     if sim.values.ndim != 2 or sim.values.shape[0] != sim.values.shape[1]:
         raise ShapeError(f"ranking loss needs a square matrix, got {list(sim.shape)}")
     k = sim.values.shape[0]
-    eye = np.eye(k)
-    diag_mask = tk.constant(eye)
-    off_mask = tk.constant(1.0 - eye)
-    ones_col = tk.constant(np.ones((k, 1)))
-    ones_row = tk.constant(np.ones((1, k)))
-    diag = tk.reduce_sum(tk.mul(sim, diag_mask), axis=0)  # entry k = sim[k, k]
-    d_cols = tk.matmul(ones_col, tk.reshape(diag, (1, k)))  # (i, j) -> sim[j, j]
-    d_rows = tk.matmul(tk.reshape(diag, (k, 1)), ones_row)  # (i, j) -> sim[i, i]
+    flat = tk.reshape(sim, (k * k,))
+    diag = np.arange(k) * (k + 1)  # flat index of sim[j, j]
+    d_cols = tk.take(flat, np.broadcast_to(diag, (k, k)))  # (i, j) -> sim[j, j]
+    d_rows = tk.take(flat, np.broadcast_to(diag[:, None], (k, k)))  # (i, j) -> sim[i, i]
+    off_mask = tk.constant(1.0 - np.eye(k))
     if sign_mode == "corrected":
         t1 = tk.relu_hinge(tk.add_scalar(tk.sub(sim, d_cols), margin))
         t2 = tk.relu_hinge(tk.add_scalar(tk.sub(sim, d_rows), margin))
@@ -183,197 +168,156 @@ def _check_sign_mode(sign_mode: str) -> None:
 
 
 def loss_match_high(
-    videos: Sequence[Tensor],
-    paragraphs: Sequence[Tensor],
+    videos: Tensor,
+    paragraphs: Tensor,
     alpha: float,
     sign_mode: str = "corrected",
 ) -> Tensor:
-    """Cross-modal ranking loss over whole-sample embeddings."""
-    if len(videos) != len(paragraphs):
-        raise ContractError(
-            f"batch length mismatch: {len(videos)} videos vs {len(paragraphs)} paragraphs"
-        )
-    if not videos:
+    """Cross-modal ranking loss over the [K, E] whole-sample embeddings;
+    row k of videos is aligned with row k of paragraphs."""
+    k, m = _rows(videos), _rows(paragraphs)
+    if k != m:
+        raise ContractError(f"batch length mismatch: {k} videos vs {m} paragraphs")
+    if not k:
         raise ContractError("loss_match_high requires a nonempty batch")
-    return ranking_loss_from_similarity(similarity_matrix(videos, paragraphs), alpha, sign_mode)
+    return ranking_loss_from_similarity(tk.cosine(videos, paragraphs), alpha, sign_mode)
 
 
 def loss_match_low(
-    clips: Sequence[Sequence[Tensor]],
-    sentences: Sequence[Sequence[Tensor]],
+    clips: Tensor,
+    clip_counts: Sequence[int],
+    sentences: Tensor,
+    sentence_counts: Sequence[int],
     beta: float,
     sign_mode: str = "corrected",
 ) -> Tensor:
     """Cross-modal ranking loss over aligned clip/sentence embeddings.
 
-    clips[k][i] must align with sentences[k][i]; negatives are every other
-    (pair, index) combination across the batch.
+    Row i of clips [N, E] must align with row i of sentences [N, E]; pair k
+    owns clip_counts[k] == sentence_counts[k] consecutive rows. Negatives
+    are every other row across the batch.
     """
-    if len(clips) != len(sentences):
+    if len(clip_counts) != len(sentence_counts):
         raise ContractError("batch length mismatch between clips and sentences")
-    for k, (cs, ss) in enumerate(zip(clips, sentences)):
-        if len(cs) != len(ss):
+    for k, (n, m) in enumerate(zip(clip_counts, sentence_counts)):
+        if n != m:
             raise ContractError(
-                f"pair {k} has {len(cs)} clips but {len(ss)} sentences; there is no "
+                f"pair {k} has {n} clips but {m} sentences; there is no "
                 "clip/sentence alignment, use loss_match_low_weak instead"
             )
-    flat_clips = [c for cs in clips for c in cs]
-    flat_sents = [s for ss in sentences for s in ss]
-    if not flat_clips:
-        raise ContractError("loss_match_low requires at least one clip/sentence pair")
-    return ranking_loss_from_similarity(
-        similarity_matrix(flat_clips, flat_sents), beta, sign_mode
+    _check_counts(clips, clip_counts, "clip")
+    _check_counts(sentences, sentence_counts, "sentence")
+    return ranking_loss_from_similarity(tk.cosine(clips, sentences), beta, sign_mode)
+
+
+def _cluster_pair(a: Tensor, b: Tensor, margin: float, sign_mode: str, what: str) -> Tensor:
+    """Clustering loss of the rows of a plus that of the rows of b."""
+    _check_sign_mode(sign_mode)
+    if not _rows(a) or not _rows(b):
+        raise ContractError(f"{what} requires nonempty batches")
+    return tk.add(
+        _cluster_from_similarity(tk.cosine(a, a), margin, sign_mode),
+        _cluster_from_similarity(tk.cosine(b, b), margin, sign_mode),
     )
 
 
 def loss_cluster_high(
-    videos: Sequence[Tensor],
-    paragraphs: Sequence[Tensor],
+    videos: Tensor,
+    paragraphs: Tensor,
     gamma: float,
     sign_mode: str = "corrected",
 ) -> Tensor:
-    """Within-modality separation loss over whole-sample embeddings.
+    """Within-modality separation loss over the [K, E] whole-sample
+    embeddings.
 
     For every ordered pair of distinct items, penalizes similarity above
     1 - gamma (self-similarity is 1 by definition)."""
-    _check_sign_mode(sign_mode)
-    if not videos or not paragraphs:
-        raise ContractError("loss_cluster_high requires nonempty batches")
-    loss = _cluster_from_similarity(similarity_matrix(videos, videos), gamma, sign_mode)
-    return tk.add(
-        loss, _cluster_from_similarity(similarity_matrix(paragraphs, paragraphs), gamma, sign_mode)
-    )
+    return _cluster_pair(videos, paragraphs, gamma, sign_mode, "loss_cluster_high")
 
 
 def loss_cluster_low(
-    clips: Sequence[Sequence[Tensor]],
-    sentences: Sequence[Sequence[Tensor]],
+    clips: Tensor,
+    sentences: Tensor,
     eta: float,
     sign_mode: str = "corrected",
 ) -> Tensor:
-    """Separation loss over the pooled clip and sentence embeddings of a batch."""
-    _check_sign_mode(sign_mode)
-    flat_clips = [c for cs in clips for c in cs]
-    flat_sents = [s for ss in sentences for s in ss]
-    if not flat_clips or not flat_sents:
-        raise ContractError("loss_cluster_low requires at least one clip and one sentence")
-    loss = _cluster_from_similarity(similarity_matrix(flat_clips, flat_clips), eta, sign_mode)
-    return tk.add(
-        loss,
-        _cluster_from_similarity(similarity_matrix(flat_sents, flat_sents), eta, sign_mode),
-    )
+    """Separation loss over the clip [N, E] and sentence [M, E] embeddings
+    of a batch."""
+    return _cluster_pair(clips, sentences, eta, sign_mode, "loss_cluster_low")
 
 
 def _averaged_similarity(
-    clips: Sequence[Sequence[Tensor]], sentences: Sequence[Sequence[Tensor]]
+    clips: Tensor, clip_counts: Sequence[int], sentences: Tensor, sentence_counts: Sequence[int]
 ) -> Tensor:
     """Matrix whose entry (a, b) is the mean cosine similarity over all
     combinations of the clips of pair a and the sentences of pair b: one
     similarity matrix of every clip against every sentence, reduced by
     block means. Each block is computed from its own rows alone, so entry
-    (a, b) is the same bits as avg_match(clips[a], sentences[b])."""
-    if any(not cs for cs in clips) or any(not ss for ss in sentences):
-        raise ContractError("avg_match requires nonempty embedding lists")
-    sim = similarity_matrix([c for cs in clips for c in cs], [s for ss in sentences for s in ss])
-    return tk.segment_mean(sim, [len(cs) for cs in clips], [len(ss) for ss in sentences])
+    (a, b) is the same bits as avg_match(clips of a, sentences of b)."""
+    _check_counts(clips, clip_counts, "clip")
+    _check_counts(sentences, sentence_counts, "sentence")
+    return tk.segment_mean(tk.cosine(clips, sentences), clip_counts, sentence_counts)
 
 
-def avg_match(clips: Sequence[Tensor], sentences: Sequence[Tensor]) -> Tensor:
-    """Mean cosine similarity over all clip/sentence combinations of one pair."""
-    return tk.reshape(_averaged_similarity([clips], [sentences]), ())
+def avg_match(clips: Tensor, sentences: Tensor) -> Tensor:
+    """Mean cosine similarity over all clip/sentence combinations of one
+    pair: clips [n, E] against sentences [m, E]."""
+    sim = _averaged_similarity(clips, [_rows(clips)], sentences, [_rows(sentences)])
+    return tk.reshape(sim, ())
 
 
 def loss_match_low_weak(
-    clips: Sequence[Sequence[Tensor]],
-    sentences: Sequence[Sequence[Tensor]],
+    clips: Tensor,
+    clip_counts: Sequence[int],
+    sentences: Tensor,
+    sentence_counts: Sequence[int],
     beta_prime: float,
     sign_mode: str = "corrected",
 ) -> Tensor:
     """Low-level ranking loss without clip/sentence alignment: the ranking
     kernel applied to the matrix of averaged similarities, entry (a, b) =
-    avg_match(clips of pair a, sentences of pair b)."""
-    if len(clips) != len(sentences) or not clips:
+    avg_match(clips of pair a, sentences of pair b). Pair k owns
+    clip_counts[k] rows of clips and sentence_counts[k] rows of sentences."""
+    if len(clip_counts) != len(sentence_counts) or not clip_counts:
         raise ContractError("loss_match_low_weak requires a nonempty batch of pairs")
     return ranking_loss_from_similarity(
-        _averaged_similarity(clips, sentences), beta_prime, sign_mode
+        _averaged_similarity(clips, clip_counts, sentences, sentence_counts),
+        beta_prime,
+        sign_mode,
     )
-
-
-def _reconstruction_error(
-    low_hat: Tensor,
-    low_targets: np.ndarray,
-    units_hat: Tensor,
-    unit_targets: np.ndarray,
-    unit_weights: np.ndarray,
-) -> Tensor:
-    """sum |low_hat - low_targets|^2 + sum_r unit_weights[r] |units_hat[r] - unit_targets[r]|^2
-    over the rows of two 2-d tensors and their constant targets."""
-    low_err = tk.reduce_sum(tk.square(tk.sub(low_hat, tk.constant(low_targets))))
-    weights = tk.constant(np.broadcast_to(unit_weights[:, None], unit_targets.shape))
-    unit_err = tk.reduce_sum(
-        tk.mul(tk.square(tk.sub(units_hat, tk.constant(unit_targets))), weights)
-    )
-    return tk.add(low_err, unit_err)
-
-
-def _target_rows(targets: Sequence) -> np.ndarray:
-    return np.stack([t.values if isinstance(t, Tensor) else np.asarray(t) for t in targets])
 
 
 def loss_reconstruct(
-    encoded_low: Sequence,
-    decoded_low: Sequence[Tensor],
-    decoded_units: Sequence[Sequence[Tensor]],
-    raw_units: Sequence[np.ndarray],
+    decoded: DecodedBatch,
+    low_targets: np.ndarray,
+    units: Sequence[np.ndarray],
 ) -> Tensor:
-    """Squared-error reconstruction for one modality of one sample:
+    """Squared-error reconstruction for one modality of a batch:
 
         sum_i { |low_hat_i - low_i|^2 + (1/n_i) sum_j |unit_hat_ij - unit_ij|^2 }
 
-    Encoder outputs are treated as constant targets (tensors or plain
-    arrays are both accepted); gradients flow only through the decoded
-    branch. Call once per modality and add.
+    over its clips (sentences) i. decoded is the decode_batch output,
+    low_targets the [N, E] encoder embeddings, and units the N raw [n_i, D]
+    clips (sentences), in the same order. Targets are constants; gradients
+    flow only through the decoded branch. Call once per modality and add.
     """
-    n = len(encoded_low)
-    if len(decoded_low) != n or len(decoded_units) != n or len(raw_units) != n:
-        raise ContractError("reconstruction target and decoded counts differ")
-    for i, (rows, raw) in enumerate(zip(decoded_units, raw_units)):
-        if len(rows) != raw.shape[0]:
-            raise ContractError(
-                f"unit {i}: decoded {len(rows)} feature vectors, target has {raw.shape[0]}"
-            )
-    return _reconstruction_error(
-        tk.stack(list(decoded_low)),
-        _target_rows(encoded_low),
-        tk.stack([row for rows in decoded_units for row in rows]),
-        np.concatenate(list(raw_units)),
-        np.concatenate([np.full(raw.shape[0], 1.0 / raw.shape[0]) for raw in raw_units]),
+    low_targets = np.asarray(low_targets, dtype=np.float64)
+    lengths = [u.shape[0] for u in units]
+    if low_targets.shape != decoded.low.values.shape or lengths != decoded.lengths:
+        raise ContractError(
+            f"reconstruction targets ({list(low_targets.shape)}, unit lengths {lengths}) "
+            f"differ from the decoded batch ({list(decoded.low.shape)}, {decoded.lengths})"
+        )
+    padded, _ = pad_sequences(units)
+    n_i = np.asarray(lengths)[:, None]
+    row_weights = (np.arange(decoded.steps)[None, :] < n_i) / n_i  # 1/n_i, 0 on padding
+    unit_targets = padded.reshape(-1, padded.shape[2])
+    weights = np.broadcast_to(row_weights.reshape(-1, 1), unit_targets.shape)
+    low_err = tk.reduce_sum(tk.square(tk.sub(decoded.low, tk.constant(low_targets))))
+    unit_err = tk.reduce_sum(
+        tk.mul(tk.square(tk.sub(decoded.units, tk.constant(unit_targets))), tk.constant(weights))
     )
-
-
-def _batch_reconstruct(
-    params: HseModelParams,
-    encoded: EncodedBatch,
-    units: Sequence[Sequence[np.ndarray]],
-    low_targets: np.ndarray,
-    modality: str,
-) -> Tensor:
-    """loss_reconstruct summed over a batch of samples of one modality,
-    decoded in one decode_batch call. units[k] holds the raw clips
-    (sentences) of sample k; low_targets their target embeddings, stacked."""
-    raw = [u for us in units for u in us]
-    unit_lengths = [[u.shape[0] for u in us] for us in units]
-    decoded = decode_batch(params, encoded.high, unit_lengths, modality)
-    padded, lengths = pad_sequences(raw)
-    lengths = np.asarray(lengths)[:, None]
-    weights = (np.arange(decoded.steps)[None, :] < lengths) / lengths  # 1/n_i, 0 on padding
-    return _reconstruction_error(
-        decoded.low,
-        low_targets,
-        decoded.units,
-        padded.reshape(-1, padded.shape[2]),
-        weights.reshape(-1),
-    )
+    return tk.add(low_err, unit_err)
 
 
 def total_loss(
@@ -381,7 +325,7 @@ def total_loss(
     params: HseModelParams,
     config: LossConfig,
     carry_low_state: bool = False,
-    reconstruction_targets: Sequence[tuple[Sequence, Sequence]] | None = None,
+    reconstruction_targets: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LossBreakdown:
     """Evaluate the full objective on a batch of (video, paragraph) pairs.
 
@@ -389,61 +333,48 @@ def total_loss(
     skipped entirely when tau == 0. The returned breakdown's node field is
     the differentiable total.
 
-    reconstruction_targets optionally supplies per-pair (video low, text
-    low) embedding targets; by default the current encoder outputs are the
-    targets. Either way targets are constants with no gradient, so
-    finite-difference verification of this objective must hold them fixed.
+    reconstruction_targets optionally supplies the (clip [N, E], sentence
+    [M, E]) embedding targets of the whole batch, pair by pair; by default
+    the current encoder outputs are the targets. Either way targets are
+    constants with no gradient, so finite-difference verification of this
+    objective must hold them fixed.
     """
     config.validate()
     if not batch:
         raise ContractError("total_loss requires a nonempty batch")
-    k = len(batch)
-    v_batch = encode_batch(params, [video for video, _ in batch], carry_low_state)
-    p_batch = encode_batch(params, [paragraph for _, paragraph in batch], carry_low_state)
-    v_hier = v_batch.samples()
-    p_hier = p_batch.samples()
-    videos = [ve.high for ve in v_hier]
-    paragraphs = [pe.high for pe in p_hier]
-    clip_embs = [ve.low for ve in v_hier]
-    sent_embs = [pe.low for pe in p_hier]
+    v = encode_batch(params, [video for video, _ in batch], carry_low_state)
+    p = encode_batch(params, [paragraph for _, paragraph in batch], carry_low_state)
 
-    norm = 1.0 / k
-    mh = tk.mul_scalar(
-        loss_match_high(videos, paragraphs, config.alpha, config.sign_mode), norm
-    )
-    ch = tk.mul_scalar(
-        loss_cluster_high(videos, paragraphs, config.gamma, config.sign_mode), norm
-    )
-    if config.correspondence == "strong":
-        ml = tk.mul_scalar(
-            loss_match_low(clip_embs, sent_embs, config.beta, config.sign_mode), norm
-        )
-    elif config.correspondence == "weak":
-        ml = tk.mul_scalar(
-            loss_match_low_weak(clip_embs, sent_embs, config.beta_prime, config.sign_mode), norm
-        )
-    else:
-        ml = tk.constant(0.0)
+    norm = 1.0 / len(batch)
+    mh = tk.mul_scalar(loss_match_high(v.high, p.high, config.alpha, config.sign_mode), norm)
+    ch = tk.mul_scalar(loss_cluster_high(v.high, p.high, config.gamma, config.sign_mode), norm)
     if config.correspondence == "none":
-        cl = tk.constant(0.0)
+        ml = cl = tk.constant(0.0)
     else:
-        cl = tk.mul_scalar(
-            loss_cluster_low(clip_embs, sent_embs, config.eta, config.sign_mode), norm
-        )
+        if config.correspondence == "strong":
+            ml = loss_match_low(v.low, v.counts, p.low, p.counts, config.beta, config.sign_mode)
+        else:
+            ml = loss_match_low_weak(
+                v.low, v.counts, p.low, p.counts, config.beta_prime, config.sign_mode
+            )
+        ml = tk.mul_scalar(ml, norm)
+        cl = tk.mul_scalar(loss_cluster_low(v.low, p.low, config.eta, config.sign_mode), norm)
 
     if config.tau > 0.0:
         if reconstruction_targets is None:
-            v_targets, p_targets = v_batch.low.values, p_batch.low.values
-        else:
-            v_targets = _target_rows([t for vt, _ in reconstruction_targets for t in vt])
-            p_targets = _target_rows([t for _, pt in reconstruction_targets for t in pt])
-        v_rec = _batch_reconstruct(
-            params, v_batch, [v.clips for v, _ in batch], v_targets, "video"
-        )
-        p_rec = _batch_reconstruct(
-            params, p_batch, [p.sentences for _, p in batch], p_targets, "text"
-        )
-        rec = tk.mul_scalar(tk.add(v_rec, p_rec), norm)
+            reconstruction_targets = (v.low.values, p.low.values)
+        terms = []
+        for encoded, units, targets, modality in zip(
+            (v, p),
+            ([video.clips for video, _ in batch], [paragraph.sentences for _, paragraph in batch]),
+            reconstruction_targets,
+            ("video", "text"),
+        ):
+            lengths = [[u.shape[0] for u in sample_units] for sample_units in units]
+            decoded = decode_batch(params, encoded.high, lengths, modality)
+            flat = [u for sample_units in units for u in sample_units]
+            terms.append(loss_reconstruct(decoded, targets, flat))
+        rec = tk.mul_scalar(tk.add(*terms), norm)
     else:
         rec = tk.constant(0.0)
 

@@ -1,5 +1,5 @@
-"""GRU parameters, flat-sequence encoder, hierarchical encoders, and
-layer-wise decoders.
+"""GRU parameters, hierarchical and flat-sequence encoders, and layer-wise
+decoders.
 
 Sequence embeddings are channel-wise maxima over the per-step GRU hidden
 outputs. The hierarchical encoders embed each clip (sentence) independently
@@ -14,10 +14,11 @@ all information.
 Every GRU runs through tensorkit.gru_sequence over a padded batch:
 encode_batch and decode_batch handle all samples of one modality at once
 (one GRU run per level), encode_sequences and encode_flat_batch a batch of
-plain sequences. The per-sample functions (encode_sequence, encode_flat,
-encode_hierarchical, decode_hierarchical) are batches of one. A sample's
-embedding is the same bits alone or in any batch. gru_step is the
-single-step cell, kept as a reference.
+plain sequences. Embeddings stay matrices: one row per clip (sentence) or
+per sample, with the number of clip rows of each sample alongside, which is
+the form the losses take. A sample's embedding is the same bits alone or in
+any batch. gru_step is the single-step cell, kept as the reference the
+kernel is tested against.
 """
 
 from __future__ import annotations
@@ -36,20 +37,15 @@ __all__ = [
     "GruParams",
     "DecoderParams",
     "HseModelParams",
-    "HierEmbedding",
     "EncodedBatch",
     "DecodedBatch",
     "build_params",
     "gru_step",
     "pad_sequences",
     "encode_sequences",
-    "encode_sequence",
-    "encode_flat",
     "encode_flat_batch",
     "encode_batch",
-    "encode_hierarchical",
     "decode_batch",
-    "decode_hierarchical",
 ]
 
 # decoders are driven by a fixed zero input at every step
@@ -227,14 +223,6 @@ def _zero_decoder(hidden_dim: int, target_dim: int) -> DecoderParams:
 
 
 @dataclass
-class HierEmbedding:
-    """Per-clip (or per-sentence) embeddings plus the whole-sample embedding."""
-
-    low: list[Tensor]
-    high: Tensor
-
-
-@dataclass
 class EncodedBatch:
     """Embeddings of a batch of samples of one modality. low holds every
     clip (sentence) of every sample, sample by sample; counts[k] of its rows
@@ -243,16 +231,6 @@ class EncodedBatch:
     low: Tensor  # [N, hidden_low]
     high: Tensor  # [K, hidden_high]
     counts: list[int]
-
-    def samples(self) -> list[HierEmbedding]:
-        """One HierEmbedding per sample, whose tensors are rows of low/high."""
-        out = []
-        start = 0
-        for k, n in enumerate(self.counts):
-            rows = [tk.take(self.low, i) for i in range(start, start + n)]
-            out.append(HierEmbedding(low=rows, high=tk.take(self.high, k)))
-            start += n
-        return out
 
 
 @dataclass
@@ -263,11 +241,11 @@ class DecodedBatch:
 
     low: Tensor  # [N, hidden_low]
     units: Tensor  # [N * steps, feature dim]
-    steps: int
+    lengths: list[int]  # feature vectors generated per clip (sentence)
 
-
-def _as_input(x) -> Tensor:
-    return x if isinstance(x, Tensor) else tk.constant(x)
+    @property
+    def steps(self) -> int:
+        return max(self.lengths)
 
 
 def gru_step(params: GruParams, x, h: Tensor) -> Tensor:
@@ -279,7 +257,7 @@ def gru_step(params: GruParams, x, h: Tensor) -> Tensor:
     The encoders and decoders run tensorkit.gru_sequence instead; this
     single-step cell is the reference it is tested against.
     """
-    x = _as_input(x)
+    x = x if isinstance(x, Tensor) else tk.constant(x)
     if x.values.ndim != 1 or x.values.shape[0] != params.input_dim:
         raise ShapeError(
             f"gru_step input has shape {list(x.shape)}, expected [{params.input_dim}]"
@@ -331,21 +309,6 @@ def encode_sequences(params: GruParams, sequences: Sequence[np.ndarray]) -> Tens
     return tk.masked_max(tk.gru_sequence(tk.constant(x), lengths, params.gates()), lengths)
 
 
-def encode_sequence(params: GruParams, xs: Sequence, h0: Tensor | None = None) -> Tensor:
-    """Run the GRU from h0 (zero by default) over xs and channel-wise
-    max-pool the per-step hidden outputs into a fixed-size embedding."""
-    xs = [_as_input(x) for x in xs]
-    if not xs:
-        raise ContractError("encode_sequence requires a nonempty sequence")
-    if any(x.values.shape != (params.input_dim,) for x in xs):
-        raise ShapeError(f"encode_sequence inputs must have shape [{params.input_dim}]")
-    seq = tk.reshape(tk.stack(xs), (1, len(xs), params.input_dim))
-    if h0 is not None:
-        h0 = tk.reshape(h0, (1, params.hidden_dim))
-    states = tk.gru_sequence(seq, [len(xs)], params.gates(), h0)
-    return tk.take(tk.masked_max(states, [len(xs)]), 0)
-
-
 def _units_of(sample) -> list[np.ndarray]:
     units = getattr(sample, "clips", None)
     if units is None:
@@ -360,11 +323,6 @@ def encode_flat_batch(params: GruParams, samples: Sequence) -> Tensor:
     concatenation of each sample's frames (words) as one sequence. Returns
     the [K, H] embeddings."""
     return encode_sequences(params, [np.concatenate(_units_of(s)) for s in samples])
-
-
-def encode_flat(params: GruParams, sample) -> Tensor:
-    """encode_flat_batch for one sample."""
-    return tk.take(encode_flat_batch(params, [sample]), 0)
 
 
 def encode_batch(
@@ -388,7 +346,7 @@ def encode_batch(
     if any(hasattr(s, "clips") != video for s in samples):
         raise ContractError("encode_batch requires samples of one modality")
     if any(not units for units in unit_lists):
-        raise ContractError("encode_hierarchical requires at least one clip/sentence")
+        raise ContractError("encode_batch requires at least one clip/sentence per sample")
     if video:
         enc_low, enc_high = params.enc_v_low, params.enc_v_high
     else:
@@ -417,15 +375,6 @@ def encode_batch(
     if not (np.all(np.isfinite(low.values)) and np.all(np.isfinite(high.values))):
         raise HseError("non-finite embedding produced by encoder")
     return EncodedBatch(low=low, high=high, counts=counts)
-
-
-def encode_hierarchical(
-    params: HseModelParams,
-    sample,
-    carry_low_state: bool = False,
-) -> HierEmbedding:
-    """encode_batch for one video or paragraph."""
-    return encode_batch(params, [sample], carry_low_state).samples()[0]
 
 
 def _project(dec: DecoderParams, states: Tensor) -> Tensor:
@@ -460,7 +409,7 @@ def decode_batch(
     counts = [len(n_i) for n_i in unit_lengths]
     lengths = [int(c) for n_i in unit_lengths for c in n_i]
     if not counts or min(counts) < 1 or min(lengths) < 1:
-        raise ContractError("decode_hierarchical requires n >= 1 and every n_i >= 1")
+        raise ContractError("decode_batch requires n >= 1 and every n_i >= 1")
     k, n_max, t_max = len(counts), max(counts), max(lengths)
     zeros = tk.constant(np.zeros((k, n_max, DECODER_INPUT_DIM)))
     states = tk.gru_sequence(zeros, counts, dec_high.gru.gates(), high)
@@ -470,25 +419,4 @@ def decode_batch(
     zeros = tk.constant(np.zeros((len(lengths), t_max, DECODER_INPUT_DIM)))
     unit_states = tk.gru_sequence(zeros, lengths, dec_low.gru.gates(), low)
     flat = tk.reshape(unit_states, (len(lengths) * t_max, dec_low.gru.hidden_dim))
-    return DecodedBatch(low=low, units=_project(dec_low, flat), steps=t_max)
-
-
-def decode_hierarchical(
-    params: HseModelParams,
-    high: Tensor,
-    n: int,
-    n_i: Sequence[int],
-    modality: str,
-) -> tuple[list[Tensor], list[list[Tensor]]]:
-    """decode_batch for one sample embedding: n generated low-level
-    embeddings, and n_i[i] generated feature vectors from the i-th."""
-    n_i = [int(c) for c in n_i]
-    if n < 1 or len(n_i) != n or any(c < 1 for c in n_i):
-        raise ContractError("decode_hierarchical requires n >= 1 and every n_i >= 1")
-    decoded = decode_batch(params, tk.reshape(high, (1, high.values.size)), [n_i], modality)
-    low_hat = [tk.take(decoded.low, i) for i in range(n)]
-    units_hat = [
-        [tk.take(decoded.units, i * decoded.steps + j) for j in range(count)]
-        for i, count in enumerate(n_i)
-    ]
-    return low_hat, units_hat
+    return DecodedBatch(low=low, units=_project(dec_low, flat), lengths=lengths)

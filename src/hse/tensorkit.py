@@ -29,8 +29,6 @@ __all__ = [
     "Tape",
     "backward",
     "constant",
-    "pointwise",
-    "reduce",
     "matmul",
     "add",
     "sub",
@@ -79,10 +77,6 @@ class Tensor:
         if self.values.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {list(self.shape)}")
         return float(self.values.reshape(()))
-
-    def detach(self) -> "Tensor":
-        """Copy of the values as a fresh constant leaf (no gradient link)."""
-        return Tensor(self.values.copy(), requires_grad=False)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={list(self.shape)}, requires_grad={self.requires_grad})"
@@ -680,44 +674,6 @@ def masked_max(a: Tensor, lengths) -> Tensor:
 
     _record(out, back)
     return out
-
-
-# ---------------------------------------------------------------------------
-# generic dispatchers, matching the documented operation names
-
-_POINTWISE: dict[str, Callable[..., Tensor]] = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "relu_hinge": relu_hinge,
-    "square": square,
-    "sqrt": sqrt,
-}
-
-_REDUCE: dict[str, Callable[..., Tensor]] = {
-    "sum": reduce_sum,
-    "mean": reduce_mean,
-    "max_over_axis": reduce_max,
-}
-
-
-def pointwise(op: str, *inputs: Tensor) -> Tensor:
-    try:
-        fn = _POINTWISE[op]
-    except KeyError:
-        raise ContractError(f"unknown pointwise op {op!r}") from None
-    return fn(*inputs)
-
-
-def reduce(op: str, t: Tensor, axis: int | None = None) -> Tensor:
-    try:
-        fn = _REDUCE[op]
-    except KeyError:
-        raise ContractError(f"unknown reduce op {op!r}") from None
-    return fn(t, axis)
 
 
 # ---------------------------------------------------------------------------

@@ -155,10 +155,8 @@ def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
 def _fse_loss(batch, params: HseModelParams, config: LossConfig) -> LossBreakdown:
     """Objective of the flat baseline: whole-sample matching and clustering
     over single-level embeddings, no low-level or reconstruction terms."""
-    v_mat = encode_flat_batch(params.enc_v_low, [video for video, _ in batch])
-    p_mat = encode_flat_batch(params.enc_p_low, [paragraph for _, paragraph in batch])
-    videos = [tk.take(v_mat, k) for k in range(len(batch))]
-    paragraphs = [tk.take(p_mat, k) for k in range(len(batch))]
+    videos = encode_flat_batch(params.enc_v_low, [video for video, _ in batch])
+    paragraphs = encode_flat_batch(params.enc_p_low, [paragraph for _, paragraph in batch])
     norm = 1.0 / len(batch)
     mh = tk.mul_scalar(loss_match_high(videos, paragraphs, config.alpha, config.sign_mode), norm)
     ch = tk.mul_scalar(

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 import oracles
+from hse import tensorkit as tk
 from hse.cli import cli_dispatch
 from hse.data import Corpus, SynthSpec, synth_generate
 from hse.evaluation import (
     cosine_matrix,
-    evaluate_partial,
     evaluate_retrieval,
     median_rank,
     rank_matrix,
@@ -32,9 +32,9 @@ from hse.losses import (
     loss_match_low,
     loss_match_low_weak,
     loss_reconstruct,
-    match,
     ranking_loss_from_similarity,
 )
+from hse.model import DecodedBatch, pad_sequences
 from hse.tensorkit import Tensor
 from hse.training import TrainConfig, train
 
@@ -141,18 +141,34 @@ def test_criterion_1_gradient_suite():
 
 
 def _tensor_batch(rng, k, d):
-    mk = lambda: Tensor(rng.normal(size=d), requires_grad=False)
-    return [mk() for _ in range(k)], [mk() for _ in range(k)]
+    return Tensor(rng.normal(size=(k, d))), Tensor(rng.normal(size=(k, d)))
 
 
-def _tensor_nested(rng, k, d, aligned):
+def _nested(rng, k, d, aligned):
+    """Per-pair [n, d] clip and [m, d] sentence embedding groups."""
     clips, sents = [], []
     for _ in range(k):
         n = int(rng.integers(1, 4))
         m = n if aligned else int(rng.integers(1, 4))
-        clips.append([Tensor(rng.normal(size=d)) for _ in range(n)])
-        sents.append([Tensor(rng.normal(size=d)) for _ in range(m)])
+        clips.append(rng.normal(size=(n, d)))
+        sents.append(rng.normal(size=(m, d)))
     return clips, sents
+
+
+def _stacked(groups):
+    """The embedding matrix of per-pair row groups, and the per-pair counts."""
+    return Tensor(np.concatenate(groups)), [len(g) for g in groups]
+
+
+def _decoded(low_rows, unit_rows):
+    """A DecodedBatch holding the given generated embeddings and, zero-padded,
+    the given generated feature rows of each unit."""
+    padded, lengths = pad_sequences(unit_rows)
+    return DecodedBatch(
+        low=Tensor(np.stack(low_rows)),
+        units=Tensor(padded.reshape(-1, padded.shape[2])),
+        lengths=lengths,
+    )
 
 
 def test_criterion_2_loss_oracles():
@@ -166,75 +182,55 @@ def test_criterion_2_loss_oracles():
 
         videos, paragraphs = _tensor_batch(rng, k, d)
         got = loss_match_high(videos, paragraphs, margin, sign).item()
-        want = oracles.ref_loss_match_high(
-            [v.values for v in videos], [p.values for p in paragraphs], margin, sign
-        )
+        want = oracles.ref_loss_match_high(videos.values, paragraphs.values, margin, sign)
         assert abs(got - want) <= 1e-10
 
         got = loss_cluster_high(videos, paragraphs, margin, sign).item()
-        want = oracles.ref_loss_cluster_high(
-            [v.values for v in videos], [p.values for p in paragraphs], margin, sign
-        )
+        want = oracles.ref_loss_cluster_high(videos.values, paragraphs.values, margin, sign)
         assert abs(got - want) <= 1e-10
 
-        clips, sents = _tensor_nested(rng, k, d, aligned=True)
-        got = loss_match_low(clips, sents, margin, sign).item()
-        want = oracles.ref_loss_match_low(
-            [[c.values for c in cs] for cs in clips],
-            [[s.values for s in ss] for ss in sents],
-            margin,
-            sign,
-        )
+        clips, sents = _nested(rng, k, d, aligned=True)
+        got = loss_match_low(*_stacked(clips), *_stacked(sents), margin, sign).item()
+        want = oracles.ref_loss_match_low(clips, sents, margin, sign)
         assert abs(got - want) <= 1e-10
 
-        got = loss_cluster_low(clips, sents, margin, sign).item()
-        want = oracles.ref_loss_cluster_low(
-            [[c.values for c in cs] for cs in clips],
-            [[s.values for s in ss] for ss in sents],
-            margin,
-            sign,
-        )
+        got = loss_cluster_low(_stacked(clips)[0], _stacked(sents)[0], margin, sign).item()
+        want = oracles.ref_loss_cluster_low(clips, sents, margin, sign)
         assert abs(got - want) <= 1e-10
 
-        wclips, wsents = _tensor_nested(rng, k, d, aligned=False)
-        got = loss_match_low_weak(wclips, wsents, margin, sign).item()
-        want = oracles.ref_loss_match_low_weak(
-            [[c.values for c in cs] for cs in wclips],
-            [[s.values for s in ss] for ss in wsents],
-            margin,
-            sign,
-        )
+        wclips, wsents = _nested(rng, k, d, aligned=False)
+        got = loss_match_low_weak(*_stacked(wclips), *_stacked(wsents), margin, sign).item()
+        want = oracles.ref_loss_match_low_weak(wclips, wsents, margin, sign)
         assert abs(got - want) <= 1e-10
 
         n = int(rng.integers(1, 4))
         target_low = [rng.normal(size=d) for _ in range(n)]
         decoded_low = [rng.normal(size=d) for _ in range(n)]
         raw = [rng.normal(size=(int(rng.integers(1, 4)), 3)) for _ in range(n)]
-        decoded_units = [[rng.normal(size=3) for _ in range(r.shape[0])] for r in raw]
-        got = loss_reconstruct(
-            target_low,
-            [Tensor(x) for x in decoded_low],
-            [[Tensor(r) for r in unit] for unit in decoded_units],
-            raw,
-        ).item()
+        decoded_units = [rng.normal(size=(r.shape[0], 3)) for r in raw]
+        decoded = _decoded(decoded_low, decoded_units)
+        got = loss_reconstruct(decoded, np.stack(target_low), raw).item()
         want = oracles.ref_loss_reconstruct(target_low, decoded_low, decoded_units, raw)
         assert abs(got - want) <= 1e-10
 
         # averaged similarity matches the double loop to 1e-12
-        cs = [Tensor(rng.normal(size=d)) for _ in range(int(rng.integers(1, 5)))]
-        ss = [Tensor(rng.normal(size=d)) for _ in range(int(rng.integers(1, 5)))]
-        got = avg_match(cs, ss).item()
-        want = oracles.ref_avg_match([c.values for c in cs], [s.values for s in ss])
+        cs = rng.normal(size=(int(rng.integers(1, 5)), d))
+        ss = rng.normal(size=(int(rng.integers(1, 5)), d))
+        got = avg_match(Tensor(cs), Tensor(ss)).item()
+        want = oracles.ref_avg_match(cs, ss)
         assert abs(got - want) <= 1e-12
 
     # structural identity: the weak loss IS the ranking kernel applied to
     # the averaged-similarity matrix, exactly
     for trial in range(50):
         k = int(rng.integers(2, 5))
-        clips, sents = _tensor_nested(rng, k, 5, aligned=False)
+        clips, sents = _nested(rng, k, 5, aligned=False)
         sign = "corrected" if trial % 2 == 0 else "literal"
-        direct = loss_match_low_weak(clips, sents, 0.2, sign).item()
-        rows = [[avg_match(clips[a], sents[b]).item() for b in range(k)] for a in range(k)]
+        direct = loss_match_low_weak(*_stacked(clips), *_stacked(sents), 0.2, sign).item()
+        rows = [
+            [avg_match(Tensor(clips[a]), Tensor(sents[b])).item() for b in range(k)]
+            for a in range(k)
+        ]
         via_matrix = ranking_loss_from_similarity(Tensor(rows), 0.2, sign).item()
         assert direct == via_matrix
 
@@ -349,8 +345,8 @@ def test_criterion_8_scale_invariance():
         u = rng.normal(size=d)
         w = rng.normal(size=d)
         a, b = rng.uniform(1e-3, 1e3, size=2)
-        base = match(Tensor(u), Tensor(w)).item()
-        scaled = match(Tensor(a * u), Tensor(b * w)).item()
+        base = tk.cosine(Tensor([u]), Tensor([w])).item()
+        scaled = tk.cosine(Tensor([a * u]), Tensor([b * w])).item()
         worst = max(worst, abs(base - scaled))
     assert worst < 1e-12
 
@@ -379,20 +375,20 @@ def test_criterion_9_reconstruction_identity():
         d_low, d_feat = 4, 3
         target_low = [rng.normal(size=d_low) for _ in range(n)]
         raw = [rng.normal(size=(int(rng.integers(1, 4)), d_feat)) for _ in range(n)]
-        exact_low = [Tensor(x.copy()) for x in target_low]
-        exact_units = [[Tensor(row.copy()) for row in unit] for unit in raw]
-        assert loss_reconstruct(target_low, exact_low, exact_units, raw).item() == 0.0
+        targets = np.stack(target_low)
+        assert loss_reconstruct(_decoded(target_low, raw), targets, raw).item() == 0.0
 
-        perturbed_low = [Tensor(x.copy()) for x in target_low]
-        perturbed_units = [[Tensor(row.copy()) for row in unit] for unit in raw]
+        perturbed_low = [x.copy() for x in target_low]
+        perturbed_units = [unit.copy() for unit in raw]
         if rng.random() < 0.5:
             i = int(rng.integers(0, n))
-            perturbed_low[i].values[int(rng.integers(0, d_low))] += rng.uniform(1e-6, 1.0)
+            perturbed_low[i][int(rng.integers(0, d_low))] += rng.uniform(1e-6, 1.0)
         else:
             i = int(rng.integers(0, n))
             j = int(rng.integers(0, raw[i].shape[0]))
-            perturbed_units[i][j].values[int(rng.integers(0, d_feat))] += rng.uniform(1e-6, 1.0)
-        assert loss_reconstruct(target_low, perturbed_low, perturbed_units, raw).item() > 0.0
+            perturbed_units[i][j, int(rng.integers(0, d_feat))] += rng.uniform(1e-6, 1.0)
+        decoded = _decoded(perturbed_low, perturbed_units)
+        assert loss_reconstruct(decoded, targets, raw).item() > 0.0
     print("\ncriterion 9: PASS reconstruction identity (zero iff exact)")
 
 
@@ -415,7 +411,7 @@ def test_criterion_11_partial_observation_trend(overfit_run):
     corpus, _, result, _ = overfit_run
     r1 = {}
     for units in (1, 3):
-        p2v, v2p = evaluate_partial(result.params, corpus, max_units=units, topk=(1,))
+        p2v, v2p = evaluate_retrieval(result.params, corpus, topk=(1,), max_units=units)
         r1[units] = (p2v.recall_at[1], v2p.recall_at[1])
     assert r1[3][0] >= r1[1][0]
     assert r1[3][1] >= r1[1][1]

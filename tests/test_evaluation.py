@@ -10,7 +10,6 @@ from hse.errors import ContractError, DegenerateInputError
 from hse.evaluation import (
     cosine_matrix,
     encode_corpus,
-    evaluate_partial,
     evaluate_retrieval,
     median_rank,
     rank_matrix,
@@ -164,7 +163,7 @@ class TestEvaluatePartial:
 
     def test_no_truncation_equals_full_eval(self):
         full = evaluate_retrieval(self.params, self.corpus, topk=(1, 5))
-        partial = evaluate_partial(self.params, self.corpus, max_units=10, topk=(1, 5))
+        partial = evaluate_retrieval(self.params, self.corpus, topk=(1, 5), max_units=10)
         for a, b in zip(full, partial):
             assert a.ranks == b.ranks
             assert a.recall_at == b.recall_at
@@ -181,7 +180,7 @@ class TestEvaluatePartial:
 
     def test_max_units_must_be_positive(self):
         with pytest.raises(ContractError):
-            evaluate_partial(self.params, self.corpus, max_units=0)
+            evaluate_retrieval(self.params, self.corpus, max_units=0)
 
 
 class TestZeroShot:

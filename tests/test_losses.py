@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from hse import tensorkit as tk
 from hse.data import ParagraphSample, SynthSpec, VideoSample, synth_generate
 from hse.errors import ConfigError, ContractError, DegenerateInputError
 from hse.losses import (
@@ -16,11 +17,10 @@ from hse.losses import (
     loss_match_low,
     loss_match_low_weak,
     loss_reconstruct,
-    match,
     ranking_loss_from_similarity,
     total_loss,
 )
-from hse.model import ModelDims
+from hse.model import DecodedBatch, ModelDims, pad_sequences
 from hse.tensorkit import Tape, Tensor, backward
 from hse.training import init_params
 
@@ -30,34 +30,54 @@ def t(values):
 
 
 def rand_batch(rng, k, d):
-    return [t(rng.normal(size=d)) for _ in range(k)], [t(rng.normal(size=d)) for _ in range(k)]
+    return t(rng.normal(size=(k, d))), t(rng.normal(size=(k, d)))
 
 
 def rand_nested(rng, k, d, aligned=True):
+    """Per-pair [n, d] clip and [m, d] sentence embedding groups."""
     clips, sents = [], []
     for _ in range(k):
         n = int(rng.integers(1, 4))
         m = n if aligned else int(rng.integers(1, 4))
-        clips.append([t(rng.normal(size=d)) for _ in range(n)])
-        sents.append([t(rng.normal(size=d)) for _ in range(m)])
+        clips.append(rng.normal(size=(n, d)))
+        sents.append(rng.normal(size=(m, d)))
     return clips, sents
+
+
+def stacked(groups):
+    """The embedding matrix of per-pair row groups, and the per-pair counts."""
+    return t(np.concatenate(groups)), [len(g) for g in groups]
+
+
+def decoded_batch(low_rows, unit_rows):
+    """A DecodedBatch holding the given generated embeddings and, zero-padded,
+    the given generated feature rows of each unit."""
+    padded, lengths = pad_sequences(unit_rows)
+    return DecodedBatch(
+        low=t(np.asarray(low_rows, dtype=np.float64).reshape(len(lengths), -1)),
+        units=t(padded.reshape(-1, padded.shape[2])),
+        lengths=lengths,
+    )
+
+
+def cos(u, w):
+    """tk.cosine of two vectors, as [1, D] rows."""
+    return tk.cosine(t([u]), t([w])).item()
 
 
 class TestMatch:
     def test_identical_vectors(self):
-        assert match(t([1.0, 0.0, 0.0]), t([1.0, 0.0, 0.0])).item() == 1.0
+        assert cos([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]) == 1.0
 
     def test_orthogonal(self):
-        assert match(t([1.0, 0.0]), t([0.0, 1.0])).item() == 0.0
+        assert cos([1.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_45_degrees(self):
-        assert match(t([1.0, 1.0]), t([1.0, 0.0])).item() == pytest.approx(
-            1.0 / math.sqrt(2.0), abs=1e-6
-        )
+        assert cos([1.0, 1.0], [1.0, 0.0]) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-6)
 
     def test_zero_norm_rejected(self):
         with pytest.raises(DegenerateInputError):
-            match(t([0.0, 0.0]), t([1.0, 0.0]))
+            cos([0.0, 0.0], [1.0, 0.0])
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
@@ -65,8 +85,8 @@ class TestMatch:
             u = rng.normal(size=5)
             w = rng.normal(size=5)
             a, b = rng.uniform(1e-3, 1e3, size=2)
-            base = match(t(u), t(w)).item()
-            scaled = match(t(a * u), t(b * w)).item()
+            base = cos(u, w)
+            scaled = cos(a * u, b * w)
             assert abs(base - scaled) < 1e-12
 
 
@@ -104,7 +124,7 @@ class TestRankingFromSimilarity:
 
 class TestMatchHigh:
     def test_single_pair_zero(self):
-        assert loss_match_high([t([1.0, 2.0])], [t([2.0, 1.0])], 0.2).item() == 0.0
+        assert loss_match_high(t([[1.0, 2.0]]), t([[2.0, 1.0]]), 0.2).item() == 0.0
 
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(1)
@@ -114,72 +134,72 @@ class TestMatchHigh:
             videos, paragraphs = rand_batch(rng, k, d)
             sign = "corrected" if trial % 2 == 0 else "literal"
             got = loss_match_high(videos, paragraphs, 0.2, sign).item()
-            want = oracles.ref_loss_match_high(
-                [v.values for v in videos], [p.values for p in paragraphs], 0.2, sign
-            )
+            want = oracles.ref_loss_match_high(videos.values, paragraphs.values, 0.2, sign)
             assert got == pytest.approx(want, abs=1e-10)
 
     def test_length_mismatch(self):
         with pytest.raises(ContractError):
-            loss_match_high([t([1.0])], [], 0.2)
+            loss_match_high(t([[1.0]]), t(np.zeros((0, 1))), 0.2)
 
 
 class TestMatchLow:
     def test_single_clip_sentence_zero(self):
-        assert loss_match_low([[t([1.0, 0.0])]], [[t([0.0, 1.0])]], 0.2).item() == 0.0
+        assert loss_match_low(t([[1.0, 0.0]]), [1], t([[0.0, 1.0]]), [1], 0.2).item() == 0.0
 
     def test_perfect_alignment_zero(self):
-        clips = [[t([1.0, 0.0])], [t([0.0, 1.0])]]
-        sents = [[t([1.0, 0.0])], [t([0.0, 1.0])]]
-        assert loss_match_low(clips, sents, 0.2).item() == 0.0
+        clips = t([[1.0, 0.0], [0.0, 1.0]])
+        sents = t([[1.0, 0.0], [0.0, 1.0]])
+        assert loss_match_low(clips, [1, 1], sents, [1, 1], 0.2).item() == 0.0
 
     def test_misaligned_counts_direct_to_weak(self):
-        clips = [[t([1.0, 0.0]), t([0.0, 1.0])]]
-        sents = [[t([1.0, 0.0])]]
+        clips = t([[1.0, 0.0], [0.0, 1.0]])
+        sents = t([[1.0, 0.0]])
         with pytest.raises(ContractError, match="loss_match_low_weak"):
-            loss_match_low(clips, sents, 0.2)
+            loss_match_low(clips, [2], sents, [1], 0.2)
+
+    def test_counts_must_split_the_rows(self):
+        rows = t([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ContractError, match="counts"):
+            loss_match_low(rows, [1], rows, [1], 0.2)
+        with pytest.raises(ContractError, match="counts"):
+            loss_match_low_weak(rows, [2, 0], rows, [1, 1], 0.2)
 
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(2)
         for trial in range(30):
             clips, sents = rand_nested(rng, int(rng.integers(1, 4)), 4)
             sign = "corrected" if trial % 2 == 0 else "literal"
-            got = loss_match_low(clips, sents, 0.2, sign).item()
-            want = oracles.ref_loss_match_low(
-                [[c.values for c in cs] for cs in clips],
-                [[s.values for s in ss] for ss in sents],
-                0.2,
-                sign,
-            )
+            got = loss_match_low(*stacked(clips), *stacked(sents), 0.2, sign).item()
+            want = oracles.ref_loss_match_low(clips, sents, 0.2, sign)
             assert got == pytest.approx(want, abs=1e-10)
 
 
 class TestClusterLosses:
     def test_high_example(self):
         theta = math.acos(0.9)
-        videos = [t([1.0, 0.0]), t([math.cos(theta), math.sin(theta)])]
+        videos = t([[1.0, 0.0], [math.cos(theta), math.sin(theta)]])
         phi = math.acos(0.5)
-        paragraphs = [t([1.0, 0.0]), t([math.cos(phi), math.sin(phi)])]
+        paragraphs = t([[1.0, 0.0], [math.cos(phi), math.sin(phi)]])
         got = loss_cluster_high(videos, paragraphs, 0.2).item()
         assert got == pytest.approx(0.2, abs=1e-9)
 
     def test_high_below_threshold_zero(self):
         phi = math.acos(0.7)
-        videos = [t([1.0, 0.0]), t([math.cos(phi), math.sin(phi)])]
+        videos = t([[1.0, 0.0], [math.cos(phi), math.sin(phi)]])
         assert loss_cluster_high(videos, videos, 0.2).item() == pytest.approx(0.0, abs=1e-9)
 
     def test_high_k1_zero(self):
-        assert loss_cluster_high([t([1.0, 1.0])], [t([1.0, 2.0])], 0.2).item() == 0.0
+        assert loss_cluster_high(t([[1.0, 1.0]]), t([[1.0, 2.0]]), 0.2).item() == 0.0
 
     def test_low_identical_clips(self):
-        clips = [[t([1.0, 0.0]), t([2.0, 0.0])]]
-        sents = [[t([0.0, 1.0])]]
+        clips = t([[1.0, 0.0], [2.0, 0.0]])
+        sents = t([[0.0, 1.0]])
         got = loss_cluster_low(clips, sents, 0.2).item()
         assert got == pytest.approx(0.4, abs=1e-12)
 
     def test_low_separated_zero(self):
-        clips = [[t([1.0, 0.0])], [t([0.0, 1.0])]]
-        sents = [[t([1.0, 0.0])], [t([-1.0, 1.0])]]
+        clips = t([[1.0, 0.0], [0.0, 1.0]])
+        sents = t([[1.0, 0.0], [-1.0, 1.0]])
         assert loss_cluster_low(clips, sents, 0.2).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_loop_reference(self):
@@ -189,44 +209,37 @@ class TestClusterLosses:
             videos, paragraphs = rand_batch(rng, k, 5)
             sign = "corrected" if trial % 2 == 0 else "literal"
             got = loss_cluster_high(videos, paragraphs, 0.2, sign).item()
-            want = oracles.ref_loss_cluster_high(
-                [v.values for v in videos], [p.values for p in paragraphs], 0.2, sign
-            )
+            want = oracles.ref_loss_cluster_high(videos.values, paragraphs.values, 0.2, sign)
             assert got == pytest.approx(want, abs=1e-10)
             clips, sents = rand_nested(rng, k, 4, aligned=False)
-            got = loss_cluster_low(clips, sents, 0.3, sign).item()
-            want = oracles.ref_loss_cluster_low(
-                [[c.values for c in cs] for cs in clips],
-                [[s.values for s in ss] for ss in sents],
-                0.3,
-                sign,
-            )
+            got = loss_cluster_low(stacked(clips)[0], stacked(sents)[0], 0.3, sign).item()
+            want = oracles.ref_loss_cluster_low(clips, sents, 0.3, sign)
             assert got == pytest.approx(want, abs=1e-10)
 
 
 class TestAvgMatch:
     def test_single_pair_equals_match(self):
-        c, s = t([1.0, 2.0]), t([0.5, -1.0])
-        assert avg_match([c], [s]).item() == match(c, s).item()
+        c, s = t([[1.0, 2.0]]), t([[0.5, -1.0]])
+        assert avg_match(c, s).item() == tk.cosine(c, s).item()
 
     def test_hand_example(self):
-        clips = [t([1.0, 0.0, 0.0]), t([0.0, 1.0, 0.0])]
-        sents = [t([1.0, 0.0, 0.0]), t([0.5, 0.5, math.sqrt(0.5)])]
+        clips = t([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        sents = t([[1.0, 0.0, 0.0], [0.5, 0.5, math.sqrt(0.5)]])
         assert avg_match(clips, sents).item() == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_double_loop(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
-            clips = [t(rng.normal(size=4)) for _ in range(int(rng.integers(1, 5)))]
-            sents = [t(rng.normal(size=4)) for _ in range(int(rng.integers(1, 5)))]
-            got = avg_match(clips, sents).item()
-            want = oracles.ref_avg_match([c.values for c in clips], [s.values for s in sents])
+            clips = rng.normal(size=(int(rng.integers(1, 5)), 4))
+            sents = rng.normal(size=(int(rng.integers(1, 5)), 4))
+            got = avg_match(t(clips), t(sents)).item()
+            want = oracles.ref_avg_match(clips, sents)
             assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestMatchLowWeak:
     def test_k1_zero(self):
-        assert loss_match_low_weak([[t([1.0, 2.0])]], [[t([2.0, 1.0])]], 0.2).item() == 0.0
+        assert loss_match_low_weak(t([[1.0, 2.0]]), [1], t([[2.0, 1.0]]), [1], 0.2).item() == 0.0
 
     def test_structural_identity_with_matrix_ranking(self):
         rng = np.random.default_rng(6)
@@ -234,8 +247,10 @@ class TestMatchLowWeak:
             k = int(rng.integers(2, 5))
             clips, sents = rand_nested(rng, k, 4, aligned=False)
             sign = "corrected" if trial % 2 == 0 else "literal"
-            got = loss_match_low_weak(clips, sents, 0.2, sign).item()
-            rows = [[avg_match(clips[a], sents[b]).item() for b in range(k)] for a in range(k)]
+            got = loss_match_low_weak(*stacked(clips), *stacked(sents), 0.2, sign).item()
+            rows = [
+                [avg_match(t(clips[a]), t(sents[b])).item() for b in range(k)] for a in range(k)
+            ]
             want = ranking_loss_from_similarity(t(rows), 0.2, sign).item()
             assert got == want  # exact: same kernel over the same averaged matrix
 
@@ -245,34 +260,28 @@ class TestMatchLowWeak:
             k = int(rng.integers(1, 5))
             clips, sents = rand_nested(rng, k, 3, aligned=False)
             sign = "corrected" if trial % 2 == 0 else "literal"
-            got = loss_match_low_weak(clips, sents, 0.2, sign).item()
-            want = oracles.ref_loss_match_low_weak(
-                [[c.values for c in cs] for cs in clips],
-                [[s.values for s in ss] for ss in sents],
-                0.2,
-                sign,
-            )
+            got = loss_match_low_weak(*stacked(clips), *stacked(sents), 0.2, sign).item()
+            want = oracles.ref_loss_match_low_weak(clips, sents, 0.2, sign)
             assert got == pytest.approx(want, abs=1e-10)
 
 
 class TestReconstruct:
     def test_perfect_reconstruction_zero(self):
         rng = np.random.default_rng(8)
-        target_low = [t(rng.normal(size=3)) for _ in range(2)]
-        decoded_low = [t(x.values.copy()) for x in target_low]
+        target_low = rng.normal(size=(2, 3))
         raw = [rng.normal(size=(2, 4)), rng.normal(size=(3, 4))]
-        decoded_units = [[t(row.copy()) for row in unit] for unit in raw]
-        got = loss_reconstruct(target_low, decoded_low, decoded_units, raw)
+        got = loss_reconstruct(decoded_batch(target_low, raw), target_low, raw)
         assert got.item() == 0.0
 
     def test_hand_example(self):
-        target_low = [t([0.0, 0.0, 0.0])]
-        decoded_low = [t([0.3, 0.4, 0.0])]  # squared norm 0.25
+        target_low = np.zeros((1, 3))
+        decoded_low = [[0.3, 0.4, 0.0]]  # squared norm 0.25
         raw = [np.zeros((2, 3))]
         decoded_units = [
-            [t([0.1, 0.1, 0.0]), t([0.2, 0.1, 0.1])]  # squared norms 0.02 and 0.06
+            [[0.1, 0.1, 0.0], [0.2, 0.1, 0.1]]  # squared norms 0.02 and 0.06
         ]
-        got = loss_reconstruct(target_low, decoded_low, decoded_units, raw).item()
+        decoded = decoded_batch(decoded_low, decoded_units)
+        got = loss_reconstruct(decoded, target_low, raw).item()
         text_side = 0.0
         assert got + text_side == pytest.approx(0.29, abs=1e-12)
 
@@ -280,30 +289,27 @@ class TestReconstruct:
         rng = np.random.default_rng(9)
         for _ in range(20):
             n = int(rng.integers(1, 4))
-            target_low = [t(rng.normal(size=3)) for _ in range(n)]
-            decoded_low = [t(rng.normal(size=3)) for _ in range(n)]
+            target_low = rng.normal(size=(n, 3))
+            decoded_low = rng.normal(size=(n, 3))
             raw = [rng.normal(size=(int(rng.integers(1, 4)), 2)) for _ in range(n)]
-            decoded_units = [[t(rng.normal(size=2)) for _ in range(r.shape[0])] for r in raw]
-            assert loss_reconstruct(target_low, decoded_low, decoded_units, raw).item() >= 0.0
+            decoded_units = [rng.normal(size=(r.shape[0], 2)) for r in raw]
+            decoded = decoded_batch(decoded_low, decoded_units)
+            assert loss_reconstruct(decoded, target_low, raw).item() >= 0.0
 
     def test_count_mismatch(self):
         with pytest.raises(ContractError):
-            loss_reconstruct([t([1.0])], [t([1.0])], [[t([1.0])]], [np.ones((2, 1))])
+            loss_reconstruct(decoded_batch([[1.0]], [[[1.0]]]), np.ones((1, 1)), [np.ones((2, 1))])
 
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(10)
         for _ in range(30):
             n = int(rng.integers(1, 4))
-            target_low = [rng.normal(size=3) for _ in range(n)]
-            decoded_low = [rng.normal(size=3) for _ in range(n)]
+            target_low = rng.normal(size=(n, 3))
+            decoded_low = rng.normal(size=(n, 3))
             raw = [rng.normal(size=(int(rng.integers(1, 4)), 2)) for _ in range(n)]
-            decoded_units = [[rng.normal(size=2) for _ in range(r.shape[0])] for r in raw]
-            got = loss_reconstruct(
-                [t(x) for x in target_low],
-                [t(x) for x in decoded_low],
-                [[t(r) for r in unit] for unit in decoded_units],
-                raw,
-            ).item()
+            decoded_units = [rng.normal(size=(r.shape[0], 2)) for r in raw]
+            decoded = decoded_batch(decoded_low, decoded_units)
+            got = loss_reconstruct(decoded, target_low, raw).item()
             want = oracles.ref_loss_reconstruct(target_low, decoded_low, decoded_units, raw)
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -377,7 +383,9 @@ class TestTotalLoss:
             bd = total_loss(corpus.pairs, params, LossConfig(tau=5e-4))
             backward(bd.node)
         assert bd.reconstruct > 0.0
-        assert len(tape) < 500
+        assert len(tape) <= 125
+        # embeddings reach the losses as the encoder's matrices, never re-stacked rows
+        assert not any(back.__qualname__.startswith("stack.") for _, back in tape._records)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
@@ -398,7 +406,5 @@ class TestScaleInvariancePropagates:
         rng = np.random.default_rng(seed)
         videos, paragraphs = rand_batch(rng, 3, 4)
         base = loss_match_high(videos, paragraphs, 0.2).item()
-        scaled = loss_match_high(
-            [t(scale * v.values) for v in videos], paragraphs, 0.2
-        ).item()
+        scaled = loss_match_high(t(scale * videos.values), paragraphs, 0.2).item()
         assert abs(base - scaled) < 1e-9

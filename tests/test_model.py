@@ -8,11 +8,10 @@ from hse.model import (
     GruParams,
     ModelDims,
     build_params,
-    decode_hierarchical,
+    decode_batch,
     encode_batch,
-    encode_flat,
-    encode_hierarchical,
-    encode_sequence,
+    encode_flat_batch,
+    encode_sequences,
     gru_step,
 )
 from hse.tensorkit import Tape, Tensor, finite_diff_check
@@ -138,9 +137,9 @@ class TestEncodeSequence:
         rng = np.random.default_rng(1)
         p = random_gru(rng, 3, 4)
         x = rng.normal(size=3)
-        single = encode_sequence(p, [x])
+        single = encode_sequences(p, [x[None, :]])
         step = gru_step(p, x, Tensor(np.zeros(4)))
-        assert np.array_equal(single.values, step.values)
+        assert np.array_equal(single.values[0], step.values)
 
     def test_pooling_is_channelwise_max_of_steps(self):
         rng = np.random.default_rng(2)
@@ -152,11 +151,13 @@ class TestEncodeSequence:
             h = numpy_gru_step(p, x, h)
             outputs.append(h)
         expected = np.max(np.stack(outputs), axis=0)
-        assert np.allclose(encode_sequence(p, xs).values, expected, atol=1e-12)
+        assert np.allclose(encode_sequences(p, [np.stack(xs)]).values[0], expected, atol=1e-12)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ContractError):
-            encode_sequence(GruParams.zeros(2, 2), [])
+            encode_sequences(GruParams.zeros(2, 2), [])
+        with pytest.raises(ShapeError):
+            encode_sequences(GruParams.zeros(2, 2), [np.zeros((0, 2))])
 
 
 class TestEncodeFlat:
@@ -166,9 +167,9 @@ class TestEncodeFlat:
         params = init_params(dims, 0)
         frame = rng.normal(size=3)
         video = VideoSample("v", [frame.reshape(1, 3)])
-        flat = encode_flat(params.enc_v_low, video)
-        direct = encode_sequence(params.enc_v_low, [frame])
-        assert np.array_equal(flat.values, direct.values)
+        flat = encode_flat_batch(params.enc_v_low, [video])
+        direct = gru_step(params.enc_v_low, frame, Tensor(np.zeros(4)))
+        assert np.array_equal(flat.values[0], direct.values)
 
     def test_equals_manual_flattening(self):
         rng = np.random.default_rng(6)
@@ -176,8 +177,8 @@ class TestEncodeFlat:
         params = init_params(dims, 1)
         clips = [rng.normal(size=(2, 3)), rng.normal(size=(2, 3))]
         video = VideoSample("v", clips)
-        flat = encode_flat(params.enc_v_low, video)
-        manual = encode_sequence(params.enc_v_low, [r for c in clips for r in c])
+        flat = encode_flat_batch(params.enc_v_low, [video])
+        manual = encode_sequences(params.enc_v_low, [np.stack([r for c in clips for r in c])])
         assert np.array_equal(flat.values, manual.values)
 
     def test_sensitive_to_clip_order(self):
@@ -185,9 +186,10 @@ class TestEncodeFlat:
         dims = ModelDims(d_v=3, d_t=3, hidden_low=4, hidden_high=4)
         params = init_params(dims, 2)
         clips = [rng.normal(size=(2, 3)), rng.normal(size=(2, 3))]
-        a = encode_flat(params.enc_v_low, VideoSample("v", clips))
-        b = encode_flat(params.enc_v_low, VideoSample("v", clips[::-1]))
-        assert not np.array_equal(a.values, b.values)
+        a, b = encode_flat_batch(
+            params.enc_v_low, [VideoSample("v", clips), VideoSample("v", clips[::-1])]
+        ).values
+        assert not np.array_equal(a, b)
 
 
 class TestEncodeHierarchical:
@@ -203,54 +205,54 @@ class TestEncodeHierarchical:
 
     def test_single_clip_high_embedding(self):
         video = self._video(n=1)
-        emb = encode_hierarchical(self.params, video)
-        direct = encode_sequence(self.params.enc_v_high, [emb.low[0]])
+        emb = encode_batch(self.params, [video])
+        direct = encode_sequences(self.params.enc_v_high, [emb.low.values])
         assert np.array_equal(emb.high.values, direct.values)
 
     def test_low_embeddings_are_local(self):
         video = self._video(n=3)
-        before = encode_hierarchical(self.params, video)
+        before = encode_batch(self.params, [video]).low.values
         perturbed = VideoSample(
             "v", [video.clips[0], video.clips[1] + 1.0, video.clips[2]]
         )
-        after = encode_hierarchical(self.params, perturbed)
-        assert np.array_equal(before.low[0].values, after.low[0].values)
-        assert np.array_equal(before.low[2].values, after.low[2].values)
-        assert not np.array_equal(before.low[1].values, after.low[1].values)
+        after = encode_batch(self.params, [perturbed]).low.values
+        assert np.array_equal(before[0], after[0])
+        assert np.array_equal(before[2], after[2])
+        assert not np.array_equal(before[1], after[1])
 
     def test_permuting_clips_permutes_low_and_changes_high(self):
         video = self._video(n=3)
-        base = encode_hierarchical(self.params, video)
+        base = encode_batch(self.params, [video])
         perm = [2, 0, 1]
-        permuted = encode_hierarchical(
-            self.params, VideoSample("v", [video.clips[i] for i in perm])
+        permuted = encode_batch(
+            self.params, [VideoSample("v", [video.clips[i] for i in perm])]
         )
-        for out_idx, src_idx in enumerate(perm):
-            assert np.array_equal(permuted.low[out_idx].values, base.low[src_idx].values)
+        assert np.array_equal(permuted.low.values, base.low.values[perm])
         assert not np.array_equal(permuted.high.values, base.high.values)
 
     def test_paragraph_side_uses_text_encoders(self):
         paragraph = ParagraphSample("p", [self.rng.normal(size=(2, 3)) for _ in range(2)])
-        emb = encode_hierarchical(self.params, paragraph)
-        assert emb.high.values.shape == (6,)
-        assert all(low.values.shape == (5,) for low in emb.low)
+        emb = encode_batch(self.params, [paragraph])
+        assert emb.high.values.shape == (1, 6)
+        assert emb.low.values.shape == (2, 5)
+        assert emb.counts == [2]
 
     def test_carry_low_state_changes_embeddings(self):
         video = self._video(n=3)
-        reset = encode_hierarchical(self.params, video, carry_low_state=False)
-        carried = encode_hierarchical(self.params, video, carry_low_state=True)
-        assert np.array_equal(reset.low[0].values, carried.low[0].values)
-        assert not np.array_equal(reset.low[1].values, carried.low[1].values)
+        reset = encode_batch(self.params, [video], carry_low_state=False).low.values
+        carried = encode_batch(self.params, [video], carry_low_state=True).low.values
+        assert np.array_equal(reset[0], carried[0])
+        assert not np.array_equal(reset[1], carried[1])
 
     def test_encoder_gradients_vs_finite_differences(self):
         video = self._video(n=2)
-        weight = tk.constant(self.rng.normal(size=6))
+        weight = tk.constant(self.rng.normal(size=(1, 6)))
         enc_params = [t for _, t in self.params.enc_v_low.named("a")] + [
             t for _, t in self.params.enc_v_high.named("b")
         ]
 
         def f(ps):
-            return tk.reduce_sum(tk.mul(encode_hierarchical(self.params, video).high, weight))
+            return tk.reduce_sum(tk.mul(encode_batch(self.params, [video]).high, weight))
 
         assert finite_diff_check(f, enc_params).max_rel_err < 1e-4
 
@@ -273,14 +275,17 @@ class TestEncodeBatch:
     @pytest.mark.parametrize("carry", [False, True])
     def test_sample_alone_equals_sample_in_ragged_batch(self, carry):
         videos = self._videos(6)
-        batch = encode_batch(self.params, videos, carry_low_state=carry).samples()
-        for video, in_batch in zip(videos, batch):
-            alone = encode_hierarchical(self.params, video, carry_low_state=carry)
-            assert np.allclose(alone.high.values, in_batch.high.values, rtol=0.0, atol=1e-12)
+        batch = encode_batch(self.params, videos, carry_low_state=carry)
+        assert batch.counts == [video.n for video in videos]
+        start = 0
+        for k, video in enumerate(videos):
+            alone = encode_batch(self.params, [video], carry_low_state=carry)
+            in_batch_high = batch.high.values[k : k + 1]
+            assert np.allclose(alone.high.values, in_batch_high, rtol=0.0, atol=1e-12)
             # rows are multiplied one at a time, so the match is exact
-            assert np.array_equal(alone.high.values, in_batch.high.values)
-            for a, b in zip(alone.low, in_batch.low):
-                assert np.array_equal(a.values, b.values)
+            assert np.array_equal(alone.high.values, in_batch_high)
+            assert np.array_equal(alone.low.values, batch.low.values[start : start + video.n])
+            start += video.n
 
     def test_mixed_modalities_rejected(self):
         video = self._videos(1)[0]
@@ -296,43 +301,44 @@ class TestDecodeHierarchical:
         self.rng = np.random.default_rng(11)
 
     def test_single_unit_counts(self):
-        high = tk.constant(self.rng.normal(size=5))
-        low_hat, units_hat = decode_hierarchical(self.params, high, 1, [1], "video")
-        assert len(low_hat) == 1
-        assert len(units_hat) == 1 and len(units_hat[0]) == 1
-        assert units_hat[0][0].values.shape == (3,)
+        high = tk.constant(self.rng.normal(size=(1, 5)))
+        decoded = decode_batch(self.params, high, [[1]], "video")
+        assert decoded.low.values.shape == (1, 4)
+        assert decoded.lengths == [1]
+        assert decoded.units.values.shape == (1, 3)
 
     def test_counts_match_requested_lengths(self):
-        high = tk.constant(self.rng.normal(size=5))
+        high = tk.constant(self.rng.normal(size=(1, 5)))
         n_i = [2, 1, 3]
-        low_hat, units_hat = decode_hierarchical(self.params, high, 3, n_i, "text")
-        assert len(low_hat) == 3
-        assert [len(u) for u in units_hat] == n_i
-        assert all(r.values.shape == (4,) for u in units_hat for r in u)
+        decoded = decode_batch(self.params, high, [n_i], "text")
+        assert decoded.low.values.shape == (3, 4)
+        assert decoded.lengths == n_i
+        assert decoded.steps == 3
+        assert decoded.units.values.shape == (3 * 3, 4)  # steps rows per unit, padded
 
     def test_zero_counts_rejected(self):
-        high = tk.constant(np.zeros(5))
+        high = tk.constant(np.zeros((1, 5)))
         with pytest.raises(ContractError):
-            decode_hierarchical(self.params, high, 0, [], "video")
+            decode_batch(self.params, high, [[]], "video")
         with pytest.raises(ContractError):
-            decode_hierarchical(self.params, high, 2, [1, 0], "video")
+            decode_batch(self.params, high, [[1, 0]], "video")
 
     def test_unknown_modality(self):
         with pytest.raises(ContractError):
-            decode_hierarchical(self.params, tk.constant(np.zeros(5)), 1, [1], "audio")
+            decode_batch(self.params, tk.constant(np.zeros((1, 5))), [[1]], "audio")
 
     def test_decoder_gradients_vs_finite_differences(self):
-        high = tk.constant(self.rng.normal(size=5))
+        high = tk.constant(self.rng.normal(size=(1, 5)))
         dec_params = [t for _, t in self.params.dec_v_high.named("h")] + [
             t for _, t in self.params.dec_v_low.named("l")
         ]
+        generated = [0, 1, 2]  # two rows per unit; row 3 is unit 1's padding
 
         def f(ps):
-            low_hat, units_hat = decode_hierarchical(self.params, high, 2, [2, 1], "video")
-            total = tk.reduce_sum(tk.stack(low_hat))
-            for rows in units_hat:
-                total = tk.add(total, tk.reduce_sum(tk.stack(rows)))
-            return total
+            decoded = decode_batch(self.params, high, [[2, 1]], "video")
+            return tk.add(
+                tk.reduce_sum(decoded.low), tk.reduce_sum(tk.take(decoded.units, generated))
+            )
 
         assert finite_diff_check(f, dec_params).max_rel_err < 1e-4
 
@@ -357,4 +363,4 @@ class TestParamStructure:
         params = init_params(dims, 0)
         video = VideoSample("v", [np.full((1, 2), np.nan)])
         with pytest.raises(Exception, match="non-finite"):
-            encode_hierarchical(params, video)
+            encode_batch(params, [video])
