@@ -142,14 +142,20 @@ class Corpus:
         return self.pairs[0][1].sentences[0].shape[1]
 
     def validate(self) -> None:
+        for video, paragraph in self.pairs:
+            video.validate()
+            paragraph.validate()
+        self._validate_pairs()
+
+    def _validate_pairs(self) -> None:
+        """The corpus-level checks, over samples that are valid on their own:
+        correspondence mode, ids, strong counts and feature dimensions."""
         if self.correspondence not in ("strong", "weak"):
             raise CorpusError(f"unknown correspondence mode {self.correspondence!r}")
         if not self.pairs:
             raise CorpusError("corpus has no pairs")
         seen = set()
         for video, paragraph in self.pairs:
-            video.validate()
-            paragraph.validate()
             if video.id in seen:
                 raise CorpusError(f"duplicate pair id {video.id!r}")
             seen.add(video.id)
@@ -330,7 +336,7 @@ def load_corpus(path, correspondence: str | None = None) -> Corpus:
         strong = all(v.n == p.m for v, p in pairs)
         correspondence = "strong" if strong else "weak"
     corpus = Corpus(pairs=pairs, correspondence=correspondence)
-    corpus.validate()
+    corpus._validate_pairs()  # every sample was validated with its line
     return corpus
 
 

@@ -8,17 +8,18 @@ embeddings with a second GRU. Decoders mirror the hierarchy: a high-level
 GRU seeded with the video/paragraph embedding emits one hidden state per
 clip (sentence), each projected to a generated low-level embedding that in
 turn seeds the low-level decoder GRU emitting generated frame (word)
-features. Decoder step inputs are zero vectors; the hidden state carries
-all information.
+features. Decoders have no step input; the hidden state carries all
+information.
 
 Every GRU runs through tensorkit.gru_sequence over a padded batch:
 encode_batch and decode_batch handle all samples of one modality at once
 (one GRU run per level), encode_sequences and encode_flat_batch a batch of
 plain sequences. Embeddings stay matrices: one row per clip (sentence) or
 per sample, with the number of clip rows of each sample alongside, which is
-the form the losses take. A sample's embedding is the same bits alone or in
-any batch. gru_step is the single-step cell, kept as the reference the
-kernel is tested against.
+the form the losses take. A sample's embedding is the same bits alone, in
+any batch and in any row order. gru_step is the single-step cell, kept as
+the reference the kernel is tested against; it multiplies in the kernel's
+layout.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ __all__ = [
     "decode_batch",
 ]
 
-# decoders are driven by a fixed zero input at every step
+# decoders run without input; their GRUs keep [H, 1] input weights (a zero
+# input of width 1), which stay in the checkpoint and get zero gradients
 DECODER_INPUT_DIM = 1
 
 _GRU_FIELDS = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
@@ -255,7 +257,9 @@ def gru_step(params: GruParams, x, h: Tensor) -> Tensor:
     cand = tanh(Wh x + Uh (r*h) + bh), h' = (1 - z)*h + z*cand.
 
     The encoders and decoders run tensorkit.gru_sequence instead; this
-    single-step cell is the reference it is tested against.
+    single-step cell is the reference it is tested against. Each product
+    is a row vector times the transposed weight, the layout the kernel
+    multiplies in.
     """
     x = x if isinstance(x, Tensor) else tk.constant(x)
     if x.values.ndim != 1 or x.values.shape[0] != params.input_dim:
@@ -266,13 +270,19 @@ def gru_step(params: GruParams, x, h: Tensor) -> Tensor:
         raise ShapeError(
             f"gru_step state has shape {list(h.shape)}, expected [{params.hidden_dim}]"
         )
-    z = tk.sigmoid(tk.add(tk.add(tk.matmul(params.w_z, x), tk.matmul(params.u_z, h)), params.b_z))
-    r = tk.sigmoid(tk.add(tk.add(tk.matmul(params.w_r, x), tk.matmul(params.u_r, h)), params.b_r))
+    z = tk.sigmoid(tk.add(tk.add(_times(params.w_z, x), _times(params.u_z, h)), params.b_z))
+    r = tk.sigmoid(tk.add(tk.add(_times(params.w_r, x), _times(params.u_r, h)), params.b_r))
     cand = tk.tanh(
-        tk.add(tk.add(tk.matmul(params.w_h, x), tk.matmul(params.u_h, tk.mul(r, h))), params.b_h)
+        tk.add(tk.add(_times(params.w_h, x), _times(params.u_h, tk.mul(r, h))), params.b_h)
     )
     keep = tk.add_scalar(tk.mul_scalar(z, -1.0), 1.0)
     return tk.add(tk.mul(keep, h), tk.mul(z, cand))
+
+
+def _times(w: Tensor, v: Tensor) -> Tensor:
+    """w v for a 1-d v, computed as the row vector v times the transposed w."""
+    row = tk.matmul(tk.reshape(v, (1, v.values.shape[0])), tk.transpose(w))
+    return tk.reshape(row, (w.values.shape[0],))
 
 
 def pad_sequences(sequences: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int]]:
@@ -395,7 +405,7 @@ def decode_batch(
     feature vectors from the i-th of them.
 
     The high-level decoder GRU starts from the sample embedding and runs one
-    step per clip (sentence) on zero inputs; every hidden state is projected
+    step per clip (sentence) without input; every hidden state is projected
     to a generated low-level embedding. Each of those seeds the low-level
     decoder GRU for one step per frame (word), whose hidden states are
     projected to generated features. One GRU run per level.
@@ -411,12 +421,10 @@ def decode_batch(
     if not counts or min(counts) < 1 or min(lengths) < 1:
         raise ContractError("decode_batch requires n >= 1 and every n_i >= 1")
     k, n_max, t_max = len(counts), max(counts), max(lengths)
-    zeros = tk.constant(np.zeros((k, n_max, DECODER_INPUT_DIM)))
-    states = tk.gru_sequence(zeros, counts, dec_high.gru.gates(), high)
+    states = tk.gru_sequence(None, counts, dec_high.gru.gates(), high)
     valid = [b * n_max + i for b, n in enumerate(counts) for i in range(n)]
     flat = tk.reshape(states, (k * n_max, dec_high.gru.hidden_dim))
     low = _project(dec_high, tk.take(flat, valid))
-    zeros = tk.constant(np.zeros((len(lengths), t_max, DECODER_INPUT_DIM)))
-    unit_states = tk.gru_sequence(zeros, lengths, dec_low.gru.gates(), low)
+    unit_states = tk.gru_sequence(None, lengths, dec_low.gru.gates(), low)
     flat = tk.reshape(unit_states, (len(lengths) * t_max, dec_low.gru.hidden_dim))
     return DecodedBatch(low=low, units=_project(dec_low, flat), lengths=lengths)

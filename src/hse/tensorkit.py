@@ -12,7 +12,11 @@ operands (plus scalar constants). Sequences are batched by padding:
 gru_sequence runs a GRU over a padded [B, T, D] batch with per-row
 lengths and records the whole run as one tape record, masked_max pools
 it over the valid steps, and take gathers rows, so a model layer can
-encode a whole batch with a handful of records.
+encode a whole batch with a handful of records. gru_sequence orders the
+rows longest first and runs each step over the rows still running only,
+and masked_max takes a plain masked maximum when nothing will record it.
+Neither changes a row's bits, which do not depend on the batch or on the
+row's place in it.
 """
 
 from __future__ import annotations
@@ -539,48 +543,78 @@ def segment_mean(a: Tensor, row_counts: Sequence[int], col_counts: Sequence[int]
     return out
 
 
-def _rowwise(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """a @ w.T with every row of a multiplied on its own (a batched
-    matrix-vector product), so a row's result is the same bits whatever the
-    other rows are and wherever it sits."""
-    return np.matmul(a[..., None, :], w.T)[..., 0, :]
+def _rowwise(a: np.ndarray, wt: np.ndarray) -> np.ndarray:
+    """a @ wt for a C-contiguous [K, N] wt, with every row of a multiplied on
+    its own (a batched vector-matrix product), so a row's result is the same
+    bits whatever the other rows are and wherever it sits."""
+    return np.matmul(a[..., None, :], wt)[..., 0, :]
 
 
-def _step_mask(lengths, batch: int, steps: int) -> np.ndarray:
-    """[batch, steps] mask of the valid steps, from per-row lengths in 1..steps."""
+def _check_lengths(lengths, batch: int, steps: int) -> np.ndarray:
+    """Per-row lengths as an int array, checked to lie in 1..steps."""
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.shape != (batch,) or batch and (lengths.min() < 1 or lengths.max() > steps):
         raise ShapeError(f"need {batch} lengths in 1..{steps}, got {lengths.tolist()}")
-    return np.arange(steps)[None, :] < lengths[:, None]
+    return lengths
 
 
-def gru_sequence(x: Tensor, lengths, gates: Sequence[Tensor], h0: Tensor | None = None) -> Tensor:
+def _packed(v: np.ndarray, order: np.ndarray | None) -> np.ndarray:
+    """The rows of v in packed order (order None: v itself)."""
+    return v if order is None else v[order]
+
+
+def _unpacked(v: np.ndarray, order: np.ndarray | None) -> np.ndarray:
+    """Packed rows back in the caller's order (order None: v itself)."""
+    if order is None:
+        return v
+    out = np.empty_like(v)
+    out[order] = v
+    return out
+
+
+def gru_sequence(
+    x: Tensor | None, lengths, gates: Sequence[Tensor], h0: Tensor | None = None
+) -> Tensor:
     """Hidden states of a GRU run over a padded batch, recorded as one
     tape record.
 
     x is [B, T, D]; row b has lengths[b] valid steps (1..T) followed by
-    padding. gates are the nine cell tensors w_z, u_z, b_z, w_r, u_r, b_r,
-    w_h, u_h, b_h (shapes [H, D], [H, H], [H]). h0 is an optional [B, H]
-    initial state, zero when omitted. Returns the [B, T, H] states; at a
-    padded step a row carries its state forward unchanged.
+    padding. x may be None for a GRU without input (the decoders): the
+    batch is then len(lengths) rows of max(lengths) steps and the input
+    term is left out, and the input weights get exact zero gradients.
+    gates are the nine cell tensors w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h,
+    b_h (shapes [H, D], [H, H], [H]). h0 is an optional [B, H] initial
+    state, zero when omitted. Returns the [B, T, H] states; at a padded
+    step a row carries its state forward unchanged.
 
         z = sigmoid(Wz x + Uz h + bz), r = sigmoid(Wr x + Ur h + br),
         cand = tanh(Wh x + Uh (r*h) + bh), h' = (1 - z)*h + z*cand.
 
-    The gate weights are stacked into [3H, D] and [3H, H] per call: the
-    input term of every step is one product, and a step costs two products
-    for the whole batch. Rows are multiplied one at a time (_rowwise), so a
-    sequence's states are the same bits alone or anywhere in any batch. The
-    backward pass is written out by hand (backpropagation through time).
+    The gate weights are stacked and transposed once per call into
+    C-contiguous [D, 3H], [H, 2H] and [H, H] matrices: the input terms of
+    all steps are one product, and a step costs two products. Rows are
+    multiplied one at a time (_rowwise), so a sequence's states are the
+    same bits alone or anywhere in any batch. The kernel is packed: rows
+    are ordered longest first (a stable sort, skipped when the lengths
+    already do not increase), so the rows still running at step t are a
+    prefix and only they are computed; the others carry their state. The
+    backward pass (backpropagation through time, written out by hand)
+    walks the same prefixes. States and gradients are returned in the
+    caller's row order.
     """
     if len(gates) != 9:
         raise ContractError(f"gru_sequence needs the 9 gate tensors, got {len(gates)}")
     w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = gates
-    xv = x.values
     hid = u_z.values.shape[0] if u_z.values.ndim == 2 else -1
-    if xv.ndim != 3:
-        raise ShapeError(f"gru_sequence input must be [B, T, D], got shape {list(xv.shape)}")
-    bsz, steps, dim = xv.shape
+    if x is None:
+        dim = w_z.values.shape[-1]
+        bsz = np.size(lengths)
+        steps = int(np.max(lengths)) if bsz else 0
+    else:
+        xv = x.values
+        if xv.ndim != 3:
+            raise ShapeError(f"gru_sequence input must be [B, T, D], got shape {list(xv.shape)}")
+        bsz, steps, dim = xv.shape
     for name, t, shape in zip(
         ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h"),
         gates,
@@ -594,52 +628,68 @@ def gru_sequence(x: Tensor, lengths, gates: Sequence[Tensor], h0: Tensor | None 
         raise ShapeError(
             f"gru_sequence h0 has shape {list(h0.values.shape)}, expected {[bsz, hid]}"
         )
-    mask = _step_mask(lengths, bsz, steps)
+    lengths = _check_lengths(lengths, bsz, steps)
+    # rows still running at each step; with the rows sorted longest first
+    # they are the first active[t] rows
+    active = np.count_nonzero(lengths[:, None] > np.arange(steps), axis=0).tolist()
+    order = None if np.all(lengths[:-1] >= lengths[1:]) else np.argsort(-lengths, kind="stable")
     w = np.concatenate([w_z.values, w_r.values, w_h.values])
-    u = np.concatenate([u_z.values, u_r.values, u_h.values])
-    u_zr, u_c = u[: 2 * hid], u[2 * hid :]
-    xw = _rowwise(xv, w)
-    h_init = np.zeros((bsz, hid)) if h0 is None else h0.values
-    h = h_init
-    parents = [x, *gates] + ([h0] if h0 is not None else [])
+    u_zr = np.concatenate([u_z.values, u_r.values])
+    u_zr_t, u_c_t = u_zr.T.copy(), u_h.values.T.copy()
+    b_zr, b_c = np.concatenate([b_z.values, b_r.values]), b_h.values
+    xw = None if x is None else _rowwise(_packed(xv, order), w.T.copy())
+    h_init = np.zeros((bsz, hid)) if h0 is None else _packed(h0.values, order)
+    parents = [p for p in (x, *gates, h0) if p is not None]
     requires_grad = any(p.requires_grad for p in parents)
     keep = requires_grad and _active_tape() is not None
     hs = np.empty((bsz, steps, hid))
     if keep:
-        zs, rs, cands = np.empty_like(hs), np.empty_like(hs), np.empty_like(hs)
-    b_zr = np.concatenate([b_z.values, b_r.values])
-    full = mask.all(axis=0)  # steps at which no row is padding
-    for t in range(steps):
-        zr = _sigmoid((xw[:, t, : 2 * hid] + _rowwise(h, u_zr)) + b_zr)
+        zs, cands = np.empty_like(hs), np.empty_like(hs)
+        rs = np.zeros_like(hs)  # zero on padding, where du_c reads it
+    h = h_init
+    for t, n in enumerate(active):
+        hp = h[:n]
+        pre = _rowwise(hp, u_zr_t)
+        if xw is not None:
+            pre = xw[:n, t, : 2 * hid] + pre
+        zr = _sigmoid(pre + b_zr)
         z, r = zr[:, :hid], zr[:, hid:]
-        cand = np.tanh((xw[:, t, 2 * hid :] + _rowwise(r * h, u_c)) + b_h.values)
-        new = (1.0 - z) * h + z * cand
-        h = new if full[t] else np.where(mask[:, t, None], new, h)
-        hs[:, t] = h
+        pre = _rowwise(r * hp, u_c_t)
+        if xw is not None:
+            pre = xw[:n, t, 2 * hid :] + pre
+        cand = np.tanh(pre + b_c)
+        h = (1.0 - z) * hp + z * cand
+        hs[:n, t] = h
+        if n < bsz:  # finished rows carry their state (t > 0: every row runs at step 0)
+            hs[n:, t] = hs[n:, t - 1]
         if keep:
-            zs[:, t], rs[:, t], cands[:, t] = z, r, cand
-    out = Tensor(hs, requires_grad=requires_grad)
+            zs[:n, t], rs[:n, t], cands[:n, t] = z, r, cand
+    out = Tensor(_unpacked(hs, order), requires_grad=requires_grad)
     if not keep:
         return out
     h_prev = np.concatenate([h_init[:, None, :], hs[:, :-1]], axis=1)
 
     def back(g):
+        g = _packed(g, order)
         da = np.zeros((bsz, steps, 3 * hid))  # gate pre-activation gradients
         dh = np.zeros((bsz, hid))
         for t in range(steps - 1, -1, -1):
-            dh = dh + g[:, t]
-            valid = mask[:, t, None]
-            dnew = dh if full[t] else np.where(valid, dh, 0.0)
-            z, r, cand, hp = zs[:, t], rs[:, t], cands[:, t], h_prev[:, t]
+            n = active[t]
+            dh += g[:, t]
+            z, r, cand, hp = zs[:n, t], rs[:n, t], cands[:n, t], h_prev[:n, t]
+            dnew = dh[:n]
+            da_t = da[:n, t]
             da_c = dnew * z * (1.0 - cand * cand)
-            d_rh = da_c @ u_c
-            da[:, t, :hid] = dnew * (cand - hp) * z * (1.0 - z)
-            da[:, t, hid : 2 * hid] = d_rh * hp * r * (1.0 - r)
-            da[:, t, 2 * hid :] = da_c
-            dprev = dnew * (1.0 - z) + d_rh * r + da[:, t, : 2 * hid] @ u_zr
-            dh = dprev if full[t] else np.where(valid, dprev, dh)
+            d_rh = da_c @ u_h.values
+            da_t[:, :hid] = dnew * (cand - hp) * z * (1.0 - z)
+            da_t[:, hid : 2 * hid] = d_rh * hp * r * (1.0 - r)
+            da_t[:, 2 * hid :] = da_c
+            dh[:n] = dnew * (1.0 - z) + d_rh * r + da_t[:, : 2 * hid] @ u_zr
         flat = da.reshape(-1, 3 * hid)
-        dw = flat.T @ xv.reshape(-1, dim)
+        if x is None:
+            dw = np.zeros((3 * hid, dim))
+        else:
+            dw = flat.T @ _packed(xv, order).reshape(-1, dim)
         du_zr = flat[:, : 2 * hid].T @ h_prev.reshape(-1, hid)
         du_c = flat[:, 2 * hid :].T @ (rs * h_prev).reshape(-1, hid)
         db = flat.sum(axis=0)
@@ -648,10 +698,10 @@ def gru_sequence(x: Tensor, lengths, gates: Sequence[Tensor], h0: Tensor | None 
             _acc(gates[3 * k], dw[gate])
             _acc(gates[3 * k + 1], du_zr[gate] if k < 2 else du_c)
             _acc(gates[3 * k + 2], db[gate])
-        if x.requires_grad:
-            _acc(x, da @ w)
+        if x is not None and x.requires_grad:
+            _acc(x, _unpacked(da @ w, order))
         if h0 is not None and h0.requires_grad:
-            _acc(h0, dh)
+            _acc(h0, _unpacked(dh, order))
 
     _record(out, back)
     return out
@@ -659,12 +709,19 @@ def gru_sequence(x: Tensor, lengths, gates: Sequence[Tensor], h0: Tensor | None 
 
 def masked_max(a: Tensor, lengths) -> Tensor:
     """Channel-wise max of a [B, T, H] tensor over the first lengths[b]
-    steps of each row; gradient flows to the first attaining step."""
+    steps of each row; gradient flows to the first attaining step. When
+    nothing will record the result (no active tape, or an input that needs
+    no gradient), the maximum is taken directly, without locating it: the
+    same bits."""
     av = a.values
     if av.ndim != 3:
         raise ShapeError(f"masked_max expects a [B, T, H] tensor, got shape {list(a.shape)}")
-    mask = _step_mask(lengths, av.shape[0], av.shape[1])
-    idx = np.argmax(np.where(mask[:, :, None], av, -np.inf), axis=1)[:, None, :]
+    lengths = _check_lengths(lengths, av.shape[0], av.shape[1])
+    mask = (np.arange(av.shape[1])[None, :] < lengths[:, None])[:, :, None]
+    if not (a.requires_grad and _active_tape() is not None):
+        pooled = np.max(av, axis=1, where=mask, initial=-np.inf)
+        return Tensor(pooled, requires_grad=a.requires_grad)
+    idx = np.argmax(np.where(mask, av, -np.inf), axis=1)[:, None, :]
     out = Tensor(np.take_along_axis(av, idx, axis=1)[:, 0, :], requires_grad=a.requires_grad)
 
     def back(g):

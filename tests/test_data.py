@@ -157,6 +157,24 @@ class TestCorpusIO:
         with pytest.raises(CorpusError, match="duplicate"):
             load_corpus(path)
 
+    def test_each_sample_validated_once_per_load(self, tmp_path, monkeypatch):
+        corpus, _ = synth_generate(SynthSpec(num_pairs=4, clips_per_pair=(1, 3), seed=14))
+        path = tmp_path / "c.jsonl"
+        save_corpus(corpus, path)
+        calls = []
+
+        def counted(check):
+            def validate(self):
+                calls.append(self.id)
+                check(self)
+
+            return validate
+
+        for cls in (VideoSample, ParagraphSample):
+            monkeypatch.setattr(cls, "validate", counted(cls.validate))
+        assert load_corpus(path) == corpus
+        assert sorted(calls) == sorted(2 * [v.id for v, _ in corpus.pairs])
+
     def test_correspondence_inference(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(

@@ -132,6 +132,116 @@ class TestGruSequence:
             tk.gru_sequence(tk.constant(np.zeros((2, 4, 2))), [4, 4], p.gates(), tk.constant(np.zeros((1, 3))))
 
 
+def run_and_pool(p, x, lengths, h0, taped):
+    """States and pooled rows of one kernel run, with or without a tape."""
+    if taped:
+        with Tape():
+            states = tk.gru_sequence(tk.constant(x), lengths, p.gates(), tk.constant(h0))
+            pooled = tk.masked_max(states, lengths)
+    else:
+        states = tk.gru_sequence(tk.constant(x), lengths, p.gates(), tk.constant(h0))
+        pooled = tk.masked_max(states, lengths)
+    return states.values, pooled.values
+
+
+class TestPackedKernel:
+    """Rows are sorted longest first inside gru_sequence; none of that may
+    show in the results."""
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_permuting_rows_permutes_states_and_pooled_rows(self, taped):
+        rng = np.random.default_rng(31)
+        p = random_gru(rng, 3, 4)
+        x, lengths = ragged_batch(rng, 3, 6)
+        assert lengths != sorted(lengths, reverse=True)
+        h0 = rng.normal(size=(6, 4))
+        states, pooled = run_and_pool(p, x, lengths, h0, taped)
+        perm = rng.permutation(6)
+        p_states, p_pooled = run_and_pool(p, x[perm], [lengths[i] for i in perm], h0[perm], taped)
+        assert np.array_equal(p_states, states[perm])
+        assert np.array_equal(p_pooled, pooled[perm])
+
+    def test_sorted_and_shuffled_batches_agree(self):
+        rng = np.random.default_rng(32)
+        p = random_gru(rng, 2, 5)
+        lengths = [5, 5, 4, 2, 2, 1]  # already longest first: no reordering
+        x = rng.normal(size=(6, 5, 2))
+        x[np.arange(5)[None, :] >= np.array(lengths)[:, None]] = 0.0
+        h0 = rng.normal(size=(6, 5))
+        perm = np.array([3, 0, 5, 1, 4, 2])
+        for taped in (False, True):
+            states, pooled = run_and_pool(p, x, lengths, h0, taped)
+            s_states, s_pooled = run_and_pool(
+                p, x[perm], [lengths[i] for i in perm], h0[perm], taped
+            )
+            for row, src in enumerate(perm):
+                assert np.array_equal(s_states[row], states[src])
+                assert np.array_equal(s_pooled[row], pooled[src])
+
+    def test_tape_free_masked_max_equals_taped(self):
+        rng = np.random.default_rng(33)
+        values = rng.normal(size=(4, 5, 3))
+        values[0, 1] = values[0, 3] = 9.0  # ties inside a row
+        values[2, 4] = 50.0  # a padded step larger than every valid one
+        lengths = [5, 2, 4, 1]
+        free = tk.masked_max(tk.constant(values), lengths)
+        with Tape():
+            taped = tk.masked_max(Tensor(values, requires_grad=True), lengths)
+        assert np.array_equal(free.values, taped.values)
+        assert free.values[0].tolist() == [9.0] * 3
+
+    def test_gradients_match_gru_step_loop(self):
+        rng = np.random.default_rng(34)
+        p = random_gru(rng, 3, 4)
+        x_values, lengths = ragged_batch(rng, 3, 5)
+        h0_values = rng.normal(size=(5, 4))
+        weight = rng.normal(size=(5, 5, 4))
+
+        def grads(loss_fn):
+            x = Tensor(x_values, requires_grad=True)
+            h0 = Tensor(h0_values, requires_grad=True)
+            tk.zero_grads(p.gates())
+            with Tape():
+                tk.backward(loss_fn(x, h0))
+            return [g.grad.copy() for g in p.gates()] + [x.grad, h0.grad]
+
+        def kernel_loss(x, h0):
+            states = tk.gru_sequence(x, lengths, p.gates(), h0)
+            return tk.reduce_sum(tk.mul(states, tk.constant(weight)))
+
+        def loop_loss(x, h0):
+            total = None
+            for b, n in enumerate(lengths):
+                h, row = tk.take(h0, b), tk.take(x, b)
+                for step in range(5):
+                    if step < n:  # padding carries the last state
+                        h = gru_step(p, tk.take(row, step), h)
+                    term = tk.reduce_sum(tk.mul(h, tk.constant(weight[b, step])))
+                    total = term if total is None else tk.add(total, term)
+            return total
+
+        for got, want in zip(grads(kernel_loss), grads(loop_loss)):
+            assert np.allclose(got, want, rtol=0.0, atol=1e-10)
+
+    def test_no_input_equals_zero_input(self):
+        rng = np.random.default_rng(35)
+        p = random_gru(rng, 1, 4)
+        lengths = [2, 4, 1]
+        h0_values = rng.normal(size=(3, 4))
+        weight = tk.constant(rng.normal(size=(3, 4, 4)))
+        results = []
+        for x in (None, tk.constant(np.zeros((3, 4, 1)))):
+            h0 = Tensor(h0_values, requires_grad=True)
+            tk.zero_grads(p.gates())
+            with Tape():
+                states = tk.gru_sequence(x, lengths, p.gates(), h0)
+                tk.backward(tk.reduce_sum(tk.mul(states, weight)))
+            results.append([states.values, h0.grad] + [g.grad for g in p.gates()])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+        assert np.array_equal(p.w_z.grad, np.zeros((4, 1)))  # still handed to the optimizer
+
+
 class TestEncodeSequence:
     def test_single_element_equals_one_step(self):
         rng = np.random.default_rng(1)
