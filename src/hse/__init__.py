@@ -24,6 +24,7 @@ from .errors import (
     CorpusError,
     DegenerateInputError,
     HseError,
+    LabelsError,
     ShapeError,
     TrainingDiverged,
 )

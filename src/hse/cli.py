@@ -438,10 +438,7 @@ def cli_dispatch(argv) -> int:
         except SystemExit as exc:  # argparse exits 2 on usage errors
             return int(exc.code or 0)
         return args.func(args)
-    except HseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (HseError, OSError) as exc:  # OSError: a missing file, a directory, no permission
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

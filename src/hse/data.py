@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CheckpointError, ContractError, CorpusError
+from .errors import CheckpointError, ContractError, CorpusError, LabelsError
 
 __all__ = [
     "VideoSample",
@@ -356,16 +356,54 @@ def save_labels(labels: SynthLabels, path) -> None:
         json.dump(doc, fh)
 
 
+def _label_int(x) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _label_map(doc) -> dict[str, list[int]]:
+    return {k: [_label_int(x) for x in v] for k, v in doc.items()}
+
+
+_LABEL_FIELDS = {
+    "num_events": _label_int,
+    "events": lambda doc: np.asarray(doc, dtype=np.float64),
+    "clip_labels": _label_map,
+    "sentence_labels": _label_map,
+    "label_phrases": lambda doc: [np.asarray(p, dtype=np.float64) for p in doc],
+}
+
+
 def load_labels(path) -> SynthLabels:
+    """Read a labels sidecar. Bad JSON, a missing field, a field of the wrong
+    type, a label outside [0, num_events) or a phrase count other than
+    num_events raises LabelsError naming the file and the field."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return SynthLabels(
-        num_events=int(doc["num_events"]),
-        events=np.asarray(doc["events"], dtype=np.float64),
-        clip_labels={k: [int(x) for x in v] for k, v in doc["clip_labels"].items()},
-        sentence_labels={k: [int(x) for x in v] for k, v in doc["sentence_labels"].items()},
-        label_phrases=[np.asarray(p, dtype=np.float64) for p in doc["label_phrases"]],
-    )
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise LabelsError(f"{path}: not a JSON labels file: {exc}") from None
+    if not isinstance(doc, dict):
+        raise LabelsError(f"{path}: labels file must hold a JSON object")
+    fields = {}
+    for key, convert in _LABEL_FIELDS.items():
+        if key not in doc:
+            raise LabelsError(f"{path}: missing field {key!r}")
+        try:
+            fields[key] = convert(doc[key])
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise LabelsError(f"{path}: bad field {key!r}: {exc}") from None
+    n = fields["num_events"]
+    if len(fields["label_phrases"]) != n:
+        raise LabelsError(f"{path}: field 'label_phrases' needs one phrase per event ({n})")
+    for key in ("clip_labels", "sentence_labels"):
+        for sample_id, labels in fields[key].items():
+            if not all(0 <= x < n for x in labels):
+                raise LabelsError(
+                    f"{path}: field {key!r}: {sample_id!r} has a label outside [0, {n})"
+                )
+    return SynthLabels(**fields)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,10 @@ class CorpusError(HseError):
     """Corpus file parsing or validation failure."""
 
 
+class LabelsError(HseError):
+    """Labels sidecar parsing or validation failure."""
+
+
 class CheckpointError(HseError):
     """Checkpoint file format failure."""
 

@@ -485,9 +485,10 @@ def take(a: Tensor, index) -> Tensor:
 def cosine(u: Tensor, w: Tensor) -> Tensor:
     """Cosine similarity of every row of u [N, D] with every row of w [M, D].
 
-    Each entry is computed from its two rows alone (elementwise products
-    summed along D), so it does not depend on the other rows or on the
-    rows' positions, to the last bit."""
+    Each entry is computed from its two rows alone (an einsum sums the
+    elementwise products along D; a GEMM would block the sum by position),
+    so it does not depend on the other rows or on the rows' positions, to
+    the last bit."""
     uv, wv = u.values, w.values
     if uv.ndim != 2 or wv.ndim != 2 or uv.shape[1] != wv.shape[1]:
         raise ShapeError(
@@ -498,7 +499,7 @@ def cosine(u: Tensor, w: Tensor) -> Tensor:
     if np.any(nu == 0.0) or np.any(nw == 0.0):
         raise DegenerateInputError("zero-norm embedding in similarity computation")
     norms = nu[:, None] * nw[None, :]
-    ov = np.sum(uv[:, None, :] * wv[None, :, :], axis=2) / norms
+    ov = np.einsum("nd,md->nm", uv, wv) / norms
     out = Tensor(ov, requires_grad=u.requires_grad or w.requires_grad)
 
     def back(g):

@@ -9,6 +9,7 @@ bitwise identical.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -101,23 +102,35 @@ def init_params(dims: ModelDims, seed: int) -> HseModelParams:
     return params
 
 
-@dataclass
 class OptimizerState:
-    """Adam accumulators for a fixed, ordered parameter list."""
+    """Adam accumulators for a fixed, ordered parameter list.
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-    step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    m and v are flat buffers over the parameters in list order, so an update
+    is a handful of whole-buffer operations instead of a dozen per tensor.
+    """
+
+    def __init__(self, shapes: Sequence[tuple[int, ...]], beta1=0.9, beta2=0.999, eps=1e-8):
+        self.shapes = [tuple(s) for s in shapes]
+        sizes = [math.prod(s) for s in self.shapes]
+        self.m = np.zeros(sum(sizes))
+        self.v = np.zeros(sum(sizes))
+        self.step = 0
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        # the gradients are copied into _grad, which then serves as scratch;
+        # _update holds the step, seen per parameter through _update_views
+        self._grad = np.empty_like(self.m)
+        self._update = np.empty_like(self.m)
+        ends = np.cumsum(sizes, dtype=np.intp)
+        self._update_views = [
+            self._update[end - size : end].reshape(shape)
+            for shape, size, end in zip(self.shapes, sizes, ends)
+        ]
 
     @classmethod
     def for_params(cls, params: Sequence[Tensor]) -> "OptimizerState":
-        return cls(
-            m=[np.zeros_like(p.values) for p in params],
-            v=[np.zeros_like(p.values) for p in params],
-        )
+        return cls([p.values.shape for p in params])
 
 
 def optimizer_step(
@@ -126,24 +139,45 @@ def optimizer_step(
     grads: Sequence[np.ndarray | None],
     lr: float,
 ) -> None:
-    """One bias-corrected adaptive-moment update, applied in list order."""
-    if len(params) != len(grads) or len(params) != len(state.m):
+    """One bias-corrected adaptive-moment update.
+
+    The arithmetic is elementwise and runs in the same order as a per-tensor
+    loop would (m, v, then lr * m_hat / (sqrt(v_hat) + eps)), so every
+    parameter's update does not depend on the others, to the last bit."""
+    shapes = state.shapes
+    if len(params) != len(shapes) or len(grads) != len(shapes):
         raise ContractError("optimizer_step: parameter, gradient, and state counts differ")
+    if [p.values.shape for p in params] != shapes:
+        raise ContractError("optimizer_step: parameter shapes differ from the state's")
     for i, g in enumerate(grads):
         if g is None:
             raise ContractError(f"optimizer_step: missing gradient for parameter {i}")
-        if g.shape != params[i].values.shape:
+        if g.shape != shapes[i]:
             raise ContractError(f"optimizer_step: gradient {i} has the wrong shape")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.values -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    b1, b2 = state.beta1, state.beta2
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    g, tmp, m, v = state._grad, state._update, state.m, state.v
+    if shapes:
+        np.concatenate([x.ravel() for x in grads], out=g)
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=tmp)
+    m += tmp
+    v *= b2
+    np.multiply(g, 1.0 - b2, out=tmp)
+    tmp *= g
+    v += tmp
+    # the gradient is spent; g now holds the denominator
+    np.divide(v, bc2, out=g)
+    np.sqrt(g, out=g)
+    g += state.eps
+    np.divide(m, bc1, out=tmp)
+    tmp *= lr
+    tmp /= g
+    for p, update in zip(params, state._update_views):
+        p.values -= update
 
 
 def lr_at_epoch(config: TrainConfig, epoch: int) -> float:

@@ -2,10 +2,14 @@
 
 Everything here is deliberately naive: plain Python floats, explicit loops,
 math.sqrt, no shared code with the production package beyond the documented
-math. Keep it that way so the oracles stay an independent route.
+math. Keep it that way so the oracles stay an independent route. The one
+exception is ref_adam_step, a per-tensor numpy loop, because its contract
+is byte equality with the production update.
 """
 
 import math
+
+import numpy as np
 
 
 def hinge(x):
@@ -145,3 +149,16 @@ def ref_recall_at_k(ranks, k):
 def ref_median_rank(ranks):
     ordered = sorted(ranks)
     return ordered[(len(ordered) - 1) // 2]
+
+
+def ref_adam_step(params, grads, ms, vs, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam update of the numpy arrays params, in place, one tensor at a
+    time; ms and vs are the per-tensor moments, t the 1-based step."""
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for p, g, m, v in zip(params, grads, ms, vs):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)

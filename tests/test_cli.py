@@ -119,6 +119,19 @@ class TestEval:
             "--corpus", str(corpus_path), "--out", str(tmp_path / "out"),
         ) == 1
 
+    @pytest.mark.parametrize("which", ["--checkpoint", "--corpus"])
+    def test_directory_input_exit_1(self, tmp_path, corpus_path, trained_dir, capsys, which):
+        args = {
+            "--checkpoint": str(trained_dir / "checkpoint.bin"),
+            "--corpus": str(corpus_path),
+            "--out": str(tmp_path / "out"),
+        }
+        args[which] = str(tmp_path)
+        argv = [part for flag, value in args.items() for part in (flag, value)]
+        assert run("eval", *argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_partial_eval(self, tmp_path, corpus_path, trained_dir):
         out = tmp_path / "partial"
         code = run(
@@ -139,6 +152,19 @@ class TestZeroShot:
         assert code == 0
         summary = json.loads((out / "zeroshot.json").read_text())
         assert 0.0 <= summary["top1"] <= summary["top5"] <= 1.0
+
+    def test_bad_labels_exit_1(self, tmp_path, corpus_path, trained_dir, capsys):
+        labels = tmp_path / "labels.json"
+        doc = json.loads((corpus_path.parent / (corpus_path.name + ".labels.json")).read_text())
+        del doc["clip_labels"]
+        labels.write_text(json.dumps(doc))
+        code = run(
+            "zeroshot", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+            "--corpus", str(corpus_path), "--labels", str(labels), "--out", str(tmp_path / "zs"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {labels}: missing field 'clip_labels'"]
 
 
 class TestDispatch:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,7 @@ from hse.data import (
     save_labels,
     synth_generate,
 )
-from hse.errors import CheckpointError, ContractError, CorpusError
+from hse.errors import CheckpointError, ContractError, CorpusError, LabelsError
 from hse.model import ModelDims
 from hse.training import init_params
 
@@ -183,6 +185,13 @@ class TestCorpusIO:
         assert load_corpus(path).correspondence == "weak"
 
 
+def _set_first_label(key, value):
+    def edit(doc):
+        next(iter(doc[key].values()))[0] = value
+
+    return edit
+
+
 class TestLabelsIO:
     def test_roundtrip(self, tmp_path):
         _, labels = synth_generate(SynthSpec(num_pairs=3, num_events=2, seed=1))
@@ -195,6 +204,46 @@ class TestLabelsIO:
         assert all(
             np.array_equal(a, b) for a, b in zip(loaded.label_phrases, labels.label_phrases)
         )
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda doc: doc.pop("events"), "events"),
+            (lambda doc: doc.pop("label_phrases"), "label_phrases"),
+            (lambda doc: doc.update(num_events="3"), "num_events"),
+            (lambda doc: doc.update(num_events=2.5), "num_events"),
+            (lambda doc: doc.update(events=[["a", 1.0]]), "events"),
+            (lambda doc: doc.update(clip_labels=[1, 2]), "clip_labels"),
+            (lambda doc: doc.update(sentence_labels={"x": 3}), "sentence_labels"),
+            (lambda doc: doc.update(label_phrases=[[[1.0], [1.0, 2.0]]]), "label_phrases"),
+            (lambda doc: doc.update(label_phrases=doc["label_phrases"][:1]), "label_phrases"),
+            (_set_first_label("clip_labels", 2), "clip_labels"),  # 2 events: labels 0 and 1
+            (_set_first_label("sentence_labels", -1), "sentence_labels"),
+        ],
+        ids=[
+            "missing-events", "missing-phrases", "string-count", "float-count",
+            "text-event", "list-clip-labels", "scalar-sentence-labels", "ragged-phrase",
+            "too-few-phrases", "label-too-large", "negative-label",
+        ],
+    )
+    def test_bad_field_names_file_and_field(self, tmp_path, edit, field):
+        _, labels = synth_generate(SynthSpec(num_pairs=3, num_events=2, seed=1))
+        path = tmp_path / "labels.json"
+        save_labels(labels, path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(LabelsError, match=f"labels.json: .*'{field}'"):
+            load_labels(path)
+
+    @pytest.mark.parametrize(
+        "text", ['{"num_events": ', "[1, 2]", "\udcff"], ids=["bad-json", "list", "bad-utf8"]
+    )
+    def test_not_a_labels_object(self, tmp_path, text):
+        path = tmp_path / "labels.json"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.raises(LabelsError, match="labels.json: "):
+            load_labels(path)
 
 
 class TestCheckpointIO:

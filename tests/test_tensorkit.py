@@ -312,6 +312,24 @@ class TestBatchPrimitives:
                 want = u[i] @ w[j] / (np.linalg.norm(u[i]) * np.linalg.norm(w[j]))
                 assert out[i, j] == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 3, 5, 16, 17, 33])
+    def test_cosine_entry_depends_only_on_its_two_rows(self, d):
+        def offset_copy(a, byte_offset):
+            # a float64 copy starting byte_offset bytes into a fresh buffer
+            raw = np.empty(a.nbytes + byte_offset, dtype=np.uint8)
+            out = raw[byte_offset : byte_offset + a.nbytes].view(np.float64).reshape(a.shape)
+            out[...] = a
+            return out
+
+        rng = np.random.default_rng(d)
+        u, w = rng.normal(size=(7, d)) * 37.0, rng.normal(size=(5, d))
+        for u_offset, w_offset in [(0, 0), (8, 16), (4, 1)]:
+            full = tk.cosine(t(offset_copy(u, u_offset)), t(offset_copy(w, w_offset))).values
+            for i in range(7):
+                for j in range(5):
+                    alone = tk.cosine(t(u[i : i + 1].copy()), t(w[j : j + 1].copy())).values
+                    assert full[i, j] == alone[0, 0], (u_offset, w_offset, i, j)
+
     def test_new_primitives_match_finite_differences(self):
         rng = np.random.default_rng(7)
         weight = lambda *shape: tk.constant(rng.normal(size=shape))

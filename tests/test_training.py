@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from hse.data import SynthSpec, synth_generate
 from hse.errors import ConfigError, ContractError, TrainingDiverged
 from hse.losses import LossBreakdown, LossConfig
@@ -75,6 +76,36 @@ class TestOptimizerStep:
         state = OptimizerState.for_params([p])
         with pytest.raises(ContractError, match="missing gradient"):
             optimizer_step(state, [p], [None], lr=0.01)
+
+
+class TestOptimizerStepOracle:
+    def test_bytes_equal_per_tensor_loop(self):
+        rng = np.random.default_rng(4)
+        shapes = [(1,), (5,), (5, 3), (3,), (5, 5)]
+        start = [rng.normal(size=s) for s in shapes]
+        params = [Tensor(x.copy(), requires_grad=True) for x in start]
+        ref = [x.copy() for x in start]
+        ms = [np.zeros(s) for s in shapes]
+        vs = [np.zeros(s) for s in shapes]
+        state = OptimizerState.for_params(params)
+        for step, lr in enumerate([1e-3, 1e-3, 5e-2, 1e-4, 1e-3, 0.3], start=1):
+            # magnitudes from 1e-6 to 10, both signs
+            grads = [
+                rng.choice([-1.0, 1.0], size=s) * 10.0 ** rng.uniform(-6.0, 1.0, size=s)
+                for s in shapes
+            ]
+            optimizer_step(state, params, grads, lr)
+            oracles.ref_adam_step(ref, grads, ms, vs, step, lr)
+            for p, want in zip(params, ref):
+                assert p.values.tobytes() == want.tobytes(), step
+
+    def test_params_must_match_the_state(self):
+        state = OptimizerState.for_params([Tensor(np.zeros(2)), Tensor(np.zeros((2, 3)))])
+        wrong_count = [Tensor(np.zeros(2))]
+        wrong_shape = [Tensor(np.zeros(2)), Tensor(np.zeros((3, 2)))]
+        for params in (wrong_count, wrong_shape):
+            with pytest.raises(ContractError):
+                optimizer_step(state, params, [p.values for p in params], lr=0.01)
 
 
 class TestLrSchedule:
