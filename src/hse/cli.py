@@ -27,6 +27,7 @@ from .data import (
     save_corpus,
     save_labels,
     synth_generate,
+    write_atomically,
 )
 from .errors import ConfigError, HseError
 from .evaluation import evaluate_retrieval, zeroshot_classify
@@ -111,12 +112,6 @@ def _train_config(values: dict[str, object]) -> TrainConfig:
     return config
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -143,13 +138,13 @@ def _write_manifest(
         "checksums": {str(p): _sha256(p) for p in outputs},
         "duration_seconds": time.monotonic() - started,
     }
-    _atomic_write_text(path, json.dumps(manifest, indent=2) + "\n")
+    write_atomically(path, [json.dumps(manifest, indent=2) + "\n"])
 
 
 def _echo_config(out_dir: Path, values: dict[str, object]) -> Path:
     lines = [f"{k} = {values[k]}" for k in sorted(values)]
     path = out_dir / "config.txt"
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    write_atomically(path, ["\n".join(lines) + "\n"])
     return path
 
 
@@ -215,7 +210,7 @@ def _cmd_train(args) -> int:
             f"{c['cluster_low']!r} {c['reconstruct']!r} {c['total']!r}"
         )
     loss_log = out_dir / "loss_log.txt"
-    _atomic_write_text(loss_log, "\n".join(log_lines) + "\n")
+    write_atomically(loss_log, ["\n".join(log_lines) + "\n"])
     config_echo = _echo_config(out_dir, values)
     _write_manifest(
         out_dir / "manifest.json",
@@ -244,8 +239,8 @@ def _write_retrieval(out_dir: Path, name: str, reports) -> list[Path]:
         summary[report.direction] = report.summary()
     text_path = out_dir / f"{name}.txt"
     json_path = out_dir / f"{name}.json"
-    _atomic_write_text(text_path, "\n".join(lines) + "\n")
-    _atomic_write_text(json_path, json.dumps(summary, indent=2) + "\n")
+    write_atomically(text_path, ["\n".join(lines) + "\n"])
+    write_atomically(json_path, [json.dumps(summary, indent=2) + "\n"])
     return [text_path, json_path]
 
 
@@ -311,8 +306,8 @@ def _cmd_zeroshot(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     text_path = out_dir / "zeroshot.txt"
     json_path = out_dir / "zeroshot.json"
-    _atomic_write_text(text_path, "\n".join(report.lines()) + "\n")
-    _atomic_write_text(json_path, json.dumps(report.summary(), indent=2) + "\n")
+    write_atomically(text_path, ["\n".join(report.lines()) + "\n"])
+    write_atomically(json_path, [json.dumps(report.summary(), indent=2) + "\n"])
     for line in report.lines():
         print(line)
     _write_manifest(
@@ -343,7 +338,7 @@ def _cmd_gradcheck(args) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         report_path = out_dir / "gradcheck.txt"
-        _atomic_write_text(report_path, "\n".join(lines) + "\n")
+        write_atomically(report_path, ["\n".join(lines) + "\n"])
         _write_manifest(
             out_dir / "manifest.json",
             "gradcheck",

@@ -22,13 +22,18 @@ sequence of events sampled from a small event vocabulary; clip frames are a
 noise, and sentence words are a text projection of the same event plus
 noise. Clip i and sentence i share one event, which gives strong
 correspondence by construction and ground-truth labels for zero-shot tests.
+
+Every file is written through write_atomically: a save that fails partway
+leaves the previous file in place.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -47,6 +52,7 @@ __all__ = [
     "load_checkpoint",
     "save_labels",
     "load_labels",
+    "write_atomically",
 ]
 
 CHECKPOINT_MAGIC = b"HSE1"
@@ -287,18 +293,37 @@ def synth_generate(spec: SynthSpec) -> tuple[Corpus, SynthLabels]:
 
 
 # ---------------------------------------------------------------------------
-# corpus file I/O
+# file I/O
+
+
+def write_atomically(path, chunks: Iterable, binary: bool = False) -> None:
+    """Write the str chunks (bytes, with binary) to path. They go to a temp
+    file in the same directory, which replaces path once the last chunk is
+    written; if writing fails, path is left as it was and the temp file is
+    removed."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb" if binary else "w", encoding=None if binary else "utf-8") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for video, paragraph in corpus.pairs:
-            record = {
-                "id": video.id,
-                "clips": [c.tolist() for c in video.clips],
-                "sentences": [s.tolist() for s in paragraph.sentences],
-            }
-            fh.write(json.dumps(record) + "\n")
+    records = (
+        {
+            "id": video.id,
+            "clips": [c.tolist() for c in video.clips],
+            "sentences": [s.tolist() for s in paragraph.sentences],
+        }
+        for video, paragraph in corpus.pairs
+    )
+    write_atomically(path, (json.dumps(record) + "\n" for record in records))
 
 
 def load_corpus(path, correspondence: str | None = None) -> Corpus:
@@ -352,8 +377,7 @@ def save_labels(labels: SynthLabels, path) -> None:
         "sentence_labels": labels.sentence_labels,
         "label_phrases": [p.tolist() for p in labels.label_phrases],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    write_atomically(path, [json.dumps(doc)])
 
 
 def _label_int(x) -> int:
@@ -412,22 +436,19 @@ def load_labels(path) -> SynthLabels:
 
 def save_checkpoint(params, path) -> None:
     """Serialize model weights; the round trip is bit exact."""
+    write_atomically(path, _checkpoint_chunks(params), binary=True)
+
+
+def _checkpoint_chunks(params) -> Iterator[bytes]:
     dims = params.dims
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(
-            struct.pack(
-                "<5i", dims.d_v, dims.d_t, dims.hidden_low, dims.hidden_high, dims.embed_dim
-            )
-        )
-        for name, tensor in params.named_parameters():
-            raw = name.encode("utf-8")
-            arr = tensor.values
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype("<f8", copy=False).tobytes())
+    yield CHECKPOINT_MAGIC
+    yield struct.pack("<5i", dims.d_v, dims.d_t, dims.hidden_low, dims.hidden_high, dims.embed_dim)
+    for name, tensor in params.named_parameters():
+        raw = name.encode("utf-8")
+        arr = tensor.values
+        yield struct.pack("<I", len(raw)) + raw
+        yield struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape)
+        yield arr.astype("<f8", copy=False).tobytes()
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:

@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 DEFAULT_TOPK = (1, 5, 50)
-ENCODE_CHUNK_PAIRS = 16  # pairs encoded per GRU batch by encode_corpus
+ENCODE_CHUNK_PAIRS = 32  # pairs encoded per GRU batch by encode_corpus
 
 
 def cosine_matrix(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:

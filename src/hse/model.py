@@ -14,12 +14,13 @@ information.
 Every GRU runs through tensorkit.gru_sequence over a padded batch:
 encode_batch and decode_batch handle all samples of one modality at once
 (one GRU run per level), encode_sequences and encode_flat_batch a batch of
-plain sequences. Embeddings stay matrices: one row per clip (sentence) or
-per sample, with the number of clip rows of each sample alongside, which is
-the form the losses take. A sample's embedding is the same bits alone, in
-any batch and in any row order. gru_step is the single-step cell, kept as
-the reference the kernel is tested against; it multiplies in the kernel's
-layout.
+plain sequences. The encoders let the kernel pool (pool=True), except the
+carry_low_state low level, which pools each unit's slice of one run.
+Embeddings stay matrices: one row per clip (sentence) or per sample, with
+the number of clip rows of each sample alongside, which is the form the
+losses take. A sample's embedding is the same bits alone, in any batch and
+in any row order. gru_step is the single-step cell, kept as the reference
+the kernel is tested against; it multiplies in the kernel's layout.
 """
 
 from __future__ import annotations
@@ -291,16 +292,18 @@ def pad_sequences(sequences: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int
     seqs = [np.asarray(s, dtype=np.float64) for s in sequences]
     if not seqs:
         raise ContractError("need at least one sequence")
-    dim = seqs[0].shape[-1] if seqs[0].ndim == 2 else -1
-    if any(s.ndim != 2 or s.shape[0] < 1 or s.shape[1] != dim for s in seqs):
+    try:
+        frames = np.concatenate(seqs)
+        lengths = [len(s) for s in seqs]
+    except ValueError:  # a width or rank mismatch
+        frames, lengths = None, [0]
+    if frames is None or frames.ndim != 2 or min(lengths) < 1:
         raise ShapeError(
             f"sequences must be nonempty [T, D] arrays of one width, got shapes "
             f"{[list(s.shape) for s in seqs]}"
         )
-    lengths = [s.shape[0] for s in seqs]
-    out = np.zeros((len(seqs), max(lengths), dim))
-    for b, s in enumerate(seqs):
-        out[b, : s.shape[0]] = s
+    out = np.zeros((len(seqs), max(lengths), frames.shape[1]))
+    out[np.arange(out.shape[1]) < np.array(lengths)[:, None]] = frames
     return out, lengths
 
 
@@ -316,7 +319,7 @@ def encode_sequences(params: GruParams, sequences: Sequence[np.ndarray]) -> Tens
     """Embed a batch of [T_b, D] feature sequences in one GRU run from a
     zero state: the [B, H] channel-wise maxima of their hidden states."""
     x, lengths = pad_sequences(sequences)
-    return tk.masked_max(tk.gru_sequence(tk.constant(x), lengths, params.gates()), lengths)
+    return tk.gru_sequence(tk.constant(x), lengths, params.gates(), pool=True)
 
 
 def _units_of(sample) -> list[np.ndarray]:
@@ -375,13 +378,12 @@ def encode_batch(
         ]
         states = tk.gru_sequence(tk.constant(x), totals, enc_low.gates())
         flat = tk.reshape(states, (len(samples) * steps, enc_low.hidden_dim))
-        per_unit = tk.take(flat, _segment_rows(starts, lengths))
+        low = tk.masked_max(tk.take(flat, _segment_rows(starts, lengths)), lengths)
     else:
         x, _ = pad_sequences([u for units in unit_lists for u in units])
-        per_unit = tk.gru_sequence(tk.constant(x), lengths, enc_low.gates())
-    low = tk.masked_max(per_unit, lengths)
+        low = tk.gru_sequence(tk.constant(x), lengths, enc_low.gates(), pool=True)
     high_in = tk.take(low, _segment_rows(np.cumsum([0] + counts[:-1]), counts))
-    high = tk.masked_max(tk.gru_sequence(high_in, counts, enc_high.gates()), counts)
+    high = tk.gru_sequence(high_in, counts, enc_high.gates(), pool=True)
     if not (np.all(np.isfinite(low.values)) and np.all(np.isfinite(high.values))):
         raise HseError("non-finite embedding produced by encoder")
     return EncodedBatch(low=low, high=high, counts=counts)

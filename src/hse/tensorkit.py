@@ -13,10 +13,13 @@ gru_sequence runs a GRU over a padded [B, T, D] batch with per-row
 lengths and records the whole run as one tape record, masked_max pools
 it over the valid steps, and take gathers rows, so a model layer can
 encode a whole batch with a handful of records. gru_sequence orders the
-rows longest first and runs each step over the rows still running only,
-and masked_max takes a plain masked maximum when nothing will record it.
-Neither changes a row's bits, which do not depend on the batch or on the
-row's place in it.
+rows longest first and runs each step, input term included, over the
+rows still running only. With pool=True it returns the pooled [B, H]
+maxima; when nothing will record them it keeps only a running maximum,
+so an evaluation run holds no [B, T, .] buffer. masked_max likewise takes
+a plain masked maximum when nothing will record it. None of this changes
+a row's bits, which do not depend on the batch or on the row's place in
+it.
 """
 
 from __future__ import annotations
@@ -574,7 +577,11 @@ def _unpacked(v: np.ndarray, order: np.ndarray | None) -> np.ndarray:
 
 
 def gru_sequence(
-    x: Tensor | None, lengths, gates: Sequence[Tensor], h0: Tensor | None = None
+    x: Tensor | None,
+    lengths,
+    gates: Sequence[Tensor],
+    h0: Tensor | None = None,
+    pool: bool = False,
 ) -> Tensor:
     """Hidden states of a GRU run over a padded batch, recorded as one
     tape record.
@@ -586,22 +593,26 @@ def gru_sequence(
     gates are the nine cell tensors w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h,
     b_h (shapes [H, D], [H, H], [H]). h0 is an optional [B, H] initial
     state, zero when omitted. Returns the [B, T, H] states; at a padded
-    step a row carries its state forward unchanged.
+    step a row carries its state forward unchanged. With pool, returns
+    instead the [B, H] channel-wise maxima of each row's states over its
+    valid steps, the value masked_max(states, lengths) has.
 
         z = sigmoid(Wz x + Uz h + bz), r = sigmoid(Wr x + Ur h + br),
         cand = tanh(Wh x + Uh (r*h) + bh), h' = (1 - z)*h + z*cand.
 
     The gate weights are stacked and transposed once per call into
-    C-contiguous [D, 3H], [H, 2H] and [H, H] matrices: the input terms of
-    all steps are one product, and a step costs two products. Rows are
-    multiplied one at a time (_rowwise), so a sequence's states are the
-    same bits alone or anywhere in any batch. The kernel is packed: rows
-    are ordered longest first (a stable sort, skipped when the lengths
-    already do not increase), so the rows still running at step t are a
-    prefix and only they are computed; the others carry their state. The
-    backward pass (backpropagation through time, written out by hand)
+    C-contiguous [D, 3H], [H, 2H] and [H, H] matrices, so a step costs
+    three products: the input term of the running rows and two recurrent
+    ones. Rows are multiplied one at a time (_rowwise), so a sequence's
+    states are the same bits alone or anywhere in any batch. The kernel is
+    packed: rows are ordered longest first (a stable sort, skipped when the
+    lengths already do not increase), so the rows still running at step t
+    are a prefix and only they are computed; the others carry their state.
+    The backward pass (backpropagation through time, written out by hand)
     walks the same prefixes. States and gradients are returned in the
-    caller's row order.
+    caller's row order. A pooled run that nothing will record keeps only
+    a running maximum, so its memory does not grow with T; one that will
+    be recorded pools its states with masked_max (a second record).
     """
     if len(gates) != 9:
         raise ContractError(f"gru_sequence needs the 9 gate tensors, got {len(gates)}")
@@ -630,20 +641,26 @@ def gru_sequence(
             f"gru_sequence h0 has shape {list(h0.values.shape)}, expected {[bsz, hid]}"
         )
     lengths = _check_lengths(lengths, bsz, steps)
-    # rows still running at each step; with the rows sorted longest first
-    # they are the first active[t] rows
-    active = np.count_nonzero(lengths[:, None] > np.arange(steps), axis=0).tolist()
+    # rows still running at each step (counted from the lengths, with no
+    # [B, T] temporary); with the rows sorted longest first they are the
+    # first active[t] rows
+    active = (bsz - np.cumsum(np.bincount(lengths, minlength=steps))[:steps]).tolist()
     order = None if np.all(lengths[:-1] >= lengths[1:]) else np.argsort(-lengths, kind="stable")
     w = np.concatenate([w_z.values, w_r.values, w_h.values])
     u_zr = np.concatenate([u_z.values, u_r.values])
     u_zr_t, u_c_t = u_zr.T.copy(), u_h.values.T.copy()
     b_zr, b_c = np.concatenate([b_z.values, b_r.values]), b_h.values
-    xw = None if x is None else _rowwise(_packed(xv, order), w.T.copy())
+    if x is not None:
+        xp, w_t = _packed(xv, order), w.T.copy()
     h_init = np.zeros((bsz, hid)) if h0 is None else _packed(h0.values, order)
     parents = [p for p in (x, *gates, h0) if p is not None]
     requires_grad = any(p.requires_grad for p in parents)
     keep = requires_grad and _active_tape() is not None
-    hs = np.empty((bsz, steps, hid))
+    running_max = pool and not keep
+    if running_max:  # a running maximum from -inf, as masked_max's tape-free branch
+        best = np.full((bsz, hid), -np.inf)
+    else:
+        hs = np.empty((bsz, steps, hid))
     if keep:
         zs, cands = np.empty_like(hs), np.empty_like(hs)
         rs = np.zeros_like(hs)  # zero on padding, where du_c reads it
@@ -651,20 +668,26 @@ def gru_sequence(
     for t, n in enumerate(active):
         hp = h[:n]
         pre = _rowwise(hp, u_zr_t)
-        if xw is not None:
-            pre = xw[:n, t, : 2 * hid] + pre
+        if x is not None:
+            xw = _rowwise(xp[:n, t], w_t)
+            pre = xw[:, : 2 * hid] + pre
         zr = _sigmoid(pre + b_zr)
         z, r = zr[:, :hid], zr[:, hid:]
         pre = _rowwise(r * hp, u_c_t)
-        if xw is not None:
-            pre = xw[:n, t, 2 * hid :] + pre
+        if x is not None:
+            pre = xw[:, 2 * hid :] + pre
         cand = np.tanh(pre + b_c)
         h = (1.0 - z) * hp + z * cand
+        if running_max:
+            np.maximum(best[:n], h, out=best[:n])
+            continue
         hs[:n, t] = h
         if n < bsz:  # finished rows carry their state (t > 0: every row runs at step 0)
             hs[n:, t] = hs[n:, t - 1]
         if keep:
             zs[:n, t], rs[:n, t], cands[:n, t] = z, r, cand
+    if running_max:
+        return Tensor(_unpacked(best, order), requires_grad=requires_grad)
     out = Tensor(_unpacked(hs, order), requires_grad=requires_grad)
     if not keep:
         return out
@@ -705,7 +728,7 @@ def gru_sequence(
             _acc(h0, _unpacked(dh, order))
 
     _record(out, back)
-    return out
+    return masked_max(out, lengths) if pool else out
 
 
 def masked_max(a: Tensor, lengths) -> Tensor:

@@ -16,6 +16,7 @@ from hse.data import (
     save_corpus,
     save_labels,
     synth_generate,
+    write_atomically,
 )
 from hse.errors import CheckpointError, ContractError, CorpusError, LabelsError
 from hse.model import ModelDims
@@ -299,6 +300,52 @@ class TestCheckpointIO:
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match="mismatch"):
             load_checkpoint(path)
+
+
+class TestAtomicWrites:
+    def test_failed_write_leaves_old_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old contents\n")
+
+        def chunks():
+            yield "new "
+            raise RuntimeError("disk full")
+
+        with pytest.raises(RuntimeError):
+            write_atomically(path, chunks())
+        assert path.read_bytes() == b"old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_failed_saves_leave_old_checkpoint_and_corpus(self, tmp_path, monkeypatch):
+        ckpt, corpus_path = tmp_path / "ckpt.bin", tmp_path / "corpus.jsonl"
+        params = init_params(ModelDims(d_v=5, d_t=3, hidden_low=4, hidden_high=6), seed=21)
+        corpus, _ = synth_generate(SynthSpec(num_pairs=4, d_v=5, d_t=3, seed=1))
+        save_checkpoint(params, ckpt)
+        save_corpus(corpus, corpus_path)
+        old = {p: p.read_bytes() for p in (ckpt, corpus_path)}
+        named = params.named_parameters()
+
+        def failing_named():
+            yield from named[:3]
+            raise OSError("disk full")
+
+        monkeypatch.setattr(params, "named_parameters", failing_named)
+        with pytest.raises(OSError):
+            save_checkpoint(params, ckpt)
+        dumps = json.dumps
+        calls = []
+
+        def failing_dumps(record):
+            calls.append(record)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return dumps(record)
+
+        monkeypatch.setattr(json, "dumps", failing_dumps)
+        with pytest.raises(OSError):
+            save_corpus(corpus, corpus_path)
+        assert {p: p.read_bytes() for p in old} == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin", "corpus.jsonl"]
 
 
 class TestCorpusValidation:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from hse import evaluation
 from hse.data import Corpus, ParagraphSample, SynthSpec, VideoSample, synth_generate
 from hse.errors import ContractError, DegenerateInputError
 from hse.evaluation import (
@@ -154,6 +155,19 @@ class TestEvaluateRetrieval:
         hier = evaluate_retrieval(self.params, self.corpus, topk=(1,))[0]
         flat = evaluate_retrieval(self.params, self.corpus, topk=(1,), mode="flat")[0]
         assert hier.ranks != flat.ranks or hier.recall_at != flat.recall_at
+
+
+class TestEncodeCorpusChunks:
+    @pytest.mark.parametrize("mode, carry", [("hierarchical", False), ("flat", False), ("hierarchical", True)])
+    def test_chunk_size_does_not_change_embeddings(self, monkeypatch, mode, carry):
+        corpus, _ = small_corpus(pairs=37, seed=4, clips_per_pair=(1, 4))
+        params = init_params(ModelDims(d_v=4, d_t=4, hidden_low=5, hidden_high=6), 11)
+        encoded = []
+        for chunk in (1, 7, 32, len(corpus)):
+            monkeypatch.setattr(evaluation, "ENCODE_CHUNK_PAIRS", chunk)
+            videos, paragraphs = encode_corpus(params, corpus, mode=mode, carry_low_state=carry)
+            encoded.append(videos.tobytes() + paragraphs.tobytes())
+        assert len(set(encoded)) == 1
 
 
 class TestEvaluatePartial:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from hse.model import (
     encode_flat_batch,
     encode_sequences,
     gru_step,
+    pad_sequences,
 )
 from hse.tensorkit import Tape, Tensor, finite_diff_check
 from hse.training import init_params
@@ -240,6 +243,85 @@ class TestPackedKernel:
         for got, want in zip(*results):
             assert np.array_equal(got, want)
         assert np.array_equal(p.w_z.grad, np.zeros((4, 1)))  # still handed to the optimizer
+
+
+class TestPooledKernel:
+    """gru_sequence(..., pool=True) keeps a running maximum when nothing
+    records; it must equal pooling the states with masked_max."""
+
+    def pooled_batch(self):
+        rng = np.random.default_rng(36)
+        p = random_gru(rng, 3, 4)
+        p.b_z.values[:2] = -700.0  # z is ~1e-304: channels 0-1 keep h0 exactly, a tie at every step
+        x, lengths = ragged_batch(rng, 3, 6)
+        assert lengths != sorted(lengths, reverse=True)
+        return p, x, lengths, rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
+
+    def test_tape_free_pool_equals_masked_max(self):
+        p, x, lengths, h0, _ = self.pooled_batch()
+        states = tk.gru_sequence(tk.constant(x), lengths, p.gates(), tk.constant(h0))
+        pooled = tk.gru_sequence(tk.constant(x), lengths, p.gates(), tk.constant(h0), pool=True)
+        assert np.array_equal(pooled.values, tk.masked_max(states, lengths).values)
+        assert np.array_equal(pooled.values[:, :2], h0[:, :2])
+
+    def test_taped_pool_equals_masked_max_with_gradients(self):
+        p, x_values, lengths, h0_values, weight = self.pooled_batch()
+
+        def run(pool):
+            x = Tensor(x_values, requires_grad=True)
+            h0 = Tensor(h0_values, requires_grad=True)
+            tk.zero_grads(p.gates())
+            with Tape():
+                if pool:
+                    pooled = tk.gru_sequence(x, lengths, p.gates(), h0, pool=True)
+                else:
+                    pooled = tk.masked_max(tk.gru_sequence(x, lengths, p.gates(), h0), lengths)
+                tk.backward(tk.reduce_sum(tk.mul(pooled, tk.constant(weight))))
+            return [pooled.values, x.grad, h0.grad] + [g.grad.copy() for g in p.gates()]
+
+        for got, want in zip(run(True), run(False)):
+            assert np.array_equal(got, want)
+
+    def test_tape_free_pool_memory_does_not_grow_with_steps(self):
+        bsz, steps, dim, hid = 4, 2000, 2, 8
+        rng = np.random.default_rng(37)
+        p = random_gru(rng, dim, hid)
+        lengths = [steps, 1500, 700, 3]  # already longest first: x is not copied
+        x = tk.constant(rng.normal(size=(bsz, steps, dim)))
+        gates = p.gates()
+        tracemalloc.start()
+        try:
+            tk.gru_sequence(x, lengths, gates, pool=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a [B, T, H] state buffer alone would take B*T*H*8 bytes
+        assert peak < bsz * steps * hid * 8 / 4
+
+
+class TestPadSequences:
+    def test_equals_copying_each_sequence(self):
+        rng = np.random.default_rng(38)
+        seqs = [rng.normal(size=(n, 3)) for n in (2, 5, 1)]
+        padded, lengths = pad_sequences(seqs)
+        assert lengths == [2, 5, 1]
+        want = np.zeros((3, 5, 3))
+        for b, s in enumerate(seqs):
+            want[b, : len(s)] = s
+        assert np.array_equal(padded, want)
+
+    @pytest.mark.parametrize(
+        "seqs",
+        [
+            [np.zeros((2, 3)), np.zeros((1, 4))],  # widths differ
+            [np.zeros((2, 3)), np.zeros(3)],  # ranks differ
+            [np.zeros(3), np.zeros(2)],  # not [T, D]
+            [np.zeros((2, 3)), np.zeros((0, 3))],  # an empty sequence
+        ],
+    )
+    def test_bad_shapes_rejected(self, seqs):
+        with pytest.raises(ShapeError, match="nonempty \\[T, D\\] arrays of one width"):
+            pad_sequences(seqs)
 
 
 class TestEncodeSequence:
