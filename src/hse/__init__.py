@@ -44,7 +44,6 @@ from .model import (
     ModelDims,
     decode_batch,
     encode_batch,
-    gru_step,
 )
 from .tensorkit import Tape, Tensor, backward, finite_diff_check
 from .training import TrainConfig, TrainResult, init_params, lr_at_epoch, train

@@ -245,43 +245,28 @@ def _write_retrieval(out_dir: Path, name: str, reports) -> list[Path]:
 
 
 def _cmd_eval(args) -> int:
+    """eval, or partial-eval when args.max_units is set."""
     started = time.monotonic()
     params, corpus = _load_eval_inputs(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = evaluate_retrieval(params, corpus, topk=_parse_topk(args.topk), mode=args.mode)
-    outputs = _write_retrieval(out_dir, "retrieval", reports)
-    for report in reports:
-        for line in report.lines():
-            print(line)
-    _write_manifest(
-        out_dir / "manifest.json",
-        "eval",
-        {"topk": args.topk, "mode": args.mode},
-        None,
-        [args.checkpoint, args.corpus],
-        outputs,
-        started,
-    )
-    return 0
-
-
-def _cmd_partial_eval(args) -> int:
-    started = time.monotonic()
-    params, corpus = _load_eval_inputs(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    max_units = getattr(args, "max_units", None)
     reports = evaluate_retrieval(
-        params, corpus, topk=_parse_topk(args.topk), mode=args.mode, max_units=args.max_units
+        params, corpus, topk=_parse_topk(args.topk), mode=args.mode, max_units=max_units
     )
-    outputs = _write_retrieval(out_dir, f"retrieval_partial_{args.max_units}", reports)
+    config: dict[str, object] = {"topk": args.topk, "mode": args.mode}
+    name = "retrieval"
+    if max_units is not None:
+        config["max_units"] = max_units
+        name = f"retrieval_partial_{max_units}"
+    outputs = _write_retrieval(out_dir, name, reports)
     for report in reports:
         for line in report.lines():
             print(line)
     _write_manifest(
         out_dir / "manifest.json",
-        "partial-eval",
-        {"topk": args.topk, "mode": args.mode, "max_units": args.max_units},
+        args.command,
+        config,
         None,
         [args.checkpoint, args.corpus],
         outputs,
@@ -396,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--correspondence", choices=["strong", "weak", "none"])
     p.set_defaults(func=_cmd_train)
 
-    for name, func in (("eval", _cmd_eval), ("partial-eval", _cmd_partial_eval)):
+    for name in ("eval", "partial-eval"):
         p = sub.add_parser(name, help=f"run {name} on a checkpoint and corpus")
         p.add_argument("--checkpoint", required=True)
         p.add_argument("--corpus", required=True)
@@ -405,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=["hierarchical", "flat"], default="hierarchical")
         if name == "partial-eval":
             p.add_argument("--max-units", dest="max_units", type=int, required=True)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("zeroshot", help="nearest-label transfer over clip embeddings")
     p.add_argument("--checkpoint", required=True)

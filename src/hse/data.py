@@ -58,6 +58,19 @@ __all__ = [
 CHECKPOINT_MAGIC = b"HSE1"
 
 
+def _validate_units(sample: str, units: list[np.ndarray], unit_name: str, feature: str) -> None:
+    """Check that a sample has at least one unit (clip, sentence), that every
+    unit is a nonempty [steps, D] array of one width D, and that every
+    feature is finite."""
+    if not units:
+        raise CorpusError(f"{sample} has no {unit_name}")
+    dims = {u.shape[1] for u in units if u.ndim == 2}
+    if any(u.ndim != 2 or u.shape[0] < 1 for u in units) or len(dims) != 1:
+        raise CorpusError(f"{sample} has empty or inconsistent {unit_name}")
+    if not np.isfinite(np.concatenate(units)).all():
+        raise CorpusError(f"{sample} has a non-finite {feature} feature")
+
+
 @dataclass
 class VideoSample:
     """One video: an ordered list of clips, each a [frames x d_v] array."""
@@ -74,13 +87,7 @@ class VideoSample:
         return [c.shape[0] for c in self.clips]
 
     def validate(self) -> None:
-        if self.n < 1:
-            raise CorpusError(f"video {self.id!r} has no clips")
-        dims = {c.shape[1] for c in self.clips if c.ndim == 2}
-        if any(c.ndim != 2 or c.shape[0] < 1 for c in self.clips) or len(dims) != 1:
-            raise CorpusError(f"video {self.id!r} has empty or inconsistent clips")
-        if not np.isfinite(np.concatenate(self.clips)).all():
-            raise CorpusError(f"video {self.id!r} has a non-finite frame feature")
+        _validate_units(f"video {self.id!r}", self.clips, "clips", "frame")
 
     def __eq__(self, other) -> bool:
         return (
@@ -107,13 +114,7 @@ class ParagraphSample:
         return [s.shape[0] for s in self.sentences]
 
     def validate(self) -> None:
-        if self.m < 1:
-            raise CorpusError(f"paragraph {self.id!r} has no sentences")
-        dims = {s.shape[1] for s in self.sentences if s.ndim == 2}
-        if any(s.ndim != 2 or s.shape[0] < 1 for s in self.sentences) or len(dims) != 1:
-            raise CorpusError(f"paragraph {self.id!r} has empty or inconsistent sentences")
-        if not np.isfinite(np.concatenate(self.sentences)).all():
-            raise CorpusError(f"paragraph {self.id!r} has a non-finite word feature")
+        _validate_units(f"paragraph {self.id!r}", self.sentences, "sentences", "word")
 
     def __eq__(self, other) -> bool:
         return (

@@ -2,8 +2,10 @@
 
 Ranks are 1-based: the rank of query i is one plus the number of gallery
 items whose similarity to the query strictly exceeds that of the true
-match (ties resolve in the query's favor). Median rank is the lower median
-for even counts. Everything here is read-only over parameters and corpus.
+match (ties resolve in the query's favor). Similarities are
+tensorkit.cosine, the kernel the losses use. Median rank is the lower
+median for even counts. Everything here is read-only over parameters and
+corpus.
 """
 
 from __future__ import annotations
@@ -13,14 +15,14 @@ from typing import Sequence
 
 import numpy as np
 
+from . import tensorkit as tk
 from .data import Corpus, ParagraphSample, VideoSample
-from .errors import ContractError, DegenerateInputError
+from .errors import ContractError
 from .model import HseModelParams, encode_batch, encode_flat_batch, encode_sequences
 
 __all__ = [
     "RetrievalReport",
     "ZeroShotReport",
-    "cosine_matrix",
     "rank_matrix",
     "recall_at_k",
     "median_rank",
@@ -33,15 +35,11 @@ DEFAULT_TOPK = (1, 5, 50)
 ENCODE_CHUNK_PAIRS = 32  # pairs encoded per GRU batch by encode_corpus
 
 
-def cosine_matrix(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
-    """Cosine similarity of every query row against every gallery row."""
-    queries = np.asarray(queries, dtype=np.float64)
-    gallery = np.asarray(gallery, dtype=np.float64)
-    qn = np.linalg.norm(queries, axis=1)
-    gn = np.linalg.norm(gallery, axis=1)
-    if np.any(qn == 0.0) or np.any(gn == 0.0):
-        raise DegenerateInputError("zero-norm embedding in similarity computation")
-    return (queries @ gallery.T) / np.outer(qn, gn)
+def _ranks(sims: np.ndarray, true_cols) -> np.ndarray:
+    """1-based rank of each row's true column: one plus the entries of the
+    row strictly greater than it, so ties resolve in the true item's favor."""
+    true_sims = sims[np.arange(sims.shape[0]), true_cols]
+    return 1 + np.sum(sims > true_sims[:, None], axis=1)
 
 
 def rank_matrix(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
@@ -53,9 +51,8 @@ def rank_matrix(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
             f"queries and gallery must pair up row for row, got "
             f"{list(queries.shape)} vs {list(gallery.shape)}"
         )
-    sims = cosine_matrix(queries, gallery)
-    true_sim = np.diag(sims)
-    return 1 + np.sum(sims > true_sim[:, None], axis=1)
+    sims = tk.cosine(tk.constant(queries), tk.constant(gallery)).values
+    return _ranks(sims, np.arange(len(queries)))
 
 
 def recall_at_k(ranks: Sequence[int], k: int) -> float:
@@ -184,12 +181,13 @@ def evaluate_retrieval(
     if max_units is not None and max_units < 1:
         raise ContractError("evaluate_retrieval requires max_units >= 1")
     videos, paragraphs = encode_corpus(params, corpus, mode, max_units, carry_low_state)
-    p2v = RetrievalReport.from_ranks(
-        "paragraph_to_video", rank_matrix(paragraphs, videos), topk
-    )
-    v2p = RetrievalReport.from_ranks(
-        "video_to_paragraph", rank_matrix(videos, paragraphs), topk
-    )
+    # one matrix serves both directions: each cosine entry depends only on
+    # its two rows, so its transpose is the video x paragraph matrix, bit
+    # for bit, and the ranks are rank_matrix's in either direction
+    sims = tk.cosine(tk.constant(paragraphs), tk.constant(videos)).values
+    true_cols = np.arange(len(sims))
+    p2v = RetrievalReport.from_ranks("paragraph_to_video", _ranks(sims, true_cols), topk)
+    v2p = RetrievalReport.from_ranks("video_to_paragraph", _ranks(sims.T, true_cols), topk)
     return p2v, v2p
 
 
@@ -206,23 +204,17 @@ def zeroshot_classify(
         raise ContractError("zeroshot_classify requires at least one label phrase")
     if not labeled_clips:
         raise ContractError("zeroshot_classify requires at least one clip")
-    label_embs = encode_sequences(params.enc_p_low, label_phrases).values
-    clip_embs = encode_sequences(params.enc_v_low, [frames for frames, _ in labeled_clips]).values
+    label_embs = encode_sequences(params.enc_p_low, label_phrases)
+    clip_embs = encode_sequences(params.enc_v_low, [frames for frames, _ in labeled_clips])
     true_labels = [int(label) for _, label in labeled_clips]
-    sims = cosine_matrix(clip_embs, label_embs)
-    predicted = [int(j) for j in np.argmax(sims, axis=1)]
-    k5 = min(5, len(label_phrases))
-    hits1 = 0
-    hits5 = 0
-    for row, pred, true in zip(sims, predicted, true_labels):
-        hits1 += pred == true
-        rank = 1 + int(np.sum(row > row[true]))  # ties favor the true label
-        hits5 += rank <= k5
+    sims = tk.cosine(clip_embs, label_embs).values
+    predicted = np.argmax(sims, axis=1)  # the first label wins a tie
+    top5_hits = _ranks(sims, true_labels) <= min(5, len(label_phrases))
     n = len(true_labels)
     return ZeroShotReport(
         num_labels=len(label_phrases),
         true_labels=true_labels,
-        predicted=predicted,
-        top1=hits1 / n,
-        top5=hits5 / n,
+        predicted=predicted.tolist(),
+        top1=int(np.sum(predicted == true_labels)) / n,
+        top5=int(np.sum(top5_hits)) / n,
     )

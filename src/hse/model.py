@@ -19,8 +19,7 @@ carry_low_state low level, which pools each unit's slice of one run.
 Embeddings stay matrices: one row per clip (sentence) or per sample, with
 the number of clip rows of each sample alongside, which is the form the
 losses take. A sample's embedding is the same bits alone, in any batch and
-in any row order. gru_step is the single-step cell, kept as the reference
-the kernel is tested against; it multiplies in the kernel's layout.
+in any row order.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ __all__ = [
     "EncodedBatch",
     "DecodedBatch",
     "build_params",
-    "gru_step",
     "pad_sequences",
     "encode_sequences",
     "encode_flat_batch",
@@ -55,6 +53,8 @@ __all__ = [
 DECODER_INPUT_DIM = 1
 
 _GRU_FIELDS = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
+_ENCODERS = ("enc_v_low", "enc_v_high", "enc_p_low", "enc_p_high")
+_DECODERS = ("dec_v_high", "dec_v_low", "dec_p_high", "dec_p_low")
 
 
 @dataclass
@@ -159,25 +159,17 @@ class HseModelParams:
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         """All weights in the fixed canonical order used for persistence
         and optimizer updates."""
-        out: list[tuple[str, Tensor]] = []
-        for prefix in ("enc_v_low", "enc_v_high", "enc_p_low", "enc_p_high"):
-            out.extend(getattr(self, prefix).named(prefix))
-        for prefix in ("dec_v_high", "dec_v_low", "dec_p_high", "dec_p_low"):
-            out.extend(getattr(self, prefix).named(prefix))
-        return out
+        return self._named(_ENCODERS + _DECODERS)
 
     def encoder_parameters(self) -> list[tuple[str, Tensor]]:
-        out: list[tuple[str, Tensor]] = []
-        for prefix in ("enc_v_low", "enc_v_high", "enc_p_low", "enc_p_high"):
-            out.extend(getattr(self, prefix).named(prefix))
-        return out
+        return self._named(_ENCODERS)
 
     def flat_encoder_parameters(self) -> list[tuple[str, Tensor]]:
         """Low-level encoders only: the parameter set of the flat baseline."""
-        out: list[tuple[str, Tensor]] = []
-        for prefix in ("enc_v_low", "enc_p_low"):
-            out.extend(getattr(self, prefix).named(prefix))
-        return out
+        return self._named(("enc_v_low", "enc_p_low"))
+
+    def _named(self, prefixes: Sequence[str]) -> list[tuple[str, Tensor]]:
+        return [item for prefix in prefixes for item in getattr(self, prefix).named(prefix)]
 
     def validate(self) -> None:
         self.dims.validate()
@@ -249,41 +241,6 @@ class DecodedBatch:
     @property
     def steps(self) -> int:
         return max(self.lengths)
-
-
-def gru_step(params: GruParams, x, h: Tensor) -> Tensor:
-    """One GRU update.
-
-    z = sigmoid(Wz x + Uz h + bz), r = sigmoid(Wr x + Ur h + br),
-    cand = tanh(Wh x + Uh (r*h) + bh), h' = (1 - z)*h + z*cand.
-
-    The encoders and decoders run tensorkit.gru_sequence instead; this
-    single-step cell is the reference it is tested against. Each product
-    is a row vector times the transposed weight, the layout the kernel
-    multiplies in.
-    """
-    x = x if isinstance(x, Tensor) else tk.constant(x)
-    if x.values.ndim != 1 or x.values.shape[0] != params.input_dim:
-        raise ShapeError(
-            f"gru_step input has shape {list(x.shape)}, expected [{params.input_dim}]"
-        )
-    if h.values.ndim != 1 or h.values.shape[0] != params.hidden_dim:
-        raise ShapeError(
-            f"gru_step state has shape {list(h.shape)}, expected [{params.hidden_dim}]"
-        )
-    z = tk.sigmoid(tk.add(tk.add(_times(params.w_z, x), _times(params.u_z, h)), params.b_z))
-    r = tk.sigmoid(tk.add(tk.add(_times(params.w_r, x), _times(params.u_r, h)), params.b_r))
-    cand = tk.tanh(
-        tk.add(tk.add(_times(params.w_h, x), _times(params.u_h, tk.mul(r, h))), params.b_h)
-    )
-    keep = tk.add_scalar(tk.mul_scalar(z, -1.0), 1.0)
-    return tk.add(tk.mul(keep, h), tk.mul(z, cand))
-
-
-def _times(w: Tensor, v: Tensor) -> Tensor:
-    """w v for a 1-d v, computed as the row vector v times the transposed w."""
-    row = tk.matmul(tk.reshape(v, (1, v.values.shape[0])), tk.transpose(w))
-    return tk.reshape(row, (w.values.shape[0],))
 
 
 def pad_sequences(sequences: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int]]:

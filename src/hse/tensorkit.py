@@ -40,20 +40,15 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
     "sigmoid",
     "tanh",
     "relu_hinge",
     "square",
-    "sqrt",
     "add_scalar",
     "mul_scalar",
-    "stack",
     "transpose",
     "reshape",
     "reduce_sum",
-    "reduce_mean",
-    "reduce_max",
     "take",
     "cosine",
     "segment_mean",
@@ -188,25 +183,15 @@ def zero_grads(tensors: Sequence[Tensor]) -> None:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
-    if av.ndim == 2 and bv.ndim == 2:
-        if av.shape[1] != bv.shape[0]:
-            raise ShapeError(f"matmul dimension mismatch: {list(av.shape)} x {list(bv.shape)}")
-    elif av.ndim == 2 and bv.ndim == 1:
-        if av.shape[1] != bv.shape[0]:
-            raise ShapeError(f"matmul dimension mismatch: {list(av.shape)} x {list(bv.shape)}")
-    else:
-        raise ShapeError(
-            f"matmul supports 2-d x 2-d or 2-d x 1-d operands, got {av.ndim}-d x {bv.ndim}-d"
-        )
+    if av.ndim != 2 or bv.ndim != 2:
+        raise ShapeError(f"matmul supports 2-d x 2-d operands, got {av.ndim}-d x {bv.ndim}-d")
+    if av.shape[1] != bv.shape[0]:
+        raise ShapeError(f"matmul dimension mismatch: {list(av.shape)} x {list(bv.shape)}")
     out = Tensor(av @ bv, requires_grad=a.requires_grad or b.requires_grad)
 
     def back(g):
-        if bv.ndim == 1:
-            _acc(a, np.outer(g, bv))
-            _acc(b, av.T @ g)
-        else:
-            _acc(a, g @ bv.T)
-            _acc(b, av.T @ g)
+        _acc(a, g @ bv.T)
+        _acc(b, av.T @ g)
 
     _record(out, back)
     return out
@@ -233,27 +218,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
     def back(g):
         _acc(a, g.reshape(old_shape))
-
-    _record(out, back)
-    return out
-
-
-def stack(parts: Sequence[Tensor]) -> Tensor:
-    """Stack same-shape tensors along a new leading axis."""
-    if not parts:
-        raise ContractError("stack needs at least one tensor")
-    first = parts[0].values.shape
-    for p in parts[1:]:
-        if p.values.shape != first:
-            raise ShapeError(f"stack shape mismatch: {list(first)} vs {list(p.values.shape)}")
-    out = Tensor(
-        np.stack([p.values for p in parts]),
-        requires_grad=any(p.requires_grad for p in parts),
-    )
-
-    def back(g):
-        for i, p in enumerate(parts):
-            _acc(p, g[i])
 
     _record(out, back)
     return out
@@ -297,18 +261,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def back(g):
         _acc(a, g * bv)
         _acc(b, g * av)
-
-    _record(out, back)
-    return out
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    av, bv = _binary(a, b, "div")
-    out = Tensor(av / bv, requires_grad=a.requires_grad or b.requires_grad)
-
-    def back(g):
-        _acc(a, g / bv)
-        _acc(b, -g * av / (bv * bv))
 
     _record(out, back)
     return out
@@ -385,77 +337,11 @@ def square(a: Tensor) -> Tensor:
     return out
 
 
-def sqrt(a: Tensor) -> Tensor:
-    if np.any(a.values < 0.0):
-        raise DegenerateInputError("sqrt of a negative value")
-    ov = np.sqrt(a.values)
-    out = Tensor(ov, requires_grad=a.requires_grad)
+def reduce_sum(a: Tensor) -> Tensor:
+    out = Tensor(np.sum(a.values), requires_grad=a.requires_grad)
 
     def back(g):
-        _acc(a, g * 0.5 / ov)
-
-    _record(out, back)
-    return out
-
-
-def _check_axis(a: Tensor, axis: int, op: str) -> int:
-    rank = a.values.ndim
-    if not -rank <= axis < rank:
-        raise ShapeError(f"{op} axis {axis} out of range for rank {rank}")
-    return axis % rank if rank else 0
-
-
-def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
-    if axis is None:
-        out = Tensor(np.sum(a.values), requires_grad=a.requires_grad)
-
-        def back(g):
-            _acc(a, np.broadcast_to(g, a.values.shape))
-
-    else:
-        axis = _check_axis(a, axis, "sum")
-        out = Tensor(np.sum(a.values, axis=axis), requires_grad=a.requires_grad)
-
-        def back(g):
-            _acc(a, np.broadcast_to(np.expand_dims(g, axis), a.values.shape))
-
-    _record(out, back)
-    return out
-
-
-def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
-    if axis is None:
-        n = a.values.size
-        out = Tensor(np.mean(a.values), requires_grad=a.requires_grad)
-
-        def back(g):
-            _acc(a, np.broadcast_to(g / n, a.values.shape))
-
-    else:
-        axis = _check_axis(a, axis, "mean")
-        n = a.values.shape[axis]
-        out = Tensor(np.mean(a.values, axis=axis), requires_grad=a.requires_grad)
-
-        def back(g):
-            _acc(a, np.broadcast_to(np.expand_dims(g / n, axis), a.values.shape))
-
-    _record(out, back)
-    return out
-
-
-def reduce_max(a: Tensor, axis: int) -> Tensor:
-    """Max along one axis; gradient flows to the first attaining index."""
-    if axis is None:
-        raise ContractError("max_over_axis requires an explicit axis")
-    axis = _check_axis(a, axis, "max_over_axis")
-    av = a.values
-    out = Tensor(np.max(av, axis=axis), requires_grad=a.requires_grad)
-    idx = np.argmax(av, axis=axis)  # argmax returns the first maximal index
-
-    def back(g):
-        buf = np.zeros_like(av)
-        np.put_along_axis(buf, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis)
-        _acc(a, buf)
+        _acc(a, np.broadcast_to(g, a.values.shape))
 
     _record(out, back)
     return out

@@ -15,7 +15,6 @@ from hse import tensorkit as tk
 from hse.cli import cli_dispatch
 from hse.data import Corpus, SynthSpec, synth_generate
 from hse.evaluation import (
-    cosine_matrix,
     evaluate_retrieval,
     median_rank,
     rank_matrix,
@@ -360,9 +359,10 @@ def test_criterion_8_scale_invariance():
         assert np.array_equal(base_ranks, rank_matrix(q * sq, g * sg))
 
         labels = rng.normal(size=(7, 8))
-        base_pred = np.argmax(cosine_matrix(q, labels), axis=1)
+        base_pred = np.argmax(tk.cosine(Tensor(q), Tensor(labels)).values, axis=1)
         scaled_pred = np.argmax(
-            cosine_matrix(q * sq, labels * rng.uniform(1e-2, 1e2, size=(7, 1))), axis=1
+            tk.cosine(Tensor(q * sq), Tensor(labels * rng.uniform(1e-2, 1e2, size=(7, 1)))).values,
+            axis=1,
         )
         assert np.array_equal(base_pred, scaled_pred)
     print(f"\ncriterion 8: PASS scale invariance (max deviation {worst:.2e})")

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from hse import evaluation
+from hse import tensorkit as tk
 from hse.data import Corpus, ParagraphSample, SynthSpec, VideoSample, synth_generate
 from hse.errors import ContractError, DegenerateInputError
 from hse.evaluation import (
-    cosine_matrix,
     encode_corpus,
     evaluate_retrieval,
     median_rank,
@@ -17,7 +17,7 @@ from hse.evaluation import (
     recall_at_k,
     zeroshot_classify,
 )
-from hse.model import ModelDims
+from hse.model import ModelDims, encode_sequences
 from hse.training import init_params
 
 
@@ -151,6 +151,15 @@ class TestEvaluateRetrieval:
             "video_to_paragraph",
         }
 
+    @pytest.mark.parametrize("mode", ["hierarchical", "flat"])
+    def test_ranks_equal_rank_matrix_both_ways(self, mode):
+        corpus, _ = small_corpus(pairs=23, seed=6, clips_per_pair=(1, 4))
+        params = init_params(ModelDims(d_v=4, d_t=4, hidden_low=5, hidden_high=6), 13)
+        p2v, v2p = evaluate_retrieval(params, corpus, topk=(1,), mode=mode)
+        videos, paragraphs = encode_corpus(params, corpus, mode=mode)
+        assert p2v.ranks == rank_matrix(paragraphs, videos).tolist()
+        assert v2p.ranks == rank_matrix(videos, paragraphs).tolist()
+
     def test_flat_mode_uses_low_level_encoders(self):
         hier = evaluate_retrieval(self.params, self.corpus, topk=(1,))[0]
         flat = evaluate_retrieval(self.params, self.corpus, topk=(1,), mode="flat")[0]
@@ -224,6 +233,33 @@ class TestZeroShot:
         assert report.top5 == 1.0  # rank within 3 labels is always <= 3
         assert report.top1 <= report.top5
 
+    def test_tied_labels_follow_argmax_and_favor_the_true_label(self):
+        dims = ModelDims(d_v=3, d_t=3, hidden_low=4, hidden_high=4)
+        params = init_params(dims, 14)
+        for field in ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h"):
+            getattr(params.enc_p_low, field).values = getattr(
+                params.enc_v_low, field
+            ).values.copy()
+        rng = np.random.default_rng(7)
+        tied = rng.normal(size=(2, 3))
+        # the phrase at label 1 repeats at labels 3..8: seven exact ties
+        phrases = [rng.normal(size=(2, 3)), tied, rng.normal(size=(3, 3))]
+        phrases += [tied.copy() for _ in range(6)]
+        clips = [(tied.copy(), 8), (tied.copy(), 1), (tied.copy(), 0)]
+        clips += [(rng.normal(size=(2, 3)), int(rng.integers(0, 9))) for _ in range(5)]
+        report = zeroshot_classify(params, clips, phrases)
+        clip_embs = encode_sequences(params.enc_v_low, [c for c, _ in clips]).values
+        label_embs = encode_sequences(params.enc_p_low, phrases).values
+        sims = oracles.ref_sim_matrix(clip_embs, label_embs)
+        true_first = [[row[label]] + row for row, (_, label) in zip(sims, clips)]
+        ranks = [oracles.ref_ranks([row])[0] for row in true_first]
+        first_max = [row.index(max(row)) for row in sims]
+        assert report.predicted[:3] == [1, 1, 1]  # the first of the tied labels
+        assert report.predicted == first_max
+        assert ranks[:2] == [1, 1]  # seven tied labels, yet a top-5 hit
+        assert report.top1 == sum(p == label for p, (_, label) in zip(first_max, clips)) / 8
+        assert report.top5 == sum(r <= 5 for r in ranks) / 8
+
     def test_empty_labels_rejected(self):
         params = init_params(ModelDims(d_v=2, d_t=2, hidden_low=2, hidden_high=2), 0)
         with pytest.raises(ContractError):
@@ -233,12 +269,12 @@ class TestZeroShot:
         rng = np.random.default_rng(6)
         clip_embs = rng.normal(size=(30, 8))
         label_embs = rng.normal(size=(7, 8))
-        base = np.argmax(cosine_matrix(clip_embs, label_embs), axis=1)
+        base = np.argmax(tk.cosine(tk.constant(clip_embs), tk.constant(label_embs)).values, axis=1)
         scaled = np.argmax(
-            cosine_matrix(
-                clip_embs * rng.uniform(0.01, 100.0, size=(30, 1)),
-                label_embs * rng.uniform(0.01, 100.0, size=(7, 1)),
-            ),
+            tk.cosine(
+                tk.constant(clip_embs * rng.uniform(0.01, 100.0, size=(30, 1))),
+                tk.constant(label_embs * rng.uniform(0.01, 100.0, size=(7, 1))),
+            ).values,
             axis=1,
         )
         assert np.array_equal(base, scaled)

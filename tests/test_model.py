@@ -14,7 +14,6 @@ from hse.model import (
     encode_batch,
     encode_flat_batch,
     encode_sequences,
-    gru_step,
     pad_sequences,
 )
 from hse.tensorkit import Tape, Tensor, finite_diff_check
@@ -35,6 +34,40 @@ def numpy_gru_step(p: GruParams, x, h):
     r = sig((p.w_r.values @ x + p.u_r.values @ h) + p.b_r.values)
     cand = np.tanh((p.w_h.values @ x + p.u_h.values @ (r * h)) + p.b_h.values)
     return (1.0 - z) * h + z * cand
+
+
+def gru_step(params: GruParams, x, h: Tensor) -> Tensor:
+    """One GRU update on the tape, the reference cell tensorkit.gru_sequence
+    is tested against.
+
+    z = sigmoid(Wz x + Uz h + bz), r = sigmoid(Wr x + Ur h + br),
+    cand = tanh(Wh x + Uh (r*h) + bh), h' = (1 - z)*h + z*cand.
+
+    Each product is a row vector times the transposed weight, the layout
+    the kernel multiplies in.
+    """
+    x = x if isinstance(x, Tensor) else tk.constant(x)
+    if x.values.ndim != 1 or x.values.shape[0] != params.input_dim:
+        raise ShapeError(
+            f"gru_step input has shape {list(x.shape)}, expected [{params.input_dim}]"
+        )
+    if h.values.ndim != 1 or h.values.shape[0] != params.hidden_dim:
+        raise ShapeError(
+            f"gru_step state has shape {list(h.shape)}, expected [{params.hidden_dim}]"
+        )
+    z = tk.sigmoid(tk.add(tk.add(_times(params.w_z, x), _times(params.u_z, h)), params.b_z))
+    r = tk.sigmoid(tk.add(tk.add(_times(params.w_r, x), _times(params.u_r, h)), params.b_r))
+    cand = tk.tanh(
+        tk.add(tk.add(_times(params.w_h, x), _times(params.u_h, tk.mul(r, h))), params.b_h)
+    )
+    keep = tk.add_scalar(tk.mul_scalar(z, -1.0), 1.0)
+    return tk.add(tk.mul(keep, h), tk.mul(z, cand))
+
+
+def _times(w: Tensor, v: Tensor) -> Tensor:
+    """w v for a 1-d v, computed as the row vector v times the transposed w."""
+    row = tk.matmul(tk.reshape(v, (1, v.values.shape[0])), tk.transpose(w))
+    return tk.reshape(row, (w.values.shape[0],))
 
 
 class TestGruStep:
