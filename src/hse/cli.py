@@ -160,6 +160,20 @@ def _parse_topk(text: str) -> tuple[int, ...]:
     return tuple(int(k) for k in text.split(","))
 
 
+def _checked(parse, expected: str):
+    """An argparse type: a flag text that parse cannot read is a usage
+    error; a good one is kept as given, which is how the manifest records it."""
+
+    def check(text: str) -> str:
+        try:
+            parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+        return text
+
+    return check
+
+
 def _cmd_synth(args) -> int:
     spec = SynthSpec(
         num_pairs=args.pairs,
@@ -231,12 +245,8 @@ def _load_eval_inputs(args):
     return params, corpus
 
 
-def _write_retrieval(out_dir: Path, name: str, reports) -> list[Path]:
-    lines: list[str] = []
-    summary = {}
-    for report in reports:
-        lines.extend(report.lines())
-        summary[report.direction] = report.summary()
+def _write_report(out_dir: Path, name: str, lines: list[str], summary: dict) -> list[Path]:
+    """Write <name>.txt (the report lines) and <name>.json (the summary)."""
     text_path = out_dir / f"{name}.txt"
     json_path = out_dir / f"{name}.json"
     write_atomically(text_path, ["\n".join(lines) + "\n"])
@@ -259,10 +269,11 @@ def _cmd_eval(args) -> int:
     if max_units is not None:
         config["max_units"] = max_units
         name = f"retrieval_partial_{max_units}"
-    outputs = _write_retrieval(out_dir, name, reports)
-    for report in reports:
-        for line in report.lines():
-            print(line)
+    lines = [line for report in reports for line in report.lines()]
+    summary = {report.direction: report.summary() for report in reports}
+    outputs = _write_report(out_dir, name, lines, summary)
+    for line in lines:
+        print(line)
     _write_manifest(
         out_dir / "manifest.json",
         args.command,
@@ -289,10 +300,7 @@ def _cmd_zeroshot(args) -> int:
     report = zeroshot_classify(params, labeled_clips, labels.label_phrases)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    text_path = out_dir / "zeroshot.txt"
-    json_path = out_dir / "zeroshot.json"
-    write_atomically(text_path, ["\n".join(report.lines()) + "\n"])
-    write_atomically(json_path, [json.dumps(report.summary(), indent=2) + "\n"])
+    outputs = _write_report(out_dir, "zeroshot", report.lines(), report.summary())
     for line in report.lines():
         print(line)
     _write_manifest(
@@ -301,7 +309,7 @@ def _cmd_zeroshot(args) -> int:
         {},
         None,
         [args.checkpoint, args.corpus, str(labels_path)],
-        [text_path, json_path],
+        outputs,
         started,
     )
     return 0
@@ -347,9 +355,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic corpus file")
     p.add_argument("--pairs", type=int, default=32)
     p.add_argument("--events", type=int, default=4)
-    p.add_argument("--clips", default="3", help="count or LO:HI range")
-    p.add_argument("--frames", default="4", help="count or LO:HI range")
-    p.add_argument("--words", default="4", help="count or LO:HI range")
+    counts = _checked(_parse_range, "a count or LO:HI range")
+    for flag, default in (("--clips", "3"), ("--frames", "4"), ("--words", "4")):
+        p.add_argument(flag, type=counts, default=default, help="count or LO:HI range")
     p.add_argument("--dv", type=int, default=16)
     p.add_argument("--dt", type=int, default=16)
     p.add_argument("--noise-std", dest="noise_std", type=float, default=0.1)
@@ -381,12 +389,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--correspondence", choices=["strong", "weak", "none"])
     p.set_defaults(func=_cmd_train)
 
+    topk = _checked(_parse_topk, "comma-separated counts")
     for name in ("eval", "partial-eval"):
         p = sub.add_parser(name, help=f"run {name} on a checkpoint and corpus")
         p.add_argument("--checkpoint", required=True)
         p.add_argument("--corpus", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--topk", default="1,5,50", help="comma-separated k values")
+        p.add_argument("--topk", type=topk, default="1,5,50", help="comma-separated k values")
         p.add_argument("--mode", choices=["hierarchical", "flat"], default="hierarchical")
         if name == "partial-eval":
             p.add_argument("--max-units", dest="max_units", type=int, required=True)

@@ -10,11 +10,14 @@ Checkpoint file format (binary, little endian):
 
     magic "HSE1"
     int32 x5: d_v, d_t, hidden_low, hidden_high, embed_dim
-    per parameter, in the fixed canonical order of
-    HseModelParams.named_parameters():
+    per entry, in the fixed order of HseModelParams.checkpoint_views():
         uint32 name length, name bytes (UTF-8),
         uint32 rank, uint32 x rank dims,
         float64 x prod(dims) values (row major)
+
+The entries are per gate (enc_v_low.w_z [H, D], enc_v_low.u_z [H, H],
+enc_v_low.b_z [H], ...): views of the weight blocks the model trains, so
+the bytes are those of a model that stores every gate as its own tensor.
 
 Synthetic corpora are drawn from a latent-event model: every pair shares a
 sequence of events sampled from a small event vocabulary; clip frames are a
@@ -444,9 +447,8 @@ def _checkpoint_chunks(params) -> Iterator[bytes]:
     dims = params.dims
     yield CHECKPOINT_MAGIC
     yield struct.pack("<5i", dims.d_v, dims.d_t, dims.hidden_low, dims.hidden_high, dims.embed_dim)
-    for name, tensor in params.named_parameters():
+    for name, arr in params.checkpoint_views():
         raw = name.encode("utf-8")
-        arr = tensor.values
         yield struct.pack("<I", len(raw)) + raw
         yield struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape)
         yield arr.astype("<f8", copy=False).tobytes()
@@ -476,21 +478,20 @@ def load_checkpoint(path):
                 f"dimension header mismatch: embed_dim {embed_dim} != hidden_high {hidden_high}"
             )
         params = build_params(dims)
-        for name, tensor in params.named_parameters():
+        for name, view in params.checkpoint_views():
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name length"))
             got_name = _read_exact(fh, name_len, "name").decode("utf-8")
             if got_name != name:
                 raise CheckpointError(f"expected parameter {name!r}, found {got_name!r}")
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
             shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "dims"))
-            if tuple(shape) != tensor.values.shape:
+            if tuple(shape) != view.shape:
                 raise CheckpointError(
-                    f"dimension header mismatch for {name!r}: "
-                    f"{list(shape)} != {list(tensor.values.shape)}"
+                    f"dimension header mismatch for {name!r}: {list(shape)} != {list(view.shape)}"
                 )
             count = int(np.prod(shape, dtype=np.int64)) if rank else 1
             raw = _read_exact(fh, 8 * count, f"values of {name!r}")
-            tensor.values = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+            view[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
         trailing = fh.read(1)
         if trailing:
             raise CheckpointError("trailing bytes after final parameter")

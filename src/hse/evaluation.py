@@ -204,9 +204,14 @@ def zeroshot_classify(
         raise ContractError("zeroshot_classify requires at least one label phrase")
     if not labeled_clips:
         raise ContractError("zeroshot_classify requires at least one clip")
+    true_labels = [int(label) for _, label in labeled_clips]
+    for i, label in enumerate(true_labels):
+        if not 0 <= label < len(label_phrases):
+            raise ContractError(
+                f"zeroshot_classify: clip {i} has label {label} outside [0, {len(label_phrases)})"
+            )
     label_embs = encode_sequences(params.enc_p_low, label_phrases)
     clip_embs = encode_sequences(params.enc_v_low, [frames for frames, _ in labeled_clips])
-    true_labels = [int(label) for _, label in labeled_clips]
     sims = tk.cosine(clip_embs, label_embs).values
     predicted = np.argmax(sims, axis=1)  # the first label wins a tie
     top5_hits = _ranks(sims, true_labels) <= min(5, len(label_phrases))

@@ -118,9 +118,7 @@ def _trial(component: str, rng: np.random.Generator, sign_mode: str) -> FiniteDi
         video, _ = _random_pair(rng, d_v, d_v)
         target_low = rng.normal(0.0, 1.0, size=(video.n, hid))
         high = tk.constant(rng.normal(0.0, 1.0, size=(1, hid)))
-        dec_params = [t for _, t in model.dec_v_high.named("h")] + [
-            t for _, t in model.dec_v_low.named("l")
-        ]
+        dec_params = [t for name, t in model.named_parameters() if name.startswith("dec_v_")]
 
         def f(ps):
             decoded = decode_batch(model, high, [video.n_i], "video")
@@ -152,7 +150,7 @@ def _trial(component: str, rng: np.random.Generator, sign_mode: str) -> FiniteDi
             return losses.total_loss(batch, model, cfg, reconstruction_targets=frozen).node
 
         return tk.finite_diff_check(
-            f, params, coords_per_param=2, rng=np.random.default_rng(rng.integers(0, 2**31))
+            f, params, coords_per_param=4, rng=np.random.default_rng(rng.integers(0, 2**31))
         )
 
     if component == "encoder":
@@ -162,9 +160,7 @@ def _trial(component: str, rng: np.random.Generator, sign_mode: str) -> FiniteDi
         model = init_params(dims, int(rng.integers(0, 2**31)))
         video, _ = _random_pair(rng, d_v, d_v)
         weight = tk.constant(rng.normal(0.0, 1.0, size=(1, hid)))
-        enc_params = [t for _, t in model.enc_v_low.named("l")] + [
-            t for _, t in model.enc_v_high.named("h")
-        ]
+        enc_params = [t for name, t in model.named_parameters() if name.startswith("enc_v_")]
 
         def f(ps):
             return tk.reduce_sum(tk.mul(encode_batch(model, [video]).high, weight))
@@ -179,9 +175,7 @@ def _trial(component: str, rng: np.random.Generator, sign_mode: str) -> FiniteDi
         n = int(rng.integers(1, 4))
         n_i = [int(rng.integers(1, 4)) for _ in range(n)]
         high = tk.constant(rng.normal(0.0, 1.0, size=(1, hid)))
-        dec_params = [t for _, t in model.dec_v_high.named("h")] + [
-            t for _, t in model.dec_v_low.named("l")
-        ]
+        dec_params = [t for name, t in model.named_parameters() if name.startswith("dec_v_")]
         steps = max(n_i)
         generated = [i * steps + j for i, count in enumerate(n_i) for j in range(count)]
 

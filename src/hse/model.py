@@ -11,7 +11,10 @@ turn seeds the low-level decoder GRU emitting generated frame (word)
 features. Decoders have no step input; the hidden state carries all
 information.
 
-Every GRU runs through tensorkit.gru_sequence over a padded batch:
+A GRU's weights are stored as the four blocks tensorkit.gru_sequence
+multiplies by (see GruParams); the per-gate weights of a checkpoint are
+views of them (HseModelParams.checkpoint_views). Every GRU runs through
+tensorkit.gru_sequence over a padded batch:
 encode_batch and decode_batch handle all samples of one modality at once
 (one GRU run per level), encode_sequences and encode_flat_batch a batch of
 plain sequences. The encoders let the kernel pool (pool=True), except the
@@ -48,11 +51,10 @@ __all__ = [
     "decode_batch",
 ]
 
-# decoders run without input; their GRUs keep [H, 1] input weights (a zero
+# decoders run without input; their GRUs keep [1, 3H] input weights (a zero
 # input of width 1), which stay in the checkpoint and get zero gradients
 DECODER_INPUT_DIM = 1
 
-_GRU_FIELDS = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
 _ENCODERS = ("enc_v_low", "enc_v_high", "enc_p_low", "enc_p_high")
 _DECODERS = ("dec_v_high", "dec_v_low", "dec_p_high", "dec_p_low")
 
@@ -80,52 +82,44 @@ class ModelDims:
 
 @dataclass
 class GruParams:
-    """Update/reset/candidate weights of one GRU cell."""
+    """Weights of one GRU cell, stored as the four C-contiguous blocks
+    tensorkit.gru_sequence multiplies by, columns in z|r|h gate order:
+    w [D, 3H] (input weights), u_zr [H, 2H] (update and reset recurrent
+    weights), u_c [H, H] (candidate recurrent weights) and b [3H] (biases)."""
 
-    input_dim: int
-    hidden_dim: int
-    w_z: Tensor
-    u_z: Tensor
-    b_z: Tensor
-    w_r: Tensor
-    u_r: Tensor
-    b_r: Tensor
-    w_h: Tensor
-    u_h: Tensor
-    b_h: Tensor
+    w: Tensor
+    u_zr: Tensor
+    u_c: Tensor
+    b: Tensor
+
+    @property
+    def hidden_dim(self) -> int:
+        return self.u_c.values.shape[0]
 
     @classmethod
     def zeros(cls, input_dim: int, hidden_dim: int) -> "GruParams":
-        def w():
-            return Tensor(np.zeros((hidden_dim, input_dim)), requires_grad=True)
+        h = hidden_dim
+        shapes = [(input_dim, 3 * h), (h, 2 * h), (h, h), (3 * h,)]
+        return cls(*(Tensor(np.zeros(shape), requires_grad=True) for shape in shapes))
 
-        def u():
-            return Tensor(np.zeros((hidden_dim, hidden_dim)), requires_grad=True)
-
-        def b():
-            return Tensor(np.zeros(hidden_dim), requires_grad=True)
-
-        return cls(input_dim, hidden_dim, w(), u(), b(), w(), u(), b(), w(), u(), b())
+    def weights(self) -> list[Tensor]:
+        """The four blocks in the order tensorkit.gru_sequence takes."""
+        return [self.w, self.u_zr, self.u_c, self.b]
 
     def named(self, prefix: str) -> Iterable[tuple[str, Tensor]]:
-        for f in _GRU_FIELDS:
-            yield f"{prefix}.{f}", getattr(self, f)
+        return zip((f"{prefix}.{f}" for f in ("w", "u_zr", "u_c", "b")), self.weights())
 
-    def gates(self) -> list[Tensor]:
-        """The nine cell tensors in the order tensorkit.gru_sequence takes."""
-        return [getattr(self, f) for f in _GRU_FIELDS]
-
-    def validate(self) -> None:
-        d, h = self.input_dim, self.hidden_dim
-        expect = {
-            "w_z": (h, d), "u_z": (h, h), "b_z": (h,),
-            "w_r": (h, d), "u_r": (h, h), "b_r": (h,),
-            "w_h": (h, d), "u_h": (h, h), "b_h": (h,),
-        }
-        for name, shape in expect.items():
-            got = getattr(self, name).values.shape
-            if got != shape:
-                raise ShapeError(f"GruParams.{name} has shape {list(got)}, expected {list(shape)}")
+    def views(self, prefix: str) -> Iterable[tuple[str, np.ndarray]]:
+        """The per-gate weights as writable views of the blocks, named and
+        ordered as in an HSE1 checkpoint: w_z, u_z, b_z, w_r, u_r, b_r, w_h,
+        u_h, b_h, where W is [H, D] and U is [H, H] in
+        z = sigmoid(W_z x + U_z h + b_z)."""
+        h = self.hidden_dim
+        for k, gate in enumerate("zrh"):
+            cols = slice(k * h, (k + 1) * h)
+            yield f"{prefix}.w_{gate}", self.w.values[:, cols].T
+            yield f"{prefix}.u_{gate}", (self.u_zr.values[:, cols] if k < 2 else self.u_c.values).T
+            yield f"{prefix}.b_{gate}", self.b.values[cols]
 
 
 @dataclass
@@ -140,6 +134,11 @@ class DecoderParams:
         yield from self.gru.named(prefix)
         yield f"{prefix}.out_w", self.out_w
         yield f"{prefix}.out_b", self.out_b
+
+    def views(self, prefix: str) -> Iterable[tuple[str, np.ndarray]]:
+        yield from self.gru.views(prefix)
+        yield f"{prefix}.out_w", self.out_w.values
+        yield f"{prefix}.out_b", self.out_b.values
 
 
 @dataclass
@@ -157,9 +156,15 @@ class HseModelParams:
     dec_p_low: DecoderParams
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        """All weights in the fixed canonical order used for persistence
-        and optimizer updates."""
+        """All weight tensors in the fixed order of optimizer updates."""
         return self._named(_ENCODERS + _DECODERS)
+
+    def checkpoint_views(self) -> list[tuple[str, np.ndarray]]:
+        """The entries of an HSE1 checkpoint, in file order: writable views
+        of the weight tensors, per gate for each GRU."""
+        return [
+            item for prefix in _ENCODERS + _DECODERS for item in getattr(self, prefix).views(prefix)
+        ]
 
     def encoder_parameters(self) -> list[tuple[str, Tensor]]:
         return self._named(_ENCODERS)
@@ -172,25 +177,13 @@ class HseModelParams:
         return [item for prefix in prefixes for item in getattr(self, prefix).named(prefix)]
 
     def validate(self) -> None:
-        self.dims.validate()
-        d = self.dims
-        checks = [
-            (self.enc_v_low, d.d_v, d.hidden_low),
-            (self.enc_v_high, d.hidden_low, d.hidden_high),
-            (self.enc_p_low, d.d_t, d.hidden_low),
-            (self.enc_p_high, d.hidden_low, d.hidden_high),
-            (self.dec_v_high.gru, DECODER_INPUT_DIM, d.hidden_high),
-            (self.dec_v_low.gru, DECODER_INPUT_DIM, d.hidden_low),
-            (self.dec_p_high.gru, DECODER_INPUT_DIM, d.hidden_high),
-            (self.dec_p_low.gru, DECODER_INPUT_DIM, d.hidden_low),
-        ]
-        for gru, in_dim, hid in checks:
-            if gru.input_dim != in_dim or gru.hidden_dim != hid:
+        """Check every weight's shape against the dims."""
+        expected = build_params(self.dims).named_parameters()
+        for (name, t), (_, want) in zip(self.named_parameters(), expected):
+            if t.values.shape != want.values.shape:
                 raise ShapeError(
-                    f"GRU dims ({gru.input_dim}, {gru.hidden_dim}) do not match "
-                    f"expected ({in_dim}, {hid})"
+                    f"{name} has shape {list(t.values.shape)}, expected {list(want.values.shape)}"
                 )
-            gru.validate()
 
 
 def build_params(dims: ModelDims) -> HseModelParams:
@@ -276,7 +269,7 @@ def encode_sequences(params: GruParams, sequences: Sequence[np.ndarray]) -> Tens
     """Embed a batch of [T_b, D] feature sequences in one GRU run from a
     zero state: the [B, H] channel-wise maxima of their hidden states."""
     x, lengths = pad_sequences(sequences)
-    return tk.gru_sequence(tk.constant(x), lengths, params.gates(), pool=True)
+    return tk.gru_sequence(tk.constant(x), lengths, params.weights(), pool=True)
 
 
 def _units_of(sample) -> list[np.ndarray]:
@@ -333,14 +326,14 @@ def encode_batch(
             for k, units in enumerate(unit_lists)
             for offset in np.cumsum([0] + [u.shape[0] for u in units[:-1]])
         ]
-        states = tk.gru_sequence(tk.constant(x), totals, enc_low.gates())
+        states = tk.gru_sequence(tk.constant(x), totals, enc_low.weights())
         flat = tk.reshape(states, (len(samples) * steps, enc_low.hidden_dim))
         low = tk.masked_max(tk.take(flat, _segment_rows(starts, lengths)), lengths)
     else:
         x, _ = pad_sequences([u for units in unit_lists for u in units])
-        low = tk.gru_sequence(tk.constant(x), lengths, enc_low.gates(), pool=True)
+        low = tk.gru_sequence(tk.constant(x), lengths, enc_low.weights(), pool=True)
     high_in = tk.take(low, _segment_rows(np.cumsum([0] + counts[:-1]), counts))
-    high = tk.gru_sequence(high_in, counts, enc_high.gates(), pool=True)
+    high = tk.gru_sequence(high_in, counts, enc_high.weights(), pool=True)
     if not (np.all(np.isfinite(low.values)) and np.all(np.isfinite(high.values))):
         raise HseError("non-finite embedding produced by encoder")
     return EncodedBatch(low=low, high=high, counts=counts)
@@ -380,10 +373,10 @@ def decode_batch(
     if not counts or min(counts) < 1 or min(lengths) < 1:
         raise ContractError("decode_batch requires n >= 1 and every n_i >= 1")
     k, n_max, t_max = len(counts), max(counts), max(lengths)
-    states = tk.gru_sequence(None, counts, dec_high.gru.gates(), high)
+    states = tk.gru_sequence(None, counts, dec_high.gru.weights(), high)
     valid = [b * n_max + i for b, n in enumerate(counts) for i in range(n)]
     flat = tk.reshape(states, (k * n_max, dec_high.gru.hidden_dim))
     low = _project(dec_high, tk.take(flat, valid))
-    unit_states = tk.gru_sequence(None, lengths, dec_low.gru.gates(), low)
+    unit_states = tk.gru_sequence(None, lengths, dec_low.gru.weights(), low)
     flat = tk.reshape(unit_states, (len(lengths) * t_max, dec_low.gru.hidden_dim))
     return DecodedBatch(low=low, units=_project(dec_low, flat), lengths=lengths)

@@ -10,16 +10,17 @@ Tapes are single use; build a fresh one per optimization step.
 Broadcasting is deliberately restricted to elementwise same-shape
 operands (plus scalar constants). Sequences are batched by padding:
 gru_sequence runs a GRU over a padded [B, T, D] batch with per-row
-lengths and records the whole run as one tape record, masked_max pools
-it over the valid steps, and take gathers rows, so a model layer can
-encode a whole batch with a handful of records. gru_sequence orders the
-rows longest first and runs each step, input term included, over the
-rows still running only. With pool=True it returns the pooled [B, H]
-maxima; when nothing will record them it keeps only a running maximum,
-so an evaluation run holds no [B, T, .] buffer. masked_max likewise takes
-a plain masked maximum when nothing will record it. None of this changes
-a row's bits, which do not depend on the batch or on the row's place in
-it.
+lengths, multiplying by the cell's four weight blocks as they are stored
+(no per-call stacking), and records the whole run as one tape record;
+masked_max pools it over the valid steps, and take gathers rows, so a
+model layer can encode a whole batch with a handful of records.
+gru_sequence orders the rows longest first and runs each step, input
+term included, over the rows still running only. With pool=True it
+returns the pooled [B, H] maxima; when nothing will record them it keeps
+only a running maximum, so an evaluation run holds no [B, T, .] buffer.
+masked_max likewise takes a plain masked maximum when nothing will
+record it. None of this changes a row's bits, which do not depend on the
+batch or on the row's place in it.
 """
 
 from __future__ import annotations
@@ -134,8 +135,8 @@ def _record(out: Tensor, back: Callable[[np.ndarray], None]) -> None:
 def _acc(t: Tensor, g) -> None:
     if t.requires_grad:
         if t.grad is None:
-            # copy: g may be a broadcast view or caller-owned buffer
-            t.grad = np.array(g, dtype=np.float64)
+            # a C-order copy: g may be a broadcast, transposed or caller-owned array
+            t.grad = np.array(g, dtype=np.float64, order="C")
             if t.grad.shape != t.values.shape:
                 t.grad = np.broadcast_to(t.grad, t.values.shape).copy()
         else:
@@ -465,7 +466,7 @@ def _unpacked(v: np.ndarray, order: np.ndarray | None) -> np.ndarray:
 def gru_sequence(
     x: Tensor | None,
     lengths,
-    gates: Sequence[Tensor],
+    weights: Sequence[Tensor],
     h0: Tensor | None = None,
     pool: bool = False,
 ) -> Tensor:
@@ -476,21 +477,20 @@ def gru_sequence(
     padding. x may be None for a GRU without input (the decoders): the
     batch is then len(lengths) rows of max(lengths) steps and the input
     term is left out, and the input weights get exact zero gradients.
-    gates are the nine cell tensors w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h,
-    b_h (shapes [H, D], [H, H], [H]). h0 is an optional [B, H] initial
-    state, zero when omitted. Returns the [B, T, H] states; at a padded
-    step a row carries its state forward unchanged. With pool, returns
-    instead the [B, H] channel-wise maxima of each row's states over its
-    valid steps, the value masked_max(states, lengths) has.
+    weights are the cell's four C-contiguous blocks, columns in z|r|h gate
+    order: w [D, 3H], u_zr [H, 2H], u_c [H, H] and b [3H]. h0 is an
+    optional [B, H] initial state, zero when omitted. Returns the [B, T, H]
+    states; at a padded step a row carries its state forward unchanged.
+    With pool, returns instead the [B, H] channel-wise maxima of each row's
+    states over its valid steps, the value masked_max(states, lengths) has.
 
-        z = sigmoid(Wz x + Uz h + bz), r = sigmoid(Wr x + Ur h + br),
-        cand = tanh(Wh x + Uh (r*h) + bh), h' = (1 - z)*h + z*cand.
+        [z | r] = sigmoid(x w[:, :2H] + h u_zr + b[:2H]),
+        cand = tanh(x w[:, 2H:] + (r*h) u_c + b[2H:]), h' = (1 - z)*h + z*cand.
 
-    The gate weights are stacked and transposed once per call into
-    C-contiguous [D, 3H], [H, 2H] and [H, H] matrices, so a step costs
-    three products: the input term of the running rows and two recurrent
-    ones. Rows are multiplied one at a time (_rowwise), so a sequence's
-    states are the same bits alone or anywhere in any batch. The kernel is
+    The blocks are multiplied by as they are, so a step costs three
+    products: the input term of the running rows and two recurrent ones.
+    Rows are multiplied one at a time (_rowwise), so a sequence's states
+    are the same bits alone or anywhere in any batch. The kernel is
     packed: rows are ordered longest first (a stable sort, skipped when the
     lengths already do not increase), so the rows still running at step t
     are a prefix and only they are computed; the others carry their state.
@@ -500,12 +500,12 @@ def gru_sequence(
     a running maximum, so its memory does not grow with T; one that will
     be recorded pools its states with masked_max (a second record).
     """
-    if len(gates) != 9:
-        raise ContractError(f"gru_sequence needs the 9 gate tensors, got {len(gates)}")
-    w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = gates
-    hid = u_z.values.shape[0] if u_z.values.ndim == 2 else -1
+    if len(weights) != 4:
+        raise ContractError(f"gru_sequence needs the 4 weight blocks, got {len(weights)}")
+    w, u_zr, u_c, b = (t.values for t in weights)
+    hid = u_c.shape[0] if u_c.ndim == 2 else -1
     if x is None:
-        dim = w_z.values.shape[-1]
+        dim = w.shape[0]
         bsz = np.size(lengths)
         steps = int(np.max(lengths)) if bsz else 0
     else:
@@ -513,14 +513,11 @@ def gru_sequence(
         if xv.ndim != 3:
             raise ShapeError(f"gru_sequence input must be [B, T, D], got shape {list(xv.shape)}")
         bsz, steps, dim = xv.shape
-    for name, t, shape in zip(
-        ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h"),
-        gates,
-        [(hid, dim), (hid, hid), (hid,)] * 3,
-    ):
-        if t.values.shape != shape:
+    expect = {"w": (dim, 3 * hid), "u_zr": (hid, 2 * hid), "u_c": (hid, hid), "b": (3 * hid,)}
+    for (name, shape), v in zip(expect.items(), (w, u_zr, u_c, b)):
+        if v.shape != shape:
             raise ShapeError(
-                f"gru_sequence {name} has shape {list(t.values.shape)}, expected {list(shape)}"
+                f"gru_sequence {name} has shape {list(v.shape)}, expected {list(shape)}"
             )
     if h0 is not None and h0.values.shape != (bsz, hid):
         raise ShapeError(
@@ -532,14 +529,11 @@ def gru_sequence(
     # first active[t] rows
     active = (bsz - np.cumsum(np.bincount(lengths, minlength=steps))[:steps]).tolist()
     order = None if np.all(lengths[:-1] >= lengths[1:]) else np.argsort(-lengths, kind="stable")
-    w = np.concatenate([w_z.values, w_r.values, w_h.values])
-    u_zr = np.concatenate([u_z.values, u_r.values])
-    u_zr_t, u_c_t = u_zr.T.copy(), u_h.values.T.copy()
-    b_zr, b_c = np.concatenate([b_z.values, b_r.values]), b_h.values
+    b_zr, b_c = b[: 2 * hid], b[2 * hid :]
     if x is not None:
-        xp, w_t = _packed(xv, order), w.T.copy()
+        xp = _packed(xv, order)
     h_init = np.zeros((bsz, hid)) if h0 is None else _packed(h0.values, order)
-    parents = [p for p in (x, *gates, h0) if p is not None]
+    parents = [p for p in (x, *weights, h0) if p is not None]
     requires_grad = any(p.requires_grad for p in parents)
     keep = requires_grad and _active_tape() is not None
     running_max = pool and not keep
@@ -553,13 +547,13 @@ def gru_sequence(
     h = h_init
     for t, n in enumerate(active):
         hp = h[:n]
-        pre = _rowwise(hp, u_zr_t)
+        pre = _rowwise(hp, u_zr)
         if x is not None:
-            xw = _rowwise(xp[:n, t], w_t)
+            xw = _rowwise(xp[:n, t], w)
             pre = xw[:, : 2 * hid] + pre
         zr = _sigmoid(pre + b_zr)
         z, r = zr[:, :hid], zr[:, hid:]
-        pre = _rowwise(r * hp, u_c_t)
+        pre = _rowwise(r * hp, u_c)
         if x is not None:
             pre = xw[:, 2 * hid :] + pre
         cand = np.tanh(pre + b_c)
@@ -580,6 +574,9 @@ def gru_sequence(
     h_prev = np.concatenate([h_init[:, None, :], hs[:, :-1]], axis=1)
 
     def back(g):
+        # contiguous transposes, so that dx, d_rh and dh do not depend on how
+        # BLAS treats a transposed operand
+        w_t, u_zr_t, u_c_t = w.T.copy(), u_zr.T.copy(), u_c.T.copy()
         g = _packed(g, order)
         da = np.zeros((bsz, steps, 3 * hid))  # gate pre-activation gradients
         dh = np.zeros((bsz, hid))
@@ -590,11 +587,11 @@ def gru_sequence(
             dnew = dh[:n]
             da_t = da[:n, t]
             da_c = dnew * z * (1.0 - cand * cand)
-            d_rh = da_c @ u_h.values
+            d_rh = da_c @ u_c_t
             da_t[:, :hid] = dnew * (cand - hp) * z * (1.0 - z)
             da_t[:, hid : 2 * hid] = d_rh * hp * r * (1.0 - r)
             da_t[:, 2 * hid :] = da_c
-            dh[:n] = dnew * (1.0 - z) + d_rh * r + da_t[:, : 2 * hid] @ u_zr
+            dh[:n] = dnew * (1.0 - z) + d_rh * r + da_t[:, : 2 * hid] @ u_zr_t
         flat = da.reshape(-1, 3 * hid)
         if x is None:
             dw = np.zeros((3 * hid, dim))
@@ -602,14 +599,10 @@ def gru_sequence(
             dw = flat.T @ _packed(xv, order).reshape(-1, dim)
         du_zr = flat[:, : 2 * hid].T @ h_prev.reshape(-1, hid)
         du_c = flat[:, 2 * hid :].T @ (rs * h_prev).reshape(-1, hid)
-        db = flat.sum(axis=0)
-        for k in range(3):
-            gate = slice(k * hid, (k + 1) * hid)
-            _acc(gates[3 * k], dw[gate])
-            _acc(gates[3 * k + 1], du_zr[gate] if k < 2 else du_c)
-            _acc(gates[3 * k + 2], db[gate])
+        for block, grad in zip(weights, (dw.T, du_zr.T, du_c.T, flat.sum(axis=0))):
+            _acc(block, grad)
         if x is not None and x.requires_grad:
-            _acc(x, _unpacked(da @ w, order))
+            _acc(x, _unpacked(da @ w_t, order))
         if h0 is not None and h0.requires_grad:
             _acc(h0, _unpacked(dh, order))
 

@@ -90,14 +90,14 @@ class TrainResult:
 def init_params(dims: ModelDims, seed: int) -> HseModelParams:
     """Draw every affine weight from N(0, 0.01); biases start at zero.
 
-    Deterministic in seed: tensors are filled in the canonical parameter
-    order, biases consuming no randomness.
+    Deterministic in seed: the per-gate weights are filled in checkpoint
+    order (HseModelParams.checkpoint_views), biases consuming no randomness.
     """
     rng = np.random.default_rng(seed)
     params = build_params(dims)
-    for name, tensor in params.named_parameters():
-        if tensor.values.ndim == 2:
-            tensor.values = rng.normal(0.0, INIT_WEIGHT_STD, size=tensor.values.shape)
+    for _, view in params.checkpoint_views():
+        if view.ndim == 2:
+            view[...] = rng.normal(0.0, INIT_WEIGHT_STD, size=view.shape)
     params.validate()
     return params
 

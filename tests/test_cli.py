@@ -180,6 +180,24 @@ class TestDispatch:
         assert (out / "gradcheck.txt").exists()
         assert (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv, flag, message",
+        [
+            (["synth", "--clips", "a"], "--clips", "expected a count or LO:HI range, got 'a'"),
+            (
+                ["eval", "--checkpoint", "c.bin", "--corpus", "c.jsonl", "--topk", "1,x"],
+                "--topk",
+                "expected comma-separated counts, got '1,x'",
+            ),
+        ],
+        ids=["synth-clips", "eval-topk"],
+    )
+    def test_malformed_count_is_a_usage_error(self, tmp_path, capsys, argv, flag, message):
+        assert run(*argv, "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1] == f"hse {argv[0]}: error: argument {flag}: {message}"
+        assert not (tmp_path / "out").exists()
+
     def test_bad_log_level_exit_1(self, monkeypatch):
         monkeypatch.setenv("HSE_LOG_LEVEL", "chatty")
         assert run("gradcheck", "--trials", "1") == 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -262,6 +263,16 @@ class TestCheckpointIO:
             assert name_a == name_b
             assert a.values.tobytes() == b.values.tobytes()
 
+    def test_hse1_bytes_are_pinned(self, tmp_path):
+        # the digest of this file as written when every GRU gate was its own
+        # tensor (commit fd09241): pins the format, the entry order and the
+        # order of the init draws
+        path = tmp_path / "ckpt.bin"
+        dims = ModelDims(d_v=3, d_t=2, hidden_low=4, hidden_high=5)
+        save_checkpoint(init_params(dims, seed=7), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "b53c490f1a4b777dda0ee1bb69978c8b7f6456e9781ae01ea4acc1f07b65c34b"
+
     def test_truncated_file(self, tmp_path):
         params = self._params()
         path = tmp_path / "ckpt.bin"
@@ -323,13 +334,13 @@ class TestAtomicWrites:
         save_checkpoint(params, ckpt)
         save_corpus(corpus, corpus_path)
         old = {p: p.read_bytes() for p in (ckpt, corpus_path)}
-        named = params.named_parameters()
+        views = params.checkpoint_views()
 
-        def failing_named():
-            yield from named[:3]
+        def failing_views():
+            yield from views[:3]
             raise OSError("disk full")
 
-        monkeypatch.setattr(params, "named_parameters", failing_named)
+        monkeypatch.setattr(params, "checkpoint_views", failing_views)
         with pytest.raises(OSError):
             save_checkpoint(params, ckpt)
         dumps = json.dumps

@@ -212,7 +212,7 @@ class TestZeroShot:
         params = init_params(dims, 11)
         # share the low-level encoder weights across modalities so a clip
         # equal to a label phrase lands exactly on its embedding
-        for field in ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h"):
+        for field in ("w", "u_zr", "u_c", "b"):
             getattr(params.enc_p_low, field).values = getattr(
                 params.enc_v_low, field
             ).values.copy()
@@ -233,10 +233,19 @@ class TestZeroShot:
         assert report.top5 == 1.0  # rank within 3 labels is always <= 3
         assert report.top1 <= report.top5
 
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_outside_the_phrases_is_rejected(self, label):
+        params = init_params(ModelDims(d_v=3, d_t=3, hidden_low=4, hidden_high=4), 12)
+        rng = np.random.default_rng(5)
+        phrases = [rng.normal(size=(1, 3)) for _ in range(3)]
+        clips = [(rng.normal(size=(2, 3)), 0), (rng.normal(size=(2, 3)), label)]
+        with pytest.raises(ContractError, match=rf"clip 1 has label {label} outside \[0, 3\)"):
+            zeroshot_classify(params, clips, phrases)
+
     def test_tied_labels_follow_argmax_and_favor_the_true_label(self):
         dims = ModelDims(d_v=3, d_t=3, hidden_low=4, hidden_high=4)
         params = init_params(dims, 14)
-        for field in ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h"):
+        for field in ("w", "u_zr", "u_c", "b"):
             getattr(params.enc_p_low, field).values = getattr(
                 params.enc_v_low, field
             ).values.copy()

@@ -21,24 +21,32 @@ from hse.training import init_params
 
 
 def random_gru(rng, input_dim, hidden_dim):
+    """A GRU with N(0, 0.4^2) weights and biases, drawn gate by gate."""
     p = GruParams.zeros(input_dim, hidden_dim)
-    for _, tensor in p.named("g"):
-        tensor.values = rng.normal(0.0, 0.4, size=tensor.values.shape)
+    for _, view in p.views("g"):
+        view[...] = rng.normal(0.0, 0.4, size=view.shape)
     return p
+
+
+def gates_of(p: GruParams) -> dict[str, Tensor]:
+    """The nine per-gate weights of p (w_z, u_z, b_z, ...) as separate leaf
+    tensors copied from its views, the form the reference cells take."""
+    return {name[2:]: Tensor(view.copy(), requires_grad=True) for name, view in p.views("g")}
 
 
 def numpy_gru_step(p: GruParams, x, h):
     """Independent forward reference for the pinned cell convention."""
+    g = {name[2:]: view for name, view in p.views("g")}
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))
-    z = sig((p.w_z.values @ x + p.u_z.values @ h) + p.b_z.values)
-    r = sig((p.w_r.values @ x + p.u_r.values @ h) + p.b_r.values)
-    cand = np.tanh((p.w_h.values @ x + p.u_h.values @ (r * h)) + p.b_h.values)
+    z = sig((g["w_z"] @ x + g["u_z"] @ h) + g["b_z"])
+    r = sig((g["w_r"] @ x + g["u_r"] @ h) + g["b_r"])
+    cand = np.tanh((g["w_h"] @ x + g["u_h"] @ (r * h)) + g["b_h"])
     return (1.0 - z) * h + z * cand
 
 
-def gru_step(params: GruParams, x, h: Tensor) -> Tensor:
+def gru_step(g: dict[str, Tensor], x, h: Tensor) -> Tensor:
     """One GRU update on the tape, the reference cell tensorkit.gru_sequence
-    is tested against.
+    is tested against; g holds the per-gate weights (see gates_of).
 
     z = sigmoid(Wz x + Uz h + bz), r = sigmoid(Wr x + Ur h + br),
     cand = tanh(Wh x + Uh (r*h) + bh), h' = (1 - z)*h + z*cand.
@@ -46,19 +54,16 @@ def gru_step(params: GruParams, x, h: Tensor) -> Tensor:
     Each product is a row vector times the transposed weight, the layout
     the kernel multiplies in.
     """
+    hidden_dim, input_dim = g["w_z"].values.shape
     x = x if isinstance(x, Tensor) else tk.constant(x)
-    if x.values.ndim != 1 or x.values.shape[0] != params.input_dim:
-        raise ShapeError(
-            f"gru_step input has shape {list(x.shape)}, expected [{params.input_dim}]"
-        )
-    if h.values.ndim != 1 or h.values.shape[0] != params.hidden_dim:
-        raise ShapeError(
-            f"gru_step state has shape {list(h.shape)}, expected [{params.hidden_dim}]"
-        )
-    z = tk.sigmoid(tk.add(tk.add(_times(params.w_z, x), _times(params.u_z, h)), params.b_z))
-    r = tk.sigmoid(tk.add(tk.add(_times(params.w_r, x), _times(params.u_r, h)), params.b_r))
+    if x.values.ndim != 1 or x.values.shape[0] != input_dim:
+        raise ShapeError(f"gru_step input has shape {list(x.shape)}, expected [{input_dim}]")
+    if h.values.ndim != 1 or h.values.shape[0] != hidden_dim:
+        raise ShapeError(f"gru_step state has shape {list(h.shape)}, expected [{hidden_dim}]")
+    z = tk.sigmoid(tk.add(tk.add(_times(g["w_z"], x), _times(g["u_z"], h)), g["b_z"]))
+    r = tk.sigmoid(tk.add(tk.add(_times(g["w_r"], x), _times(g["u_r"], h)), g["b_r"]))
     cand = tk.tanh(
-        tk.add(tk.add(_times(params.w_h, x), _times(params.u_h, tk.mul(r, h))), params.b_h)
+        tk.add(tk.add(_times(g["w_h"], x), _times(g["u_h"], tk.mul(r, h))), g["b_h"])
     )
     keep = tk.add_scalar(tk.mul_scalar(z, -1.0), 1.0)
     return tk.add(tk.mul(keep, h), tk.mul(z, cand))
@@ -74,12 +79,12 @@ class TestGruStep:
     def test_zero_weights_halve_the_state(self):
         p = GruParams.zeros(2, 2)
         h = Tensor([0.4, -0.2])
-        out = gru_step(p, np.zeros(2), h)
+        out = gru_step(gates_of(p), np.zeros(2), h)
         assert out.values.tolist() == [0.2, -0.1]
 
     def test_zero_state_is_fixed_point_of_zero_weights(self):
         p = GruParams.zeros(3, 3)
-        out = gru_step(p, np.zeros(3), Tensor(np.zeros(3)))
+        out = gru_step(gates_of(p), np.zeros(3), Tensor(np.zeros(3)))
         assert out.values.tolist() == [0.0, 0.0, 0.0]
 
     def test_matches_numpy_reference(self):
@@ -87,7 +92,7 @@ class TestGruStep:
         p = random_gru(rng, 4, 3)
         x = rng.normal(size=4)
         h = rng.normal(size=3)
-        out = gru_step(p, x, Tensor(h))
+        out = gru_step(gates_of(p), x, Tensor(h))
         assert np.allclose(out.values, numpy_gru_step(p, x, h), atol=1e-12)
 
     def test_gradient_vs_finite_differences(self):
@@ -96,19 +101,19 @@ class TestGruStep:
         x = rng.normal(size=3)
         h = tk.constant(rng.normal(size=3))
         weight = tk.constant(rng.normal(size=3))
-        params = [t for _, t in p.named("g")]
+        g = gates_of(p)
 
         def f(ps):
-            return tk.reduce_sum(tk.mul(gru_step(p, x, h), weight))
+            return tk.reduce_sum(tk.mul(gru_step(g, x, h), weight))
 
-        assert finite_diff_check(f, params).max_rel_err < 1e-4
+        assert finite_diff_check(f, list(g.values())).max_rel_err < 1e-4
 
     def test_shape_errors(self):
-        p = GruParams.zeros(2, 3)
+        g = gates_of(GruParams.zeros(2, 3))
         with pytest.raises(ShapeError):
-            gru_step(p, np.zeros(5), Tensor(np.zeros(3)))
+            gru_step(g, np.zeros(5), Tensor(np.zeros(3)))
         with pytest.raises(ShapeError):
-            gru_step(p, np.zeros(2), Tensor(np.zeros(2)))
+            gru_step(g, np.zeros(2), Tensor(np.zeros(2)))
 
 
 def ragged_batch(rng, input_dim, steps):
@@ -125,12 +130,13 @@ class TestGruSequence:
         p = random_gru(rng, 3, 4)
         x, lengths = ragged_batch(rng, 3, 5)
         h0 = rng.normal(size=(5, 4))
-        states = tk.gru_sequence(tk.constant(x), lengths, p.gates(), tk.constant(h0)).values
+        states = tk.gru_sequence(tk.constant(x), lengths, p.weights(), tk.constant(h0)).values
+        g = gates_of(p)
         for b, n in enumerate(lengths):
             h = Tensor(h0[b])
             for step in range(5):
                 if step < n:
-                    h = gru_step(p, x[b, step], h)
+                    h = gru_step(g, x[b, step], h)
                     assert np.allclose(states[b, step], h.values, rtol=0.0, atol=1e-12)
                 else:  # padding carries the last state unchanged
                     assert np.array_equal(states[b, step], states[b, n - 1])
@@ -144,38 +150,38 @@ class TestGruSequence:
         weight = tk.constant(rng.normal(size=(4, 4, 4)))
 
         def f(ps):
-            return tk.reduce_sum(tk.mul(tk.gru_sequence(x, lengths, p.gates(), h0), weight))
+            return tk.reduce_sum(tk.mul(tk.gru_sequence(x, lengths, p.weights(), h0), weight))
 
-        report = finite_diff_check(f, [*p.gates(), x, h0])
+        report = finite_diff_check(f, [*p.weights(), x, h0])
         assert report.max_rel_err < 1e-4
-        assert len(report.per_param_max) == 11
+        assert len(report.per_param_max) == 6
 
     def test_one_tape_record_per_run(self):
         rng = np.random.default_rng(23)
         p = random_gru(rng, 2, 3)
         x, lengths = ragged_batch(rng, 2, 4)
         with Tape() as tape:
-            tk.gru_sequence(tk.constant(x), lengths, p.gates())
+            tk.gru_sequence(tk.constant(x), lengths, p.weights())
         assert len(tape) == 1
 
     def test_shape_errors(self):
         p = GruParams.zeros(2, 3)
         with pytest.raises(ShapeError):
-            tk.gru_sequence(tk.constant(np.zeros((2, 4, 5))), [4, 4], p.gates())
+            tk.gru_sequence(tk.constant(np.zeros((2, 4, 5))), [4, 4], p.weights())
         with pytest.raises(ShapeError):
-            tk.gru_sequence(tk.constant(np.zeros((2, 4, 2))), [4, 5], p.gates())
+            tk.gru_sequence(tk.constant(np.zeros((2, 4, 2))), [4, 5], p.weights())
         with pytest.raises(ShapeError):
-            tk.gru_sequence(tk.constant(np.zeros((2, 4, 2))), [4, 4], p.gates(), tk.constant(np.zeros((1, 3))))
+            tk.gru_sequence(tk.constant(np.zeros((2, 4, 2))), [4, 4], p.weights(), tk.constant(np.zeros((1, 3))))
 
 
 def run_and_pool(p, x, lengths, h0, taped):
     """States and pooled rows of one kernel run, with or without a tape."""
     if taped:
         with Tape():
-            states = tk.gru_sequence(tk.constant(x), lengths, p.gates(), tk.constant(h0))
+            states = tk.gru_sequence(tk.constant(x), lengths, p.weights(), tk.constant(h0))
             pooled = tk.masked_max(states, lengths)
     else:
-        states = tk.gru_sequence(tk.constant(x), lengths, p.gates(), tk.constant(h0))
+        states = tk.gru_sequence(tk.constant(x), lengths, p.weights(), tk.constant(h0))
         pooled = tk.masked_max(states, lengths)
     return states.values, pooled.values
 
@@ -233,16 +239,18 @@ class TestPackedKernel:
         h0_values = rng.normal(size=(5, 4))
         weight = rng.normal(size=(5, 5, 4))
 
-        def grads(loss_fn):
+        gates = gates_of(p)
+
+        def grads(loss_fn, weights):
             x = Tensor(x_values, requires_grad=True)
             h0 = Tensor(h0_values, requires_grad=True)
-            tk.zero_grads(p.gates())
+            tk.zero_grads(weights)
             with Tape():
                 tk.backward(loss_fn(x, h0))
-            return [g.grad.copy() for g in p.gates()] + [x.grad, h0.grad]
+            return [w.grad.copy() for w in weights] + [x.grad, h0.grad]
 
         def kernel_loss(x, h0):
-            states = tk.gru_sequence(x, lengths, p.gates(), h0)
+            states = tk.gru_sequence(x, lengths, p.weights(), h0)
             return tk.reduce_sum(tk.mul(states, tk.constant(weight)))
 
         def loop_loss(x, h0):
@@ -251,12 +259,16 @@ class TestPackedKernel:
                 h, row = tk.take(h0, b), tk.take(x, b)
                 for step in range(5):
                     if step < n:  # padding carries the last state
-                        h = gru_step(p, tk.take(row, step), h)
+                        h = gru_step(gates, tk.take(row, step), h)
                     term = tk.reduce_sum(tk.mul(h, tk.constant(weight[b, step])))
                     total = term if total is None else tk.add(total, term)
             return total
 
-        for got, want in zip(grads(kernel_loss), grads(loop_loss)):
+        kernel = grads(kernel_loss, p.weights())
+        # the kernel's block gradients, read gate by gate as the loop has them
+        per_gate = [v for _, v in GruParams(*map(Tensor, kernel[:4])).views("g")]
+        loop = grads(loop_loss, list(gates.values()))
+        for got, want in zip(per_gate + kernel[4:], loop, strict=True):
             assert np.allclose(got, want, rtol=0.0, atol=1e-10)
 
     def test_no_input_equals_zero_input(self):
@@ -268,14 +280,14 @@ class TestPackedKernel:
         results = []
         for x in (None, tk.constant(np.zeros((3, 4, 1)))):
             h0 = Tensor(h0_values, requires_grad=True)
-            tk.zero_grads(p.gates())
+            tk.zero_grads(p.weights())
             with Tape():
-                states = tk.gru_sequence(x, lengths, p.gates(), h0)
+                states = tk.gru_sequence(x, lengths, p.weights(), h0)
                 tk.backward(tk.reduce_sum(tk.mul(states, weight)))
-            results.append([states.values, h0.grad] + [g.grad for g in p.gates()])
+            results.append([states.values, h0.grad] + [g.grad for g in p.weights()])
         for got, want in zip(*results):
             assert np.array_equal(got, want)
-        assert np.array_equal(p.w_z.grad, np.zeros((4, 1)))  # still handed to the optimizer
+        assert np.array_equal(p.w.grad, np.zeros((1, 12)))  # still handed to the optimizer
 
 
 class TestPooledKernel:
@@ -285,15 +297,15 @@ class TestPooledKernel:
     def pooled_batch(self):
         rng = np.random.default_rng(36)
         p = random_gru(rng, 3, 4)
-        p.b_z.values[:2] = -700.0  # z is ~1e-304: channels 0-1 keep h0 exactly, a tie at every step
+        p.b.values[:2] = -700.0  # z is ~1e-304: channels 0-1 keep h0 exactly, a tie at every step
         x, lengths = ragged_batch(rng, 3, 6)
         assert lengths != sorted(lengths, reverse=True)
         return p, x, lengths, rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
 
     def test_tape_free_pool_equals_masked_max(self):
         p, x, lengths, h0, _ = self.pooled_batch()
-        states = tk.gru_sequence(tk.constant(x), lengths, p.gates(), tk.constant(h0))
-        pooled = tk.gru_sequence(tk.constant(x), lengths, p.gates(), tk.constant(h0), pool=True)
+        states = tk.gru_sequence(tk.constant(x), lengths, p.weights(), tk.constant(h0))
+        pooled = tk.gru_sequence(tk.constant(x), lengths, p.weights(), tk.constant(h0), pool=True)
         assert np.array_equal(pooled.values, tk.masked_max(states, lengths).values)
         assert np.array_equal(pooled.values[:, :2], h0[:, :2])
 
@@ -303,14 +315,14 @@ class TestPooledKernel:
         def run(pool):
             x = Tensor(x_values, requires_grad=True)
             h0 = Tensor(h0_values, requires_grad=True)
-            tk.zero_grads(p.gates())
+            tk.zero_grads(p.weights())
             with Tape():
                 if pool:
-                    pooled = tk.gru_sequence(x, lengths, p.gates(), h0, pool=True)
+                    pooled = tk.gru_sequence(x, lengths, p.weights(), h0, pool=True)
                 else:
-                    pooled = tk.masked_max(tk.gru_sequence(x, lengths, p.gates(), h0), lengths)
+                    pooled = tk.masked_max(tk.gru_sequence(x, lengths, p.weights(), h0), lengths)
                 tk.backward(tk.reduce_sum(tk.mul(pooled, tk.constant(weight))))
-            return [pooled.values, x.grad, h0.grad] + [g.grad.copy() for g in p.gates()]
+            return [pooled.values, x.grad, h0.grad] + [g.grad.copy() for g in p.weights()]
 
         for got, want in zip(run(True), run(False)):
             assert np.array_equal(got, want)
@@ -321,10 +333,10 @@ class TestPooledKernel:
         p = random_gru(rng, dim, hid)
         lengths = [steps, 1500, 700, 3]  # already longest first: x is not copied
         x = tk.constant(rng.normal(size=(bsz, steps, dim)))
-        gates = p.gates()
+        weights = p.weights()
         tracemalloc.start()
         try:
-            tk.gru_sequence(x, lengths, gates, pool=True)
+            tk.gru_sequence(x, lengths, weights, pool=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -363,7 +375,7 @@ class TestEncodeSequence:
         p = random_gru(rng, 3, 4)
         x = rng.normal(size=3)
         single = encode_sequences(p, [x[None, :]])
-        step = gru_step(p, x, Tensor(np.zeros(4)))
+        step = gru_step(gates_of(p), x, Tensor(np.zeros(4)))
         assert np.array_equal(single.values[0], step.values)
 
     def test_pooling_is_channelwise_max_of_steps(self):
@@ -393,7 +405,7 @@ class TestEncodeFlat:
         frame = rng.normal(size=3)
         video = VideoSample("v", [frame.reshape(1, 3)])
         flat = encode_flat_batch(params.enc_v_low, [video])
-        direct = gru_step(params.enc_v_low, frame, Tensor(np.zeros(4)))
+        direct = gru_step(gates_of(params.enc_v_low), frame, Tensor(np.zeros(4)))
         assert np.array_equal(flat.values[0], direct.values)
 
     def test_equals_manual_flattening(self):
@@ -571,15 +583,20 @@ class TestDecodeHierarchical:
 class TestParamStructure:
     def test_named_parameter_order_is_stable(self):
         dims = ModelDims(d_v=2, d_t=3, hidden_low=4, hidden_high=5)
-        names = [n for n, _ in build_params(dims).named_parameters()]
+        params = build_params(dims)
+        names = [n for n, _ in params.checkpoint_views()]
         assert names[:3] == ["enc_v_low.w_z", "enc_v_low.u_z", "enc_v_low.b_z"]
         assert names[-2:] == ["dec_p_low.out_w", "dec_p_low.out_b"]
         assert len(names) == 4 * 9 + 4 * 11
+        names = [n for n, _ in params.named_parameters()]
+        assert names[:4] == ["enc_v_low.w", "enc_v_low.u_zr", "enc_v_low.u_c", "enc_v_low.b"]
+        assert names[-2:] == ["dec_p_low.out_w", "dec_p_low.out_b"]
+        assert len(names) == 4 * 4 + 4 * 6
 
     def test_validate_catches_dim_mismatch(self):
         dims = ModelDims(d_v=2, d_t=3, hidden_low=4, hidden_high=5)
         params = build_params(dims)
-        params.enc_v_low.w_z.values = np.zeros((4, 3))
+        params.enc_v_low.w.values = np.zeros((3, 12))
         with pytest.raises(ShapeError):
             params.validate()
 

@@ -29,12 +29,12 @@ class TestInitParams:
         dims = ModelDims(d_v=4, d_t=3, hidden_low=5, hidden_high=5)
         a = init_params(dims, 1)
         b = init_params(dims, 2)
-        assert a.enc_v_low.w_z.values.tobytes() != b.enc_v_low.w_z.values.tobytes()
+        assert a.enc_v_low.w.values.tobytes() != b.enc_v_low.w.values.tobytes()
 
     def test_weight_variance_in_band(self):
         dims = ModelDims(d_v=100, d_t=100, hidden_low=100, hidden_high=100)
         params = init_params(dims, 0)
-        w = params.enc_v_low.w_z.values  # 100 x 100 = 1e4 entries
+        w = params.enc_v_low.w.values  # 100 x 300 = 3e4 entries
         assert 0.008 <= w.var() <= 0.012
         assert abs(w.mean()) < 0.01
 
