@@ -156,20 +156,27 @@ def _parse_range(text: str) -> tuple[int, int]:
     return v, v
 
 
+def _parse_count(text: str) -> int:
+    if int(text) < 1:
+        raise ValueError(f"count {text} < 1")
+    return int(text)
+
+
 def _parse_topk(text: str) -> tuple[int, ...]:
-    return tuple(int(k) for k in text.split(","))
+    return tuple(_parse_count(k) for k in text.split(","))
 
 
-def _checked(parse, expected: str):
+def _checked(parse, expected: str, keep_text: bool = True):
     """An argparse type: a flag text that parse cannot read is a usage
-    error; a good one is kept as given, which is how the manifest records it."""
+    error; a good one is kept as given, which is how the manifest records
+    it, or as parsed if not keep_text."""
 
-    def check(text: str) -> str:
+    def check(text: str):
         try:
-            parse(text)
+            value = parse(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
-        return text
+        return text if keep_text else value
 
     return check
 
@@ -398,7 +405,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--topk", type=topk, default="1,5,50", help="comma-separated k values")
         p.add_argument("--mode", choices=["hierarchical", "flat"], default="hierarchical")
         if name == "partial-eval":
-            p.add_argument("--max-units", dest="max_units", type=int, required=True)
+            count = _checked(_parse_count, "a count >= 1", keep_text=False)
+            p.add_argument("--max-units", dest="max_units", type=count, required=True)
         p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("zeroshot", help="nearest-label transfer over clip embeddings")

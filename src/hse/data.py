@@ -242,8 +242,9 @@ def synth_generate(spec: SynthSpec) -> tuple[Corpus, SynthLabels]:
     """Generate a corpus plus ground-truth event labels, deterministically in
     spec.seed.
 
-    Pairs receive distinct event sequences whenever the event vocabulary
-    allows it (resampling on collision), so retrieval targets are unique.
+    Pairs receive distinct event sequences (resampling on collision), so
+    retrieval targets are unique; a pair whose drawn clip count n has no
+    unused sequence left (all num_events ** n are taken) is a ContractError.
     Weak mode shuffles each pair's sentence order and occasionally repeats
     one event as an extra sentence, producing pairs with more sentences
     than clips.
@@ -261,14 +262,18 @@ def synth_generate(spec: SynthSpec) -> tuple[Corpus, SynthLabels]:
     seen_sequences: set[tuple[int, ...]] = set()
     pairs: list[tuple[VideoSample, ParagraphSample]] = []
     for k in range(spec.num_pairs):
+        pid = f"pair_{k:04d}"
         n = int(rng.integers(spec.clips_per_pair[0], spec.clips_per_pair[1] + 1))
-        for _ in range(64):
+        if sum(len(seq) == n for seq in seen_sequences) == spec.num_events**n:
+            raise ContractError(
+                f"SynthSpec: {pid} draws {n} clips, but all {spec.num_events**n} event "
+                f"sequences of length {n} are taken by earlier pairs"
+            )
+        clip_events = None
+        while clip_events is None or clip_events in seen_sequences:
             clip_events = tuple(int(e) for e in rng.integers(0, spec.num_events, size=n))
-            if clip_events not in seen_sequences:
-                break
         seen_sequences.add(clip_events)
 
-        pid = f"pair_{k:04d}"
         clips = []
         for ev in clip_events:
             frames = int(rng.integers(spec.frames_per_clip[0], spec.frames_per_clip[1] + 1))
@@ -495,5 +500,4 @@ def load_checkpoint(path):
         trailing = fh.read(1)
         if trailing:
             raise CheckpointError("trailing bytes after final parameter")
-    params.validate()
     return params

@@ -13,7 +13,10 @@ information.
 
 A GRU's weights are stored as the four blocks tensorkit.gru_sequence
 multiplies by (see GruParams); the per-gate weights of a checkpoint are
-views of them (HseModelParams.checkpoint_views). Every GRU runs through
+views of them (HseModelParams.checkpoint_views). All weight tensors of a
+model are in turn views of one flat buffer, HseModelParams.values, which
+they tile in named_parameters order, so that training can update a
+leading span of it with whole-buffer operations. Every GRU runs through
 tensorkit.gru_sequence over a padded batch:
 encode_batch and decode_batch handle all samples of one modality at once
 (one GRU run per level), encode_sequences and encode_flat_batch a batch of
@@ -27,6 +30,8 @@ in any row order.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -44,6 +49,7 @@ __all__ = [
     "EncodedBatch",
     "DecodedBatch",
     "build_params",
+    "tile",
     "pad_sequences",
     "encode_sequences",
     "encode_flat_batch",
@@ -57,6 +63,7 @@ DECODER_INPUT_DIM = 1
 
 _ENCODERS = ("enc_v_low", "enc_v_high", "enc_p_low", "enc_p_high")
 _DECODERS = ("dec_v_high", "dec_v_low", "dec_p_high", "dec_p_low")
+_GRUS = _ENCODERS + _DECODERS  # named_parameters and checkpoint order
 
 
 @dataclass
@@ -143,7 +150,9 @@ class DecoderParams:
 
 @dataclass
 class HseModelParams:
-    """All encoder and decoder weights for both modalities and both levels."""
+    """All encoder and decoder weights for both modalities and both levels.
+    values is the one flat buffer that every weight tensor is a view of,
+    the tensors tiling it in named_parameters order."""
 
     dims: ModelDims
     enc_v_low: GruParams
@@ -154,60 +163,56 @@ class HseModelParams:
     dec_v_low: DecoderParams
     dec_p_high: DecoderParams
     dec_p_low: DecoderParams
+    values: np.ndarray
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        """All weight tensors in the fixed order of optimizer updates."""
-        return self._named(_ENCODERS + _DECODERS)
+        """All weight tensors, in the order they tile values."""
+        return self.leading_parameters(_GRUS[-1])
 
     def checkpoint_views(self) -> list[tuple[str, np.ndarray]]:
         """The entries of an HSE1 checkpoint, in file order: writable views
         of the weight tensors, per gate for each GRU."""
-        return [
-            item for prefix in _ENCODERS + _DECODERS for item in getattr(self, prefix).views(prefix)
-        ]
+        return [item for prefix in _GRUS for item in getattr(self, prefix).views(prefix)]
 
-    def encoder_parameters(self) -> list[tuple[str, Tensor]]:
-        return self._named(_ENCODERS)
-
-    def flat_encoder_parameters(self) -> list[tuple[str, Tensor]]:
-        """Low-level encoders only: the parameter set of the flat baseline."""
-        return self._named(("enc_v_low", "enc_p_low"))
-
-    def _named(self, prefixes: Sequence[str]) -> list[tuple[str, Tensor]]:
+    def leading_parameters(self, last: str) -> list[tuple[str, Tensor]]:
+        """The weight tensors of the GRUs up to and including prefix last, in
+        named_parameters order; they tile a leading span of values."""
+        prefixes = _GRUS[: _GRUS.index(last) + 1]
         return [item for prefix in prefixes for item in getattr(self, prefix).named(prefix)]
 
-    def validate(self) -> None:
-        """Check every weight's shape against the dims."""
-        expected = build_params(self.dims).named_parameters()
-        for (name, t), (_, want) in zip(self.named_parameters(), expected):
-            if t.values.shape != want.values.shape:
-                raise ShapeError(
-                    f"{name} has shape {list(t.values.shape)}, expected {list(want.values.shape)}"
-                )
+
+def tile(buffer: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    """Views of consecutive pieces of a flat buffer, one per shape, from its
+    start on."""
+    sizes = [math.prod(shape) for shape in shapes]
+    ends = np.cumsum(sizes, dtype=np.intp)
+    return [buffer[end - size : end].reshape(shape) for shape, size, end in zip(shapes, sizes, ends)]
 
 
 def build_params(dims: ModelDims) -> HseModelParams:
-    """Zero-initialized parameter structure with the right shapes."""
+    """Zero-initialized parameters with the right shapes, all views of one
+    buffer (HseModelParams.values)."""
     dims.validate()
-    return HseModelParams(
-        dims=dims,
-        enc_v_low=GruParams.zeros(dims.d_v, dims.hidden_low),
-        enc_v_high=GruParams.zeros(dims.hidden_low, dims.hidden_high),
-        enc_p_low=GruParams.zeros(dims.d_t, dims.hidden_low),
-        enc_p_high=GruParams.zeros(dims.hidden_low, dims.hidden_high),
-        dec_v_high=_zero_decoder(dims.hidden_high, dims.hidden_low),
-        dec_v_low=_zero_decoder(dims.hidden_low, dims.d_v),
-        dec_p_high=_zero_decoder(dims.hidden_high, dims.hidden_low),
-        dec_p_low=_zero_decoder(dims.hidden_low, dims.d_t),
-    )
+    lo, hi, d = dims.hidden_low, dims.hidden_high, DECODER_INPUT_DIM
+    # (input dim, hidden dim, projection width or 0 for an encoder) of
+    # each GRU, in _GRUS order
+    grus = [(dims.d_v, lo, 0), (lo, hi, 0), (dims.d_t, lo, 0), (lo, hi, 0)]
+    grus += [(d, hi, lo), (d, lo, dims.d_v), (d, hi, lo), (d, lo, dims.d_t)]
+    shapes = []
+    for d_in, h, out in grus:
+        shapes += [(d_in, 3 * h), (h, 2 * h), (h, h), (3 * h,)]
+        if out:
+            shapes += [(out, h), (out,)]
+    values = np.zeros(sum(math.prod(shape) for shape in shapes))
+    tensors = iter([Tensor(view, requires_grad=True) for view in tile(values, shapes)])
 
+    def gru() -> GruParams:
+        return GruParams(*itertools.islice(tensors, 4))
 
-def _zero_decoder(hidden_dim: int, target_dim: int) -> DecoderParams:
-    return DecoderParams(
-        gru=GruParams.zeros(DECODER_INPUT_DIM, hidden_dim),
-        out_w=Tensor(np.zeros((target_dim, hidden_dim)), requires_grad=True),
-        out_b=Tensor(np.zeros(target_dim), requires_grad=True),
-    )
+    def decoder() -> DecoderParams:
+        return DecoderParams(gru(), next(tensors), next(tensors))
+
+    return HseModelParams(dims, *[decoder() if out else gru() for _, _, out in grus], values=values)
 
 
 @dataclass

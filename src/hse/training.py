@@ -1,15 +1,16 @@
 """Parameter initialization, Adam updates, learning-rate schedule, epoch loop.
 
 Training is a pure function of (corpus, config): pair order is shuffled by
-a generator seeded from the config, gradients reduce in a fixed parameter
-order, and updates are applied in that same order, so repeated runs are
-bitwise identical.
+a generator seeded from the config and gradients accumulate in tape order,
+so repeated runs are bitwise identical. The weights a model kind trains are
+a leading span of the model's flat buffer (HseModelParams.values); their
+gradients accumulate into views of one flat buffer of the same layout, and
+Adam updates the span in place with whole-buffer operations.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -25,8 +26,7 @@ from .losses import (
     loss_match_high,
     total_loss,
 )
-from .model import HseModelParams, ModelDims, build_params, encode_flat_batch
-from .tensorkit import Tensor
+from .model import HseModelParams, ModelDims, build_params, encode_flat_batch, tile
 
 __all__ = [
     "TrainConfig",
@@ -98,86 +98,55 @@ def init_params(dims: ModelDims, seed: int) -> HseModelParams:
     for _, view in params.checkpoint_views():
         if view.ndim == 2:
             view[...] = rng.normal(0.0, INIT_WEIGHT_STD, size=view.shape)
-    params.validate()
     return params
 
 
+# Adam's moment decay rates and denominator offset
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class OptimizerState:
-    """Adam accumulators for a fixed, ordered parameter list.
+    """Adam's step count and moments m and v for a flat buffer of size
+    values, plus two scratch buffers, so that an update is a handful of
+    whole-buffer operations."""
 
-    m and v are flat buffers over the parameters in list order, so an update
-    is a handful of whole-buffer operations instead of a dozen per tensor.
-    """
-
-    def __init__(self, shapes: Sequence[tuple[int, ...]], beta1=0.9, beta2=0.999, eps=1e-8):
-        self.shapes = [tuple(s) for s in shapes]
-        sizes = [math.prod(s) for s in self.shapes]
-        self.m = np.zeros(sum(sizes))
-        self.v = np.zeros(sum(sizes))
+    def __init__(self, size: int):
         self.step = 0
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        # the gradients are copied into _grad, which then serves as scratch;
-        # _update holds the step, seen per parameter through _update_views
-        self._grad = np.empty_like(self.m)
-        self._update = np.empty_like(self.m)
-        ends = np.cumsum(sizes, dtype=np.intp)
-        self._update_views = [
-            self._update[end - size : end].reshape(shape)
-            for shape, size, end in zip(self.shapes, sizes, ends)
-        ]
-
-    @classmethod
-    def for_params(cls, params: Sequence[Tensor]) -> "OptimizerState":
-        return cls([p.values.shape for p in params])
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._denom = np.empty(size)
+        self._update = np.empty(size)
 
 
-def optimizer_step(
-    state: OptimizerState,
-    params: Sequence[Tensor],
-    grads: Sequence[np.ndarray | None],
-    lr: float,
-) -> None:
-    """One bias-corrected adaptive-moment update.
+def optimizer_step(state: OptimizerState, values: np.ndarray, grad: np.ndarray, lr: float) -> None:
+    """One bias-corrected adaptive-moment update of the flat buffer values,
+    in place, from its gradient grad.
 
     The arithmetic is elementwise and runs in the same order as a per-tensor
     loop would (m, v, then lr * m_hat / (sqrt(v_hat) + eps)), so every
-    parameter's update does not depend on the others, to the last bit."""
-    shapes = state.shapes
-    if len(params) != len(shapes) or len(grads) != len(shapes):
-        raise ContractError("optimizer_step: parameter, gradient, and state counts differ")
-    if [p.values.shape for p in params] != shapes:
-        raise ContractError("optimizer_step: parameter shapes differ from the state's")
-    for i, g in enumerate(grads):
-        if g is None:
-            raise ContractError(f"optimizer_step: missing gradient for parameter {i}")
-        if g.shape != shapes[i]:
-            raise ContractError(f"optimizer_step: gradient {i} has the wrong shape")
+    value's update does not depend on the others, to the last bit."""
+    if values.shape != state.m.shape or grad.shape != state.m.shape:
+        raise ContractError(f"optimizer_step: values and gradient must have shape ({state.m.size},)")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
-    g, tmp, m, v = state._grad, state._update, state.m, state.v
-    if shapes:
-        np.concatenate([x.ravel() for x in grads], out=g)
+    m, v, tmp, denom = state.m, state.v, state._update, state._denom
     m *= b1
-    np.multiply(g, 1.0 - b1, out=tmp)
+    np.multiply(grad, 1.0 - b1, out=tmp)
     m += tmp
     v *= b2
-    np.multiply(g, 1.0 - b2, out=tmp)
-    tmp *= g
+    np.multiply(grad, 1.0 - b2, out=tmp)
+    tmp *= grad
     v += tmp
-    # the gradient is spent; g now holds the denominator
-    np.divide(v, bc2, out=g)
-    np.sqrt(g, out=g)
-    g += state.eps
+    np.divide(v, bc2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
     np.divide(m, bc1, out=tmp)
     tmp *= lr
-    tmp /= g
-    for p, update in zip(params, state._update_views):
-        p.values -= update
+    tmp /= denom
+    values -= tmp
 
 
 def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
@@ -208,13 +177,17 @@ def _fse_loss(batch, params: HseModelParams, config: LossConfig) -> LossBreakdow
     )
 
 
-def _trainable(params: HseModelParams, config: TrainConfig) -> list[tuple[str, Tensor]]:
+def _last_trained(config: TrainConfig) -> str:
+    """The last GRU whose weights training updates, along with those of
+    every GRU before it (HseModelParams.leading_parameters)."""
     if config.model == "fse":
-        return params.flat_encoder_parameters()
+        # enc_v_low and enc_p_low; enc_v_high between them gets no gradient,
+        # so its Adam update is exactly zero
+        return "enc_p_low"
     if config.loss.tau > 0.0:
-        return params.named_parameters()
+        return "dec_p_low"
     # without reconstruction the decoders never run and receive no gradients
-    return params.encoder_parameters()
+    return "enc_p_high"
 
 
 def _mean_breakdown(batch_breakdowns: Sequence[LossBreakdown]) -> LossBreakdown:
@@ -244,9 +217,13 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
         hidden_high=config.hidden_high,
     )
     params = init_params(dims, config.seed)
-    trainable = _trainable(params, config)
-    tensors = [t for _, t in trainable]
-    opt = OptimizerState.for_params(tensors)
+    tensors = [t for _, t in params.leading_parameters(_last_trained(config))]
+    values = params.values[: sum(t.values.size for t in tensors)]
+    # backward accumulates each tensor's gradient into its view of one buffer
+    grad = np.zeros_like(values)
+    for t, view in zip(tensors, tile(grad, [t.shape for t in tensors])):
+        t.grad = view
+    opt = OptimizerState(values.size)
     rng = np.random.default_rng(config.seed)
     epoch_log: list[LossBreakdown] = []
     for epoch in range(config.epochs):
@@ -255,7 +232,7 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
         breakdowns: list[LossBreakdown] = []
         for start in range(0, len(order), config.batch_size):
             batch = [corpus.pairs[i] for i in order[start : start + config.batch_size]]
-            tk.zero_grads(tensors)
+            grad.fill(0.0)
             with tk.Tape():
                 if config.model == "fse":
                     bd = _fse_loss(batch, params, config.loss)
@@ -267,7 +244,7 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
                             f"epoch {epoch}: loss component {name!r} is {value}"
                         )
                 tk.backward(bd.node)
-            optimizer_step(opt, tensors, [t.grad for t in tensors], lr)
+            optimizer_step(opt, values, grad, lr)
             breakdowns.append(bd)
         epoch_log.append(_mean_breakdown(breakdowns))
         log.info(

@@ -310,7 +310,7 @@ def test_criterion_6_metric_oracles():
 def test_criterion_7_determinism(tmp_path):
     corpus_path = tmp_path / "corpus.jsonl"
     assert cli_dispatch(
-        ["synth", "--pairs", "8", "--events", "3", "--clips", "1:2", "--frames", "1:2",
+        ["synth", "--pairs", "8", "--events", "8", "--clips", "1:2", "--frames", "1:2",
          "--words", "1:2", "--dv", "4", "--dt", "4", "--seed", "5", "--out", str(corpus_path)]
     ) == 0
     artifacts = {}

@@ -189,8 +189,30 @@ class TestDispatch:
                 "--topk",
                 "expected comma-separated counts, got '1,x'",
             ),
+            (
+                ["eval", "--checkpoint", "c.bin", "--corpus", "c.jsonl", "--topk", "0"],
+                "--topk",
+                "expected comma-separated counts, got '0'",
+            ),
+            (
+                ["partial-eval", "--checkpoint", "c.bin", "--corpus", "c.jsonl", "--max-units", "1"]
+                + ["--topk", "1,-2"],
+                "--topk",
+                "expected comma-separated counts, got '1,-2'",
+            ),
+            (
+                ["partial-eval", "--checkpoint", "c.bin", "--corpus", "c.jsonl", "--max-units", "0"],
+                "--max-units",
+                "expected a count >= 1, got '0'",
+            ),
         ],
-        ids=["synth-clips", "eval-topk"],
+        ids=[
+            "synth-clips",
+            "eval-topk",
+            "eval-topk-zero",
+            "partial-eval-topk-negative",
+            "partial-eval-max-units-zero",
+        ],
     )
     def test_malformed_count_is_a_usage_error(self, tmp_path, capsys, argv, flag, message):
         assert run(*argv, "--out", str(tmp_path / "out")) == 2

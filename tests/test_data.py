@@ -48,11 +48,11 @@ class TestSynthGenerate:
                 assert np.array_equal(clip.mean(axis=0), sentence.mean(axis=0))
 
     def test_strong_mode_aligns_counts(self):
-        corpus, _ = synth_generate(SynthSpec(num_pairs=8, clips_per_pair=(1, 4), seed=5))
+        corpus, _ = synth_generate(SynthSpec(num_pairs=8, clips_per_pair=(2, 4), seed=5))
         assert all(v.n == p.m for v, p in corpus.pairs)
 
     def test_weak_mode_can_produce_unequal_counts(self):
-        spec = SynthSpec(num_pairs=40, clips_per_pair=(2, 3), seed=3, correspondence="weak")
+        spec = SynthSpec(num_pairs=40, clips_per_pair=(3, 4), seed=3, correspondence="weak")
         corpus, labels = synth_generate(spec)
         assert corpus.correspondence == "weak"
         assert any(v.n != p.m for v, p in corpus.pairs)
@@ -77,6 +77,14 @@ class TestSynthGenerate:
         with pytest.raises(ContractError):
             synth_generate(SynthSpec(clips_per_pair=(3, 2)))
 
+    def test_pairs_never_share_an_event_sequence(self):
+        spec = SynthSpec(num_pairs=2, num_events=2, clips_per_pair=(1, 1))
+        _, labels = synth_generate(spec)
+        assert sorted(labels.clip_labels.values()) == [[0], [1]]
+        spec.num_pairs = 3
+        with pytest.raises(ContractError, match="pair_0002 draws 1 clips, but all 2 event"):
+            synth_generate(spec)
+
 
 class TestCorpusIO:
     def test_roundtrip(self, tmp_path):
@@ -97,7 +105,7 @@ class TestCorpusIO:
     def test_roundtrip_property(self, tmp_path_factory, pairs, clips_hi, d_v, d_t, seed, weak):
         spec = SynthSpec(
             num_pairs=pairs,
-            num_events=2,
+            num_events=4,
             clips_per_pair=(1, clips_hi),
             frames_per_clip=(1, 2),
             words_per_sentence=(1, 3),

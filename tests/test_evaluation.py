@@ -105,18 +105,17 @@ class TestMetrics:
             assert median_rank(ranks) == oracles.ref_median_rank(ranks.tolist())
 
 
-def small_corpus(pairs=6, seed=0, **kw):
+def small_corpus(pairs=6, seed=0, num_events=3, clips_per_pair=(2, 3)):
     spec = SynthSpec(
         num_pairs=pairs,
-        num_events=3,
-        clips_per_pair=kw.pop("clips_per_pair", (2, 3)),
+        num_events=num_events,
+        clips_per_pair=clips_per_pair,
         frames_per_clip=(1, 2),
         words_per_sentence=(1, 2),
         d_v=4,
         d_t=4,
         noise_std=0.2,
         seed=seed,
-        **kw,
     )
     return synth_generate(spec)
 
@@ -134,7 +133,7 @@ class TestEvaluateRetrieval:
         assert p2v.median_rank == 1
 
     def test_untrained_params_near_chance(self):
-        corpus, _ = small_corpus(pairs=100, seed=5, clips_per_pair=(2, 2))
+        corpus, _ = small_corpus(pairs=100, seed=5, num_events=10, clips_per_pair=(2, 2))
         params = init_params(ModelDims(d_v=4, d_t=4, hidden_low=6, hidden_high=6), 3)
         p2v, _ = evaluate_retrieval(params, corpus, topk=(1,))
         assert 0.0 <= p2v.recall_at[1] <= 0.1
@@ -153,7 +152,7 @@ class TestEvaluateRetrieval:
 
     @pytest.mark.parametrize("mode", ["hierarchical", "flat"])
     def test_ranks_equal_rank_matrix_both_ways(self, mode):
-        corpus, _ = small_corpus(pairs=23, seed=6, clips_per_pair=(1, 4))
+        corpus, _ = small_corpus(pairs=23, seed=6, num_events=23, clips_per_pair=(1, 4))
         params = init_params(ModelDims(d_v=4, d_t=4, hidden_low=5, hidden_high=6), 13)
         p2v, v2p = evaluate_retrieval(params, corpus, topk=(1,), mode=mode)
         videos, paragraphs = encode_corpus(params, corpus, mode=mode)
@@ -169,7 +168,7 @@ class TestEvaluateRetrieval:
 class TestEncodeCorpusChunks:
     @pytest.mark.parametrize("mode, carry", [("hierarchical", False), ("flat", False), ("hierarchical", True)])
     def test_chunk_size_does_not_change_embeddings(self, monkeypatch, mode, carry):
-        corpus, _ = small_corpus(pairs=37, seed=4, clips_per_pair=(1, 4))
+        corpus, _ = small_corpus(pairs=37, seed=4, num_events=37, clips_per_pair=(1, 4))
         params = init_params(ModelDims(d_v=4, d_t=4, hidden_low=5, hidden_high=6), 11)
         encoded = []
         for chunk in (1, 7, 32, len(corpus)):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hse import tensorkit as tk
-from hse.data import ParagraphSample, VideoSample
+from hse.data import ParagraphSample, VideoSample, load_checkpoint, save_checkpoint
 from hse.errors import ContractError, ShapeError
 from hse.model import (
     GruParams,
@@ -593,12 +593,18 @@ class TestParamStructure:
         assert names[-2:] == ["dec_p_low.out_w", "dec_p_low.out_b"]
         assert len(names) == 4 * 4 + 4 * 6
 
-    def test_validate_catches_dim_mismatch(self):
+    def test_weights_tile_one_flat_buffer(self, tmp_path):
         dims = ModelDims(d_v=2, d_t=3, hidden_low=4, hidden_high=5)
-        params = build_params(dims)
-        params.enc_v_low.w.values = np.zeros((3, 12))
-        with pytest.raises(ShapeError):
-            params.validate()
+        built = init_params(dims, 3)
+        save_checkpoint(built, tmp_path / "model.bin")
+        for params in (built, load_checkpoint(tmp_path / "model.bin")):
+            offset = 0
+            for name, t in params.named_parameters():
+                assert t.values.base is params.values and t.values.flags.c_contiguous, name
+                assert t.values.ctypes.data == params.values[offset:].ctypes.data, name
+                offset += t.values.size
+            assert offset == params.values.size
+        assert params.values.tobytes() == built.values.tobytes()
 
     def test_embeddings_are_finite_checked(self):
         dims = ModelDims(d_v=2, d_t=2, hidden_low=2, hidden_high=2)
