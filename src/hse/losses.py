@@ -25,9 +25,12 @@ Sign convention. The ranking and clustering losses exist in two modes:
   [margin + 1 - match(x', x)]_+), kept selectable for auditability.
 
 Here match(u, w) is the cosine similarity u.w / (|u||w|). All ranking
-losses share one kernel over a K x K similarity matrix, so the
-weak-correspondence loss is by construction the high-level matching loss
-applied to the matrix of averaged clip/sentence similarities.
+losses share one kernel over a K x K similarity matrix,
+tensorkit.rank_hinge, so the weak-correspondence loss is by construction
+the high-level matching loss applied to the matrix of averaged
+clip/sentence similarities. The clustering losses share
+tensorkit.cluster_hinge and the reconstruction errors
+tensorkit.weighted_sq_err: one tape record per loss head.
 """
 
 from __future__ import annotations
@@ -132,34 +135,7 @@ def ranking_loss_from_similarity(sim: Tensor, margin: float, sign_mode: str = "c
     holds the aligned pairs; sums both retrieval directions over all
     off-diagonal negatives."""
     _check_sign_mode(sign_mode)
-    if sim.values.ndim != 2 or sim.values.shape[0] != sim.values.shape[1]:
-        raise ShapeError(f"ranking loss needs a square matrix, got {list(sim.shape)}")
-    k = sim.values.shape[0]
-    flat = tk.reshape(sim, (k * k,))
-    diag = np.arange(k) * (k + 1)  # flat index of sim[j, j]
-    d_cols = tk.take(flat, np.broadcast_to(diag, (k, k)))  # (i, j) -> sim[j, j]
-    d_rows = tk.take(flat, np.broadcast_to(diag[:, None], (k, k)))  # (i, j) -> sim[i, i]
-    off_mask = tk.constant(1.0 - np.eye(k))
-    if sign_mode == "corrected":
-        t1 = tk.relu_hinge(tk.add_scalar(tk.sub(sim, d_cols), margin))
-        t2 = tk.relu_hinge(tk.add_scalar(tk.sub(sim, d_rows), margin))
-    else:
-        t1 = tk.relu_hinge(tk.add_scalar(tk.sub(d_cols, sim), margin))
-        t2 = tk.relu_hinge(tk.add_scalar(tk.sub(d_rows, sim), margin))
-    return tk.add(
-        tk.reduce_sum(tk.mul(t1, off_mask)),
-        tk.reduce_sum(tk.mul(t2, off_mask)),
-    )
-
-
-def _cluster_from_similarity(sim: Tensor, margin: float, sign_mode: str) -> Tensor:
-    k = sim.values.shape[0]
-    off_mask = tk.constant(1.0 - np.eye(k))
-    if sign_mode == "corrected":
-        terms = tk.relu_hinge(tk.add_scalar(sim, margin - 1.0))
-    else:
-        terms = tk.relu_hinge(tk.add_scalar(tk.mul_scalar(sim, -1.0), margin + 1.0))
-    return tk.reduce_sum(tk.mul(terms, off_mask))
+    return tk.rank_hinge(sim, margin, sign_mode == "corrected")
 
 
 def _check_sign_mode(sign_mode: str) -> None:
@@ -215,9 +191,10 @@ def _cluster_pair(a: Tensor, b: Tensor, margin: float, sign_mode: str, what: str
     _check_sign_mode(sign_mode)
     if not _rows(a) or not _rows(b):
         raise ContractError(f"{what} requires nonempty batches")
+    corrected = sign_mode == "corrected"
     return tk.add(
-        _cluster_from_similarity(tk.cosine(a, a), margin, sign_mode),
-        _cluster_from_similarity(tk.cosine(b, b), margin, sign_mode),
+        tk.cluster_hinge(tk.cosine(a, a), margin, corrected),
+        tk.cluster_hinge(tk.cosine(b, b), margin, corrected),
     )
 
 
@@ -313,11 +290,10 @@ def loss_reconstruct(
     row_weights = (np.arange(decoded.steps)[None, :] < n_i) / n_i  # 1/n_i, 0 on padding
     unit_targets = padded.reshape(-1, padded.shape[2])
     weights = np.broadcast_to(row_weights.reshape(-1, 1), unit_targets.shape)
-    low_err = tk.reduce_sum(tk.square(tk.sub(decoded.low, tk.constant(low_targets))))
-    unit_err = tk.reduce_sum(
-        tk.mul(tk.square(tk.sub(decoded.units, tk.constant(unit_targets))), tk.constant(weights))
+    return tk.add(
+        tk.weighted_sq_err(decoded.low, low_targets),
+        tk.weighted_sq_err(decoded.units, unit_targets, weights),
     )
-    return tk.add(low_err, unit_err)
 
 
 def total_loss(

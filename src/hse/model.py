@@ -344,13 +344,6 @@ def encode_batch(
     return EncodedBatch(low=low, high=high, counts=counts)
 
 
-def _project(dec: DecoderParams, states: Tensor) -> Tensor:
-    """Affine map out_w h + out_b of every row of a 2-d tensor of states."""
-    ones = tk.constant(np.ones((states.values.shape[0], 1)))
-    bias = tk.matmul(ones, tk.reshape(dec.out_b, (1, dec.out_b.values.shape[0])))
-    return tk.add(tk.matmul(states, tk.transpose(dec.out_w)), bias)
-
-
 def decode_batch(
     params: HseModelParams,
     high: Tensor,
@@ -381,7 +374,8 @@ def decode_batch(
     states = tk.gru_sequence(None, counts, dec_high.gru.weights(), high)
     valid = [b * n_max + i for b, n in enumerate(counts) for i in range(n)]
     flat = tk.reshape(states, (k * n_max, dec_high.gru.hidden_dim))
-    low = _project(dec_high, tk.take(flat, valid))
+    low = tk.affine(tk.take(flat, valid), dec_high.out_w, dec_high.out_b)
     unit_states = tk.gru_sequence(None, lengths, dec_low.gru.weights(), low)
     flat = tk.reshape(unit_states, (len(lengths) * t_max, dec_low.gru.hidden_dim))
-    return DecodedBatch(low=low, units=_project(dec_low, flat), lengths=lengths)
+    units = tk.affine(flat, dec_low.out_w, dec_low.out_b)
+    return DecodedBatch(low=low, units=units, lengths=lengths)

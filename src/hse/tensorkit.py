@@ -21,6 +21,13 @@ only a running maximum, so an evaluation run holds no [B, T, .] buffer.
 masked_max likewise takes a plain masked maximum when nothing will
 record it. None of this changes a row's bits, which do not depend on the
 batch or on the row's place in it.
+
+The training objective's heads are one record each, with a hand-written
+backward: rank_hinge and cluster_hinge over a square similarity matrix,
+weighted_sq_err against constant targets, and affine for a projection
+with bias. Each computes its value and gradient operation for operation
+as the equivalent chain of elementwise primitives would, so trained
+weights keep their bits.
 """
 
 from __future__ import annotations
@@ -39,13 +46,9 @@ __all__ = [
     "constant",
     "matmul",
     "add",
-    "sub",
     "mul",
     "sigmoid",
     "tanh",
-    "relu_hinge",
-    "square",
-    "add_scalar",
     "mul_scalar",
     "transpose",
     "reshape",
@@ -53,6 +56,10 @@ __all__ = [
     "take",
     "cosine",
     "segment_mean",
+    "rank_hinge",
+    "cluster_hinge",
+    "weighted_sq_err",
+    "affine",
     "gru_sequence",
     "masked_max",
     "zero_grads",
@@ -243,18 +250,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    av, bv = _binary(a, b, "sub")
-    out = Tensor(av - bv, requires_grad=a.requires_grad or b.requires_grad)
-
-    def back(g):
-        _acc(a, g)
-        _acc(b, -g)
-
-    _record(out, back)
-    return out
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     av, bv = _binary(a, b, "mul")
     out = Tensor(av * bv, requires_grad=a.requires_grad or b.requires_grad)
@@ -262,17 +257,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def back(g):
         _acc(a, g * bv)
         _acc(b, g * av)
-
-    _record(out, back)
-    return out
-
-
-def add_scalar(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = Tensor(a.values + c, requires_grad=a.requires_grad)
-
-    def back(g):
-        _acc(a, g)
 
     _record(out, back)
     return out
@@ -310,29 +294,6 @@ def tanh(a: Tensor) -> Tensor:
 
     def back(g):
         _acc(a, g * (1.0 - ov * ov))
-
-    _record(out, back)
-    return out
-
-
-def relu_hinge(a: Tensor) -> Tensor:
-    """Elementwise max(x, 0); gradient is 0 at the kink."""
-    av = a.values
-    out = Tensor(np.maximum(av, 0.0), requires_grad=a.requires_grad)
-
-    def back(g):
-        _acc(a, g * (av > 0.0))
-
-    _record(out, back)
-    return out
-
-
-def square(a: Tensor) -> Tensor:
-    av = a.values
-    out = Tensor(av * av, requires_grad=a.requires_grad)
-
-    def back(g):
-        _acc(a, g * 2.0 * av)
 
     _record(out, back)
     return out
@@ -429,6 +390,120 @@ def segment_mean(a: Tensor, row_counts: Sequence[int], col_counts: Sequence[int]
 
     def back(g):
         _acc(a, np.repeat(np.repeat(g / sizes, rows, axis=0), cols, axis=1))
+
+    _record(out, back)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# loss heads (see the module docstring)
+
+
+def _square_matrix(sim: Tensor, op: str) -> np.ndarray:
+    sv = sim.values
+    if sv.ndim != 2 or sv.shape[0] != sv.shape[1]:
+        raise ShapeError(f"{op} needs a square [K, K] matrix, got shape {list(sv.shape)}")
+    return sv
+
+
+def rank_hinge(sim: Tensor, margin: float, corrected: bool = True) -> Tensor:
+    """Margin ranking loss over a square similarity matrix whose diagonal
+    holds the aligned pairs, over both retrieval directions and every
+    off-diagonal negative:
+
+        sum_{i != j} [margin + sim[i, j] - sim[j, j]]_+ + [margin + sim[i, j] - sim[i, i]]_+
+
+    when corrected, else with each difference negated. A hinge at exactly 0
+    passes no gradient. A diagonal entry's gradient sums its row terms and
+    then its column terms one after another, in index order."""
+    sv = _square_matrix(sim, "rank_hinge")
+    k = sv.shape[0]
+    margin = float(margin)
+    off = 1.0 - np.eye(k)
+    diag = sv.diagonal()
+    if corrected:
+        a1, a2 = (sv - diag[None, :]) + margin, (sv - diag[:, None]) + margin
+    else:
+        a1, a2 = (diag[None, :] - sv) + margin, (diag[:, None] - sv) + margin
+    loss = (np.maximum(a1, 0.0) * off).sum() + (np.maximum(a2, 0.0) * off).sum()
+    out = Tensor(loss, requires_grad=sim.requires_grad)
+
+    def back(g):
+        g_off = g * off
+        g1, g2 = g_off * (a1 > 0.0), g_off * (a2 > 0.0)
+        if not corrected:
+            g1, g2 = -g1, -g2
+        terms = np.concatenate([np.zeros((k, 1)), -g2, -g1.T], axis=1)
+        on_diag = np.zeros((k, k))
+        np.fill_diagonal(on_diag, np.cumsum(terms, axis=1)[:, -1])
+        _acc(sim, (g2 + g1) + on_diag)
+
+    _record(out, back)
+    return out
+
+
+def cluster_hinge(sim: Tensor, margin: float, corrected: bool = True) -> Tensor:
+    """Clustering loss over a square same-modality similarity matrix:
+    sum_{i != j} [margin + sim[i, j] - 1]_+ when corrected, else
+    [margin + 1 - sim[i, j]]_+. A hinge at exactly 0 passes no gradient."""
+    sv = _square_matrix(sim, "cluster_hinge")
+    margin = float(margin)
+    off = 1.0 - np.eye(sv.shape[0])
+    a = sv + (margin - 1.0) if corrected else sv * -1.0 + (margin + 1.0)
+    out = Tensor((np.maximum(a, 0.0) * off).sum(), requires_grad=sim.requires_grad)
+
+    def back(g):
+        ga = (g * off) * (a > 0.0)
+        _acc(sim, ga if corrected else ga * -1.0)
+
+    _record(out, back)
+    return out
+
+
+def weighted_sq_err(pred: Tensor, target, weights=None) -> Tensor:
+    """sum (pred - target)^2, each entry times its weight when weights are
+    given. target and weights are constant arrays of pred's shape."""
+    pv = pred.values
+    target = np.asarray(target, dtype=np.float64)
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+    if target.shape != pv.shape or weights is not None and weights.shape != pv.shape:
+        raise ShapeError(
+            f"weighted_sq_err: target {list(target.shape)} and weights "
+            f"{None if weights is None else list(weights.shape)} must match pred {list(pv.shape)}"
+        )
+    diff = pv - target
+    sq = diff * diff
+    out = Tensor((sq if weights is None else sq * weights).sum(), requires_grad=pred.requires_grad)
+
+    def back(g):
+        if weights is not None:
+            g = g * weights
+        _acc(pred, g * 2.0 * diff)
+
+    _record(out, back)
+    return out
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x w^T + b for x [N, K], w [M, K] and b [M]."""
+    xv, wv, bv = x.values, w.values, b.values
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[1] or bv.shape != wv.shape[:1]:
+        raise ShapeError(
+            f"affine needs x [N, K], w [M, K] and b [M], got {list(xv.shape)}, "
+            f"{list(wv.shape)} and {list(bv.shape)}"
+        )
+    # BLAS sums in an order set by the operands' layout: a contiguous w^T
+    # and a ones-column product for the bias gradient keep the bits that
+    # trained checkpoints were computed with
+    w_t = wv.T.copy()
+    out = Tensor(xv @ w_t + bv, requires_grad=x.requires_grad or w.requires_grad or b.requires_grad)
+
+    def back(g):
+        if x.requires_grad:
+            _acc(x, g @ w_t.T)
+        _acc(w, (xv.T @ g).T)
+        _acc(b, (np.ones((xv.shape[0], 1)).T @ g).reshape(bv.shape))
 
     _record(out, back)
     return out

@@ -370,6 +370,15 @@ class TestTotalLoss:
         with pytest.raises(ContractError):
             total_loss([], params, LossConfig())
 
+    @staticmethod
+    def _step_records(spec, config):
+        corpus, _ = synth_generate(spec)
+        params = init_params(ModelDims(d_v=16, d_t=16, hidden_low=32, hidden_high=32), 7)
+        with Tape() as tape:
+            bd = total_loss(corpus.pairs, params, config)
+            backward(bd.node)
+        return bd, tape
+
     def test_full_objective_step_records_few_tape_records(self):
         # the acceptance overfit shape: 8 pairs of 3 clips x 4 frames and
         # 3 sentences x 4 words, d=16, hidden 32, reconstruction on
@@ -377,15 +386,22 @@ class TestTotalLoss:
             num_pairs=8, num_events=4, clips_per_pair=(3, 3), frames_per_clip=(4, 4),
             words_per_sentence=(4, 4), d_v=16, d_t=16, seed=7,
         )
-        corpus, _ = synth_generate(spec)
-        params = init_params(ModelDims(d_v=16, d_t=16, hidden_low=32, hidden_high=32), 7)
-        with Tape() as tape:
-            bd = total_loss(corpus.pairs, params, LossConfig(tau=5e-4))
-            backward(bd.node)
+        bd, tape = self._step_records(spec, LossConfig(tau=5e-4))
         assert bd.reconstruct > 0.0
-        assert len(tape) <= 125
+        # one record per loss head and projection, not a chain per head
+        assert len(tape) <= 60
         # embeddings reach the losses as the encoder's matrices, never re-stacked rows
         assert not any(back.__qualname__.startswith("stack.") for _, back in tape._records)
+
+    def test_weak_step_records_few_tape_records(self):
+        # ragged lengths, weak correspondence, no decoders
+        spec = SynthSpec(
+            num_pairs=16, num_events=8, clips_per_pair=(2, 5), frames_per_clip=(2, 8),
+            words_per_sentence=(2, 8), d_v=16, d_t=16, seed=7,
+        )
+        bd, tape = self._step_records(spec, LossConfig(tau=0.0, correspondence="weak"))
+        assert bd.match_low > 0.0
+        assert len(tape) <= 36
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):

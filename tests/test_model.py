@@ -65,7 +65,7 @@ def gru_step(g: dict[str, Tensor], x, h: Tensor) -> Tensor:
     cand = tk.tanh(
         tk.add(tk.add(_times(g["w_h"], x), _times(g["u_h"], tk.mul(r, h))), g["b_h"])
     )
-    keep = tk.add_scalar(tk.mul_scalar(z, -1.0), 1.0)
+    keep = tk.add(tk.mul_scalar(z, -1.0), tk.constant(np.ones_like(z.values)))
     return tk.add(tk.mul(keep, h), tk.mul(z, cand))
 
 

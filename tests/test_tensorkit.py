@@ -33,9 +33,6 @@ class TestMatmul:
 
 
 class TestPointwise:
-    def test_relu_hinge_clamps_negative(self):
-        assert tk.relu_hinge(t([-0.3])).values.tolist() == [0.0]
-
     def test_sigmoid_at_zero(self):
         assert tk.sigmoid(t([0.0])).values.tolist() == [0.5]
 
@@ -60,16 +57,10 @@ class TestBackward:
             backward(tk.reduce_sum(x))
         assert x.grad.tolist() == [1.0, 1.0, 1.0]
 
-    def test_square_gradient(self):
-        x = t(np.array(2.0))
-        with Tape():
-            backward(tk.square(x))
-        assert x.grad.tolist() == 4.0
-
     def test_non_scalar_loss_rejected(self):
         x = t([1.0, 2.0])
         with Tape():
-            y = tk.square(x)
+            y = tk.mul(x, x)
             with pytest.raises(ContractError):
                 backward(y)
 
@@ -126,7 +117,7 @@ class TestFiniteDiff:
         theta = t([1.0, 2.0])
 
         def f(ps):
-            return tk.reduce_sum(tk.square(ps[0]))
+            return tk.weighted_sq_err(ps[0], np.zeros(2))
 
         with Tape():
             backward(f([theta]))
@@ -161,40 +152,51 @@ class TestFiniteDiff:
 
 
 def _primitive_cases(rng):
-    """One scalar objective per primitive, with fresh random leaves."""
+    """One scalar objective per primitive, with fresh random leaves. Each
+    constant is drawn once, as a default argument, so every evaluation of
+    an objective sees the same one."""
     v = lambda n=4: t(rng.normal(size=n))
     m = lambda r=3, c=4: t(rng.normal(size=(r, c)))
-    w = tk.constant(rng.normal(size=4))
-    wm = tk.constant(rng.normal(size=(3, 4)))
+    c = lambda *shape: tk.constant(rng.normal(size=shape))
+    w = c(4)
 
     def weighted(x, weight):
         return tk.reduce_sum(tk.mul(x, weight))
 
     return [
-        ("matmul", lambda ps: weighted(tk.matmul(ps[0], ps[1]), tk.constant(rng.normal(size=(3, 5)))), [m(3, 4), m(4, 5)]),
+        ("matmul", lambda ps, k=c(3, 5): weighted(tk.matmul(ps[0], ps[1]), k), [m(3, 4), m(4, 5)]),
         ("add", lambda ps: weighted(tk.add(ps[0], ps[1]), w), [v(), v()]),
-        ("sub", lambda ps: weighted(tk.sub(ps[0], ps[1]), w), [v(), v()]),
         ("mul", lambda ps: weighted(tk.mul(ps[0], ps[1]), w), [v(), v()]),
         ("sigmoid", lambda ps: weighted(tk.sigmoid(ps[0]), w), [v()]),
         ("tanh", lambda ps: weighted(tk.tanh(ps[0]), w), [v()]),
-        ("relu_hinge", lambda ps: weighted(tk.relu_hinge(ps[0]), w), [v()]),
-        ("square", lambda ps: weighted(tk.square(ps[0]), w), [v()]),
-        ("add_scalar", lambda ps: weighted(tk.add_scalar(ps[0], 0.7), w), [v()]),
         ("mul_scalar", lambda ps: weighted(tk.mul_scalar(ps[0], -1.3), w), [v()]),
-        ("transpose", lambda ps: weighted(tk.transpose(ps[0]), tk.constant(rng.normal(size=(4, 3)))), [m()]),
-        ("reshape", lambda ps: weighted(tk.reshape(ps[0], (12,)), tk.constant(rng.normal(size=12))), [m()]),
+        ("transpose", lambda ps, k=c(4, 3): weighted(tk.transpose(ps[0]), k), [m()]),
+        ("reshape", lambda ps, k=c(12): weighted(tk.reshape(ps[0], (12,)), k), [m()]),
         ("sum_all", lambda ps: tk.reduce_sum(ps[0]), [m()]),
+        ("rank_hinge", lambda ps: tk.rank_hinge(ps[0], 0.6, True), [m(4, 4)]),
+        ("rank_hinge_literal", lambda ps: tk.rank_hinge(ps[0], 0.6, False), [m(4, 4)]),
+        ("cluster_hinge", lambda ps: tk.cluster_hinge(ps[0], 1.2, True), [m(4, 4)]),
+        ("cluster_hinge_literal", lambda ps: tk.cluster_hinge(ps[0], 1.2, False), [m(4, 4)]),
+        ("weighted_sq_err", lambda ps, y=c(3, 4): tk.weighted_sq_err(ps[0], y.values), [m()]),
+        (
+            "weighted_sq_err_weights",
+            lambda ps, y=c(3, 4), k=rng.uniform(size=(3, 4)): tk.weighted_sq_err(ps[0], y.values, k),
+            [m()],
+        ),
+        ("affine", lambda ps, k=c(3, 2): weighted(tk.affine(ps[0], ps[1], ps[2]), k), [m(3, 4), m(2, 4), v(2)]),
     ]
 
 
 def test_every_primitive_matches_finite_differences():
-    """>= 100 random instances across the primitive set."""
+    """>= 100 random instances across the primitive set; random inputs sit
+    on no kink, so every coordinate is checked."""
     trials = 0
     for seed in range(8):
         rng = np.random.default_rng(1000 + seed)
         for name, f, params in _primitive_cases(rng):
             report = finite_diff_check(f, params)
             assert report.max_rel_err < 1e-4, (name, seed, report.max_rel_err)
+            assert report.n_skipped_nondifferentiable == 0, (name, seed)
             trials += 1
     assert trials >= 100
 
@@ -298,3 +300,60 @@ class TestBatchPrimitives:
         for name, f, params in cases:
             report = finite_diff_check(f, params)
             assert report.max_rel_err < 1e-4, (name, report.max_rel_err)
+
+
+class TestLossHeads:
+    # dyadic entries, so that each hinge argument below is exactly 0
+    KINKS = [
+        ("rank_hinge", True, [[0.5, 0.25], [0.25, 0.5]], 0.25),
+        ("rank_hinge", False, [[0.25, 0.5], [0.5, 0.25]], 0.25),
+        ("cluster_hinge", True, [[1.0, 0.75], [0.75, 1.0]], 0.25),
+        ("cluster_hinge", False, [[1.0, 1.25], [1.25, 1.0]], 0.25),
+    ]
+
+    @pytest.mark.parametrize("name, corrected, sim, margin", KINKS)
+    def test_hinge_at_zero_passes_no_gradient(self, name, corrected, sim, margin):
+        s = t(sim)
+        with Tape() as tape:
+            loss = getattr(tk, name)(s, margin, corrected)
+            backward(loss)
+        assert len(tape) == 1
+        assert loss.item() == 0.0
+        assert s.grad.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+    def test_rank_hinge_counts_both_directions(self):
+        # only (i, j) = (0, 1) can be active: 0.5 + sim[0, 1] - 1.0 against
+        # the aligned pair of column 1 and again against that of row 0
+        out = tk.rank_hinge(t([[1.0, 0.5], [0.0, 1.0]]), 0.5, True)
+        assert out.item() == 0.0
+        out = tk.rank_hinge(t([[1.0, 0.75], [0.0, 1.0]]), 0.5, True)
+        assert out.item() == 0.5
+
+    @pytest.mark.parametrize("name", ["rank_hinge", "cluster_hinge"])
+    def test_hinge_needs_a_square_matrix(self, name):
+        with pytest.raises(ShapeError, match=rf"{name} needs a square \[K, K\] matrix, got shape \[2, 3\]"):
+            getattr(tk, name)(t(np.zeros((2, 3))), 0.2, True)
+
+    def test_affine_names_mismatched_shapes(self):
+        with pytest.raises(ShapeError, match=r"got \[2, 3\], \[4, 5\] and \[4\]"):
+            tk.affine(t(np.zeros((2, 3))), t(np.zeros((4, 5))), t(np.zeros(4)))
+        with pytest.raises(ShapeError, match=r"got \[2, 3\], \[4, 3\] and \[3\]"):
+            tk.affine(t(np.zeros((2, 3))), t(np.zeros((4, 3))), t(np.zeros(3)))
+
+    def test_affine_adds_the_bias_to_every_row(self):
+        out = tk.affine(t([[1.0, 2.0], [3.0, 4.0]]), t([[1.0, 0.0], [1.0, 1.0], [0.0, 2.0]]), t([1.0, 0.0, -1.0]))
+        assert out.values.tolist() == [[2.0, 3.0, 3.0], [4.0, 7.0, 7.0]]
+
+    def test_weighted_sq_err_names_mismatched_shapes(self):
+        with pytest.raises(ShapeError, match=r"target \[3\] and weights None must match pred \[2\]"):
+            tk.weighted_sq_err(t([1.0, 2.0]), np.zeros(3))
+        with pytest.raises(ShapeError, match=r"weights \[1\] must match pred \[2\]"):
+            tk.weighted_sq_err(t([1.0, 2.0]), np.zeros(2), np.ones(1))
+
+    def test_weighted_sq_err_weights_each_entry(self):
+        x = t([1.0, 2.0])
+        with Tape():
+            loss = tk.weighted_sq_err(x, [0.0, 4.0], [3.0, 0.5])
+            backward(loss)
+        assert loss.item() == 5.0  # 3 * 1 + 0.5 * 4
+        assert x.grad.tolist() == [6.0, -2.0]

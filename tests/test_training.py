@@ -178,6 +178,10 @@ class TestTrain:
         corpus = tiny_corpus(seed=3, pairs=8)
         result = train(corpus, tiny_config(epochs=10, seed=2))
         assert result.log[-1].total < result.log[0].total
+        # the epoch mean also moves with the shuffled batches: compare with
+        # the same run on weights that never change
+        frozen = train(corpus, tiny_config(epochs=10, seed=2, learning_rate=0.0))
+        assert result.log[-1].total < frozen.log[-1].total
 
     def test_log_has_one_entry_per_epoch(self):
         corpus = tiny_corpus()
