@@ -16,6 +16,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .data import (
@@ -23,6 +24,7 @@ from .data import (
     load_corpus,
     load_labels,
     load_checkpoint,
+    read_lines,
     save_checkpoint,
     save_corpus,
     save_labels,
@@ -32,33 +34,31 @@ from .data import (
 from .errors import ConfigError, HseError
 from .evaluation import evaluate_retrieval, zeroshot_classify
 from .gradcheck import run_gradient_suite
-from .losses import LossConfig
-from .training import TrainConfig, train
+from .losses import COMPONENTS, CORRESPONDENCE_MODES, SIGN_MODES, LossConfig
+from .training import MODEL_KINDS, TrainConfig, train
 
 log = logging.getLogger("hse.cli")
 
-# keys accepted in a run-configuration file (key = value per line) and their
-# matching flag names; flags override file values
-CONFIG_KEYS = {
-    "learning_rate": float,
-    "decay_factor": float,
-    "decay_every_epochs": int,
-    "epochs": int,
-    "batch_size": int,
-    "seed": int,
-    "hidden_low": int,
-    "hidden_high": int,
-    "model": str,
-    "carry_low_state": lambda s: s.lower() in ("1", "true", "yes"),
-    "alpha": float,
-    "beta": float,
-    "gamma": float,
-    "eta": float,
-    "beta_prime": float,
-    "tau": float,
-    "correspondence": str,
-    "sign_mode": str,
-}
+
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("true", "yes", "1", "false", "no", "0"):
+        raise ValueError(f"not a boolean: {text!r}")
+    return text.lower() in ("true", "yes", "1")
+
+
+def _option_parsers(config) -> dict:
+    """Each field of a config dataclass with a plain default, with the type
+    of that default as its parser; a bool is parsed strictly."""
+    kinds = {f.name: type(f.default) for f in fields(config) if f.default is not MISSING}
+    return {name: _parse_bool if kind is bool else kind for name, kind in kinds.items()}
+
+
+# keys accepted in a run-configuration file (key = value per line), each
+# with its parser; every key but carry_low_state is also a train flag
+# (--key, "-" for "_"), and flags override file values
+LOSS_KEYS = _option_parsers(LossConfig)
+CONFIG_KEYS = {**_option_parsers(TrainConfig), **LOSS_KEYS}
+CHOICES = {"model": MODEL_KINDS, "correspondence": CORRESPONDENCE_MODES, "sign_mode": SIGN_MODES}
 
 
 def _setup_logging() -> None:
@@ -71,22 +71,20 @@ def _setup_logging() -> None:
 
 def _parse_config_file(path: str) -> dict[str, object]:
     values: dict[str, object] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
-            try:
-                values[key] = CONFIG_KEYS[key](raw)
-            except ValueError:
-                raise ConfigError(f"{path}: line {lineno}: bad value for {key!r}") from None
+    for lineno, line in read_lines(path, ConfigError):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
+        key, _, raw = line.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
+        try:
+            values[key] = CONFIG_KEYS[key](raw)
+        except ValueError:
+            raise ConfigError(f"{path}: line {lineno}: bad value for {key!r}") from None
     return values
 
 
@@ -102,12 +100,8 @@ def _merged_config(args) -> dict[str, object]:
 
 
 def _train_config(values: dict[str, object]) -> TrainConfig:
-    loss_keys = {
-        "alpha", "beta", "gamma", "eta", "beta_prime", "tau", "correspondence", "sign_mode",
-    }
-    loss = LossConfig(**{k: v for k, v in values.items() if k in loss_keys})
-    rest = {k: v for k, v in values.items() if k not in loss_keys}
-    config = TrainConfig(loss=loss, **rest)
+    loss = LossConfig(**{k: v for k, v in values.items() if k in LOSS_KEYS})
+    config = TrainConfig(loss=loss, **{k: v for k, v in values.items() if k not in LOSS_KEYS})
     config.validate()
     return config
 
@@ -223,13 +217,9 @@ def _cmd_train(args) -> int:
     result = train(corpus, config)
     ckpt = out_dir / "checkpoint.bin"
     save_checkpoint(result.params, ckpt)
-    log_lines = ["epoch match_high match_low cluster_high cluster_low reconstruct total"]
+    log_lines = [" ".join(("epoch",) + COMPONENTS)]
     for epoch, bd in enumerate(result.log):
-        c = bd.components()
-        log_lines.append(
-            f"{epoch} {c['match_high']!r} {c['match_low']!r} {c['cluster_high']!r} "
-            f"{c['cluster_low']!r} {c['reconstruct']!r} {c['total']!r}"
-        )
+        log_lines.append(" ".join([str(epoch)] + [repr(v) for v in bd.components().values()]))
     loss_log = out_dir / "loss_log.txt"
     write_atomically(loss_log, ["\n".join(log_lines) + "\n"])
     config_echo = _echo_config(out_dir, values)
@@ -377,26 +367,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--config", help="key = value configuration file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--decay-factor", dest="decay_factor", type=float)
-    p.add_argument("--decay-every-epochs", dest="decay_every_epochs", type=int)
-    p.add_argument("--hidden-low", dest="hidden_low", type=int)
-    p.add_argument("--hidden-high", dest="hidden_high", type=int)
-    p.add_argument("--model", choices=["hse", "fse"])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--beta-prime", dest="beta_prime", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--sign-mode", dest="sign_mode", choices=["corrected", "literal"])
-    p.add_argument("--correspondence", choices=["strong", "weak", "none"])
+    for key, parse in CONFIG_KEYS.items():
+        if key != "carry_low_state":  # a config-file key only
+            p.add_argument("--" + key.replace("_", "-"), type=parse, choices=CHOICES.get(key))
     p.set_defaults(func=_cmd_train)
 
     topk = _checked(_parse_topk, "comma-separated counts")
+    count = _checked(_parse_count, "a count >= 1", keep_text=False)
     for name in ("eval", "partial-eval"):
         p = sub.add_parser(name, help=f"run {name} on a checkpoint and corpus")
         p.add_argument("--checkpoint", required=True)
@@ -405,7 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--topk", type=topk, default="1,5,50", help="comma-separated k values")
         p.add_argument("--mode", choices=["hierarchical", "flat"], default="hierarchical")
         if name == "partial-eval":
-            count = _checked(_parse_count, "a count >= 1", keep_text=False)
             p.add_argument("--max-units", dest="max_units", type=count, required=True)
         p.set_defaults(func=_cmd_eval)
 
@@ -418,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suites")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=4)
+    p.add_argument("--trials", type=count, default=4)
     p.add_argument("--out", help="optional output directory for the report")
     p.set_defaults(func=_cmd_gradcheck)
 

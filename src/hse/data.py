@@ -40,7 +40,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import CheckpointError, ContractError, CorpusError, LabelsError
+from .errors import CheckpointError, ContractError, CorpusError, HseError, LabelsError
 
 __all__ = [
     "VideoSample",
@@ -335,6 +335,16 @@ def save_corpus(corpus: Corpus, path) -> None:
     write_atomically(path, (json.dumps(record) + "\n" for record in records))
 
 
+def read_lines(path, error: type[HseError]) -> Iterator[tuple[int, str]]:
+    """The numbered lines of a text file; one not UTF-8 raises error."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                yield lineno, raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise error(f"{path}: line {lineno}: not UTF-8 text") from None
+
+
 def load_corpus(path, correspondence: str | None = None) -> Corpus:
     """Parse a line-delimited corpus file and validate it.
 
@@ -342,28 +352,27 @@ def load_corpus(path, correspondence: str | None = None) -> Corpus:
     has matching clip and sentence counts, weak otherwise.
     """
     pairs: list[tuple[VideoSample, ParagraphSample]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}: line {lineno}: malformed record: {exc}") from None
-            try:
-                pid = record["id"]
-                clips = [np.asarray(c, dtype=np.float64) for c in record["clips"]]
-                sentences = [np.asarray(s, dtype=np.float64) for s in record["sentences"]]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusError(f"{path}: line {lineno}: malformed record: {exc}") from None
-            video = VideoSample(str(pid), clips)
-            paragraph = ParagraphSample(str(pid), sentences)
-            try:
-                video.validate()
-                paragraph.validate()
-            except CorpusError as exc:
-                raise CorpusError(f"{path}: line {lineno}: {exc}") from None
-            pairs.append((video, paragraph))
+    for lineno, line in read_lines(path, CorpusError):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path}: line {lineno}: malformed record: {exc}") from None
+        try:
+            pid = record["id"]
+            clips = [np.asarray(c, dtype=np.float64) for c in record["clips"]]
+            sentences = [np.asarray(s, dtype=np.float64) for s in record["sentences"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorpusError(f"{path}: line {lineno}: malformed record: {exc}") from None
+        video = VideoSample(str(pid), clips)
+        paragraph = ParagraphSample(str(pid), sentences)
+        try:
+            video.validate()
+            paragraph.validate()
+        except CorpusError as exc:
+            raise CorpusError(f"{path}: line {lineno}: {exc}") from None
+        pairs.append((video, paragraph))
     if not pairs:
         raise CorpusError(f"{path}: corpus file has no records")
     if correspondence is None:

@@ -16,7 +16,7 @@ import numpy as np
 from . import losses, tensorkit as tk
 from .data import ParagraphSample, VideoSample
 from .errors import ContractError
-from .model import ModelDims, decode_batch, encode_batch
+from .model import ModelDims, decode_batch, encode_batch, pad_sequences
 from .tensorkit import FiniteDiffReport, Tensor
 from .training import init_params
 
@@ -118,11 +118,12 @@ def _trial(component: str, rng: np.random.Generator, sign_mode: str) -> FiniteDi
         video, _ = _random_pair(rng, d_v, d_v)
         target_low = rng.normal(0.0, 1.0, size=(video.n, hid))
         high = tk.constant(rng.normal(0.0, 1.0, size=(1, hid)))
+        units, _ = pad_sequences(video.clips)
         dec_params = [t for name, t in model.named_parameters() if name.startswith("dec_v_")]
 
         def f(ps):
-            decoded = decode_batch(model, high, [video.n_i], "video")
-            return losses.loss_reconstruct(decoded, target_low, video.clips)
+            decoded = decode_batch(model, high, [video.n], video.n_i, "video")
+            return losses.loss_reconstruct(decoded, target_low, units)
 
         return tk.finite_diff_check(f, dec_params)
 
@@ -180,7 +181,7 @@ def _trial(component: str, rng: np.random.Generator, sign_mode: str) -> FiniteDi
         generated = [i * steps + j for i, count in enumerate(n_i) for j in range(count)]
 
         def f(ps):
-            decoded = decode_batch(model, high, [n_i], "video")
+            decoded = decode_batch(model, high, [n], n_i, "video")
             return tk.add(
                 tk.reduce_sum(decoded.low), tk.reduce_sum(tk.take(decoded.units, generated))
             )
@@ -196,6 +197,8 @@ def run_gradient_suite(
     components=GRADCHECK_COMPONENTS,
 ) -> list[SuiteResult]:
     """Run every component's trials and aggregate the worst relative error."""
+    if trials_per_component < 1:
+        raise ContractError(f"trials_per_component must be >= 1, got {trials_per_component}")
     results = []
     for ci, component in enumerate(components):
         worst = 0.0

@@ -1,11 +1,14 @@
 """Training objectives: cosine matching, ranking and clustering losses,
 layer-wise reconstruction, weak-correspondence approximation, and the
-combined objective.
+combined objective, which compose_objective sums from the unnormalized
+heads into a LossBreakdown (whose fields name the components).
 
-Embeddings arrive as matrices, one row per item, the way encode_batch
-produces them: videos and paragraphs as [K, E], the clips (sentences) of a
-batch as [N, E], pair after pair, with counts[k] of those rows belonging to
-pair k. Every similarity matrix is one tensorkit.cosine over two of them.
+Embeddings arrive as matrices, one row per item, in the EncodedBatch that
+encode_batch returns: videos and paragraphs as [K, E], the clips
+(sentences) of a batch as [N, E], pair after pair, counts[k] of those rows
+belonging to pair k. The same record carries the lengths and the padded
+input units that reconstruction compares against, so nothing is padded
+twice. Every similarity matrix is one tensorkit.cosine over two of them.
 
 Sign convention. The ranking and clustering losses exist in two modes:
 
@@ -35,14 +38,14 @@ tensorkit.weighted_sq_err: one tape record per loss head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from . import tensorkit as tk
 from .errors import ConfigError, ContractError, ShapeError
-from .model import DecodedBatch, HseModelParams, decode_batch, encode_batch, pad_sequences
+from .model import DecodedBatch, HseModelParams, decode_batch, encode_batch
 from .tensorkit import Tensor
 
 __all__ = [
@@ -77,22 +80,24 @@ class LossConfig:
     sign_mode: str = "corrected"
 
     def validate(self) -> None:
+        # each range is checked as "not lo < x < inf", which NaN and the
+        # infinities fail too
         for name in ("alpha", "beta", "gamma", "eta", "beta_prime"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"margin {name} must be > 0")
-        if self.tau < 0:
-            raise ConfigError("tau must be >= 0")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"margin {name} must be finite and > 0")
+        if not 0 <= self.tau < np.inf:
+            raise ConfigError("tau must be finite and >= 0")
         if self.correspondence not in CORRESPONDENCE_MODES:
             raise ConfigError(f"correspondence must be one of {CORRESPONDENCE_MODES}")
-        if self.sign_mode not in SIGN_MODES:
-            raise ConfigError(f"sign_mode must be one of {SIGN_MODES}")
+        _check_sign_mode(self.sign_mode)
 
 
 @dataclass
 class LossBreakdown:
     """Per-component values of one objective evaluation (already normalized
     by the batch size). total composes exactly as
-    match_high + match_low + cluster_high + cluster_low + tau * reconstruct."""
+    match_high + match_low + cluster_high + cluster_low + tau * reconstruct.
+    The fields before node name the components, in loss-log order."""
 
     match_high: float
     match_low: float
@@ -103,14 +108,29 @@ class LossBreakdown:
     node: Tensor | None = None  # differentiable total, for backward()
 
     def components(self) -> dict[str, float]:
-        return {
-            "match_high": self.match_high,
-            "match_low": self.match_low,
-            "cluster_high": self.cluster_high,
-            "cluster_low": self.cluster_low,
-            "reconstruct": self.reconstruct,
-            "total": self.total,
-        }
+        return {name: getattr(self, name) for name in COMPONENTS}
+
+
+COMPONENTS = tuple(f.name for f in fields(LossBreakdown) if f.name != "node")
+
+
+def compose_objective(
+    pairs: int,
+    tau: float,
+    match_high: Tensor,
+    cluster_high: Tensor,
+    match_low: Tensor | None = None,
+    cluster_low: Tensor | None = None,
+    reconstruct: Tensor | None = None,
+) -> LossBreakdown:
+    """The LossBreakdown of a batch of pairs from its unnormalized heads,
+    each divided by pairs; a head not given is 0."""
+    heads = (match_high, match_low, cluster_high, cluster_low, reconstruct)
+    mh, ml, ch, cl, rec = (
+        tk.constant(0.0) if head is None else tk.mul_scalar(head, 1.0 / pairs) for head in heads
+    )
+    total = tk.add(mh, ml, ch, cl, tk.mul_scalar(rec, tau))
+    return LossBreakdown(*(t.item() for t in (mh, ml, ch, cl, rec, total)), node=total)
 
 
 def _rows(embeddings: Tensor) -> int:
@@ -267,28 +287,27 @@ def loss_match_low_weak(
 def loss_reconstruct(
     decoded: DecodedBatch,
     low_targets: np.ndarray,
-    units: Sequence[np.ndarray],
+    units: np.ndarray,
 ) -> Tensor:
     """Squared-error reconstruction for one modality of a batch:
 
         sum_i { |low_hat_i - low_i|^2 + (1/n_i) sum_j |unit_hat_ij - unit_ij|^2 }
 
-    over its clips (sentences) i. decoded is the decode_batch output,
-    low_targets the [N, E] encoder embeddings, and units the N raw [n_i, D]
-    clips (sentences), in the same order. Targets are constants; gradients
-    flow only through the decoded branch. Call once per modality and add.
+    over its clips (sentences) i, n_i = decoded.lengths[i]: decoded is the
+    decode_batch output, low_targets the [N, E] encoder embeddings and units
+    the [N, T, D] padded clips (sentences) of EncodedBatch.units. Targets are
+    constants; only the decoded branch gets gradients. Add both modalities.
     """
     low_targets = np.asarray(low_targets, dtype=np.float64)
-    lengths = [u.shape[0] for u in units]
-    if low_targets.shape != decoded.low.values.shape or lengths != decoded.lengths:
+    want = (len(decoded.lengths), decoded.steps)
+    if units.ndim != 3 or units.shape[:2] != want or low_targets.shape != decoded.low.values.shape:
         raise ContractError(
-            f"reconstruction targets ({list(low_targets.shape)}, unit lengths {lengths}) "
-            f"differ from the decoded batch ({list(decoded.low.shape)}, {decoded.lengths})"
+            f"reconstruction targets ({list(low_targets.shape)}, units {list(units.shape)}) differ "
+            f"from the decoded batch ({list(decoded.low.shape)}, units {list(want)} x features)"
         )
-    padded, _ = pad_sequences(units)
-    n_i = np.asarray(lengths)[:, None]
+    n_i = np.asarray(decoded.lengths)[:, None]
     row_weights = (np.arange(decoded.steps)[None, :] < n_i) / n_i  # 1/n_i, 0 on padding
-    unit_targets = padded.reshape(-1, padded.shape[2])
+    unit_targets = units.reshape(-1, units.shape[2])
     weights = np.broadcast_to(row_weights.reshape(-1, 1), unit_targets.shape)
     return tk.add(
         tk.weighted_sq_err(decoded.low, low_targets),
@@ -321,49 +340,25 @@ def total_loss(
     v = encode_batch(params, [video for video, _ in batch], carry_low_state)
     p = encode_batch(params, [paragraph for _, paragraph in batch], carry_low_state)
 
-    norm = 1.0 / len(batch)
-    mh = tk.mul_scalar(loss_match_high(v.high, p.high, config.alpha, config.sign_mode), norm)
-    ch = tk.mul_scalar(loss_cluster_high(v.high, p.high, config.gamma, config.sign_mode), norm)
-    if config.correspondence == "none":
-        ml = cl = tk.constant(0.0)
-    else:
+    # the heads run in this order: shared embeddings accumulate gradients in
+    # reverse tape order, so another order would change trained bits
+    mh = loss_match_high(v.high, p.high, config.alpha, config.sign_mode)
+    ch = loss_cluster_high(v.high, p.high, config.gamma, config.sign_mode)
+    ml = cl = rec = None
+    if config.correspondence != "none":
         if config.correspondence == "strong":
             ml = loss_match_low(v.low, v.counts, p.low, p.counts, config.beta, config.sign_mode)
         else:
             ml = loss_match_low_weak(
                 v.low, v.counts, p.low, p.counts, config.beta_prime, config.sign_mode
             )
-        ml = tk.mul_scalar(ml, norm)
-        cl = tk.mul_scalar(loss_cluster_low(v.low, p.low, config.eta, config.sign_mode), norm)
-
+        cl = loss_cluster_low(v.low, p.low, config.eta, config.sign_mode)
     if config.tau > 0.0:
         if reconstruction_targets is None:
             reconstruction_targets = (v.low.values, p.low.values)
         terms = []
-        for encoded, units, targets, modality in zip(
-            (v, p),
-            ([video.clips for video, _ in batch], [paragraph.sentences for _, paragraph in batch]),
-            reconstruction_targets,
-            ("video", "text"),
-        ):
-            lengths = [[u.shape[0] for u in sample_units] for sample_units in units]
-            decoded = decode_batch(params, encoded.high, lengths, modality)
-            flat = [u for sample_units in units for u in sample_units]
-            terms.append(loss_reconstruct(decoded, targets, flat))
-        rec = tk.mul_scalar(tk.add(*terms), norm)
-    else:
-        rec = tk.constant(0.0)
-
-    total = tk.add(
-        tk.add(tk.add(tk.add(mh, ml), ch), cl),
-        tk.mul_scalar(rec, config.tau),
-    )
-    return LossBreakdown(
-        match_high=mh.item(),
-        match_low=ml.item(),
-        cluster_high=ch.item(),
-        cluster_low=cl.item(),
-        reconstruct=rec.item(),
-        total=total.item(),
-        node=total,
-    )
+        for encoded, targets, modality in zip((v, p), reconstruction_targets, ("video", "text")):
+            decoded = decode_batch(params, encoded.high, encoded.counts, encoded.lengths, modality)
+            terms.append(loss_reconstruct(decoded, targets, encoded.units))
+        rec = tk.add(*terms)
+    return compose_objective(len(batch), config.tau, mh, ch, ml, cl, rec)

@@ -23,9 +23,9 @@ encode_batch and decode_batch handle all samples of one modality at once
 plain sequences. The encoders let the kernel pool (pool=True), except the
 carry_low_state low level, which pools each unit's slice of one run.
 Embeddings stay matrices: one row per clip (sentence) or per sample, with
-the number of clip rows of each sample alongside, which is the form the
-losses take. A sample's embedding is the same bits alone, in any batch and
-in any row order.
+the clip counts, lengths and padded units alongside (EncodedBatch), the
+form the losses take. A sample's embedding is the same bits alone, in any
+batch and in any row order.
 """
 
 from __future__ import annotations
@@ -219,11 +219,14 @@ def build_params(dims: ModelDims) -> HseModelParams:
 class EncodedBatch:
     """Embeddings of a batch of samples of one modality. low holds every
     clip (sentence) of every sample, sample by sample; counts[k] of its rows
-    belong to sample k."""
+    belong to sample k. units holds the same clips (sentences) as the
+    zero-padded input features, lengths[i] frames (words) in row i."""
 
     low: Tensor  # [N, hidden_low]
     high: Tensor  # [K, hidden_high]
     counts: list[int]
+    lengths: list[int]
+    units: np.ndarray  # [N, max length, feature dim]
 
 
 @dataclass
@@ -320,7 +323,7 @@ def encode_batch(
     else:
         enc_low, enc_high = params.enc_p_low, params.enc_p_high
     counts = [len(units) for units in unit_lists]
-    lengths = [u.shape[0] for units in unit_lists for u in units]
+    padded, lengths = pad_sequences([u for units in unit_lists for u in units])
     if carry_low_state:
         # one run per sample over its concatenated frames; each unit's steps
         # are then gathered from the flattened [K * T, H] states
@@ -335,24 +338,24 @@ def encode_batch(
         flat = tk.reshape(states, (len(samples) * steps, enc_low.hidden_dim))
         low = tk.masked_max(tk.take(flat, _segment_rows(starts, lengths)), lengths)
     else:
-        x, _ = pad_sequences([u for units in unit_lists for u in units])
-        low = tk.gru_sequence(tk.constant(x), lengths, enc_low.weights(), pool=True)
+        low = tk.gru_sequence(tk.constant(padded), lengths, enc_low.weights(), pool=True)
     high_in = tk.take(low, _segment_rows(np.cumsum([0] + counts[:-1]), counts))
     high = tk.gru_sequence(high_in, counts, enc_high.weights(), pool=True)
     if not (np.all(np.isfinite(low.values)) and np.all(np.isfinite(high.values))):
         raise HseError("non-finite embedding produced by encoder")
-    return EncodedBatch(low=low, high=high, counts=counts)
+    return EncodedBatch(low=low, high=high, counts=counts, lengths=lengths, units=padded)
 
 
 def decode_batch(
     params: HseModelParams,
     high: Tensor,
-    unit_lengths: Sequence[Sequence[int]],
+    counts: Sequence[int],
+    lengths: Sequence[int],
     modality: str,
 ) -> DecodedBatch:
     """Generate, for each row k of the [K, hidden_high] embeddings high,
-    len(unit_lengths[k]) low-level embeddings and then unit_lengths[k][i]
-    feature vectors from the i-th of them.
+    counts[k] low-level embeddings, and from the i-th low-level embedding of
+    the batch lengths[i] feature vectors (as counted in an EncodedBatch).
 
     The high-level decoder GRU starts from the sample embedding and runs one
     step per clip (sentence) without input; every hidden state is projected
@@ -366,10 +369,8 @@ def decode_batch(
         dec_high, dec_low = params.dec_p_high, params.dec_p_low
     else:
         raise ContractError(f"unknown modality {modality!r}")
-    counts = [len(n_i) for n_i in unit_lengths]
-    lengths = [int(c) for n_i in unit_lengths for c in n_i]
-    if not counts or min(counts) < 1 or min(lengths) < 1:
-        raise ContractError("decode_batch requires n >= 1 and every n_i >= 1")
+    if not counts or min(counts) < 1 or sum(counts) != len(lengths) or min(lengths) < 1:
+        raise ContractError(f"decode_batch: counts {counts} must split lengths {lengths}, all >= 1")
     k, n_max, t_max = len(counts), max(counts), max(lengths)
     states = tk.gru_sequence(None, counts, dec_high.gru.weights(), high)
     valid = [b * n_max + i for b, n in enumerate(counts) for i in range(n)]
@@ -378,4 +379,4 @@ def decode_batch(
     unit_states = tk.gru_sequence(None, lengths, dec_low.gru.weights(), low)
     flat = tk.reshape(unit_states, (len(lengths) * t_max, dec_low.gru.hidden_dim))
     units = tk.affine(flat, dec_low.out_w, dec_low.out_b)
-    return DecodedBatch(low=low, units=units, lengths=lengths)
+    return DecodedBatch(low=low, units=units, lengths=list(lengths))

@@ -238,13 +238,17 @@ def _binary(a: Tensor, b: Tensor, op: str) -> tuple[np.ndarray, np.ndarray]:
     return av, bv
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    av, bv = _binary(a, b, "add")
-    out = Tensor(av + bv, requires_grad=a.requires_grad or b.requires_grad)
+def add(a: Tensor, b: Tensor, *rest: Tensor) -> Tensor:
+    """Sum of two or more same-shape terms, added left to right: one record."""
+    terms = (a, b, *rest)
+    total = a.values
+    for t in terms[1:]:
+        total = total + _binary(a, t, "add")[1]
+    out = Tensor(total, requires_grad=any(t.requires_grad for t in terms))
 
     def back(g):
-        _acc(a, g)
-        _acc(b, g)
+        for t in terms:
+            _acc(t, g)
 
     _record(out, back)
     return out

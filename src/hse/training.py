@@ -20,8 +20,10 @@ from . import tensorkit as tk
 from .data import Corpus
 from .errors import ConfigError, ContractError, TrainingDiverged
 from .losses import (
+    COMPONENTS,
     LossBreakdown,
     LossConfig,
+    compose_objective,
     loss_cluster_high,
     loss_match_high,
     total_loss,
@@ -63,11 +65,12 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def validate(self) -> None:
-        # 0 is allowed as a degenerate no-op (leaves parameters at init)
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
-        if self.decay_factor < 1:
-            raise ConfigError("decay_factor must be >= 1")
+        # 0 is allowed as a degenerate no-op (leaves parameters at init); NaN
+        # and the infinities fail these ranges
+        if not 0 <= self.learning_rate < np.inf:
+            raise ConfigError("learning_rate must be finite and >= 0")
+        if not 1 <= self.decay_factor < np.inf:
+            raise ConfigError("decay_factor must be finite and >= 1")
         if self.decay_every_epochs < 1:
             raise ConfigError("decay_every_epochs must be >= 1")
         if self.epochs < 1:
@@ -160,21 +163,9 @@ def _fse_loss(batch, params: HseModelParams, config: LossConfig) -> LossBreakdow
     over single-level embeddings, no low-level or reconstruction terms."""
     videos = encode_flat_batch(params.enc_v_low, [video for video, _ in batch])
     paragraphs = encode_flat_batch(params.enc_p_low, [paragraph for _, paragraph in batch])
-    norm = 1.0 / len(batch)
-    mh = tk.mul_scalar(loss_match_high(videos, paragraphs, config.alpha, config.sign_mode), norm)
-    ch = tk.mul_scalar(
-        loss_cluster_high(videos, paragraphs, config.gamma, config.sign_mode), norm
-    )
-    total = tk.add(mh, ch)
-    return LossBreakdown(
-        match_high=mh.item(),
-        match_low=0.0,
-        cluster_high=ch.item(),
-        cluster_low=0.0,
-        reconstruct=0.0,
-        total=total.item(),
-        node=total,
-    )
+    mh = loss_match_high(videos, paragraphs, config.alpha, config.sign_mode)
+    ch = loss_cluster_high(videos, paragraphs, config.gamma, config.sign_mode)
+    return compose_objective(len(batch), config.tau, mh, ch)
 
 
 def _last_trained(config: TrainConfig) -> str:
@@ -190,13 +181,9 @@ def _last_trained(config: TrainConfig) -> str:
     return "enc_p_high"
 
 
-def _mean_breakdown(batch_breakdowns: Sequence[LossBreakdown]) -> LossBreakdown:
-    n = len(batch_breakdowns)
-    mean = {
-        key: sum(bd.components()[key] for bd in batch_breakdowns) / n
-        for key in ("match_high", "match_low", "cluster_high", "cluster_low", "reconstruct", "total")
-    }
-    return LossBreakdown(node=None, **mean)
+def _mean_breakdown(breakdowns: Sequence[LossBreakdown]) -> LossBreakdown:
+    n = len(breakdowns)
+    return LossBreakdown(*(sum(getattr(bd, key) for bd in breakdowns) / n for key in COMPONENTS))
 
 
 def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
@@ -210,12 +197,7 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
             "strong-correspondence training needs a strong corpus; use "
             "correspondence=weak (or none) for this data"
         )
-    dims = ModelDims(
-        d_v=corpus.d_v,
-        d_t=corpus.d_t,
-        hidden_low=config.hidden_low,
-        hidden_high=config.hidden_high,
-    )
+    dims = ModelDims(corpus.d_v, corpus.d_t, config.hidden_low, config.hidden_high)
     params = init_params(dims, config.seed)
     tensors = [t for _, t in params.leading_parameters(_last_trained(config))]
     values = params.values[: sum(t.values.size for t in tensors)]

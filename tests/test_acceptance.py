@@ -170,6 +170,11 @@ def _decoded(low_rows, unit_rows):
     )
 
 
+def _padded(unit_rows):
+    """The [N, T, D] zero-padded feature rows of each unit, as EncodedBatch.units."""
+    return pad_sequences(unit_rows)[0]
+
+
 def test_criterion_2_loss_oracles():
     rng = np.random.default_rng(2024)
     instances = 200
@@ -208,7 +213,7 @@ def test_criterion_2_loss_oracles():
         raw = [rng.normal(size=(int(rng.integers(1, 4)), 3)) for _ in range(n)]
         decoded_units = [rng.normal(size=(r.shape[0], 3)) for r in raw]
         decoded = _decoded(decoded_low, decoded_units)
-        got = loss_reconstruct(decoded, np.stack(target_low), raw).item()
+        got = loss_reconstruct(decoded, np.stack(target_low), _padded(raw)).item()
         want = oracles.ref_loss_reconstruct(target_low, decoded_low, decoded_units, raw)
         assert abs(got - want) <= 1e-10
 
@@ -376,7 +381,7 @@ def test_criterion_9_reconstruction_identity():
         target_low = [rng.normal(size=d_low) for _ in range(n)]
         raw = [rng.normal(size=(int(rng.integers(1, 4)), d_feat)) for _ in range(n)]
         targets = np.stack(target_low)
-        assert loss_reconstruct(_decoded(target_low, raw), targets, raw).item() == 0.0
+        assert loss_reconstruct(_decoded(target_low, raw), targets, _padded(raw)).item() == 0.0
 
         perturbed_low = [x.copy() for x in target_low]
         perturbed_units = [unit.copy() for unit in raw]
@@ -388,7 +393,7 @@ def test_criterion_9_reconstruction_identity():
             j = int(rng.integers(0, raw[i].shape[0]))
             perturbed_units[i][j, int(rng.integers(0, d_feat))] += rng.uniform(1e-6, 1.0)
         decoded = _decoded(perturbed_low, perturbed_units)
-        assert loss_reconstruct(decoded, targets, raw).item() > 0.0
+        assert loss_reconstruct(decoded, targets, _padded(raw)).item() > 0.0
     print("\ncriterion 9: PASS reconstruction identity (zero iff exact)")
 
 

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from hse.cli import cli_dispatch
+from hse.cli import CONFIG_KEYS, _build_parser, cli_dispatch
+from hse.errors import ContractError
+from hse.gradcheck import run_gradient_suite
 
 
 def run(*argv):
@@ -75,6 +77,66 @@ class TestTrain:
         config.write_text("not a key value line\n")
         assert run("train", "--corpus", str(corpus_path), "--config", str(config),
                    "--out", str(tmp_path / "x")) == 1
+
+    @pytest.mark.parametrize("value", ["ture", "2", "on", ""])
+    def test_config_boolean_must_be_a_boolean_word(self, tmp_path, corpus_path, capsys, value):
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"epochs = 1\ncarry_low_state = {value}\n")
+        assert run("train", "--corpus", str(corpus_path), "--config", str(config),
+                   "--out", str(tmp_path / "x")) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {config}: line 2: bad value for 'carry_low_state'"]
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("value, echoed", [("TRUE", "True"), ("yes", "True"), ("0", "False")])
+    def test_config_boolean_words(self, tmp_path, corpus_path, value, echoed):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"carry_low_state = {value}\n")
+        out = tmp_path / "run"
+        assert run("train", "--corpus", str(corpus_path), "--config", str(config),
+                   "--out", str(out), "--epochs", "1", "--hidden-low", "3",
+                   "--hidden-high", "3") == 0
+        assert f"carry_low_state = {echoed}\n" in (out / "config.txt").read_text()
+
+    def test_non_utf8_config_names_file_and_line(self, tmp_path, corpus_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"epochs = 1\n# caf\xff\n")
+        assert run("train", "--corpus", str(corpus_path), "--config", str(config),
+                   "--out", str(tmp_path / "x")) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {config}: line 2: not UTF-8 text"]
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--learning-rate", "nan"), ("--decay-factor", "inf"), ("--tau", "-inf"),
+         ("--beta-prime", "nan")],
+    )
+    def test_non_finite_float_option_exit_1(self, tmp_path, corpus_path, capsys, flag, value):
+        out = tmp_path / "x"
+        assert run("train", "--corpus", str(corpus_path), "--out", str(out), f"{flag}={value}") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ")
+        assert f"{flag[2:].replace('-', '_')} must be finite" in err[0]
+        assert not (out / "checkpoint.bin").exists()
+
+    def test_train_flags_are_the_config_keys(self):
+        sub = next(a for a in _build_parser()._actions if a.dest == "command")
+        flags = {
+            flag
+            for action in sub.choices["train"]._actions
+            for flag in action.option_strings
+        }
+        options = flags - {"-h", "--help", "--corpus", "--config", "--out"}
+        # every config key but the file-only carry_low_state is a flag
+        keys = {"--" + key.replace("_", "-") for key in CONFIG_KEYS}
+        assert keys == options | {"--carry-low-state"}
+        assert options == {
+            "--learning-rate", "--decay-factor", "--decay-every-epochs", "--epochs",
+            "--batch-size", "--seed", "--hidden-low", "--hidden-high", "--model", "--alpha",
+            "--beta", "--gamma", "--eta", "--beta-prime", "--tau", "--correspondence",
+            "--sign-mode",
+        }
 
     def test_train_reruns_are_bitwise_identical(self, tmp_path, corpus_path):
         outs = []
@@ -180,6 +242,10 @@ class TestDispatch:
         assert (out / "gradcheck.txt").exists()
         assert (out / "manifest.json").exists()
 
+    def test_gradient_suite_needs_a_trial(self):
+        with pytest.raises(ContractError, match="trials_per_component must be >= 1"):
+            run_gradient_suite(trials_per_component=0)
+
     @pytest.mark.parametrize(
         "argv, flag, message",
         [
@@ -205,6 +271,7 @@ class TestDispatch:
                 "--max-units",
                 "expected a count >= 1, got '0'",
             ),
+            (["gradcheck", "--trials", "0"], "--trials", "expected a count >= 1, got '0'"),
         ],
         ids=[
             "synth-clips",
@@ -212,6 +279,7 @@ class TestDispatch:
             "eval-topk-zero",
             "partial-eval-topk-negative",
             "partial-eval-max-units-zero",
+            "gradcheck-trials-zero",
         ],
     )
     def test_malformed_count_is_a_usage_error(self, tmp_path, capsys, argv, flag, message):

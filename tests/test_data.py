@@ -142,6 +142,13 @@ class TestCorpusIO:
         with pytest.raises(CorpusError, match="line 2"):
             load_corpus(path)
 
+    def test_non_utf8_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        good = b'{"id": "a", "clips": [[[1.0]]], "sentences": [[[1.0]]]}\n'
+        path.write_bytes(good + b'{"id": "b\xff", "clips": [[[1.0]]], "sentences": [[[1.0]]]}\n')
+        with pytest.raises(CorpusError, match=r"c\.jsonl: line 2: not UTF-8 text"):
+            load_corpus(path)
+
     def test_empty_clip_list_is_validation_error(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"id": "a", "clips": [], "sentences": [[[1.0]]]}\n')

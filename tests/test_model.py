@@ -524,6 +524,14 @@ class TestEncodeBatch:
             assert np.array_equal(alone.low.values, batch.low.values[start : start + video.n])
             start += video.n
 
+    @pytest.mark.parametrize("carry", [False, True])
+    def test_units_are_the_padded_clips(self, carry):
+        videos = self._videos(5)
+        batch = encode_batch(self.params, videos, carry_low_state=carry)
+        units, lengths = pad_sequences([clip for video in videos for clip in video.clips])
+        assert batch.lengths == lengths
+        assert np.array_equal(batch.units, units)
+
     def test_mixed_modalities_rejected(self):
         video = self._videos(1)[0]
         paragraph = ParagraphSample("p", [self.rng.normal(size=(2, 3))])
@@ -539,7 +547,7 @@ class TestDecodeHierarchical:
 
     def test_single_unit_counts(self):
         high = tk.constant(self.rng.normal(size=(1, 5)))
-        decoded = decode_batch(self.params, high, [[1]], "video")
+        decoded = decode_batch(self.params, high, [1], [1], "video")
         assert decoded.low.values.shape == (1, 4)
         assert decoded.lengths == [1]
         assert decoded.units.values.shape == (1, 3)
@@ -547,7 +555,7 @@ class TestDecodeHierarchical:
     def test_counts_match_requested_lengths(self):
         high = tk.constant(self.rng.normal(size=(1, 5)))
         n_i = [2, 1, 3]
-        decoded = decode_batch(self.params, high, [n_i], "text")
+        decoded = decode_batch(self.params, high, [3], n_i, "text")
         assert decoded.low.values.shape == (3, 4)
         assert decoded.lengths == n_i
         assert decoded.steps == 3
@@ -556,13 +564,13 @@ class TestDecodeHierarchical:
     def test_zero_counts_rejected(self):
         high = tk.constant(np.zeros((1, 5)))
         with pytest.raises(ContractError):
-            decode_batch(self.params, high, [[]], "video")
+            decode_batch(self.params, high, [0], [], "video")
         with pytest.raises(ContractError):
-            decode_batch(self.params, high, [[1, 0]], "video")
+            decode_batch(self.params, high, [2], [1, 0], "video")
 
     def test_unknown_modality(self):
         with pytest.raises(ContractError):
-            decode_batch(self.params, tk.constant(np.zeros((1, 5))), [[1]], "audio")
+            decode_batch(self.params, tk.constant(np.zeros((1, 5))), [1], [1], "audio")
 
     def test_decoder_gradients_vs_finite_differences(self):
         high = tk.constant(self.rng.normal(size=(1, 5)))
@@ -572,7 +580,7 @@ class TestDecodeHierarchical:
         generated = [0, 1, 2]  # two rows per unit; row 3 is unit 1's padding
 
         def f(ps):
-            decoded = decode_batch(self.params, high, [[2, 1]], "video")
+            decoded = decode_batch(self.params, high, [2], [2, 1], "video")
             return tk.add(
                 tk.reduce_sum(decoded.low), tk.reduce_sum(tk.take(decoded.units, generated))
             )

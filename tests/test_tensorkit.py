@@ -43,6 +43,18 @@ class TestPointwise:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             tk.add(t([1.0, 2.0]), t([1.0]))
+        with pytest.raises(ShapeError):
+            tk.add(t([1.0, 2.0]), t([1.0, 2.0]), t([1.0]))
+
+    def test_add_of_many_terms_is_one_record_summed_left_to_right(self):
+        a, b, c = t([1.0]), t([1e16]), t([-1e16])
+        with Tape() as tape:
+            total = tk.add(a, b, c, a)
+            backward(tk.reduce_sum(total))
+        assert total.item() == 1.0  # ((1 + 1e16) - 1e16) + 1; any other order gives 2
+        assert len(tape) == 2
+        assert b.grad.tolist() == c.grad.tolist() == [1.0]
+        assert a.grad.tolist() == [2.0]
 
 
 class TestReduce:

@@ -246,6 +246,19 @@ class TestTrain:
         with pytest.raises(TrainingDiverged, match="match_high"):
             train(corpus, tiny_config())
 
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            (TrainConfig(learning_rate=float("nan")), "learning_rate"),
+            (TrainConfig(decay_factor=float("inf")), "decay_factor"),
+            (TrainConfig(loss=LossConfig(alpha=float("nan"))), "alpha"),
+            (TrainConfig(loss=LossConfig(tau=float("-inf"))), "tau"),
+        ],
+    )
+    def test_non_finite_float_option_rejected(self, config, field):
+        with pytest.raises(ConfigError, match=rf"\b{field} must be finite"):
+            config.validate()
+
     def test_invalid_config_rejected(self):
         corpus = tiny_corpus()
         with pytest.raises(ConfigError):
