@@ -20,6 +20,7 @@ from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .data import (
+    CORRESPONDENCES,
     SynthSpec,
     load_corpus,
     load_labels,
@@ -32,7 +33,7 @@ from .data import (
     write_atomically,
 )
 from .errors import ConfigError, HseError
-from .evaluation import evaluate_retrieval, zeroshot_classify
+from .evaluation import ENCODING_MODES, evaluate_retrieval, zeroshot_classify
 from .gradcheck import run_gradient_suite
 from .losses import COMPONENTS, CORRESPONDENCE_MODES, SIGN_MODES, LossConfig
 from .training import MODEL_KINDS, TrainConfig, train
@@ -359,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=int, default=16)
     p.add_argument("--noise-std", dest="noise_std", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--correspondence", choices=["strong", "weak"], default="strong")
+    p.add_argument("--correspondence", choices=CORRESPONDENCES, default="strong")
     p.add_argument("--out", required=True, help="output corpus path (.jsonl)")
     p.set_defaults(func=_cmd_synth)
 
@@ -380,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--corpus", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--topk", type=topk, default="1,5,50", help="comma-separated k values")
-        p.add_argument("--mode", choices=["hierarchical", "flat"], default="hierarchical")
+        p.add_argument("--mode", choices=ENCODING_MODES, default="hierarchical")
         if name == "partial-eval":
             p.add_argument("--max-units", dest="max_units", type=count, required=True)
         p.set_defaults(func=_cmd_eval)

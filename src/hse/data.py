@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"HSE1"
+CORRESPONDENCES = ("strong", "weak")  # the correspondence modes of a corpus
 
 
 def _validate_units(sample: str, units: list[np.ndarray], unit_name: str, feature: str) -> None:
@@ -112,10 +113,6 @@ class ParagraphSample:
     def m(self) -> int:
         return len(self.sentences)
 
-    @property
-    def word_counts(self) -> list[int]:
-        return [s.shape[0] for s in self.sentences]
-
     def validate(self) -> None:
         _validate_units(f"paragraph {self.id!r}", self.sentences, "sentences", "word")
 
@@ -160,7 +157,7 @@ class Corpus:
     def _validate_pairs(self) -> None:
         """The corpus-level checks, over samples that are valid on their own:
         correspondence mode, ids, strong counts and feature dimensions."""
-        if self.correspondence not in ("strong", "weak"):
+        if self.correspondence not in CORRESPONDENCES:
             raise CorpusError(f"unknown correspondence mode {self.correspondence!r}")
         if not self.pairs:
             raise CorpusError("corpus has no pairs")
@@ -214,7 +211,9 @@ class SynthSpec:
             raise ContractError("SynthSpec feature dimensions must be >= 1")
         if self.noise_std < 0:
             raise ContractError("SynthSpec.noise_std must be >= 0")
-        if self.correspondence not in ("strong", "weak"):
+        if self.seed < 0:
+            raise ContractError("SynthSpec.seed must be >= 0")
+        if self.correspondence not in CORRESPONDENCES:
             raise ContractError(f"unknown correspondence mode {self.correspondence!r}")
 
 

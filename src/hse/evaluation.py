@@ -33,6 +33,7 @@ __all__ = [
 
 DEFAULT_TOPK = (1, 5, 50)
 ENCODE_CHUNK_PAIRS = 32  # pairs encoded per GRU batch by encode_corpus
+ENCODING_MODES = ("hierarchical", "flat")
 
 
 def _ranks(sims: np.ndarray, true_cols) -> np.ndarray:
@@ -147,7 +148,7 @@ def encode_corpus(
     carry_low_state: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Whole-sample embeddings of every pair, as (videos, paragraphs) arrays."""
-    if mode not in ("hierarchical", "flat"):
+    if mode not in ENCODING_MODES:
         raise ContractError(f"unknown encoding mode {mode!r}")
     videos = []
     paragraphs = []
@@ -158,8 +159,8 @@ def encode_corpus(
         vs = [_truncated(video, max_units) for video, _ in chunk]
         ps = [_truncated(paragraph, max_units) for _, paragraph in chunk]
         if mode == "flat":
-            videos.append(encode_flat_batch(params.enc_v_low, vs).values)
-            paragraphs.append(encode_flat_batch(params.enc_p_low, ps).values)
+            videos.append(encode_flat_batch(params, vs).values)
+            paragraphs.append(encode_flat_batch(params, ps).values)
         else:
             videos.append(encode_batch(params, vs, carry_low_state).high.values)
             paragraphs.append(encode_batch(params, ps, carry_low_state).high.values)

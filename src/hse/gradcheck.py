@@ -199,6 +199,8 @@ def run_gradient_suite(
     """Run every component's trials and aggregate the worst relative error."""
     if trials_per_component < 1:
         raise ContractError(f"trials_per_component must be >= 1, got {trials_per_component}")
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     results = []
     for ci, component in enumerate(components):
         worst = 0.0

@@ -19,9 +19,11 @@ they tile in named_parameters order, so that training can update a
 leading span of it with whole-buffer operations. Every GRU runs through
 tensorkit.gru_sequence over a padded batch:
 encode_batch and decode_batch handle all samples of one modality at once
-(one GRU run per level), encode_sequences and encode_flat_batch a batch of
-plain sequences. The encoders let the kernel pool (pool=True), except the
-carry_low_state low level, which pools each unit's slice of one run.
+(one GRU run per level), encode_sequences a batch of plain sequences, and
+encode_flat_batch each sample's concatenated frames (words). encode_batch
+and encode_flat_batch pick the encoders of the samples' modality by one
+rule (_modality). The encoders let the kernel pool (pool=True), except
+the carry_low_state low level, which pools each unit's slice of one run.
 Embeddings stay matrices: one row per clip (sentence) or per sample, with
 the clip counts, lengths and padded units alongside (EncodedBatch), the
 form the losses take. A sample's embedding is the same bits alone, in any
@@ -38,6 +40,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import tensorkit as tk
+from .data import ParagraphSample, VideoSample
 from .errors import ContractError, HseError, ShapeError
 from .tensorkit import Tensor
 
@@ -280,20 +283,30 @@ def encode_sequences(params: GruParams, sequences: Sequence[np.ndarray]) -> Tens
     return tk.gru_sequence(tk.constant(x), lengths, params.weights(), pool=True)
 
 
-def _units_of(sample) -> list[np.ndarray]:
-    units = getattr(sample, "clips", None)
-    if units is None:
-        units = getattr(sample, "sentences", None)
-    if units is None:
-        raise ContractError(f"cannot encode object of type {type(sample).__name__}")
-    return units
+def _modality(params: HseModelParams, samples: Sequence) -> tuple[GruParams, GruParams, list]:
+    """The low- and high-level encoders of the samples' modality, and each
+    sample's clips (sentences). The samples must be all videos or all
+    paragraphs, at least one, each with at least one clip (sentence)."""
+    if not samples:
+        raise ContractError("encoding requires at least one sample")
+    video = isinstance(samples[0], VideoSample)
+    if not all(isinstance(s, VideoSample if video else ParagraphSample) for s in samples):
+        raise ContractError("encoding requires samples of one modality")
+    unit_lists = [s.clips if video else s.sentences for s in samples]
+    if not all(unit_lists):
+        raise ContractError("encoding requires at least one clip/sentence per sample")
+    if video:
+        return params.enc_v_low, params.enc_v_high, unit_lists
+    return params.enc_p_low, params.enc_p_high, unit_lists
 
 
-def encode_flat_batch(params: GruParams, samples: Sequence) -> Tensor:
+def encode_flat_batch(params: HseModelParams, samples: Sequence) -> Tensor:
     """Flat-sequence baseline: ignore clip/sentence boundaries and encode the
-    concatenation of each sample's frames (words) as one sequence. Returns
-    the [K, H] embeddings."""
-    return encode_sequences(params, [np.concatenate(_units_of(s)) for s in samples])
+    concatenation of each sample's frames (words) as one sequence with the
+    low-level encoder of the samples' modality. Returns the [K, H]
+    embeddings."""
+    enc_low, _, unit_lists = _modality(params, samples)
+    return encode_sequences(enc_low, [np.concatenate(units) for units in unit_lists])
 
 
 def encode_batch(
@@ -310,18 +323,7 @@ def encode_batch(
     each sample's concatenated frames, and embeddings are still pooled per
     unit. Off by default.
     """
-    if not samples:
-        raise ContractError("encode_batch requires at least one sample")
-    unit_lists = [_units_of(s) for s in samples]
-    video = hasattr(samples[0], "clips")
-    if any(hasattr(s, "clips") != video for s in samples):
-        raise ContractError("encode_batch requires samples of one modality")
-    if any(not units for units in unit_lists):
-        raise ContractError("encode_batch requires at least one clip/sentence per sample")
-    if video:
-        enc_low, enc_high = params.enc_v_low, params.enc_v_high
-    else:
-        enc_low, enc_high = params.enc_p_low, params.enc_p_high
+    enc_low, enc_high, unit_lists = _modality(params, samples)
     counts = [len(units) for units in unit_lists]
     padded, lengths = pad_sequences([u for units in unit_lists for u in units])
     if carry_low_state:

@@ -18,9 +18,8 @@ gru_sequence orders the rows longest first and runs each step, input
 term included, over the rows still running only. With pool=True it
 returns the pooled [B, H] maxima; when nothing will record them it keeps
 only a running maximum, so an evaluation run holds no [B, T, .] buffer.
-masked_max likewise takes a plain masked maximum when nothing will
-record it. None of this changes a row's bits, which do not depend on the
-batch or on the row's place in it.
+None of this changes a row's bits, which do not depend on the batch or
+on the row's place in it.
 
 The training objective's heads are one record each, with a hand-written
 backward: rank_hinge and cluster_hinge over a square similarity matrix,
@@ -44,13 +43,11 @@ __all__ = [
     "Tape",
     "backward",
     "constant",
-    "matmul",
     "add",
     "mul",
     "sigmoid",
     "tanh",
     "mul_scalar",
-    "transpose",
     "reshape",
     "reduce_sum",
     "take",
@@ -144,8 +141,6 @@ def _acc(t: Tensor, g) -> None:
         if t.grad is None:
             # a C-order copy: g may be a broadcast, transposed or caller-owned array
             t.grad = np.array(g, dtype=np.float64, order="C")
-            if t.grad.shape != t.values.shape:
-                t.grad = np.broadcast_to(t.grad, t.values.shape).copy()
         else:
             t.grad += g
 
@@ -187,34 +182,6 @@ def zero_grads(tensors: Sequence[Tensor]) -> None:
 
 # ---------------------------------------------------------------------------
 # primitives
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    av, bv = a.values, b.values
-    if av.ndim != 2 or bv.ndim != 2:
-        raise ShapeError(f"matmul supports 2-d x 2-d operands, got {av.ndim}-d x {bv.ndim}-d")
-    if av.shape[1] != bv.shape[0]:
-        raise ShapeError(f"matmul dimension mismatch: {list(av.shape)} x {list(bv.shape)}")
-    out = Tensor(av @ bv, requires_grad=a.requires_grad or b.requires_grad)
-
-    def back(g):
-        _acc(a, g @ bv.T)
-        _acc(b, av.T @ g)
-
-    _record(out, back)
-    return out
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.values.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-d tensor, got shape {list(a.shape)}")
-    out = Tensor(a.values.T.copy(), requires_grad=a.requires_grad)
-
-    def back(g):
-        _acc(a, g.T)
-
-    _record(out, back)
-    return out
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -321,17 +288,12 @@ def take(a: Tensor, index) -> Tensor:
     idx = np.asarray(index, dtype=np.intp)
     if n == 0 or idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ShapeError(f"take index out of range for {n} rows")
-    if idx.ndim == 0:
-        idx = int(idx)
     out = Tensor(a.values[idx], requires_grad=a.requires_grad)
 
     def back(g):
         if a.grad is None:
             a.grad = np.zeros_like(a.values)
-        if isinstance(idx, int):
-            a.grad[idx] += g
-        else:
-            np.add.at(a.grad, idx, g)
+        np.add.at(a.grad, idx, g)
 
     _record(out, back)
     return out
@@ -616,7 +578,7 @@ def gru_sequence(
     requires_grad = any(p.requires_grad for p in parents)
     keep = requires_grad and _active_tape() is not None
     running_max = pool and not keep
-    if running_max:  # a running maximum from -inf, as masked_max's tape-free branch
+    if running_max:  # a running maximum from -inf
         best = np.full((bsz, hid), -np.inf)
     else:
         hs = np.empty((bsz, steps, hid))
@@ -675,7 +637,7 @@ def gru_sequence(
         if x is None:
             dw = np.zeros((3 * hid, dim))
         else:
-            dw = flat.T @ _packed(xv, order).reshape(-1, dim)
+            dw = flat.T @ xp.reshape(-1, dim)
         du_zr = flat[:, : 2 * hid].T @ h_prev.reshape(-1, hid)
         du_c = flat[:, 2 * hid :].T @ (rs * h_prev).reshape(-1, hid)
         for block, grad in zip(weights, (dw.T, du_zr.T, du_c.T, flat.sum(axis=0))):
@@ -691,18 +653,12 @@ def gru_sequence(
 
 def masked_max(a: Tensor, lengths) -> Tensor:
     """Channel-wise max of a [B, T, H] tensor over the first lengths[b]
-    steps of each row; gradient flows to the first attaining step. When
-    nothing will record the result (no active tape, or an input that needs
-    no gradient), the maximum is taken directly, without locating it: the
-    same bits."""
+    steps of each row; gradient flows to the first attaining step."""
     av = a.values
     if av.ndim != 3:
         raise ShapeError(f"masked_max expects a [B, T, H] tensor, got shape {list(a.shape)}")
     lengths = _check_lengths(lengths, av.shape[0], av.shape[1])
     mask = (np.arange(av.shape[1])[None, :] < lengths[:, None])[:, :, None]
-    if not (a.requires_grad and _active_tape() is not None):
-        pooled = np.max(av, axis=1, where=mask, initial=-np.inf)
-        return Tensor(pooled, requires_grad=a.requires_grad)
     idx = np.argmax(np.where(mask, av, -np.inf), axis=1)[:, None, :]
     out = Tensor(np.take_along_axis(av, idx, axis=1)[:, 0, :], requires_grad=a.requires_grad)
 
@@ -726,12 +682,7 @@ class FiniteDiffReport:
     max_rel_err: float
     n_checked: int
     n_skipped_nondifferentiable: int
-    tol: float
     per_param_max: list[float]
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_err < self.tol
 
 
 def _rel_err(a: float, n: float, floor: float) -> float:
@@ -825,6 +776,5 @@ def finite_diff_check(
         max_rel_err=max_err,
         n_checked=n_checked,
         n_skipped_nondifferentiable=n_skipped,
-        tol=tol,
         per_param_max=per_param,
     )

@@ -77,6 +77,8 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.hidden_low < 1 or self.hidden_high < 1:
             raise ConfigError("hidden sizes must be >= 1")
         if self.model not in MODEL_KINDS:
@@ -161,8 +163,8 @@ def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
 def _fse_loss(batch, params: HseModelParams, config: LossConfig) -> LossBreakdown:
     """Objective of the flat baseline: whole-sample matching and clustering
     over single-level embeddings, no low-level or reconstruction terms."""
-    videos = encode_flat_batch(params.enc_v_low, [video for video, _ in batch])
-    paragraphs = encode_flat_batch(params.enc_p_low, [paragraph for _, paragraph in batch])
+    videos = encode_flat_batch(params, [video for video, _ in batch])
+    paragraphs = encode_flat_batch(params, [paragraph for _, paragraph in batch])
     mh = loss_match_high(videos, paragraphs, config.alpha, config.sign_mode)
     ch = loss_cluster_high(videos, paragraphs, config.gamma, config.sign_mode)
     return compose_objective(len(batch), config.tau, mh, ch)

@@ -242,6 +242,19 @@ class TestDispatch:
         assert (out / "gradcheck.txt").exists()
         assert (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command", ["synth", "train", "gradcheck"])
+    def test_negative_seed_is_one_error_line(self, tmp_path, corpus_path, capsys, command):
+        out = tmp_path / "out"
+        argv = {
+            "synth": ["--out", str(out)],
+            "train": ["--corpus", str(corpus_path), "--out", str(out)],
+            "gradcheck": ["--trials", "1", "--out", str(out)],
+        }[command]
+        assert run(command, "--seed", "-1", *argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "seed must be >= 0" in err[0]
+        assert not out.exists()
+
     def test_gradient_suite_needs_a_trial(self):
         with pytest.raises(ContractError, match="trials_per_component must be >= 1"):
             run_gradient_suite(trials_per_component=0)

@@ -71,8 +71,9 @@ def gru_step(g: dict[str, Tensor], x, h: Tensor) -> Tensor:
 
 def _times(w: Tensor, v: Tensor) -> Tensor:
     """w v for a 1-d v, computed as the row vector v times the transposed w."""
-    row = tk.matmul(tk.reshape(v, (1, v.values.shape[0])), tk.transpose(w))
-    return tk.reshape(row, (w.values.shape[0],))
+    rows, cols = w.values.shape
+    row = tk.affine(tk.reshape(v, (1, cols)), w, tk.constant(np.zeros(rows)))
+    return tk.reshape(row, (rows,))
 
 
 class TestGruStep:
@@ -404,7 +405,7 @@ class TestEncodeFlat:
         params = init_params(dims, 0)
         frame = rng.normal(size=3)
         video = VideoSample("v", [frame.reshape(1, 3)])
-        flat = encode_flat_batch(params.enc_v_low, [video])
+        flat = encode_flat_batch(params, [video])
         direct = gru_step(gates_of(params.enc_v_low), frame, Tensor(np.zeros(4)))
         assert np.array_equal(flat.values[0], direct.values)
 
@@ -414,7 +415,7 @@ class TestEncodeFlat:
         params = init_params(dims, 1)
         clips = [rng.normal(size=(2, 3)), rng.normal(size=(2, 3))]
         video = VideoSample("v", clips)
-        flat = encode_flat_batch(params.enc_v_low, [video])
+        flat = encode_flat_batch(params, [video])
         manual = encode_sequences(params.enc_v_low, [np.stack([r for c in clips for r in c])])
         assert np.array_equal(flat.values, manual.values)
 
@@ -424,9 +425,28 @@ class TestEncodeFlat:
         params = init_params(dims, 2)
         clips = [rng.normal(size=(2, 3)), rng.normal(size=(2, 3))]
         a, b = encode_flat_batch(
-            params.enc_v_low, [VideoSample("v", clips), VideoSample("v", clips[::-1])]
+            params, [VideoSample("v", clips), VideoSample("v", clips[::-1])]
         ).values
         assert not np.array_equal(a, b)
+
+    def test_paragraphs_use_the_text_encoder(self):
+        rng = np.random.default_rng(9)
+        dims = ModelDims(d_v=3, d_t=3, hidden_low=4, hidden_high=4)
+        params = init_params(dims, 4)
+        sentences = [rng.normal(size=(2, 3)), rng.normal(size=(1, 3))]
+        flat = encode_flat_batch(params, [ParagraphSample("p", sentences)])
+        manual = encode_sequences(params.enc_p_low, [np.concatenate(sentences)])
+        assert np.array_equal(flat.values, manual.values)
+        video = encode_sequences(params.enc_v_low, [np.concatenate(sentences)])
+        assert not np.array_equal(flat.values, video.values)
+
+    def test_mixed_or_empty_batch_rejected(self):
+        params = init_params(ModelDims(d_v=3, d_t=3, hidden_low=4, hidden_high=4), 4)
+        frames = np.zeros((1, 3))
+        with pytest.raises(ContractError, match="one modality"):
+            encode_flat_batch(params, [VideoSample("v", [frames]), ParagraphSample("p", [frames])])
+        with pytest.raises(ContractError, match="at least one sample"):
+            encode_flat_batch(params, [])
 
 
 class TestEncodeHierarchical:
