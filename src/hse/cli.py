@@ -32,10 +32,11 @@ from .data import (
     synth_generate,
     write_atomically,
 )
-from .errors import ConfigError, HseError
-from .evaluation import ENCODING_MODES, evaluate_retrieval, zeroshot_classify
+from .errors import ConfigError, CorpusError, HseError
+from .evaluation import DEFAULT_TOPK, ENCODING_MODES, evaluate_retrieval, zeroshot_classify
 from .gradcheck import run_gradient_suite
 from .losses import COMPONENTS, CORRESPONDENCE_MODES, SIGN_MODES, LossConfig
+from .tensorkit import FD_TOLERANCE
 from .training import MODEL_KINDS, TrainConfig, train
 
 log = logging.getLogger("hse.cli")
@@ -240,24 +241,34 @@ def _cmd_train(args) -> int:
 def _load_eval_inputs(args):
     params = load_checkpoint(args.checkpoint)
     corpus = load_corpus(args.corpus)
+    dims = params.dims
+    if (corpus.d_v, corpus.d_t) != (dims.d_v, dims.d_t):
+        raise CorpusError(
+            f"{args.corpus}: features are d_v={corpus.d_v}, d_t={corpus.d_t} wide, but "
+            f"{args.checkpoint} holds a model for d_v={dims.d_v}, d_t={dims.d_t}"
+        )
     return params, corpus
 
 
-def _write_report(out_dir: Path, name: str, lines: list[str], summary: dict) -> list[Path]:
-    """Write <name>.txt (the report lines) and <name>.json (the summary)."""
-    text_path = out_dir / f"{name}.txt"
-    json_path = out_dir / f"{name}.json"
-    write_atomically(text_path, ["\n".join(lines) + "\n"])
-    write_atomically(json_path, [json.dumps(summary, indent=2) + "\n"])
-    return [text_path, json_path]
+def _write_report(
+    args, name: str, lines: list[str], summary: dict, config: dict, inputs: list[str], started: float
+) -> None:
+    """Make the output directory, write <name>.txt (the report lines) and
+    <name>.json (the summary), print the lines and write the manifest."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = [out_dir / f"{name}.txt", out_dir / f"{name}.json"]
+    write_atomically(outputs[0], ["\n".join(lines) + "\n"])
+    write_atomically(outputs[1], [json.dumps(summary, indent=2) + "\n"])
+    for line in lines:
+        print(line)
+    _write_manifest(out_dir / "manifest.json", args.command, config, None, inputs, outputs, started)
 
 
 def _cmd_eval(args) -> int:
     """eval, or partial-eval when args.max_units is set."""
     started = time.monotonic()
     params, corpus = _load_eval_inputs(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     max_units = getattr(args, "max_units", None)
     reports = evaluate_retrieval(
         params, corpus, topk=_parse_topk(args.topk), mode=args.mode, max_units=max_units
@@ -269,18 +280,7 @@ def _cmd_eval(args) -> int:
         name = f"retrieval_partial_{max_units}"
     lines = [line for report in reports for line in report.lines()]
     summary = {report.direction: report.summary() for report in reports}
-    outputs = _write_report(out_dir, name, lines, summary)
-    for line in lines:
-        print(line)
-    _write_manifest(
-        out_dir / "manifest.json",
-        args.command,
-        config,
-        None,
-        [args.checkpoint, args.corpus],
-        outputs,
-        started,
-    )
+    _write_report(args, name, lines, summary, config, [args.checkpoint, args.corpus], started)
     return 0
 
 
@@ -296,20 +296,8 @@ def _cmd_zeroshot(args) -> int:
             raise ConfigError(f"labels file does not cover pair {video.id!r}")
         labeled_clips.extend(zip(video.clips, clip_labels))
     report = zeroshot_classify(params, labeled_clips, labels.label_phrases)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = _write_report(out_dir, "zeroshot", report.lines(), report.summary())
-    for line in report.lines():
-        print(line)
-    _write_manifest(
-        out_dir / "manifest.json",
-        "zeroshot",
-        {},
-        None,
-        [args.checkpoint, args.corpus, str(labels_path)],
-        outputs,
-        started,
-    )
+    inputs = [args.checkpoint, args.corpus, str(labels_path)]
+    _write_report(args, "zeroshot", report.lines(), report.summary(), {}, inputs, started)
     return 0
 
 
@@ -324,7 +312,7 @@ def _cmd_gradcheck(args) -> int:
         )
         print(lines[-1])
     ok = all(r.passed for r in results)
-    print(f"gradient suite {'PASSED' if ok else 'FAILED'} (tolerance 1e-4)")
+    print(f"gradient suite {'PASSED' if ok else 'FAILED'} (tolerance {FD_TOLERANCE:g})")
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -380,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--checkpoint", required=True)
         p.add_argument("--corpus", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--topk", type=topk, default="1,5,50", help="comma-separated k values")
+        p.add_argument("--topk", type=topk, default=",".join(map(str, DEFAULT_TOPK)), help="comma-separated k values")
         p.add_argument("--mode", choices=ENCODING_MODES, default="hierarchical")
         if name == "partial-eval":
             p.add_argument("--max-units", dest="max_units", type=count, required=True)

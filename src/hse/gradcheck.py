@@ -17,7 +17,7 @@ from . import losses, tensorkit as tk
 from .data import ParagraphSample, VideoSample
 from .errors import ContractError
 from .model import ModelDims, decode_batch, encode_batch, pad_sequences
-from .tensorkit import FiniteDiffReport, Tensor
+from .tensorkit import FD_TOLERANCE, FiniteDiffReport, Tensor
 from .training import init_params
 
 __all__ = ["SuiteResult", "run_gradient_suite", "GRADCHECK_COMPONENTS"]
@@ -45,7 +45,7 @@ class SuiteResult:
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_err < 1e-4
+        return self.max_rel_err < FD_TOLERANCE
 
 
 def _leaf(rng, size) -> Tensor:

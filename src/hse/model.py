@@ -64,9 +64,11 @@ __all__ = [
 # input of width 1), which stay in the checkpoint and get zero gradients
 DECODER_INPUT_DIM = 1
 
-_ENCODERS = ("enc_v_low", "enc_v_high", "enc_p_low", "enc_p_high")
-_DECODERS = ("dec_v_high", "dec_v_low", "dec_p_high", "dec_p_low")
-_GRUS = _ENCODERS + _DECODERS  # named_parameters and checkpoint order
+# the encoder GRUs, then the decoder GRUs: named_parameters and checkpoint order
+_GRUS = (
+    "enc_v_low", "enc_v_high", "enc_p_low", "enc_p_high",
+    "dec_v_high", "dec_v_low", "dec_p_high", "dec_p_low",
+)
 
 
 @dataclass
@@ -105,12 +107,6 @@ class GruParams:
     @property
     def hidden_dim(self) -> int:
         return self.u_c.values.shape[0]
-
-    @classmethod
-    def zeros(cls, input_dim: int, hidden_dim: int) -> "GruParams":
-        h = hidden_dim
-        shapes = [(input_dim, 3 * h), (h, 2 * h), (h, h), (3 * h,)]
-        return cls(*(Tensor(np.zeros(shape), requires_grad=True) for shape in shapes))
 
     def weights(self) -> list[Tensor]:
         """The four blocks in the order tensorkit.gru_sequence takes."""

@@ -255,6 +255,21 @@ class TestDispatch:
         assert len(err) == 1 and err[0].startswith("error: ") and "seed must be >= 0" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "partial-eval", "zeroshot"])
+    def test_corpus_of_another_width_is_one_error_line(self, tmp_path, trained_dir, capsys, command):
+        corpus = tmp_path / "wide.jsonl"
+        assert run("synth", "--pairs", "4", "--clips", "1", "--frames", "1", "--words", "1",
+                   "--dv", "5", "--dt", "4", "--out", str(corpus)) == 0
+        checkpoint = trained_dir / "checkpoint.bin"
+        out = tmp_path / "out"
+        extra = ["--max-units", "1"] if command == "partial-eval" else []
+        argv = ["--checkpoint", str(checkpoint), "--corpus", str(corpus), "--out", str(out), *extra]
+        assert run(command, *argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(corpus) in err[0] and str(checkpoint) in err[0]
+        assert not out.exists()
+
     def test_gradient_suite_needs_a_trial(self):
         with pytest.raises(ContractError, match="trials_per_component must be >= 1"):
             run_gradient_suite(trials_per_component=0)

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -16,6 +17,11 @@ def test_every_exported_name_exists(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_package_root_binds_only_its_modules():
+    names = [n for n in vars(hse) if not (n.startswith("__") and n.endswith("__"))]
+    assert [n for n in names if not inspect.ismodule(getattr(hse, n))] == []
 
 
 # the reference GRU cell in tests/test_model.py records these; no module
