@@ -32,7 +32,7 @@ from .data import (
     synth_generate,
     write_atomically,
 )
-from .errors import ConfigError, CorpusError, HseError
+from .errors import ConfigError, CorpusError, HseError, LabelsError
 from .evaluation import DEFAULT_TOPK, ENCODING_MODES, evaluate_retrieval, zeroshot_classify
 from .gradcheck import run_gradient_suite
 from .losses import COMPONENTS, CORRESPONDENCE_MODES, SIGN_MODES, LossConfig
@@ -289,11 +289,17 @@ def _cmd_zeroshot(args) -> int:
     params, corpus = _load_eval_inputs(args)
     labels_path = args.labels or args.corpus + ".labels.json"
     labels = load_labels(labels_path)
+    d_t = params.dims.d_t
+    if labels.label_phrases and labels.label_phrases[0].shape[1] != d_t:
+        raise LabelsError(
+            f"{labels_path}: label phrases are {labels.label_phrases[0].shape[1]} wide, but "
+            f"{args.checkpoint} holds a model for d_t={d_t}"
+        )
     labeled_clips = []
     for video, _ in corpus.pairs:
         clip_labels = labels.clip_labels.get(video.id)
         if clip_labels is None or len(clip_labels) != video.n:
-            raise ConfigError(f"labels file does not cover pair {video.id!r}")
+            raise LabelsError(f"{labels_path}: field 'clip_labels' does not cover pair {video.id!r}")
         labeled_clips.extend(zip(video.clips, clip_labels))
     report = zeroshot_classify(params, labeled_clips, labels.label_phrases)
     inputs = [args.checkpoint, args.corpus, str(labels_path)]

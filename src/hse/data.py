@@ -418,8 +418,9 @@ _LABEL_FIELDS = {
 
 def load_labels(path) -> SynthLabels:
     """Read a labels sidecar. Bad JSON, a missing field, a field of the wrong
-    type, a label outside [0, num_events) or a phrase count other than
-    num_events raises LabelsError naming the file and the field."""
+    type, a label outside [0, num_events), a phrase count other than
+    num_events or a phrase that is not a nonempty, finite [words, D] array
+    of phrase 0's D raises LabelsError naming the file and the field."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -436,8 +437,18 @@ def load_labels(path) -> SynthLabels:
         except (TypeError, ValueError, AttributeError) as exc:
             raise LabelsError(f"{path}: bad field {key!r}: {exc}") from None
     n = fields["num_events"]
-    if len(fields["label_phrases"]) != n:
+    phrases = fields["label_phrases"]
+    if len(phrases) != n:
         raise LabelsError(f"{path}: field 'label_phrases' needs one phrase per event ({n})")
+    for i, phrase in enumerate(phrases):
+        if (
+            phrase.ndim != 2 or not phrase.size or phrase.shape[1] != phrases[0].shape[1]
+            or not np.isfinite(phrase).all()
+        ):
+            raise LabelsError(
+                f"{path}: field 'label_phrases': phrase {i} is not a nonempty, finite "
+                f"[words, D] array as wide as phrase 0"
+            )
     for key in ("clip_labels", "sentence_labels"):
         for sample_id, labels in fields[key].items():
             if not all(0 <= x < n for x in labels):

@@ -14,12 +14,14 @@ lengths, multiplying by the cell's four weight blocks as they are stored
 (no per-call stacking), and records the whole run as one tape record;
 masked_max pools it over the valid steps, and take gathers rows, so a
 model layer can encode a whole batch with a handful of records.
-gru_sequence orders the rows longest first and runs each step, input
-term included, over the rows still running only. With pool=True it
-returns the pooled [B, H] maxima; when nothing will record them it keeps
-only a running maximum, so an evaluation run holds no [B, T, .] buffer.
-None of this changes a row's bits, which do not depend on the batch or
-on the row's place in it.
+gru_sequence orders the rows longest first and runs each step over the
+rows still running only. It forms the input terms ahead of the
+recurrence, one product per sequence for each window of _WINDOW steps,
+and writes each step's arithmetic into buffers made once per run. With
+pool=True it returns the pooled [B, H] maxima; when nothing will record
+them it keeps only a running maximum, so an evaluation run holds no
+[B, T, .] buffer. None of this changes a row's bits, which do not depend
+on the batch or on the row's place in it.
 
 The training objective's heads are one record each, with a hand-written
 backward: rank_hinge and cluster_hinge over a square similarity matrix,
@@ -245,12 +247,8 @@ def mul_scalar(a: Tensor, c: float) -> Tensor:
     return out
 
 
-def _sigmoid(v: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-v))
-
-
 def sigmoid(a: Tensor) -> Tensor:
-    ov = _sigmoid(a.values)
+    ov = 1.0 / (1.0 + np.exp(-a.values))
     out = Tensor(ov, requires_grad=a.requires_grad)
 
     def back(g):
@@ -476,11 +474,13 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def _rowwise(a: np.ndarray, wt: np.ndarray) -> np.ndarray:
-    """a @ wt for a C-contiguous [K, N] wt, with every row of a multiplied on
-    its own (a batched vector-matrix product), so a row's result is the same
-    bits whatever the other rows are and wherever it sits."""
-    return np.matmul(a[..., None, :], wt)[..., 0, :]
+def _rowwise(a: np.ndarray, wt: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a @ wt into out for a C-contiguous [K, N] wt, with every row of a
+    multiplied on its own (a batched vector-matrix product), so a row's
+    result is the same bits whatever the other rows are and wherever it
+    sits."""
+    np.matmul(a[..., None, :], wt, out=out[..., None, :])
+    return out
 
 
 def _check_lengths(lengths, batch: int, steps: int) -> np.ndarray:
@@ -503,6 +503,29 @@ def _unpacked(v: np.ndarray, order: np.ndarray | None) -> np.ndarray:
     out = np.empty_like(v)
     out[order] = v
     return out
+
+
+# steps whose input terms gru_sequence forms ahead of the recurrence, a
+# window at a time, so that its buffer for them does not grow with T
+_WINDOW = 32
+
+
+def _window_input_terms(
+    xp: np.ndarray, w: np.ndarray, active: list[int], t0: int, out: np.ndarray
+) -> None:
+    """Input terms x w of packed rows for steps t0 .. t0 + _WINDOW - 1, into
+    out[:, :m] for a row with m of its steps in the window.
+
+    Rows with the same m are a contiguous slice of the packed batch (its
+    bounds come from active), multiplied by one stacked product: a row's
+    terms are one matrix product over its own m steps, the same bits
+    whatever the other rows are and wherever the row sits."""
+    span = min(_WINDOW, len(active) - t0)
+    for m in range(1, span + 1):
+        i0 = active[t0 + m] if m < span else 0
+        i1 = active[t0 + m - 1]
+        if i1 > i0:
+            np.matmul(xp[i0:i1, t0 : t0 + m], w, out=out[i0:i1, :m])
 
 
 def gru_sequence(
@@ -529,18 +552,23 @@ def gru_sequence(
         [z | r] = sigmoid(x w[:, :2H] + h u_zr + b[:2H]),
         cand = tanh(x w[:, 2H:] + (r*h) u_c + b[2H:]), h' = (1 - z)*h + z*cand.
 
-    The blocks are multiplied by as they are, so a step costs three
-    products: the input term of the running rows and two recurrent ones.
-    Rows are multiplied one at a time (_rowwise), so a sequence's states
-    are the same bits alone or anywhere in any batch. The kernel is
-    packed: rows are ordered longest first (a stable sort, skipped when the
-    lengths already do not increase), so the rows still running at step t
-    are a prefix and only they are computed; the others carry their state.
-    The backward pass (backpropagation through time, written out by hand)
-    walks the same prefixes. States and gradients are returned in the
-    caller's row order. A pooled run that nothing will record keeps only
-    a running maximum, so its memory does not grow with T; one that will
-    be recorded pools its states with masked_max (a second record).
+    The blocks are multiplied by as they are. The kernel is packed: rows
+    are ordered longest first (a stable sort, skipped when the lengths
+    already do not increase), so the rows still running at step t are a
+    prefix and only they are computed; the others carry their state.
+    Before each window of _WINDOW steps, the input terms x w of every
+    row's steps in the window are formed by one matrix product per row
+    (_window_input_terms), into a [B, min(T, _WINDOW), 3H] buffer. A step
+    then costs the two recurrent products, each row multiplied on its own
+    (_rowwise), and elementwise arithmetic written into buffers made once
+    per run. A row's products depend on its own frames, length and state
+    alone, so a sequence's states are the same bits alone or anywhere in
+    any batch. The backward pass (backpropagation through time, written
+    out by hand, in place as well) walks the same prefixes. States and
+    gradients are returned in the caller's row order. A pooled run that
+    nothing will record keeps only a running maximum, so its memory does
+    not grow with T; one that will be recorded pools its states with
+    masked_max (a second record).
     """
     if len(weights) != 4:
         raise ContractError(f"gru_sequence needs the 4 weight blocks, got {len(weights)}")
@@ -586,20 +614,37 @@ def gru_sequence(
     if keep:
         zs, cands = np.empty_like(hs), np.empty_like(hs)
         rs = np.zeros_like(hs)  # zero on padding, where du_c reads it
+    # per-run buffers that every step writes into; a step allocates nothing
+    zr_buf, c_buf, tmp_buf = np.empty((bsz, 2 * hid)), np.empty((bsz, hid)), np.empty((bsz, hid))
+    h_bufs = np.empty((2, bsz, hid))  # the state, written to each in turn
+    if x is not None:  # the input terms of one window of steps
+        xw_buf = np.empty((bsz, min(_WINDOW, steps), 3 * hid))
     h = h_init
     for t, n in enumerate(active):
         hp = h[:n]
-        pre = _rowwise(hp, u_zr)
+        zr = _rowwise(hp, u_zr, zr_buf[:n])
         if x is not None:
-            xw = _rowwise(xp[:n, t], w)
-            pre = xw[:, : 2 * hid] + pre
-        zr = _sigmoid(pre + b_zr)
+            if t % _WINDOW == 0:
+                _window_input_terms(xp, w, active, t, xw_buf)
+            xw = xw_buf[:n, t % _WINDOW]
+            np.add(xw[:, : 2 * hid], zr, out=zr)
+        np.add(zr, b_zr, out=zr)
+        # sigmoid, 1/(1 + exp(-v)), in place
+        np.negative(zr, out=zr)
+        np.exp(zr, out=zr)
+        np.add(1.0, zr, out=zr)
+        np.divide(1.0, zr, out=zr)
         z, r = zr[:, :hid], zr[:, hid:]
-        pre = _rowwise(r * hp, u_c)
+        cand = _rowwise(np.multiply(r, hp, out=tmp_buf[:n]), u_c, c_buf[:n])
         if x is not None:
-            pre = xw[:, 2 * hid :] + pre
-        cand = np.tanh(pre + b_c)
-        h = (1.0 - z) * hp + z * cand
+            np.add(xw[:, 2 * hid :], cand, out=cand)
+        np.add(cand, b_c, out=cand)
+        np.tanh(cand, out=cand)
+        # h' = (1 - z)*h + z*cand
+        h = h_bufs[t % 2, :n]
+        np.subtract(1.0, z, out=h)
+        np.multiply(h, hp, out=h)
+        np.add(h, np.multiply(z, cand, out=tmp_buf[:n]), out=h)
         if running_max:
             np.maximum(best[:n], h, out=best[:n])
             continue
@@ -622,18 +667,37 @@ def gru_sequence(
         g = _packed(g, order)
         da = np.zeros((bsz, steps, 3 * hid))  # gate pre-activation gradients
         dh = np.zeros((bsz, hid))
+        # contiguous, so that each ufunc runs one loop over all rows
+        dz_buf, dr_buf, dc_buf, d_rh_buf, dh_buf, tmp_buf = np.empty((6, bsz, hid))
         for t in range(steps - 1, -1, -1):
             n = active[t]
             dh += g[:, t]
             z, r, cand, hp = zs[:n, t], rs[:n, t], cands[:n, t], h_prev[:n, t]
             dnew = dh[:n]
             da_t = da[:n, t]
-            da_c = dnew * z * (1.0 - cand * cand)
-            d_rh = da_c @ u_c_t
-            da_t[:, :hid] = dnew * (cand - hp) * z * (1.0 - z)
-            da_t[:, hid : 2 * hid] = d_rh * hp * r * (1.0 - r)
-            da_t[:, 2 * hid :] = da_c
-            dh[:n] = dnew * (1.0 - z) + d_rh * r + da_t[:, : 2 * hid] @ u_zr_t
+            tmp = tmp_buf[:n]
+            # da_c = dnew * z * (1.0 - cand * cand)
+            da_c = np.multiply(dnew, z, out=dc_buf[:n])
+            np.multiply(cand, cand, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            np.multiply(da_c, tmp, out=da_c)
+            d_rh = np.matmul(da_c, u_c_t, out=d_rh_buf[:n])
+            # da_z = dnew * (cand - hp) * z * (1.0 - z)
+            da_z = np.subtract(cand, hp, out=dz_buf[:n])
+            np.multiply(dnew, da_z, out=da_z)
+            np.multiply(da_z, z, out=da_z)
+            np.subtract(1.0, z, out=tmp)
+            np.multiply(da_z, tmp, out=da_z)
+            # the new dh, dnew * (1.0 - z) + d_rh * r + da_zr @ u_zr_t, starts here
+            dh_new = np.multiply(dnew, tmp, out=dh_buf[:n])
+            # da_r = d_rh * hp * r * (1.0 - r)
+            da_r = np.multiply(d_rh, hp, out=dr_buf[:n])
+            np.multiply(da_r, r, out=da_r)
+            np.subtract(1.0, r, out=tmp)
+            np.multiply(da_r, tmp, out=da_r)
+            da_t[:, :hid], da_t[:, hid : 2 * hid], da_t[:, 2 * hid :] = da_z, da_r, da_c
+            np.add(dh_new, np.multiply(d_rh, r, out=tmp), out=dh_new)
+            np.add(dh_new, np.matmul(da_t[:, : 2 * hid], u_zr_t, out=tmp), out=dnew)
         flat = da.reshape(-1, 3 * hid)
         if x is None:
             dw = np.zeros((3 * hid, dim))

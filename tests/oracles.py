@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive: plain Python floats, explicit loops,
 math.sqrt, no shared code with the production package beyond the documented
-math. Keep it that way so the oracles stay an independent route. The one
-exception is ref_adam_step, a per-tensor numpy loop, because its contract
-is byte equality with the production update.
+math. Keep it that way so the oracles stay an independent route. The two
+exceptions are numpy routines whose contract is byte equality with the
+production code: ref_adam_step, a per-tensor loop of the Adam update, and
+ref_gru_run, a GRU run written one temporary per operation.
 """
 
 import math
@@ -162,3 +163,82 @@ def ref_adam_step(params, grads, ms, vs, t, lr, beta1=0.9, beta2=0.999, eps=1e-8
         v *= beta2
         v += (1.0 - beta2) * g * g
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def ref_gru_run(x, lengths, w, u_zr, u_c, b, h0, dstates, window):
+    """States [B, T, H], pooled rows [B, H] and the gradients (dw, du_zr,
+    du_c, db, dx, dh0) of sum(states * dstates) for a GRU run over a padded
+    batch, each expression written out with one temporary per operation.
+
+    x is [B, T, D] or None (no input term; T is then max(lengths)); h0 is
+    [B, H]. The cell, with columns in z|r|h order:
+
+        [z | r] = sigmoid(x w[:, :2H] + h u_zr + b[:2H]),
+        cand = tanh(x w[:, 2H:] + (r*h) u_c + b[2H:]), h' = (1 - z)*h + z*cand.
+
+    The forward runs one sequence at a time. A sequence's input terms are
+    formed a window of steps at a time, by one product over its own steps
+    in the window, and each step multiplies one row vector. The backward
+    (backpropagation through time) runs over the rows ordered longest
+    first (a stable sort), at step t over the rows still running, and
+    forms the weight gradients by products over every padded position.
+    dx is None when x is.
+    """
+    lengths = np.asarray(lengths)
+    bsz, hid = h0.shape
+    steps = int(lengths.max()) if x is None else x.shape[1]
+    states = np.zeros((bsz, steps, hid))
+    zs, rs, cands = np.zeros_like(states), np.zeros_like(states), np.zeros_like(states)
+    for row in range(bsz):
+        h = h0[row]
+        n = int(lengths[row])
+        for t0 in range(0, n, window):
+            if x is not None:
+                xw = x[row, t0 : min(t0 + window, n)] @ w
+            for t in range(t0, min(t0 + window, n)):
+                pre_zr = h @ u_zr
+                if x is not None:
+                    pre_zr = xw[t - t0, : 2 * hid] + pre_zr
+                zr = 1.0 / (1.0 + np.exp(-(pre_zr + b[: 2 * hid])))
+                z, r = zr[:hid], zr[hid:]
+                pre_c = (r * h) @ u_c
+                if x is not None:
+                    pre_c = xw[t - t0, 2 * hid :] + pre_c
+                cand = np.tanh(pre_c + b[2 * hid :])
+                h = (1.0 - z) * h + z * cand
+                states[row, t], zs[row, t], rs[row, t], cands[row, t] = h, z, r, cand
+        states[row, n:] = h
+    pooled = np.stack([states[row, : lengths[row]].max(axis=0) for row in range(bsz)])
+
+    order = np.argsort(-lengths, kind="stable")
+    active = [int(np.sum(lengths > t)) for t in range(steps)]
+    g, zs, rs, cands = dstates[order], zs[order], rs[order], cands[order]
+    h_prev = np.concatenate([h0[order][:, None, :], states[order][:, :-1]], axis=1)
+    u_zr_t, u_c_t = u_zr.T.copy(), u_c.T.copy()
+    da = np.zeros((bsz, steps, 3 * hid))
+    dh = np.zeros((bsz, hid))
+    for t in range(steps - 1, -1, -1):
+        n = active[t]
+        dh += g[:, t]
+        z, r, cand, hp = zs[:n, t], rs[:n, t], cands[:n, t], h_prev[:n, t]
+        dnew = dh[:n]
+        da_c = dnew * z * (1.0 - cand * cand)
+        d_rh = da_c @ u_c_t
+        da[:n, t, :hid] = dnew * (cand - hp) * z * (1.0 - z)
+        da[:n, t, hid : 2 * hid] = d_rh * hp * r * (1.0 - r)
+        da[:n, t, 2 * hid :] = da_c
+        dh[:n] = dnew * (1.0 - z) + d_rh * r + da[:n, t, : 2 * hid] @ u_zr_t
+    flat = da.reshape(-1, 3 * hid)
+    dx = None
+    if x is None:
+        dw = np.zeros_like(w)
+    else:
+        xp = x[order]
+        dw = (flat.T @ xp.reshape(-1, w.shape[0])).T
+        dx = np.empty_like(x)
+        dx[order] = da @ w.T.copy()
+    du_zr = (flat[:, : 2 * hid].T @ h_prev.reshape(-1, hid)).T
+    du_c = (flat[:, 2 * hid :].T @ (rs * h_prev).reshape(-1, hid)).T
+    dh0 = np.empty_like(h0)
+    dh0[order] = dh
+    return states, pooled, (dw, du_zr, du_c, flat.sum(axis=0), dx, dh0)

@@ -228,6 +228,43 @@ class TestZeroShot:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: {labels}: missing field 'clip_labels'"]
 
+    def run_with_labels(self, tmp_path, corpus_path, trained_dir, capsys, edit):
+        """Exit code and stderr lines of zeroshot on an edited copy of the
+        corpus's labels sidecar; no output directory may be made."""
+        labels = tmp_path / "labels.json"
+        doc = json.loads((corpus_path.parent / (corpus_path.name + ".labels.json")).read_text())
+        edit(doc)
+        labels.write_text(json.dumps(doc))
+        out = tmp_path / "zs"
+        code = run(
+            "zeroshot", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+            "--corpus", str(corpus_path), "--labels", str(labels), "--out", str(out),
+        )
+        assert not out.exists()
+        return code, capsys.readouterr().err.strip().splitlines(), labels
+
+    def test_phrases_of_another_width_is_one_error_line(
+        self, tmp_path, corpus_path, trained_dir, capsys
+    ):
+        def drop_last_column(doc):
+            doc["label_phrases"] = [[row[:-1] for row in p] for p in doc["label_phrases"]]
+
+        code, err, labels = self.run_with_labels(
+            tmp_path, corpus_path, trained_dir, capsys, drop_last_column
+        )
+        assert code == 1
+        checkpoint = trained_dir / "checkpoint.bin"
+        assert err == [
+            f"error: {labels}: label phrases are 3 wide, but {checkpoint} holds a model for d_t=4"
+        ]
+
+    def test_uncovered_pair_names_the_labels_file(self, tmp_path, corpus_path, trained_dir, capsys):
+        code, err, labels = self.run_with_labels(
+            tmp_path, corpus_path, trained_dir, capsys, lambda doc: doc["clip_labels"].pop("pair_0000")
+        )
+        assert code == 1
+        assert err == [f"error: {labels}: field 'clip_labels' does not cover pair 'pair_0000'"]
+
 
 class TestDispatch:
     def test_unknown_subcommand_exits_2(self, capsys):

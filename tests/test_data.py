@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -236,11 +237,19 @@ class TestLabelsIO:
             (lambda doc: doc.update(label_phrases=doc["label_phrases"][:1]), "label_phrases"),
             (_set_first_label("clip_labels", 2), "clip_labels"),  # 2 events: labels 0 and 1
             (_set_first_label("sentence_labels", -1), "sentence_labels"),
+            (lambda doc: doc["label_phrases"][1][0].__setitem__(0, math.nan), "label_phrases"),
+            (lambda doc: doc["label_phrases"][0][0].__setitem__(0, math.inf), "label_phrases"),
+            (lambda doc: doc["label_phrases"].__setitem__(1, []), "label_phrases"),
+            (lambda doc: doc["label_phrases"].__setitem__(0, [[]]), "label_phrases"),
+            (lambda doc: doc["label_phrases"].__setitem__(1, [1.0, 2.0]), "label_phrases"),
+            (lambda doc: doc["label_phrases"][1][0].append(0.0), "label_phrases"),
         ],
         ids=[
             "missing-events", "missing-phrases", "string-count", "float-count",
             "text-event", "list-clip-labels", "scalar-sentence-labels", "ragged-phrase",
-            "too-few-phrases", "label-too-large", "negative-label",
+            "too-few-phrases", "label-too-large", "negative-label", "nan-in-phrase",
+            "inf-in-phrase", "empty-phrase", "phrase-without-columns", "flat-phrase",
+            "phrase-widths-differ",
         ],
     )
     def test_bad_field_names_file_and_field(self, tmp_path, edit, field):

@@ -1,6 +1,7 @@
 import tracemalloc
 
 import numpy as np
+import oracles
 import pytest
 
 from hse import tensorkit as tk
@@ -199,14 +200,25 @@ class TestPackedKernel:
     def test_permuting_rows_permutes_states_and_pooled_rows(self, taped):
         rng = np.random.default_rng(31)
         p = random_gru(rng, 3, 4)
-        x, lengths = ragged_batch(rng, 3, 6)
-        assert lengths != sorted(lengths, reverse=True)
-        h0 = rng.normal(size=(6, 4))
-        states, pooled = run_and_pool(p, x, lengths, h0, taped)
-        perm = rng.permutation(6)
-        p_states, p_pooled = run_and_pool(p, x[perm], [lengths[i] for i in perm], h0[perm], taped)
-        assert np.array_equal(p_states, states[perm])
-        assert np.array_equal(p_pooled, pooled[perm])
+        # the second batch's lengths cross the input-term window boundary
+        assert tk._WINDOW < 40
+        for steps in (6, 40):
+            x, lengths = ragged_batch(rng, 3, steps)
+            assert lengths != sorted(lengths, reverse=True)
+            h0 = rng.normal(size=(steps, 4))
+            states, pooled = run_and_pool(p, x, lengths, h0, taped)
+            perm = rng.permutation(steps)
+            p_states, p_pooled = run_and_pool(
+                p, x[perm], [lengths[i] for i in perm], h0[perm], taped
+            )
+            assert np.array_equal(p_states, states[perm])
+            assert np.array_equal(p_pooled, pooled[perm])
+            for row, n in enumerate(lengths):  # a row run alone
+                alone, alone_pooled = run_and_pool(
+                    p, x[row : row + 1, :n], [n], h0[row : row + 1], taped
+                )
+                assert np.array_equal(alone[0], states[row, :n])
+                assert np.array_equal(alone_pooled[0], pooled[row])
 
     def test_sorted_and_shuffled_batches_agree(self):
         rng = np.random.default_rng(32)
@@ -293,6 +305,55 @@ class TestPackedKernel:
         for got, want in zip(*results):
             assert np.array_equal(got, want)
         assert np.array_equal(p.w.grad, np.zeros((1, 12)))  # still handed to the optimizer
+
+
+class TestKernelBitOracle:
+    """gru_sequence equals oracles.ref_gru_run to the last bit: states,
+    pooled rows and all six gradients. The oracle writes every expression
+    with one temporary per operation, so a kernel step that reorders an
+    operation fails here."""
+
+    @pytest.mark.parametrize("case", ["ragged", "no-input", "long"])
+    def test_run_equals_oracle(self, case):
+        rng = np.random.default_rng(41)
+        dim, hid = 3, 4
+        if case == "long":  # rows ending before, at and after window boundaries
+            lengths = [33, 1, 70, 32, 64, 65, 7]
+            assert tk._WINDOW in lengths and 2 * tk._WINDOW < max(lengths)
+        else:
+            lengths = [3, 6, 1, 5, 6, 2]
+        steps = max(lengths)
+        p = random_gru(rng, dim, hid)
+        x_values = None
+        if case != "no-input":
+            x_values = rng.normal(size=(len(lengths), steps, dim))
+            x_values[np.arange(steps)[None, :] >= np.array(lengths)[:, None]] = 0.0
+        h0_values = rng.normal(size=(len(lengths), hid))
+        weight = rng.normal(size=(len(lengths), steps, hid))
+
+        x = None if x_values is None else Tensor(x_values, requires_grad=True)
+        h0 = Tensor(h0_values, requires_grad=True)
+        tk.zero_grads(p.weights())
+        with Tape():
+            states = tk.gru_sequence(x, lengths, p.weights(), h0)
+            tk.backward(tk.reduce_sum(tk.mul(states, tk.constant(weight))))
+        free_x = None if x_values is None else tk.constant(x_values)
+        free = tk.gru_sequence(free_x, lengths, p.weights(), tk.constant(h0_values))
+        pooled = tk.gru_sequence(free_x, lengths, p.weights(), tk.constant(h0_values), pool=True)
+
+        blocks = [t.values for t in p.weights()]
+        want_states, want_pooled, want_grads = oracles.ref_gru_run(
+            x_values, lengths, *blocks, h0_values, weight, tk._WINDOW
+        )
+        assert np.array_equal(states.values, want_states)
+        assert np.array_equal(free.values, want_states)
+        assert np.array_equal(pooled.values, want_pooled)
+        got = [t.grad for t in p.weights()] + [None if x is None else x.grad, h0.grad]
+        for name, g, want in zip(("w", "u_zr", "u_c", "b", "x", "h0"), got, want_grads, strict=True):
+            if want is None:
+                assert g is None, name
+            else:
+                assert np.array_equal(g, want), name
 
 
 class TestPooledKernel:
