@@ -33,6 +33,7 @@ leaves the previous file in place.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -209,8 +210,8 @@ class SynthSpec:
                 raise ContractError(f"SynthSpec.{name} must be a range with 1 <= lo <= hi")
         if self.d_v < 1 or self.d_t < 1:
             raise ContractError("SynthSpec feature dimensions must be >= 1")
-        if self.noise_std < 0:
-            raise ContractError("SynthSpec.noise_std must be >= 0")
+        if not 0 <= self.noise_std < np.inf:  # NaN fails this too
+            raise ContractError("SynthSpec.noise_std must be finite and >= 0")
         if self.seed < 0:
             raise ContractError("SynthSpec.seed must be >= 0")
         if self.correspondence not in CORRESPONDENCES:
@@ -478,45 +479,55 @@ def _checkpoint_chunks(params) -> Iterator[bytes]:
         yield arr.astype("<f8", copy=False).tobytes()
 
 
-def _read_exact(fh, count: int, what: str) -> bytes:
-    buf = fh.read(count)
-    if len(buf) != count:
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return buf
-
-
 def load_checkpoint(path):
-    """Rebuild HseModelParams from a checkpoint written by save_checkpoint."""
+    """Rebuild HseModelParams from a checkpoint written by save_checkpoint.
+    Each field is checked before the loader reads on, and every weight must
+    be finite; any fault is one CheckpointError naming the file."""
     from .model import ModelDims, build_params  # local import avoids a cycle
 
+    def error(message: str) -> CheckpointError:
+        return CheckpointError(f"{path}: {message}")
+
     with open(path, "rb") as fh:
+        def read(count: int, what: str) -> bytes:
+            buf = fh.read(count)
+            if len(buf) != count:
+                raise error(f"truncated checkpoint while reading {what}")
+            return buf
+
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"bad checkpoint magic {magic!r}")
-        d_v, d_t, hidden_low, hidden_high, embed_dim = struct.unpack(
-            "<5i", _read_exact(fh, 20, "dimension header")
-        )
-        dims = ModelDims(d_v=d_v, d_t=d_t, hidden_low=hidden_low, hidden_high=hidden_high)
-        if embed_dim != dims.embed_dim:
-            raise CheckpointError(
-                f"dimension header mismatch: embed_dim {embed_dim} != hidden_high {hidden_high}"
-            )
+            raise error(f"bad checkpoint magic {magic!r}")
+        header = struct.unpack("<5i", read(20, "dimension header"))
+        dims = ModelDims(*header[:4])
+        if header[4] != dims.embed_dim:
+            raise error(f"dimension header: embed_dim {header[4]} != hidden_high {header[3]}")
+        try:
+            count = sum(math.prod(shape) for shape in dims.param_shapes())
+        except ContractError as exc:
+            raise error(f"dimension header: {exc}") from None
+        if 8 * count > os.fstat(fh.fileno()).st_size:  # a buffer the file cannot fill
+            raise error(f"truncated checkpoint: dimension header {list(header)} needs {count} values")
         params = build_params(dims)
         for name, view in params.checkpoint_views():
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name length"))
-            got_name = _read_exact(fh, name_len, "name").decode("utf-8")
-            if got_name != name:
-                raise CheckpointError(f"expected parameter {name!r}, found {got_name!r}")
-            (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
-            shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "dims"))
-            if tuple(shape) != view.shape:
-                raise CheckpointError(
-                    f"dimension header mismatch for {name!r}: {list(shape)} != {list(view.shape)}"
-                )
-            count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-            raw = _read_exact(fh, 8 * count, f"values of {name!r}")
-            view[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
-        trailing = fh.read(1)
-        if trailing:
-            raise CheckpointError("trailing bytes after final parameter")
+            (name_len,) = struct.unpack("<I", read(4, "name length"))
+            if name_len != len(name):  # names are ASCII
+                raise error(f"expected parameter {name!r}, found a name of {name_len} bytes")
+            got = read(name_len, "name")
+            if got != name.encode("ascii"):
+                raise error(f"expected parameter {name!r}, found {got!r}")
+            (rank,) = struct.unpack("<I", read(4, "rank"))
+            if rank != view.ndim:
+                raise error(f"rank mismatch for {name!r}: {rank} != {view.ndim}")
+            shape = struct.unpack(f"<{rank}I", read(4 * rank, "dims"))
+            if shape != view.shape:
+                raise error(f"dims mismatch for {name!r}: {list(shape)} != {list(view.shape)}")
+            values = np.frombuffer(read(8 * view.size, f"values of {name!r}"), dtype="<f8")
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                at = [int(i) for i in np.unravel_index(bad[0], shape)]
+                raise error(f"non-finite value {values[bad[0]]} in {name!r} at {at}")
+            view[...] = values.reshape(shape)
+        if fh.read(1):
+            raise error("trailing bytes after final parameter")
     return params

@@ -91,6 +91,21 @@ class ModelDims:
             if getattr(self, name) < 1:
                 raise ContractError(f"ModelDims.{name} must be >= 1")
 
+    def param_shapes(self) -> list[tuple[int, ...]]:
+        """The shapes of all weight tensors, in named_parameters order."""
+        self.validate()
+        lo, hi, d = self.hidden_low, self.hidden_high, DECODER_INPUT_DIM
+        # (input dim, hidden dim, projection width or 0 for an encoder) of
+        # each GRU, in _GRUS order
+        grus = [(self.d_v, lo, 0), (lo, hi, 0), (self.d_t, lo, 0), (lo, hi, 0)]
+        grus += [(d, hi, lo), (d, lo, self.d_v), (d, hi, lo), (d, lo, self.d_t)]
+        shapes = []
+        for d_in, h, out in grus:
+            shapes += [(d_in, 3 * h), (h, 2 * h), (h, h), (3 * h,)]
+            if out:
+                shapes += [(out, h), (out,)]
+        return shapes
+
 
 @dataclass
 class GruParams:
@@ -191,17 +206,7 @@ def tile(buffer: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarr
 def build_params(dims: ModelDims) -> HseModelParams:
     """Zero-initialized parameters with the right shapes, all views of one
     buffer (HseModelParams.values)."""
-    dims.validate()
-    lo, hi, d = dims.hidden_low, dims.hidden_high, DECODER_INPUT_DIM
-    # (input dim, hidden dim, projection width or 0 for an encoder) of
-    # each GRU, in _GRUS order
-    grus = [(dims.d_v, lo, 0), (lo, hi, 0), (dims.d_t, lo, 0), (lo, hi, 0)]
-    grus += [(d, hi, lo), (d, lo, dims.d_v), (d, hi, lo), (d, lo, dims.d_t)]
-    shapes = []
-    for d_in, h, out in grus:
-        shapes += [(d_in, 3 * h), (h, 2 * h), (h, h), (3 * h,)]
-        if out:
-            shapes += [(out, h), (out,)]
+    shapes = dims.param_shapes()
     values = np.zeros(sum(math.prod(shape) for shape in shapes))
     tensors = iter([Tensor(view, requires_grad=True) for view in tile(values, shapes)])
 
@@ -211,7 +216,8 @@ def build_params(dims: ModelDims) -> HseModelParams:
     def decoder() -> DecoderParams:
         return DecoderParams(gru(), next(tensors), next(tensors))
 
-    return HseModelParams(dims, *[decoder() if out else gru() for _, _, out in grus], values=values)
+    grus = [decoder() if prefix.startswith("dec") else gru() for prefix in _GRUS]
+    return HseModelParams(dims, *grus, values=values)
 
 
 @dataclass

@@ -47,8 +47,6 @@ __all__ = [
     "constant",
     "add",
     "mul",
-    "sigmoid",
-    "tanh",
     "mul_scalar",
     "reshape",
     "reduce_sum",
@@ -242,28 +240,6 @@ def mul_scalar(a: Tensor, c: float) -> Tensor:
 
     def back(g):
         _acc(a, g * c)
-
-    _record(out, back)
-    return out
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    ov = 1.0 / (1.0 + np.exp(-a.values))
-    out = Tensor(ov, requires_grad=a.requires_grad)
-
-    def back(g):
-        _acc(a, g * ov * (1.0 - ov))
-
-    _record(out, back)
-    return out
-
-
-def tanh(a: Tensor) -> Tensor:
-    ov = np.tanh(a.values)
-    out = Tensor(ov, requires_grad=a.requires_grad)
-
-    def back(g):
-        _acc(a, g * (1.0 - ov * ov))
 
     _record(out, back)
     return out

@@ -2,10 +2,11 @@
 
 Everything here is deliberately naive: plain Python floats, explicit loops,
 math.sqrt, no shared code with the production package beyond the documented
-math. Keep it that way so the oracles stay an independent route. The two
-exceptions are numpy routines whose contract is byte equality with the
-production code: ref_adam_step, a per-tensor loop of the Adam update, and
-ref_gru_run, a GRU run written one temporary per operation.
+math. Keep it that way so the oracles stay an independent route. The
+exceptions are numpy routines: ref_gru_step, one GRU update gate by gate,
+and two whose contract is byte equality with the production code:
+ref_adam_step, a per-tensor loop of the Adam update, and ref_gru_run, a
+GRU run written one temporary per operation.
 """
 
 import math
@@ -163,6 +164,24 @@ def ref_adam_step(params, grads, ms, vs, t, lr, beta1=0.9, beta2=0.999, eps=1e-8
         v *= beta2
         v += (1.0 - beta2) * g * g
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def ref_gru_step(gates, x, h):
+    """One GRU update of the state h [H] on the input x [D], gate by gate in
+    the convention of an HSE1 checkpoint: gates maps w_z, u_z, b_z, w_r, u_r,
+    b_r, w_h, u_h, b_h to arrays, W [H, D] and U [H, H], and
+
+        z = sigmoid(W_z x + U_z h + b_z), r = sigmoid(W_r x + U_r h + b_r),
+        cand = tanh(W_h x + U_h (r*h) + b_h), h' = (1 - z)*h + z*cand.
+
+    It shares no product with the kernel, whose gates are column blocks of
+    one weight matrix. Complex arrays are taken too (complex-step
+    derivatives)."""
+    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
+    z = sig(gates["w_z"] @ x + gates["u_z"] @ h + gates["b_z"])
+    r = sig(gates["w_r"] @ x + gates["u_r"] @ h + gates["b_r"])
+    cand = np.tanh(gates["w_h"] @ x + gates["u_h"] @ (r * h) + gates["b_h"])
+    return (1.0 - z) * h + z * cand
 
 
 def ref_gru_run(x, lengths, w, u_zr, u_c, b, h0, dstates, window):

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import hse
 from hse.cli import CONFIG_KEYS, _build_parser, cli_dispatch
+from hse.data import load_checkpoint, save_checkpoint
 from hse.errors import ContractError
 from hse.gradcheck import run_gradient_suite
 
@@ -204,6 +211,29 @@ class TestEval:
         assert (out / "retrieval_partial_1.txt").exists()
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", "--mode", "flat"], ["eval"], ["partial-eval", "--max-units", "1"], ["zeroshot"]],
+        ids=["eval-flat", "eval", "partial-eval", "zeroshot"],
+    )
+    def test_non_finite_checkpoint_is_one_error_line(
+        self, tmp_path, corpus_path, trained_dir, capsys, argv
+    ):
+        # NaN similarities rank every true match first: flat eval would
+        # report recall 1.0 and zeroshot a top-5 of 1.0
+        params = load_checkpoint(trained_dir / "checkpoint.bin")
+        params.values[5:] = np.nan  # enc_v_low.w [4, 12] from w[0, 5] on
+        checkpoint = tmp_path / "nan.bin"
+        save_checkpoint(params, checkpoint)
+        out = tmp_path / "out"
+        assert run(*argv, "--checkpoint", str(checkpoint), "--corpus", str(corpus_path),
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        # the file holds w_z = w[:, :4].T first, whose first NaN is w[1, 0]
+        assert err == [f"error: {checkpoint}: non-finite value nan in 'enc_v_low.w_z' at [0, 1]"]
+        assert not out.exists()
+
+
 class TestZeroShot:
     def test_zeroshot_report(self, tmp_path, corpus_path, trained_dir):
         out = tmp_path / "zs"
@@ -306,6 +336,23 @@ class TestDispatch:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert str(corpus) in err[0] and str(checkpoint) in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_noise_std_is_one_error_line(self, tmp_path, capsys, value):
+        out = tmp_path / "corpus.jsonl"
+        assert run("synth", "--noise-std", value, "--out", str(out)) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: SynthSpec.noise_std must be finite and >= 0"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_python_m_hse_runs_the_cli(self):
+        src = str(Path(hse.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "hse", "--help"], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: hse ")
 
     def test_gradient_suite_needs_a_trial(self):
         with pytest.raises(ContractError, match="trials_per_component must be >= 1"):

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import re
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,43 +300,100 @@ class TestCheckpointIO:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "b53c490f1a4b777dda0ee1bb69978c8b7f6456e9781ae01ea4acc1f07b65c34b"
 
-    def test_truncated_file(self, tmp_path):
-        params = self._params()
+    def corrupted(self, tmp_path, edit):
+        """A saved checkpoint of _params, its bytes changed by edit."""
         path = tmp_path / "ckpt.bin"
-        save_checkpoint(params, path)
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-        with pytest.raises(CheckpointError, match="truncated"):
+        save_checkpoint(self._params(), path)
+        path.write_bytes(bytes(edit(bytearray(path.read_bytes()))))
+        return path
+
+    def raises(self, path, message):
+        """Expect one CheckpointError whose text is the path, then message."""
+        return pytest.raises(CheckpointError, match=re.escape(f"{path}: ") + message)
+
+    def test_truncated_file(self, tmp_path):
+        path = self.corrupted(tmp_path, lambda data: data[: len(data) // 2])
+        with self.raises(path, "truncated"):
             load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
-        params = self._params()
-        path = tmp_path / "ckpt.bin"
-        save_checkpoint(params, path)
-        data = path.read_bytes()
-        path.write_bytes(b"NOPE" + data[4:])
-        with pytest.raises(CheckpointError, match="magic"):
+        path = self.corrupted(tmp_path, lambda data: b"NOPE" + data[4:])
+        with self.raises(path, "bad checkpoint magic b'NOPE'"):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
-        params = self._params()
-        path = tmp_path / "ckpt.bin"
-        save_checkpoint(params, path)
-        path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(CheckpointError, match="trailing"):
+        path = self.corrupted(tmp_path, lambda data: data + b"\x00")
+        with self.raises(path, "trailing"):
             load_checkpoint(path)
 
     def test_header_mismatch_rejected(self, tmp_path):
-        import struct
+        def embed_dim_99(data):  # the embed_dim field disagrees with hidden_high
+            data[4 + 16 : 4 + 20] = struct.pack("<i", 99)
+            return data
 
+        path = self.corrupted(tmp_path, embed_dim_99)
+        with self.raises(path, "dimension header: embed_dim 99 != hidden_high 6"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "offset, value, message",
+        [
+            (4, 2**31 - 1, re.escape("truncated checkpoint: dimension header [2147483647, ")),
+            (4, 0, "dimension header: ModelDims.d_v must be >= 1"),
+            (24, 0xFFFFFFF0, "expected parameter 'enc_v_low.w_z', found a name of 4294967280 bytes"),
+            (41, 0x3FFFFFFF, "rank mismatch for 'enc_v_low.w_z': 1073741823 != 2"),
+        ],
+        ids=["d_v", "d_v-zero", "name-length", "rank"],
+    )
+    def test_header_fields_checked_before_reading_on(self, tmp_path, offset, value, message):
+        def overwrite(data):
+            data[offset : offset + 4] = struct.pack("<I", value)
+            return data
+
+        path = self.corrupted(tmp_path, overwrite)
+        tracemalloc.start()
+        try:
+            with self.raises(path, message):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # no buffer sized by the corrupt field
+
+    def test_non_finite_value_rejected(self, tmp_path):
         params = self._params()
+        params.enc_p_high.b.values[7] = -np.inf  # b_r[1] of a hidden size 6
         path = tmp_path / "ckpt.bin"
         save_checkpoint(params, path)
-        data = bytearray(path.read_bytes())
-        # embed_dim field disagrees with hidden_high
-        data[4 + 16 : 4 + 20] = struct.pack("<i", 99)
-        path.write_bytes(bytes(data))
-        with pytest.raises(CheckpointError, match="mismatch"):
+        with self.raises(path, re.escape("non-finite value -inf in 'enc_p_high.b_r' at [1]")):
+            load_checkpoint(path)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_corrupt_file_is_one_checkpoint_error(self, tmp_path_factory, data):
+        """Any truncation of a checkpoint, and any overwrite of a field of
+        its dimension header or of an entry's name length, rank or dims,
+        ends in one CheckpointError naming the file."""
+        params = init_params(ModelDims(d_v=2, d_t=3, hidden_low=2, hidden_high=3), seed=1)
+        fields = list(range(4, 24, 4))  # d_v, d_t, hidden_low, hidden_high, embed_dim
+        at = 24  # an entry's name length, then its name, rank, dims and values
+        for name, view in params.checkpoint_views():
+            rank_at = at + 4 + len(name.encode("utf-8"))
+            fields += [at, rank_at] + [rank_at + 4 * k for k in range(1, view.ndim + 1)]
+            at = rank_at + 4 + 4 * view.ndim + 8 * view.size
+        path = tmp_path_factory.mktemp("ckpt") / "ckpt.bin"
+        save_checkpoint(params, path)
+        good = path.read_bytes()
+        assert len(good) == at
+        if data.draw(st.booleans(), label="truncate"):
+            bad = good[: data.draw(st.integers(0, len(good) - 1), label="length")]
+        else:
+            field = data.draw(st.sampled_from(fields), label="field offset")
+            (old,) = struct.unpack_from("<I", good, field)
+            value = data.draw(st.integers(0, 2**32 - 1).filter(lambda v: v != old), label="value")
+            bad = good[:field] + struct.pack("<I", value) + good[field + 4 :]
+        path.write_bytes(bad)
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: ")):
             load_checkpoint(path)
 
 

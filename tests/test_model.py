@@ -34,93 +34,76 @@ def random_gru(rng, input_dim, hidden_dim):
     return p
 
 
-def gates_of(p: GruParams) -> dict[str, Tensor]:
-    """The nine per-gate weights of p (w_z, u_z, b_z, ...) as separate leaf
-    tensors copied from its views, the form the reference cells take."""
-    return {name[2:]: Tensor(view.copy(), requires_grad=True) for name, view in p.views("g")}
+def per_gate(p: GruParams, dtype=float) -> dict[str, np.ndarray]:
+    """The nine per-gate weights of p (w_z, u_z, b_z, ...) as C-contiguous
+    copies of its views, the form oracles.ref_gru_step takes."""
+    return {name[2:]: np.array(view, dtype=dtype, order="C") for name, view in p.views("g")}
 
 
-def numpy_gru_step(p: GruParams, x, h):
-    """Independent forward reference for the pinned cell convention."""
-    g = {name[2:]: view for name, view in p.views("g")}
-    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
-    z = sig((g["w_z"] @ x + g["u_z"] @ h) + g["b_z"])
-    r = sig((g["w_r"] @ x + g["u_r"] @ h) + g["b_r"])
-    cand = np.tanh((g["w_h"] @ x + g["u_h"] @ (r * h)) + g["b_h"])
-    return (1.0 - z) * h + z * cand
+def one_step(p: GruParams, x, h) -> np.ndarray:
+    """One update of the state h [H] on the input x [D], run through
+    tensorkit.gru_sequence at T = 1."""
+    x, h = tk.constant(np.asarray(x)[None, None, :]), tk.constant(np.asarray(h)[None, :])
+    return tk.gru_sequence(x, [1], p.weights(), h).values[0, 0]
 
 
-def gru_step(g: dict[str, Tensor], x, h: Tensor) -> Tensor:
-    """One GRU update on the tape, the reference cell tensorkit.gru_sequence
-    is tested against; g holds the per-gate weights (see gates_of).
-
-    z = sigmoid(Wz x + Uz h + bz), r = sigmoid(Wr x + Ur h + br),
-    cand = tanh(Wh x + Uh (r*h) + bh), h' = (1 - z)*h + z*cand.
-
-    Each product is a row vector times the transposed weight, the layout
-    the kernel multiplies in.
-    """
-    hidden_dim, input_dim = g["w_z"].values.shape
-    x = x if isinstance(x, Tensor) else tk.constant(x)
-    if x.values.ndim != 1 or x.values.shape[0] != input_dim:
-        raise ShapeError(f"gru_step input has shape {list(x.shape)}, expected [{input_dim}]")
-    if h.values.ndim != 1 or h.values.shape[0] != hidden_dim:
-        raise ShapeError(f"gru_step state has shape {list(h.shape)}, expected [{hidden_dim}]")
-    z = tk.sigmoid(tk.add(tk.add(_times(g["w_z"], x), _times(g["u_z"], h)), g["b_z"]))
-    r = tk.sigmoid(tk.add(tk.add(_times(g["w_r"], x), _times(g["u_r"], h)), g["b_r"]))
-    cand = tk.tanh(
-        tk.add(tk.add(_times(g["w_h"], x), _times(g["u_h"], tk.mul(r, h))), g["b_h"])
-    )
-    keep = tk.add(tk.mul_scalar(z, -1.0), tk.constant(np.ones_like(z.values)))
-    return tk.add(tk.mul(keep, h), tk.mul(z, cand))
+def oracle_states(p: GruParams, x, lengths) -> np.ndarray:
+    """The states of oracles.ref_gru_run over the padded batch x from zero
+    initial states."""
+    h0 = np.zeros((x.shape[0], p.hidden_dim))
+    dstates = np.zeros(x.shape[:2] + h0.shape[1:])
+    blocks = [t.values for t in p.weights()]
+    return oracles.ref_gru_run(x, lengths, *blocks, h0, dstates, tk._WINDOW)[0]
 
 
-def _times(w: Tensor, v: Tensor) -> Tensor:
-    """w v for a 1-d v, computed as the row vector v times the transposed w."""
-    rows, cols = w.values.shape
-    row = tk.affine(tk.reshape(v, (1, cols)), w, tk.constant(np.zeros(rows)))
-    return tk.reshape(row, (rows,))
+def complex_step_grads(f, arrays, step=1e-20) -> list[np.ndarray]:
+    """The gradient of the real scalar f() with respect to each complex array
+    it reads: Im f(a + i*step*e_k) / step per entry k (Squire & Trapp, SIAM
+    Review 1998). It has no subtractive cancellation, so it is exact to
+    rounding, and it shares nothing with a hand-written backward pass."""
+    grads = []
+    for a in arrays:
+        g = np.zeros(a.shape)
+        for k in np.ndindex(a.shape):
+            a[k] += 1j * step
+            g[k] = f().imag / step
+            a[k] -= 1j * step
+        grads.append(g)
+    return grads
 
 
 class TestGruStep:
+    """One step of tensorkit.gru_sequence (T = 1)."""
+
     def test_zero_weights_halve_the_state(self):
         p = zero_gru(2, 2)
-        h = Tensor([0.4, -0.2])
-        out = gru_step(gates_of(p), np.zeros(2), h)
-        assert out.values.tolist() == [0.2, -0.1]
+        h = np.array([0.4, -0.2])
+        assert one_step(p, np.zeros(2), h).tolist() == [0.2, -0.1]
+        assert oracles.ref_gru_step(per_gate(p), np.zeros(2), h).tolist() == [0.2, -0.1]
 
     def test_zero_state_is_fixed_point_of_zero_weights(self):
         p = zero_gru(3, 3)
-        out = gru_step(gates_of(p), np.zeros(3), Tensor(np.zeros(3)))
-        assert out.values.tolist() == [0.0, 0.0, 0.0]
+        assert one_step(p, np.zeros(3), np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
 
     def test_matches_numpy_reference(self):
         rng = np.random.default_rng(3)
         p = random_gru(rng, 4, 3)
         x = rng.normal(size=4)
         h = rng.normal(size=3)
-        out = gru_step(gates_of(p), x, Tensor(h))
-        assert np.allclose(out.values, numpy_gru_step(p, x, h), atol=1e-12)
+        want = oracles.ref_gru_step(per_gate(p), x, h)
+        assert np.allclose(one_step(p, x, h), want, rtol=0.0, atol=1e-12)
 
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(9)
         p = random_gru(rng, 3, 3)
-        x = rng.normal(size=3)
-        h = tk.constant(rng.normal(size=3))
-        weight = tk.constant(rng.normal(size=3))
-        g = gates_of(p)
+        x = Tensor(rng.normal(size=(1, 1, 3)), requires_grad=True)
+        h = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
+        weight = tk.constant(rng.normal(size=(1, 1, 3)))
 
         def f(ps):
-            return tk.reduce_sum(tk.mul(gru_step(g, x, h), weight))
+            return tk.reduce_sum(tk.mul(tk.gru_sequence(x, [1], p.weights(), h), weight))
 
-        assert finite_diff_check(f, list(g.values())).max_rel_err < 1e-4
-
-    def test_shape_errors(self):
-        g = gates_of(zero_gru(2, 3))
-        with pytest.raises(ShapeError):
-            gru_step(g, np.zeros(5), Tensor(np.zeros(3)))
-        with pytest.raises(ShapeError):
-            gru_step(g, np.zeros(2), Tensor(np.zeros(2)))
+        assert finite_diff_check(f, [*p.weights(), x, h]).max_rel_err < 1e-4
 
 
 def ragged_batch(rng, input_dim, steps):
@@ -138,13 +121,13 @@ class TestGruSequence:
         x, lengths = ragged_batch(rng, 3, 5)
         h0 = rng.normal(size=(5, 4))
         states = tk.gru_sequence(tk.constant(x), lengths, p.weights(), tk.constant(h0)).values
-        g = gates_of(p)
+        gates = per_gate(p)
         for b, n in enumerate(lengths):
-            h = Tensor(h0[b])
+            h = h0[b]
             for step in range(5):
                 if step < n:
-                    h = gru_step(g, x[b, step], h)
-                    assert np.allclose(states[b, step], h.values, rtol=0.0, atol=1e-12)
+                    h = oracles.ref_gru_step(gates, x[b, step], h)
+                    assert np.allclose(states[b, step], h, rtol=0.0, atol=1e-12)
                 else:  # padding carries the last state unchanged
                     assert np.array_equal(states[b, step], states[b, n - 1])
 
@@ -250,43 +233,40 @@ class TestPackedKernel:
         assert free.values[0].tolist() == [9.0] * 3
 
     def test_gradients_match_gru_step_loop(self):
+        """The kernel's gradients equal complex-step derivatives of a loop of
+        oracles.ref_gru_step, a route independent of its backward pass."""
         rng = np.random.default_rng(34)
         p = random_gru(rng, 3, 4)
         x_values, lengths = ragged_batch(rng, 3, 5)
         h0_values = rng.normal(size=(5, 4))
         weight = rng.normal(size=(5, 5, 4))
 
-        gates = gates_of(p)
-
-        def grads(loss_fn, weights):
-            x = Tensor(x_values, requires_grad=True)
-            h0 = Tensor(h0_values, requires_grad=True)
-            tk.zero_grads(weights)
-            with Tape():
-                tk.backward(loss_fn(x, h0))
-            return [w.grad.copy() for w in weights] + [x.grad, h0.grad]
-
-        def kernel_loss(x, h0):
+        x = Tensor(x_values, requires_grad=True)
+        h0 = Tensor(h0_values, requires_grad=True)
+        tk.zero_grads(p.weights())
+        with Tape():
             states = tk.gru_sequence(x, lengths, p.weights(), h0)
-            return tk.reduce_sum(tk.mul(states, tk.constant(weight)))
+            tk.backward(tk.reduce_sum(tk.mul(states, tk.constant(weight))))
+        # the kernel's block gradients, read gate by gate as the loop has them
+        blocks = GruParams(*(Tensor(t.grad) for t in p.weights()))
+        kernel = [v for _, v in blocks.views("g")] + [x.grad, h0.grad]
 
-        def loop_loss(x, h0):
-            total = None
+        gates = per_gate(p, complex)
+        xc, h0c = x_values.astype(complex), h0_values.astype(complex)
+
+        def loop_loss():
+            total = 0.0
             for b, n in enumerate(lengths):
-                h, row = tk.take(h0, b), tk.take(x, b)
+                h = h0c[b]
                 for step in range(5):
                     if step < n:  # padding carries the last state
-                        h = gru_step(gates, tk.take(row, step), h)
-                    term = tk.reduce_sum(tk.mul(h, tk.constant(weight[b, step])))
-                    total = term if total is None else tk.add(total, term)
+                        h = oracles.ref_gru_step(gates, xc[b, step], h)
+                    total = total + np.sum(h * weight[b, step])
             return total
 
-        kernel = grads(kernel_loss, p.weights())
-        # the kernel's block gradients, read gate by gate as the loop has them
-        per_gate = [v for _, v in GruParams(*map(Tensor, kernel[:4])).views("g")]
-        loop = grads(loop_loss, list(gates.values()))
-        for got, want in zip(per_gate + kernel[4:], loop, strict=True):
-            assert np.allclose(got, want, rtol=0.0, atol=1e-10)
+        loop = complex_step_grads(loop_loss, [*gates.values(), xc, h0c])
+        for got, want in zip(kernel, loop, strict=True):
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
     def test_no_input_equals_zero_input(self):
         rng = np.random.default_rng(35)
@@ -436,13 +416,13 @@ class TestPadSequences:
 
 
 class TestEncodeSequence:
-    def test_single_element_equals_one_step(self):
+    @pytest.mark.parametrize("hid", [3, 4, 5, 6])
+    def test_single_element_equals_one_step(self, hid):
         rng = np.random.default_rng(1)
-        p = random_gru(rng, 3, 4)
+        p = random_gru(rng, 3, hid)
         x = rng.normal(size=3)
         single = encode_sequences(p, [x[None, :]])
-        step = gru_step(gates_of(p), x, Tensor(np.zeros(4)))
-        assert np.array_equal(single.values[0], step.values)
+        assert np.array_equal(single.values[0], oracle_states(p, x[None, None, :], [1])[0, 0])
 
     def test_pooling_is_channelwise_max_of_steps(self):
         rng = np.random.default_rng(2)
@@ -450,8 +430,9 @@ class TestEncodeSequence:
         xs = [rng.normal(size=2) for _ in range(5)]
         h = np.zeros(3)
         outputs = []
+        gates = per_gate(p)
         for x in xs:
-            h = numpy_gru_step(p, x, h)
+            h = oracles.ref_gru_step(gates, x, h)
             outputs.append(h)
         expected = np.max(np.stack(outputs), axis=0)
         assert np.allclose(encode_sequences(p, [np.stack(xs)]).values[0], expected, atol=1e-12)
@@ -471,8 +452,8 @@ class TestEncodeFlat:
         frame = rng.normal(size=3)
         video = VideoSample("v", [frame.reshape(1, 3)])
         flat = encode_flat_batch(params, [video])
-        direct = gru_step(gates_of(params.enc_v_low), frame, Tensor(np.zeros(4)))
-        assert np.array_equal(flat.values[0], direct.values)
+        direct = oracle_states(params.enc_v_low, frame[None, None, :], [1])[0, 0]
+        assert np.array_equal(flat.values[0], direct)
 
     def test_equals_manual_flattening(self):
         rng = np.random.default_rng(6)

@@ -24,11 +24,6 @@ def test_package_root_binds_only_its_modules():
     assert [n for n in names if not inspect.ismodule(getattr(hse, n))] == []
 
 
-# the reference GRU cell in tests/test_model.py records these; no module
-# of the package does
-TEST_ONLY_PRIMITIVES = {"sigmoid", "tanh"}
-
-
 def _tensorkit_names_used(path: Path) -> set[str]:
     """Names a module takes from hse.tensorkit: imported from it, or read
     as attributes of the name it is imported as."""
@@ -54,4 +49,4 @@ def test_every_tensorkit_export_has_a_caller_in_the_package():
         if path.name != "tensorkit.py":
             used |= _tensorkit_names_used(path)
     unused = set(tk.__all__) - used
-    assert unused - TEST_ONLY_PRIMITIVES == set()
+    assert unused == set()
