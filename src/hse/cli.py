@@ -42,22 +42,15 @@ from .training import MODEL_KINDS, TrainConfig, train
 log = logging.getLogger("hse.cli")
 
 
-def _parse_bool(text: str) -> bool:
-    if text.lower() not in ("true", "yes", "1", "false", "no", "0"):
-        raise ValueError(f"not a boolean: {text!r}")
-    return text.lower() in ("true", "yes", "1")
-
-
 def _option_parsers(config) -> dict:
     """Each field of a config dataclass with a plain default, with the type
-    of that default as its parser; a bool is parsed strictly."""
-    kinds = {f.name: type(f.default) for f in fields(config) if f.default is not MISSING}
-    return {name: _parse_bool if kind is bool else kind for name, kind in kinds.items()}
+    of that default as its parser."""
+    return {f.name: type(f.default) for f in fields(config) if f.default is not MISSING}
 
 
 # keys accepted in a run-configuration file (key = value per line), each
-# with its parser; every key but carry_low_state is also a train flag
-# (--key, "-" for "_"), and flags override file values
+# with its parser; every key is also a train flag (--key, "-" for "_"),
+# and flags override file values
 LOSS_KEYS = _option_parsers(LossConfig)
 CONFIG_KEYS = {**_option_parsers(TrainConfig), **LOSS_KEYS}
 CHOICES = {"model": MODEL_KINDS, "correspondence": CORRESPONDENCE_MODES, "sign_mode": SIGN_MODES}
@@ -214,9 +207,9 @@ def _cmd_train(args) -> int:
     values = _merged_config(args)
     config = _train_config(values)
     corpus = load_corpus(args.corpus)
+    result = train(corpus, config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = train(corpus, config)
     ckpt = out_dir / "checkpoint.bin"
     save_checkpoint(result.params, ckpt)
     log_lines = [" ".join(("epoch",) + COMPONENTS)]
@@ -363,8 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key = value configuration file")
     p.add_argument("--out", required=True, help="output directory")
     for key, parse in CONFIG_KEYS.items():
-        if key != "carry_low_state":  # a config-file key only
-            p.add_argument("--" + key.replace("_", "-"), type=parse, choices=CHOICES.get(key))
+        p.add_argument("--" + key.replace("_", "-"), type=parse, choices=CHOICES.get(key))
     p.set_defaults(func=_cmd_train)
 
     topk = _checked(_parse_topk, "comma-separated counts")

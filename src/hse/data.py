@@ -357,7 +357,7 @@ def load_corpus(path, correspondence: str | None = None) -> Corpus:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise CorpusError(f"{path}: line {lineno}: malformed record: {exc}") from None
         try:
             pid = record["id"]
@@ -425,7 +425,7 @@ def load_labels(path) -> SynthLabels:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # bad JSON or bad UTF-8
+        except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8 or nested too deep
             raise LabelsError(f"{path}: not a JSON labels file: {exc}") from None
     if not isinstance(doc, dict):
         raise LabelsError(f"{path}: labels file must hold a JSON object")

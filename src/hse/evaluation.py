@@ -145,7 +145,6 @@ def encode_corpus(
     corpus: Corpus,
     mode: str = "hierarchical",
     max_units: int | None = None,
-    carry_low_state: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Whole-sample embeddings of every pair, as (videos, paragraphs) arrays."""
     if mode not in ENCODING_MODES:
@@ -162,8 +161,8 @@ def encode_corpus(
             videos.append(encode_flat_batch(params, vs).values)
             paragraphs.append(encode_flat_batch(params, ps).values)
         else:
-            videos.append(encode_batch(params, vs, carry_low_state).high.values)
-            paragraphs.append(encode_batch(params, ps, carry_low_state).high.values)
+            videos.append(encode_batch(params, vs).high.values)
+            paragraphs.append(encode_batch(params, ps).high.values)
     return np.concatenate(videos), np.concatenate(paragraphs)
 
 
@@ -172,7 +171,6 @@ def evaluate_retrieval(
     corpus: Corpus,
     topk: Sequence[int] = DEFAULT_TOPK,
     mode: str = "hierarchical",
-    carry_low_state: bool = False,
     max_units: int | None = None,
 ) -> tuple[RetrievalReport, RetrievalReport]:
     """Both retrieval directions over whole-sample embeddings: returns
@@ -181,7 +179,7 @@ def evaluate_retrieval(
     (retrieval from partial observations)."""
     if max_units is not None and max_units < 1:
         raise ContractError("evaluate_retrieval requires max_units >= 1")
-    videos, paragraphs = encode_corpus(params, corpus, mode, max_units, carry_low_state)
+    videos, paragraphs = encode_corpus(params, corpus, mode, max_units)
     # one matrix serves both directions: each cosine entry depends only on
     # its two rows, so its transpose is the video x paragraph matrix, bit
     # for bit, and the ranks are rank_matrix's in either direction

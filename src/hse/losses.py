@@ -319,7 +319,6 @@ def total_loss(
     batch: Sequence[tuple],
     params: HseModelParams,
     config: LossConfig,
-    carry_low_state: bool = False,
     reconstruction_targets: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LossBreakdown:
     """Evaluate the full objective on a batch of (video, paragraph) pairs.
@@ -337,8 +336,8 @@ def total_loss(
     config.validate()
     if not batch:
         raise ContractError("total_loss requires a nonempty batch")
-    v = encode_batch(params, [video for video, _ in batch], carry_low_state)
-    p = encode_batch(params, [paragraph for _, paragraph in batch], carry_low_state)
+    v = encode_batch(params, [video for video, _ in batch])
+    p = encode_batch(params, [paragraph for _, paragraph in batch])
 
     # the heads run in this order: shared embeddings accumulate gradients in
     # reverse tape order, so another order would change trained bits

@@ -22,8 +22,7 @@ encode_batch and decode_batch handle all samples of one modality at once
 (one GRU run per level), encode_sequences a batch of plain sequences, and
 encode_flat_batch each sample's concatenated frames (words). encode_batch
 and encode_flat_batch pick the encoders of the samples' modality by one
-rule (_modality). The encoders let the kernel pool (pool=True), except
-the carry_low_state low level, which pools each unit's slice of one run.
+rule (_modality). The encoders let the kernel pool (pool=True).
 Embeddings stay matrices: one row per clip (sentence) or per sample, with
 the clip counts, lengths and padded units alongside (EncodedBatch), the
 form the losses take. A sample's embedding is the same bits alone, in any
@@ -311,38 +310,15 @@ def encode_flat_batch(params: HseModelParams, samples: Sequence) -> Tensor:
     return encode_sequences(enc_low, [np.concatenate(units) for units in unit_lists])
 
 
-def encode_batch(
-    params: HseModelParams,
-    samples: Sequence,
-    carry_low_state: bool = False,
-) -> EncodedBatch:
+def encode_batch(params: HseModelParams, samples: Sequence) -> EncodedBatch:
     """Embed every clip (sentence) of a batch of videos (paragraphs)
-    independently, then embed each sample's sequence of those embeddings
-    with the high-level encoder: one GRU run per level.
-
-    carry_low_state threads the low-level GRU state across unit boundaries
-    instead of resetting it to zero per unit: the low level then runs over
-    each sample's concatenated frames, and embeddings are still pooled per
-    unit. Off by default.
-    """
+    independently, each from a zero state, then embed each sample's
+    sequence of those embeddings with the high-level encoder: one GRU run
+    per level."""
     enc_low, enc_high, unit_lists = _modality(params, samples)
     counts = [len(units) for units in unit_lists]
     padded, lengths = pad_sequences([u for units in unit_lists for u in units])
-    if carry_low_state:
-        # one run per sample over its concatenated frames; each unit's steps
-        # are then gathered from the flattened [K * T, H] states
-        x, totals = pad_sequences([np.concatenate(units) for units in unit_lists])
-        steps = x.shape[1]
-        starts = [
-            k * steps + offset
-            for k, units in enumerate(unit_lists)
-            for offset in np.cumsum([0] + [u.shape[0] for u in units[:-1]])
-        ]
-        states = tk.gru_sequence(tk.constant(x), totals, enc_low.weights())
-        flat = tk.reshape(states, (len(samples) * steps, enc_low.hidden_dim))
-        low = tk.masked_max(tk.take(flat, _segment_rows(starts, lengths)), lengths)
-    else:
-        low = tk.gru_sequence(tk.constant(padded), lengths, enc_low.weights(), pool=True)
+    low = tk.gru_sequence(tk.constant(padded), lengths, enc_low.weights(), pool=True)
     high_in = tk.take(low, _segment_rows(np.cumsum([0] + counts[:-1]), counts))
     high = tk.gru_sequence(high_in, counts, enc_high.weights(), pool=True)
     if not (np.all(np.isfinite(low.values)) and np.all(np.isfinite(high.values))):

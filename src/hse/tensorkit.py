@@ -58,7 +58,6 @@ __all__ = [
     "weighted_sq_err",
     "affine",
     "gru_sequence",
-    "masked_max",
     "zero_grads",
     "finite_diff_check",
     "FiniteDiffReport",
@@ -718,6 +717,8 @@ def masked_max(a: Tensor, lengths) -> Tensor:
 # the largest floored relative error between a tape gradient and its central
 # difference that passes; a coordinate that errs more is tested for a kink
 FD_TOLERANCE = 1e-4
+# the perturbation of a checked coordinate, each way
+FD_STEP = 1e-5
 
 
 @dataclass
@@ -736,13 +737,12 @@ def _rel_err(a: float, n: float, floor: float) -> float:
 def finite_diff_check(
     f: Callable[[Sequence[Tensor]], Tensor],
     params: Sequence[Tensor],
-    step: float = 1e-5,
     coords_per_param: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> FiniteDiffReport:
     """Compare analytic gradients of scalar f(params) with central differences.
 
-    Each checked coordinate is perturbed by +/-step; the central-difference
+    Each checked coordinate is perturbed by +/-FD_STEP; the central-difference
     quotient is compared with the tape gradient via a floored relative
     error. The denominator floor scales with |f| because the quotient's
     rounding noise does too; coordinates whose gradients sit below that
@@ -755,8 +755,6 @@ def finite_diff_check(
     coords_per_param limits the check to a random subset per parameter,
     for use on expensive full-pipeline objectives.
     """
-    if step <= 0.0:
-        raise ContractError("finite_diff_check requires step > 0")
     params = list(params)
     for p in params:
         if not p.requires_grad:
@@ -792,18 +790,18 @@ def finite_diff_check(
             coords = range(size)
         for idx in coords:
             orig = flat[idx]
-            flat[idx] = orig + step
+            flat[idx] = orig + FD_STEP
             f_plus = eval_f()
-            flat[idx] = orig - step
+            flat[idx] = orig - FD_STEP
             f_minus = eval_f()
             flat[idx] = orig
-            numeric = (f_plus - f_minus) / (2.0 * step)
+            numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
             err = _rel_err(a_flat[idx], numeric, floor)
             if err >= FD_TOLERANCE:
                 # split test: disagreeing one-sided quotients mean the
                 # objective is locally nondifferentiable at this coordinate
-                right = (f_plus - f_mid) / step
-                left = (f_mid - f_minus) / step
+                right = (f_plus - f_mid) / FD_STEP
+                left = (f_mid - f_minus) / FD_STEP
                 if abs(right - left) / max(1.0, abs(right), abs(left)) > 1e-3:
                     n_skipped += 1
                     continue

@@ -61,7 +61,6 @@ class TrainConfig:
     hidden_low: int = 32
     hidden_high: int = 32
     model: str = "hse"  # hse | fse (flat single-level baseline)
-    carry_low_state: bool = False
     loss: LossConfig = field(default_factory=LossConfig)
 
     def validate(self) -> None:
@@ -221,7 +220,7 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
                 if config.model == "fse":
                     bd = _fse_loss(batch, params, config.loss)
                 else:
-                    bd = total_loss(batch, params, config.loss, config.carry_low_state)
+                    bd = total_loss(batch, params, config.loss)
                 for name, value in bd.components().items():
                     if not np.isfinite(value):
                         raise TrainingDiverged(

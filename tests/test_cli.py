@@ -85,25 +85,25 @@ class TestTrain:
         assert run("train", "--corpus", str(corpus_path), "--config", str(config),
                    "--out", str(tmp_path / "x")) == 1
 
-    @pytest.mark.parametrize("value", ["ture", "2", "on", ""])
-    def test_config_boolean_must_be_a_boolean_word(self, tmp_path, corpus_path, capsys, value):
-        config = tmp_path / "bad.cfg"
-        config.write_text(f"epochs = 1\ncarry_low_state = {value}\n")
+    def test_removed_config_key_is_unknown(self, tmp_path, corpus_path, capsys):
+        config = tmp_path / "old.cfg"
+        config.write_text("epochs = 1\ncarry_low_state = true\n")
         assert run("train", "--corpus", str(corpus_path), "--config", str(config),
                    "--out", str(tmp_path / "x")) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"error: {config}: line 2: bad value for 'carry_low_state'"]
+        assert err == [f"error: {config}: line 2: unknown key 'carry_low_state'"]
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("value, echoed", [("TRUE", "True"), ("yes", "True"), ("0", "False")])
-    def test_config_boolean_words(self, tmp_path, corpus_path, value, echoed):
-        config = tmp_path / "run.cfg"
-        config.write_text(f"carry_low_state = {value}\n")
+    def test_failed_training_leaves_no_output_directory(self, tmp_path, capsys):
+        corpus = tmp_path / "weak.jsonl"
+        assert run("synth", "--pairs", "4", "--clips", "2:3", "--frames", "1", "--words", "1",
+                   "--dv", "3", "--dt", "3", "--correspondence", "weak", "--out", str(corpus)) == 0
+        capsys.readouterr()
         out = tmp_path / "run"
-        assert run("train", "--corpus", str(corpus_path), "--config", str(config),
-                   "--out", str(out), "--epochs", "1", "--hidden-low", "3",
-                   "--hidden-high", "3") == 0
-        assert f"carry_low_state = {echoed}\n" in (out / "config.txt").read_text()
+        assert run("train", "--corpus", str(corpus), "--out", str(out), "--epochs", "1") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "strong-correspondence training needs a strong corpus" in err[0]
+        assert not out.exists()
 
     def test_non_utf8_config_names_file_and_line(self, tmp_path, corpus_path, capsys):
         config = tmp_path / "bad.cfg"
@@ -135,9 +135,8 @@ class TestTrain:
             for flag in action.option_strings
         }
         options = flags - {"-h", "--help", "--corpus", "--config", "--out"}
-        # every config key but the file-only carry_low_state is a flag
         keys = {"--" + key.replace("_", "-") for key in CONFIG_KEYS}
-        assert keys == options | {"--carry-low-state"}
+        assert keys == options
         assert options == {
             "--learning-rate", "--decay-factor", "--decay-every-epochs", "--epochs",
             "--batch-size", "--seed", "--hidden-low", "--hidden-high", "--model", "--alpha",
@@ -295,6 +294,16 @@ class TestZeroShot:
         assert code == 1
         assert err == [f"error: {labels}: field 'clip_labels' does not cover pair 'pair_0000'"]
 
+    def test_deeply_nested_labels_is_one_error_line(self, tmp_path, corpus_path, trained_dir, capsys):
+        labels = tmp_path / "labels.json"
+        labels.write_text("[" * 200_000)
+        out = tmp_path / "zs"
+        assert run("zeroshot", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                   "--corpus", str(corpus_path), "--labels", str(labels), "--out", str(out)) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {labels}: not a JSON labels file: ")
+        assert not out.exists()
+
 
 class TestDispatch:
     def test_unknown_subcommand_exits_2(self, capsys):
@@ -335,6 +344,19 @@ class TestDispatch:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert str(corpus) in err[0] and str(checkpoint) in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "zeroshot"])
+    def test_deeply_nested_corpus_line_is_one_error_line(
+        self, tmp_path, corpus_path, trained_dir, capsys, command
+    ):
+        corpus = tmp_path / "deep.jsonl"
+        corpus.write_text(corpus_path.read_text() + "[" * 200_000 + "\n")  # line 7
+        out = tmp_path / "out"
+        assert run(command, "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                   "--corpus", str(corpus), "--out", str(out)) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {corpus}: line 7: malformed record: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hse.data import (
     Corpus,
@@ -26,6 +26,27 @@ from hse.data import (
 from hse.errors import CheckpointError, ContractError, CorpusError, LabelsError
 from hse.model import ModelDims
 from hse.training import init_params
+
+# one fault in a file's bytes, as (kind, position, bytes): a truncation, an
+# overwrite of one byte, or an inserted JSON metacharacter (or a line break,
+# which ends a corpus record); the position is taken modulo the places that
+# kind can act on
+JSON_METACHARACTERS = [b"{", b"}", b"[", b"]", b":", b",", b'"', b"\\", b"\n"]
+FAULTS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 2**16), st.just(b"")),
+    st.tuples(st.just("overwrite"), st.integers(0, 2**16), st.binary(min_size=1, max_size=1)),
+    st.tuples(st.just("insert"), st.integers(0, 2**16), st.sampled_from(JSON_METACHARACTERS)),
+)
+# nesting past the JSON decoder's recursion limit
+DEEP_NESTING = ("insert", 0, b"[" * 200_000)
+
+
+def _with_fault(good: bytes, fault) -> bytes:
+    kind, at, value = fault
+    at %= len(good) + (kind == "insert")
+    if kind == "truncate":
+        return good[:at]
+    return good[:at] + value + good[at + (kind == "overwrite") :]
 
 
 class TestSynthGenerate:
@@ -122,6 +143,22 @@ class TestCorpusIO:
         path = tmp_path_factory.mktemp("rt") / "c.jsonl"
         save_corpus(corpus, path)
         assert load_corpus(path, correspondence=corpus.correspondence) == corpus
+
+    @settings(max_examples=200, deadline=None)
+    @given(fault=FAULTS)
+    @example(fault=DEEP_NESTING)
+    def test_damaged_file_loads_or_is_one_corpus_error(self, tmp_path_factory, fault):
+        spec = SynthSpec(num_pairs=3, clips_per_pair=(1, 2), frames_per_clip=(1, 2),
+                         words_per_sentence=(1, 2), d_v=2, d_t=2, seed=3)
+        corpus, _ = synth_generate(spec)
+        path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
+        save_corpus(corpus, path)
+        path.write_bytes(_with_fault(path.read_bytes(), fault))
+        try:
+            loaded = load_corpus(path)
+        except CorpusError:
+            return
+        loaded.validate()
 
     def test_single_record_shape(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -273,6 +310,20 @@ class TestLabelsIO:
         path.write_bytes(text.encode("utf-8", "surrogateescape"))
         with pytest.raises(LabelsError, match="labels.json: "):
             load_labels(path)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(fault=FAULTS)
+    @example(fault=DEEP_NESTING)
+    def test_damaged_file_loads_or_is_one_labels_error(self, tmp_path_factory, fault):
+        _, labels = synth_generate(SynthSpec(num_pairs=3, num_events=2, d_t=2, seed=1))
+        path = tmp_path_factory.mktemp("labels") / "labels.json"
+        save_labels(labels, path)
+        path.write_bytes(_with_fault(path.read_bytes(), fault))
+        try:
+            load_labels(path)
+        except LabelsError:
+            pass
 
 
 class TestCheckpointIO:

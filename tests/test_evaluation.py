@@ -166,14 +166,14 @@ class TestEvaluateRetrieval:
 
 
 class TestEncodeCorpusChunks:
-    @pytest.mark.parametrize("mode, carry", [("hierarchical", False), ("flat", False), ("hierarchical", True)])
-    def test_chunk_size_does_not_change_embeddings(self, monkeypatch, mode, carry):
+    @pytest.mark.parametrize("mode", ["hierarchical", "flat"])
+    def test_chunk_size_does_not_change_embeddings(self, monkeypatch, mode):
         corpus, _ = small_corpus(pairs=37, seed=4, num_events=37, clips_per_pair=(1, 4))
         params = init_params(ModelDims(d_v=4, d_t=4, hidden_low=5, hidden_high=6), 11)
         encoded = []
         for chunk in (1, 7, 32, len(corpus)):
             monkeypatch.setattr(evaluation, "ENCODE_CHUNK_PAIRS", chunk)
-            videos, paragraphs = encode_corpus(params, corpus, mode=mode, carry_low_state=carry)
+            videos, paragraphs = encode_corpus(params, corpus, mode=mode)
             encoded.append(videos.tobytes() + paragraphs.tobytes())
         assert len(set(encoded)) == 1
 

@@ -540,13 +540,6 @@ class TestEncodeHierarchical:
         assert emb.low.values.shape == (2, 5)
         assert emb.counts == [2]
 
-    def test_carry_low_state_changes_embeddings(self):
-        video = self._video(n=3)
-        reset = encode_batch(self.params, [video], carry_low_state=False).low.values
-        carried = encode_batch(self.params, [video], carry_low_state=True).low.values
-        assert np.array_equal(reset[0], carried[0])
-        assert not np.array_equal(reset[1], carried[1])
-
     def test_encoder_gradients_vs_finite_differences(self):
         video = self._video(n=2)
         weight = tk.constant(self.rng.normal(size=(1, 6)))
@@ -575,14 +568,13 @@ class TestEncodeBatch:
             for i in range(k)
         ]
 
-    @pytest.mark.parametrize("carry", [False, True])
-    def test_sample_alone_equals_sample_in_ragged_batch(self, carry):
+    def test_sample_alone_equals_sample_in_ragged_batch(self):
         videos = self._videos(6)
-        batch = encode_batch(self.params, videos, carry_low_state=carry)
+        batch = encode_batch(self.params, videos)
         assert batch.counts == [video.n for video in videos]
         start = 0
         for k, video in enumerate(videos):
-            alone = encode_batch(self.params, [video], carry_low_state=carry)
+            alone = encode_batch(self.params, [video])
             in_batch_high = batch.high.values[k : k + 1]
             assert np.allclose(alone.high.values, in_batch_high, rtol=0.0, atol=1e-12)
             # rows are multiplied one at a time, so the match is exact
@@ -590,10 +582,9 @@ class TestEncodeBatch:
             assert np.array_equal(alone.low.values, batch.low.values[start : start + video.n])
             start += video.n
 
-    @pytest.mark.parametrize("carry", [False, True])
-    def test_units_are_the_padded_clips(self, carry):
+    def test_units_are_the_padded_clips(self):
         videos = self._videos(5)
-        batch = encode_batch(self.params, videos, carry_low_state=carry)
+        batch = encode_batch(self.params, videos)
         units, lengths = pad_sequences([clip for video in videos for clip in video.clips])
         assert batch.lengths == lengths
         assert np.array_equal(batch.units, units)

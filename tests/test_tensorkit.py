@@ -102,7 +102,7 @@ class TestFiniteDiff:
             backward(f([theta]))
         assert np.allclose(theta.grad, [2.0, 4.0], atol=1e-12)
         theta.grad = None
-        report = finite_diff_check(f, [theta], step=1e-5)
+        report = finite_diff_check(f, [theta])
         assert report.max_rel_err < 1e-6
 
     def test_constant_function(self):
@@ -124,10 +124,6 @@ class TestFiniteDiff:
 
         report = finite_diff_check(f, [u, w])
         assert report.max_rel_err < 1e-4
-
-    def test_step_must_be_positive(self):
-        with pytest.raises(ContractError):
-            finite_diff_check(lambda ps: tk.reduce_sum(ps[0]), [t([1.0])], step=0.0)
 
 
 def _primitive_cases(rng):

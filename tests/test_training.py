@@ -228,7 +228,7 @@ class TestTrain:
     def test_nan_loss_aborts_with_component_name(self, monkeypatch):
         corpus = tiny_corpus()
 
-        def poisoned(batch, params, config, carry_low_state=False, reconstruction_targets=None):
+        def poisoned(batch, params, config, reconstruction_targets=None):
             from hse import tensorkit as tk
 
             node = tk.constant(0.0)
