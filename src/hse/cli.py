@@ -35,7 +35,7 @@ from .data import (
 from .errors import ConfigError, CorpusError, HseError, LabelsError
 from .evaluation import DEFAULT_TOPK, ENCODING_MODES, evaluate_retrieval, zeroshot_classify
 from .gradcheck import run_gradient_suite
-from .losses import COMPONENTS, CORRESPONDENCE_MODES, SIGN_MODES, LossConfig
+from .losses import COMPONENTS, CORRESPONDENCE_MODES, LossConfig
 from .tensorkit import FD_TOLERANCE
 from .training import MODEL_KINDS, TrainConfig, train
 
@@ -53,7 +53,7 @@ def _option_parsers(config) -> dict:
 # and flags override file values
 LOSS_KEYS = _option_parsers(LossConfig)
 CONFIG_KEYS = {**_option_parsers(TrainConfig), **LOSS_KEYS}
-CHOICES = {"model": MODEL_KINDS, "correspondence": CORRESPONDENCE_MODES, "sign_mode": SIGN_MODES}
+CHOICES = {"model": MODEL_KINDS, "correspondence": CORRESPONDENCE_MODES}
 
 
 def _setup_logging() -> None:
@@ -80,6 +80,10 @@ def _parse_config_file(path: str) -> dict[str, object]:
             values[key] = CONFIG_KEYS[key](raw)
         except ValueError:
             raise ConfigError(f"{path}: line {lineno}: bad value for {key!r}") from None
+        if key in CHOICES and values[key] not in CHOICES[key]:
+            raise ConfigError(
+                f"{path}: line {lineno}: bad value for {key!r}: expected one of {CHOICES[key]}"
+            )
     return values
 
 

@@ -172,10 +172,13 @@ class Corpus:
                     f"pair {video.id!r}: strong correspondence requires equal clip and "
                     f"sentence counts, got {video.n} vs {paragraph.m}"
                 )
-        if len({v.clips[0].shape[1] for v, _ in self.pairs}) != 1:
-            raise CorpusError("inconsistent frame feature dimension across pairs")
-        if len({p.sentences[0].shape[1] for _, p in self.pairs}) != 1:
-            raise CorpusError("inconsistent word feature dimension across pairs")
+            widths = (video.clips[0].shape[1], paragraph.sentences[0].shape[1])
+            for unit, d, want in zip(("frame", "word"), widths, (self.d_v, self.d_t)):
+                if d != want:
+                    raise CorpusError(
+                        f"pair {video.id!r}: inconsistent {unit} feature dimension: "
+                        f"{d}, but the first pair has {want}"
+                    )
 
     def __eq__(self, other) -> bool:
         return (
@@ -379,7 +382,10 @@ def load_corpus(path, correspondence: str | None = None) -> Corpus:
         strong = all(v.n == p.m for v, p in pairs)
         correspondence = "strong" if strong else "weak"
     corpus = Corpus(pairs=pairs, correspondence=correspondence)
-    corpus._validate_pairs()  # every sample was validated with its line
+    try:
+        corpus._validate_pairs()  # every sample was validated with its line
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
     return corpus
 
 

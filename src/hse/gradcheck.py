@@ -88,13 +88,13 @@ def _random_pair(rng, d_v: int, d_t: int, max_units=3, max_len=4):
     return VideoSample("v", clips), ParagraphSample("p", sentences)
 
 
-def _trial(component: str, rng: np.random.Generator, sign_mode: str) -> FiniteDiffReport:
+def _trial(component: str, rng: np.random.Generator) -> FiniteDiffReport:
     margin = 0.2
     if component in ("loss_match_high", "loss_cluster_high"):
         loss = getattr(losses, component)
 
         def f(ps):
-            return loss(ps[0], ps[1], margin, sign_mode)
+            return loss(ps[0], ps[1], margin)
 
         return tk.finite_diff_check(f, list(_embedding_batch(rng)))
 
@@ -104,9 +104,9 @@ def _trial(component: str, rng: np.random.Generator, sign_mode: str) -> FiniteDi
 
         def f(ps):
             if component == "loss_cluster_low":
-                return losses.loss_cluster_low(ps[0], ps[1], margin, sign_mode)
+                return losses.loss_cluster_low(ps[0], ps[1], margin)
             loss = losses.loss_match_low if aligned else losses.loss_match_low_weak
-            return loss(ps[0], clip_counts, ps[1], sent_counts, margin, sign_mode)
+            return loss(ps[0], clip_counts, ps[1], sent_counts, margin)
 
         return tk.finite_diff_check(f, [clips, sents])
 
@@ -136,9 +136,7 @@ def _trial(component: str, rng: np.random.Generator, sign_mode: str) -> FiniteDi
         k = int(rng.integers(2, 4))
         batch = [_random_pair(rng, d_v, d_t) for _ in range(k)]
         correspondence = "strong" if rng.random() < 0.5 else "weak"
-        cfg = losses.LossConfig(
-            tau=0.01, correspondence=correspondence, sign_mode=sign_mode
-        )
+        cfg = losses.LossConfig(tau=0.01, correspondence=correspondence)
         params = [t for _, t in model.named_parameters()]
         # reconstruction targets carry no gradient, so the differenced
         # function must hold them fixed at the evaluation point
@@ -204,8 +202,7 @@ def run_gradient_suite(seed: int = 0, trials_per_component: int = 16) -> list[Su
         skipped = 0
         for t in range(trials_per_component):
             rng = np.random.default_rng(seed * 100_003 + ci * 7919 + t)
-            sign_mode = "corrected" if t % 2 == 0 else "literal"
-            report = _trial(component, rng, sign_mode)
+            report = _trial(component, rng)
             worst = max(worst, report.max_rel_err)
             checked += report.n_checked
             skipped += report.n_skipped_nondifferentiable

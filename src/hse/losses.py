@@ -10,22 +10,19 @@ belonging to pair k. The same record carries the lengths and the padded
 input units that reconstruction compares against, so nothing is padded
 twice. Every similarity matrix is one tensorkit.cosine over two of them.
 
-Sign convention. The ranking and clustering losses exist in two modes:
+Sign convention. The ranking and clustering losses are the standard
+triplet hinges. For a batch of K aligned pairs the high-level matching term
+is
 
-* "corrected" (default): the standard triplet direction. For a batch of K
-  aligned pairs the high-level matching term is
+    sum_k sum_{k'!=k} [a + match(v_k', p_k) - match(v_k, p_k)]_+
+                    + [a + match(v_k, p_k') - match(v_k, p_k)]_+
 
-      sum_k sum_{k'!=k} [a + match(v_k', p_k) - match(v_k, p_k)]_+
-                      + [a + match(v_k, p_k') - match(v_k, p_k)]_+
-
-  so minimizing pulls matched pairs together and pushes in-batch negatives
-  at least a margin below them. The clustering term penalizes distinct
-  same-modality items whose similarity exceeds 1 - margin:
-  [margin + match(x', x) - 1]_+.
-
-* "literal": the same summations with the opposite sign placement
-  ([a + match(v_k, p_k) - match(v_k', p_k)]_+ and
-  [margin + 1 - match(x', x)]_+), kept selectable for auditability.
+so minimizing pulls matched pairs together and pushes in-batch negatives at
+least a margin below them. The clustering term penalizes distinct
+same-modality items whose similarity exceeds 1 - margin:
+[margin + match(x', x) - 1]_+. The paper prints each hinge with the
+opposite sign placement; minimizing that copy would push every aligned
+pair below its negatives, so it is not offered.
 
 Here match(u, w) is the cosine similarity u.w / (|u||w|). All ranking
 losses share one kernel over a K x K similarity matrix,
@@ -51,7 +48,6 @@ from .tensorkit import Tensor
 __all__ = [
     "LossConfig",
     "LossBreakdown",
-    "ranking_loss_from_similarity",
     "loss_match_high",
     "loss_match_low",
     "loss_cluster_high",
@@ -62,13 +58,12 @@ __all__ = [
     "total_loss",
 ]
 
-SIGN_MODES = ("corrected", "literal")
 CORRESPONDENCE_MODES = ("strong", "weak", "none")
 
 
 @dataclass
 class LossConfig:
-    """Margins, reconstruction weight, and mode switches for the objective."""
+    """Margins, reconstruction weight and correspondence mode of the objective."""
 
     alpha: float = 0.2
     beta: float = 0.2
@@ -77,7 +72,6 @@ class LossConfig:
     beta_prime: float = 0.2
     tau: float = 5e-4
     correspondence: str = "strong"  # strong | weak | none (none drops the low-level terms)
-    sign_mode: str = "corrected"
 
     def validate(self) -> None:
         # each range is checked as "not lo < x < inf", which NaN and the
@@ -89,7 +83,6 @@ class LossConfig:
             raise ConfigError("tau must be finite and >= 0")
         if self.correspondence not in CORRESPONDENCE_MODES:
             raise ConfigError(f"correspondence must be one of {CORRESPONDENCE_MODES}")
-        _check_sign_mode(self.sign_mode)
 
 
 @dataclass
@@ -150,24 +143,10 @@ def _check_counts(embeddings: Tensor, counts: Sequence[int], what: str) -> None:
         )
 
 
-def ranking_loss_from_similarity(sim: Tensor, margin: float, sign_mode: str = "corrected") -> Tensor:
-    """Margin ranking loss over a square similarity matrix whose diagonal
-    holds the aligned pairs; sums both retrieval directions over all
-    off-diagonal negatives."""
-    _check_sign_mode(sign_mode)
-    return tk.rank_hinge(sim, margin, sign_mode == "corrected")
-
-
-def _check_sign_mode(sign_mode: str) -> None:
-    if sign_mode not in SIGN_MODES:
-        raise ConfigError(f"sign_mode must be one of {SIGN_MODES}")
-
-
 def loss_match_high(
     videos: Tensor,
     paragraphs: Tensor,
     alpha: float,
-    sign_mode: str = "corrected",
 ) -> Tensor:
     """Cross-modal ranking loss over the [K, E] whole-sample embeddings;
     row k of videos is aligned with row k of paragraphs."""
@@ -176,7 +155,7 @@ def loss_match_high(
         raise ContractError(f"batch length mismatch: {k} videos vs {m} paragraphs")
     if not k:
         raise ContractError("loss_match_high requires a nonempty batch")
-    return ranking_loss_from_similarity(tk.cosine(videos, paragraphs), alpha, sign_mode)
+    return tk.rank_hinge(tk.cosine(videos, paragraphs), alpha)
 
 
 def loss_match_low(
@@ -185,7 +164,6 @@ def loss_match_low(
     sentences: Tensor,
     sentence_counts: Sequence[int],
     beta: float,
-    sign_mode: str = "corrected",
 ) -> Tensor:
     """Cross-modal ranking loss over aligned clip/sentence embeddings.
 
@@ -203,18 +181,15 @@ def loss_match_low(
             )
     _check_counts(clips, clip_counts, "clip")
     _check_counts(sentences, sentence_counts, "sentence")
-    return ranking_loss_from_similarity(tk.cosine(clips, sentences), beta, sign_mode)
+    return tk.rank_hinge(tk.cosine(clips, sentences), beta)
 
 
-def _cluster_pair(a: Tensor, b: Tensor, margin: float, sign_mode: str, what: str) -> Tensor:
+def _cluster_pair(a: Tensor, b: Tensor, margin: float, what: str) -> Tensor:
     """Clustering loss of the rows of a plus that of the rows of b."""
-    _check_sign_mode(sign_mode)
     if not _rows(a) or not _rows(b):
         raise ContractError(f"{what} requires nonempty batches")
-    corrected = sign_mode == "corrected"
     return tk.add(
-        tk.cluster_hinge(tk.cosine(a, a), margin, corrected),
-        tk.cluster_hinge(tk.cosine(b, b), margin, corrected),
+        tk.cluster_hinge(tk.cosine(a, a), margin), tk.cluster_hinge(tk.cosine(b, b), margin)
     )
 
 
@@ -222,25 +197,23 @@ def loss_cluster_high(
     videos: Tensor,
     paragraphs: Tensor,
     gamma: float,
-    sign_mode: str = "corrected",
 ) -> Tensor:
     """Within-modality separation loss over the [K, E] whole-sample
     embeddings.
 
     For every ordered pair of distinct items, penalizes similarity above
     1 - gamma (self-similarity is 1 by definition)."""
-    return _cluster_pair(videos, paragraphs, gamma, sign_mode, "loss_cluster_high")
+    return _cluster_pair(videos, paragraphs, gamma, "loss_cluster_high")
 
 
 def loss_cluster_low(
     clips: Tensor,
     sentences: Tensor,
     eta: float,
-    sign_mode: str = "corrected",
 ) -> Tensor:
     """Separation loss over the clip [N, E] and sentence [M, E] embeddings
     of a batch."""
-    return _cluster_pair(clips, sentences, eta, sign_mode, "loss_cluster_low")
+    return _cluster_pair(clips, sentences, eta, "loss_cluster_low")
 
 
 def _averaged_similarity(
@@ -269,7 +242,6 @@ def loss_match_low_weak(
     sentences: Tensor,
     sentence_counts: Sequence[int],
     beta_prime: float,
-    sign_mode: str = "corrected",
 ) -> Tensor:
     """Low-level ranking loss without clip/sentence alignment: the ranking
     kernel applied to the matrix of averaged similarities, entry (a, b) =
@@ -277,11 +249,8 @@ def loss_match_low_weak(
     clip_counts[k] rows of clips and sentence_counts[k] rows of sentences."""
     if len(clip_counts) != len(sentence_counts) or not clip_counts:
         raise ContractError("loss_match_low_weak requires a nonempty batch of pairs")
-    return ranking_loss_from_similarity(
-        _averaged_similarity(clips, clip_counts, sentences, sentence_counts),
-        beta_prime,
-        sign_mode,
-    )
+    sim = _averaged_similarity(clips, clip_counts, sentences, sentence_counts)
+    return tk.rank_hinge(sim, beta_prime)
 
 
 def loss_reconstruct(
@@ -341,17 +310,15 @@ def total_loss(
 
     # the heads run in this order: shared embeddings accumulate gradients in
     # reverse tape order, so another order would change trained bits
-    mh = loss_match_high(v.high, p.high, config.alpha, config.sign_mode)
-    ch = loss_cluster_high(v.high, p.high, config.gamma, config.sign_mode)
+    mh = loss_match_high(v.high, p.high, config.alpha)
+    ch = loss_cluster_high(v.high, p.high, config.gamma)
     ml = cl = rec = None
     if config.correspondence != "none":
         if config.correspondence == "strong":
-            ml = loss_match_low(v.low, v.counts, p.low, p.counts, config.beta, config.sign_mode)
+            ml = loss_match_low(v.low, v.counts, p.low, p.counts, config.beta)
         else:
-            ml = loss_match_low_weak(
-                v.low, v.counts, p.low, p.counts, config.beta_prime, config.sign_mode
-            )
-        cl = loss_cluster_low(v.low, p.low, config.eta, config.sign_mode)
+            ml = loss_match_low_weak(v.low, v.counts, p.low, p.counts, config.beta_prime)
+        cl = loss_cluster_low(v.low, p.low, config.eta)
     if config.tau > 0.0:
         if reconstruction_targets is None:
             reconstruction_targets = (v.low.values, p.low.values)

@@ -346,33 +346,29 @@ def _square_matrix(sim: Tensor, op: str) -> np.ndarray:
     return sv
 
 
-def rank_hinge(sim: Tensor, margin: float, corrected: bool = True) -> Tensor:
+def rank_hinge(sim: Tensor, margin: float) -> Tensor:
     """Margin ranking loss over a square similarity matrix whose diagonal
     holds the aligned pairs, over both retrieval directions and every
     off-diagonal negative:
 
         sum_{i != j} [margin + sim[i, j] - sim[j, j]]_+ + [margin + sim[i, j] - sim[i, i]]_+
 
-    when corrected, else with each difference negated. A hinge at exactly 0
-    passes no gradient. A diagonal entry's gradient sums its row terms and
-    then its column terms one after another, in index order."""
+    so that minimizing it lifts each aligned pair at least a margin above
+    its negatives. A hinge at exactly 0 passes no gradient. A diagonal
+    entry's gradient sums its row terms and then its column terms one after
+    another, in index order."""
     sv = _square_matrix(sim, "rank_hinge")
     k = sv.shape[0]
     margin = float(margin)
     off = 1.0 - np.eye(k)
     diag = sv.diagonal()
-    if corrected:
-        a1, a2 = (sv - diag[None, :]) + margin, (sv - diag[:, None]) + margin
-    else:
-        a1, a2 = (diag[None, :] - sv) + margin, (diag[:, None] - sv) + margin
+    a1, a2 = (sv - diag[None, :]) + margin, (sv - diag[:, None]) + margin
     loss = (np.maximum(a1, 0.0) * off).sum() + (np.maximum(a2, 0.0) * off).sum()
     out = Tensor(loss, requires_grad=sim.requires_grad)
 
     def back(g):
         g_off = g * off
         g1, g2 = g_off * (a1 > 0.0), g_off * (a2 > 0.0)
-        if not corrected:
-            g1, g2 = -g1, -g2
         terms = np.concatenate([np.zeros((k, 1)), -g2, -g1.T], axis=1)
         on_diag = np.zeros((k, k))
         np.fill_diagonal(on_diag, np.cumsum(terms, axis=1)[:, -1])
@@ -382,19 +378,18 @@ def rank_hinge(sim: Tensor, margin: float, corrected: bool = True) -> Tensor:
     return out
 
 
-def cluster_hinge(sim: Tensor, margin: float, corrected: bool = True) -> Tensor:
-    """Clustering loss over a square same-modality similarity matrix:
-    sum_{i != j} [margin + sim[i, j] - 1]_+ when corrected, else
-    [margin + 1 - sim[i, j]]_+. A hinge at exactly 0 passes no gradient."""
+def cluster_hinge(sim: Tensor, margin: float) -> Tensor:
+    """Clustering loss over a square same-modality similarity matrix,
+    sum_{i != j} [margin + sim[i, j] - 1]_+, which penalizes distinct items
+    more similar than 1 - margin. A hinge at exactly 0 passes no gradient."""
     sv = _square_matrix(sim, "cluster_hinge")
     margin = float(margin)
     off = 1.0 - np.eye(sv.shape[0])
-    a = sv + (margin - 1.0) if corrected else sv * -1.0 + (margin + 1.0)
+    a = sv + (margin - 1.0)
     out = Tensor((np.maximum(a, 0.0) * off).sum(), requires_grad=sim.requires_grad)
 
     def back(g):
-        ga = (g * off) * (a > 0.0)
-        _acc(sim, ga if corrected else ga * -1.0)
+        _acc(sim, (g * off) * (a > 0.0))
 
     _record(out, back)
     return out

@@ -164,8 +164,8 @@ def _fse_loss(batch, params: HseModelParams, config: LossConfig) -> LossBreakdow
     over single-level embeddings, no low-level or reconstruction terms."""
     videos = encode_flat_batch(params, [video for video, _ in batch])
     paragraphs = encode_flat_batch(params, [paragraph for _, paragraph in batch])
-    mh = loss_match_high(videos, paragraphs, config.alpha, config.sign_mode)
-    ch = loss_cluster_high(videos, paragraphs, config.gamma, config.sign_mode)
+    mh = loss_match_high(videos, paragraphs, config.alpha)
+    ch = loss_cluster_high(videos, paragraphs, config.gamma)
     return compose_objective(len(batch), config.tau, mh, ch)
 
 

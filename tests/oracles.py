@@ -29,23 +29,7 @@ def ref_sim_matrix(us, ws):
     return [[ref_match(u, w) for w in ws] for u in us]
 
 
-def ref_ranking_from_matrix(sim, margin, sign_mode):
-    k = len(sim)
-    total = 0.0
-    for a in range(k):
-        for b in range(k):
-            if a == b:
-                continue
-            if sign_mode == "corrected":
-                total += hinge(margin + sim[b][a] - sim[a][a])  # wrong item vs column a
-                total += hinge(margin + sim[a][b] - sim[a][a])  # row a vs wrong item
-            else:
-                total += hinge(margin + sim[a][a] - sim[b][a])
-                total += hinge(margin + sim[a][a] - sim[a][b])
-    return total
-
-
-def ref_loss_match_high(videos, paragraphs, alpha, sign_mode="corrected"):
+def ref_loss_match_high(videos, paragraphs, alpha):
     k = len(videos)
     total = 0.0
     for i in range(k):
@@ -53,43 +37,35 @@ def ref_loss_match_high(videos, paragraphs, alpha, sign_mode="corrected"):
             if i == j:
                 continue
             pos = ref_match(videos[i], paragraphs[i])
-            if sign_mode == "corrected":
-                total += hinge(alpha + ref_match(videos[j], paragraphs[i]) - pos)
-                total += hinge(alpha + ref_match(videos[i], paragraphs[j]) - pos)
-            else:
-                total += hinge(alpha + pos - ref_match(videos[j], paragraphs[i]))
-                total += hinge(alpha + pos - ref_match(videos[i], paragraphs[j]))
+            total += hinge(alpha + ref_match(videos[j], paragraphs[i]) - pos)
+            total += hinge(alpha + ref_match(videos[i], paragraphs[j]) - pos)
     return total
 
 
-def ref_loss_match_low(clips, sentences, beta, sign_mode="corrected"):
+def ref_loss_match_low(clips, sentences, beta):
     flat_c = [c for cs in clips for c in cs]
     flat_s = [s for ss in sentences for s in ss]
-    return ref_loss_match_high(flat_c, flat_s, beta, sign_mode)
+    return ref_loss_match_high(flat_c, flat_s, beta)
 
 
-def ref_cluster(items, margin, sign_mode="corrected"):
+def ref_cluster(items, margin):
     total = 0.0
     for i in range(len(items)):
         for j in range(len(items)):
             if i == j:
                 continue
-            m = ref_match(items[j], items[i])
-            if sign_mode == "corrected":
-                total += hinge(margin + m - 1.0)
-            else:
-                total += hinge(margin + 1.0 - m)
+            total += hinge(margin + ref_match(items[j], items[i]) - 1.0)
     return total
 
 
-def ref_loss_cluster_high(videos, paragraphs, gamma, sign_mode="corrected"):
-    return ref_cluster(videos, gamma, sign_mode) + ref_cluster(paragraphs, gamma, sign_mode)
+def ref_loss_cluster_high(videos, paragraphs, gamma):
+    return ref_cluster(videos, gamma) + ref_cluster(paragraphs, gamma)
 
 
-def ref_loss_cluster_low(clips, sentences, eta, sign_mode="corrected"):
+def ref_loss_cluster_low(clips, sentences, eta):
     flat_c = [c for cs in clips for c in cs]
     flat_s = [s for ss in sentences for s in ss]
-    return ref_cluster(flat_c, eta, sign_mode) + ref_cluster(flat_s, eta, sign_mode)
+    return ref_cluster(flat_c, eta) + ref_cluster(flat_s, eta)
 
 
 def ref_avg_match(clips, sentences):
@@ -100,7 +76,7 @@ def ref_avg_match(clips, sentences):
     return total / (len(clips) * len(sentences))
 
 
-def ref_loss_match_low_weak(clips, sentences, beta_prime, sign_mode="corrected"):
+def ref_loss_match_low_weak(clips, sentences, beta_prime):
     k = len(clips)
     avg = [[ref_avg_match(clips[a], sentences[b]) for b in range(k)] for a in range(k)]
     total = 0.0
@@ -108,12 +84,8 @@ def ref_loss_match_low_weak(clips, sentences, beta_prime, sign_mode="corrected")
         for b in range(k):
             if a == b:
                 continue
-            if sign_mode == "corrected":
-                total += hinge(beta_prime + avg[b][a] - avg[a][a])
-                total += hinge(beta_prime + avg[a][b] - avg[a][a])
-            else:
-                total += hinge(beta_prime + avg[a][a] - avg[b][a])
-                total += hinge(beta_prime + avg[a][a] - avg[a][b])
+            total += hinge(beta_prime + avg[b][a] - avg[a][a])
+            total += hinge(beta_prime + avg[a][b] - avg[a][a])
     return total
 
 

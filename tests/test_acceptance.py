@@ -31,10 +31,9 @@ from hse.losses import (
     loss_match_low,
     loss_match_low_weak,
     loss_reconstruct,
-    ranking_loss_from_similarity,
 )
 from hse.model import DecodedBatch, pad_sequences
-from hse.tensorkit import Tensor
+from hse.tensorkit import Tensor, rank_hinge
 from hse.training import TrainConfig, train
 
 # ---------------------------------------------------------------------------
@@ -95,7 +94,7 @@ def _config(seed, epochs, **loss_kw):
         hidden_low=32,
         hidden_high=32,
         decay_every_epochs=100,
-        loss=LossConfig(sign_mode="corrected", **loss_kw),
+        loss=LossConfig(**loss_kw),
         **{},
     )
 
@@ -178,33 +177,32 @@ def _padded(unit_rows):
 def test_criterion_2_loss_oracles():
     rng = np.random.default_rng(2024)
     instances = 200
-    for trial in range(instances):
-        sign = "corrected" if trial % 2 == 0 else "literal"
+    for _ in range(instances):
         k = int(rng.integers(1, 6))
         d = int(rng.integers(2, 9))
         margin = float(rng.uniform(0.05, 0.5))
 
         videos, paragraphs = _tensor_batch(rng, k, d)
-        got = loss_match_high(videos, paragraphs, margin, sign).item()
-        want = oracles.ref_loss_match_high(videos.values, paragraphs.values, margin, sign)
+        got = loss_match_high(videos, paragraphs, margin).item()
+        want = oracles.ref_loss_match_high(videos.values, paragraphs.values, margin)
         assert abs(got - want) <= 1e-10
 
-        got = loss_cluster_high(videos, paragraphs, margin, sign).item()
-        want = oracles.ref_loss_cluster_high(videos.values, paragraphs.values, margin, sign)
+        got = loss_cluster_high(videos, paragraphs, margin).item()
+        want = oracles.ref_loss_cluster_high(videos.values, paragraphs.values, margin)
         assert abs(got - want) <= 1e-10
 
         clips, sents = _nested(rng, k, d, aligned=True)
-        got = loss_match_low(*_stacked(clips), *_stacked(sents), margin, sign).item()
-        want = oracles.ref_loss_match_low(clips, sents, margin, sign)
+        got = loss_match_low(*_stacked(clips), *_stacked(sents), margin).item()
+        want = oracles.ref_loss_match_low(clips, sents, margin)
         assert abs(got - want) <= 1e-10
 
-        got = loss_cluster_low(_stacked(clips)[0], _stacked(sents)[0], margin, sign).item()
-        want = oracles.ref_loss_cluster_low(clips, sents, margin, sign)
+        got = loss_cluster_low(_stacked(clips)[0], _stacked(sents)[0], margin).item()
+        want = oracles.ref_loss_cluster_low(clips, sents, margin)
         assert abs(got - want) <= 1e-10
 
         wclips, wsents = _nested(rng, k, d, aligned=False)
-        got = loss_match_low_weak(*_stacked(wclips), *_stacked(wsents), margin, sign).item()
-        want = oracles.ref_loss_match_low_weak(wclips, wsents, margin, sign)
+        got = loss_match_low_weak(*_stacked(wclips), *_stacked(wsents), margin).item()
+        want = oracles.ref_loss_match_low_weak(wclips, wsents, margin)
         assert abs(got - want) <= 1e-10
 
         n = int(rng.integers(1, 4))
@@ -226,16 +224,15 @@ def test_criterion_2_loss_oracles():
 
     # structural identity: the weak loss IS the ranking kernel applied to
     # the averaged-similarity matrix, exactly
-    for trial in range(50):
+    for _ in range(50):
         k = int(rng.integers(2, 5))
         clips, sents = _nested(rng, k, 5, aligned=False)
-        sign = "corrected" if trial % 2 == 0 else "literal"
-        direct = loss_match_low_weak(*_stacked(clips), *_stacked(sents), 0.2, sign).item()
+        direct = loss_match_low_weak(*_stacked(clips), *_stacked(sents), 0.2).item()
         rows = [
             [avg_match(Tensor(clips[a]), Tensor(sents[b])).item() for b in range(k)]
             for a in range(k)
         ]
-        via_matrix = ranking_loss_from_similarity(Tensor(rows), 0.2, sign).item()
+        via_matrix = rank_hinge(Tensor(rows), 0.2).item()
         assert direct == via_matrix
 
     print(f"\ncriterion 2: PASS loss oracles ({instances} instances per loss)")
@@ -288,7 +285,7 @@ def test_criterion_5_weak_correspondence_trend():
             hidden_low=32,
             hidden_high=32,
             decay_every_epochs=WEAK_TREND_DECAY_EVERY,
-            loss=LossConfig(sign_mode="corrected", tau=0.0, correspondence=mode),
+            loss=LossConfig(tau=0.0, correspondence=mode),
         )
         result = train(train_set, config)
         scores[mode] = _mean_r1(result.params, test_set)

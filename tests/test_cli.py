@@ -87,12 +87,54 @@ class TestTrain:
 
     def test_removed_config_key_is_unknown(self, tmp_path, corpus_path, capsys):
         config = tmp_path / "old.cfg"
-        config.write_text("epochs = 1\ncarry_low_state = true\n")
+        for key, value in (("carry_low_state", "true"), ("sign_mode", "literal")):
+            config.write_text(f"epochs = 1\n{key} = {value}\n")
+            assert run("train", "--corpus", str(corpus_path), "--config", str(config),
+                       "--out", str(tmp_path / "x")) == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert err == [f"error: {config}: line 2: unknown key {key!r}"]
+            assert not (tmp_path / "x").exists()
+
+    def test_removed_sign_mode_flag_is_a_usage_error(self, tmp_path, corpus_path, capsys):
+        out = tmp_path / "x"
+        assert run("train", "--corpus", str(corpus_path), "--out", str(out),
+                   "--sign-mode", "literal") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2 and err[0].startswith("usage: ")
+        assert err[1] == "hse: error: unrecognized arguments: --sign-mode literal"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["model", "correspondence"])
+    def test_config_value_outside_the_choices_names_file_and_line(
+        self, tmp_path, corpus_path, capsys, key
+    ):
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"epochs = 1\n{key} = bogus\n")
         assert run("train", "--corpus", str(corpus_path), "--config", str(config),
                    "--out", str(tmp_path / "x")) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"error: {config}: line 2: unknown key 'carry_low_state'"]
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {config}: line 2: bad value for {key!r}")
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("fault", ["duplicate-id", "wider-frame-row"])
+    def test_corpus_level_fault_is_one_line_naming_the_file(
+        self, tmp_path, corpus_path, capsys, fault
+    ):
+        records = [json.loads(line) for line in corpus_path.read_text().splitlines()]
+        if fault == "duplicate-id":
+            records[1]["id"] = records[0]["id"]
+            message = f"duplicate pair id {records[0]['id']!r}"
+        else:
+            records[1]["clips"] = [[row + [0.0] for row in clip] for clip in records[1]["clips"]]
+            message = f"pair {records[1]['id']!r}: inconsistent frame feature dimension"
+        corpus = tmp_path / "bad.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "x"
+        assert run("train", "--corpus", str(corpus), "--out", str(out)) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {corpus}: {message}")
+        assert not out.exists()
 
     def test_failed_training_leaves_no_output_directory(self, tmp_path, capsys):
         corpus = tmp_path / "weak.jsonl"
@@ -141,7 +183,6 @@ class TestTrain:
             "--learning-rate", "--decay-factor", "--decay-every-epochs", "--epochs",
             "--batch-size", "--seed", "--hidden-low", "--hidden-high", "--model", "--alpha",
             "--beta", "--gamma", "--eta", "--beta-prime", "--tau", "--correspondence",
-            "--sign-mode",
         }
 
     def test_train_reruns_are_bitwise_identical(self, tmp_path, corpus_path):

@@ -17,7 +17,6 @@ from hse.losses import (
     loss_match_low,
     loss_match_low_weak,
     loss_reconstruct,
-    ranking_loss_from_similarity,
     total_loss,
 )
 from hse.model import DecodedBatch, ModelDims, pad_sequences
@@ -97,34 +96,26 @@ class TestMatch:
 
 class TestRankingFromSimilarity:
     def test_k1_is_zero(self):
-        assert ranking_loss_from_similarity(t([[0.9]]), 0.2).item() == 0.0
+        assert tk.rank_hinge(t([[0.9]]), 0.2).item() == 0.0
 
     def test_inactive_hinges(self):
         sim = t([[0.9, 0.2], [0.1, 0.8]])
-        assert ranking_loss_from_similarity(sim, 0.2).item() == 0.0
+        assert tk.rank_hinge(sim, 0.2).item() == 0.0
 
     def test_active_hinges_enumerated(self):
         # terms 0.1 + 0.3 + 0.3 + 0.1
         sim = t([[0.5, 0.6], [0.4, 0.5]])
-        assert ranking_loss_from_similarity(sim, 0.2).item() == pytest.approx(0.8, abs=1e-12)
-
-    def test_literal_mode_flips_signs(self):
-        sim = t([[0.9, 0.2], [0.1, 0.8]])
-        # [0.2 + 0.9 - 0.1]+ + [0.2 + 0.9 - 0.2]+ + [0.2 + 0.8 - 0.2]+ + [0.2 + 0.8 - 0.1]+
-        expected = 1.0 + 0.9 + 0.8 + 0.9
-        assert ranking_loss_from_similarity(sim, 0.2, "literal").item() == pytest.approx(
-            expected, abs=1e-12
-        )
+        assert tk.rank_hinge(sim, 0.2).item() == pytest.approx(0.8, abs=1e-12)
 
     def test_corrected_mode_monotone_in_aligned_similarity(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             vals = rng.uniform(-1.0, 1.0, size=(3, 3))
-            base = ranking_loss_from_similarity(t(vals), 0.2).item()
+            base = tk.rank_hinge(t(vals), 0.2).item()
             bumped = vals.copy()
             k = rng.integers(0, 3)
             bumped[k, k] += rng.uniform(0.0, 0.5)
-            assert ranking_loss_from_similarity(t(bumped), 0.2).item() <= base + 1e-12
+            assert tk.rank_hinge(t(bumped), 0.2).item() <= base + 1e-12
 
 
 class TestMatchHigh:
@@ -133,13 +124,12 @@ class TestMatchHigh:
 
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(1)
-        for trial in range(50):
+        for _ in range(50):
             k = int(rng.integers(1, 6))
             d = int(rng.integers(2, 9))
             videos, paragraphs = rand_batch(rng, k, d)
-            sign = "corrected" if trial % 2 == 0 else "literal"
-            got = loss_match_high(videos, paragraphs, 0.2, sign).item()
-            want = oracles.ref_loss_match_high(videos.values, paragraphs.values, 0.2, sign)
+            got = loss_match_high(videos, paragraphs, 0.2).item()
+            want = oracles.ref_loss_match_high(videos.values, paragraphs.values, 0.2)
             assert got == pytest.approx(want, abs=1e-10)
 
     def test_length_mismatch(self):
@@ -171,11 +161,10 @@ class TestMatchLow:
 
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(2)
-        for trial in range(30):
+        for _ in range(30):
             clips, sents = rand_nested(rng, int(rng.integers(1, 4)), 4)
-            sign = "corrected" if trial % 2 == 0 else "literal"
-            got = loss_match_low(*stacked(clips), *stacked(sents), 0.2, sign).item()
-            want = oracles.ref_loss_match_low(clips, sents, 0.2, sign)
+            got = loss_match_low(*stacked(clips), *stacked(sents), 0.2).item()
+            want = oracles.ref_loss_match_low(clips, sents, 0.2)
             assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -209,16 +198,15 @@ class TestClusterLosses:
 
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(3)
-        for trial in range(30):
+        for _ in range(30):
             k = int(rng.integers(1, 5))
             videos, paragraphs = rand_batch(rng, k, 5)
-            sign = "corrected" if trial % 2 == 0 else "literal"
-            got = loss_cluster_high(videos, paragraphs, 0.2, sign).item()
-            want = oracles.ref_loss_cluster_high(videos.values, paragraphs.values, 0.2, sign)
+            got = loss_cluster_high(videos, paragraphs, 0.2).item()
+            want = oracles.ref_loss_cluster_high(videos.values, paragraphs.values, 0.2)
             assert got == pytest.approx(want, abs=1e-10)
             clips, sents = rand_nested(rng, k, 4, aligned=False)
-            got = loss_cluster_low(stacked(clips)[0], stacked(sents)[0], 0.3, sign).item()
-            want = oracles.ref_loss_cluster_low(clips, sents, 0.3, sign)
+            got = loss_cluster_low(stacked(clips)[0], stacked(sents)[0], 0.3).item()
+            want = oracles.ref_loss_cluster_low(clips, sents, 0.3)
             assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -248,25 +236,23 @@ class TestMatchLowWeak:
 
     def test_structural_identity_with_matrix_ranking(self):
         rng = np.random.default_rng(6)
-        for trial in range(20):
+        for _ in range(20):
             k = int(rng.integers(2, 5))
             clips, sents = rand_nested(rng, k, 4, aligned=False)
-            sign = "corrected" if trial % 2 == 0 else "literal"
-            got = loss_match_low_weak(*stacked(clips), *stacked(sents), 0.2, sign).item()
+            got = loss_match_low_weak(*stacked(clips), *stacked(sents), 0.2).item()
             rows = [
                 [avg_match(t(clips[a]), t(sents[b])).item() for b in range(k)] for a in range(k)
             ]
-            want = ranking_loss_from_similarity(t(rows), 0.2, sign).item()
+            want = tk.rank_hinge(t(rows), 0.2).item()
             assert got == want  # exact: same kernel over the same averaged matrix
 
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(7)
-        for trial in range(30):
+        for _ in range(30):
             k = int(rng.integers(1, 5))
             clips, sents = rand_nested(rng, k, 3, aligned=False)
-            sign = "corrected" if trial % 2 == 0 else "literal"
-            got = loss_match_low_weak(*stacked(clips), *stacked(sents), 0.2, sign).item()
-            want = oracles.ref_loss_match_low_weak(clips, sents, 0.2, sign)
+            got = loss_match_low_weak(*stacked(clips), *stacked(sents), 0.2).item()
+            want = oracles.ref_loss_match_low_weak(clips, sents, 0.2)
             assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -415,8 +401,6 @@ class TestTotalLoss:
             LossConfig(alpha=0.0).validate()
         with pytest.raises(ConfigError):
             LossConfig(tau=-1.0).validate()
-        with pytest.raises(ConfigError):
-            LossConfig(sign_mode="sloppy").validate()
 
 
 class TestScaleInvariancePropagates:

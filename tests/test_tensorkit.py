@@ -144,10 +144,8 @@ def _primitive_cases(rng):
         ("mul_scalar", lambda ps: weighted(tk.mul_scalar(ps[0], -1.3), w), [v()]),
         ("reshape", lambda ps, k=c(12): weighted(tk.reshape(ps[0], (12,)), k), [m()]),
         ("sum_all", lambda ps: tk.reduce_sum(ps[0]), [m()]),
-        ("rank_hinge", lambda ps: tk.rank_hinge(ps[0], 0.6, True), [m(4, 4)]),
-        ("rank_hinge_literal", lambda ps: tk.rank_hinge(ps[0], 0.6, False), [m(4, 4)]),
-        ("cluster_hinge", lambda ps: tk.cluster_hinge(ps[0], 1.2, True), [m(4, 4)]),
-        ("cluster_hinge_literal", lambda ps: tk.cluster_hinge(ps[0], 1.2, False), [m(4, 4)]),
+        ("rank_hinge", lambda ps: tk.rank_hinge(ps[0], 0.6), [m(4, 4)]),
+        ("cluster_hinge", lambda ps: tk.cluster_hinge(ps[0], 1.2), [m(4, 4)]),
         ("weighted_sq_err", lambda ps, y=c(3, 4): tk.weighted_sq_err(ps[0], y.values), [m()]),
         (
             "weighted_sq_err_weights",
@@ -280,17 +278,15 @@ class TestBatchPrimitives:
 class TestLossHeads:
     # dyadic entries, so that each hinge argument below is exactly 0
     KINKS = [
-        ("rank_hinge", True, [[0.5, 0.25], [0.25, 0.5]], 0.25),
-        ("rank_hinge", False, [[0.25, 0.5], [0.5, 0.25]], 0.25),
-        ("cluster_hinge", True, [[1.0, 0.75], [0.75, 1.0]], 0.25),
-        ("cluster_hinge", False, [[1.0, 1.25], [1.25, 1.0]], 0.25),
+        ("rank_hinge", [[0.5, 0.25], [0.25, 0.5]], 0.25),
+        ("cluster_hinge", [[1.0, 0.75], [0.75, 1.0]], 0.25),
     ]
 
-    @pytest.mark.parametrize("name, corrected, sim, margin", KINKS)
-    def test_hinge_at_zero_passes_no_gradient(self, name, corrected, sim, margin):
+    @pytest.mark.parametrize("name, sim, margin", KINKS)
+    def test_hinge_at_zero_passes_no_gradient(self, name, sim, margin):
         s = t(sim)
         with Tape() as tape:
-            loss = getattr(tk, name)(s, margin, corrected)
+            loss = getattr(tk, name)(s, margin)
             backward(loss)
         assert len(tape) == 1
         assert loss.item() == 0.0
@@ -299,15 +295,15 @@ class TestLossHeads:
     def test_rank_hinge_counts_both_directions(self):
         # only (i, j) = (0, 1) can be active: 0.5 + sim[0, 1] - 1.0 against
         # the aligned pair of column 1 and again against that of row 0
-        out = tk.rank_hinge(t([[1.0, 0.5], [0.0, 1.0]]), 0.5, True)
+        out = tk.rank_hinge(t([[1.0, 0.5], [0.0, 1.0]]), 0.5)
         assert out.item() == 0.0
-        out = tk.rank_hinge(t([[1.0, 0.75], [0.0, 1.0]]), 0.5, True)
+        out = tk.rank_hinge(t([[1.0, 0.75], [0.0, 1.0]]), 0.5)
         assert out.item() == 0.5
 
     @pytest.mark.parametrize("name", ["rank_hinge", "cluster_hinge"])
     def test_hinge_needs_a_square_matrix(self, name):
         with pytest.raises(ShapeError, match=rf"{name} needs a square \[K, K\] matrix, got shape \[2, 3\]"):
-            getattr(tk, name)(t(np.zeros((2, 3))), 0.2, True)
+            getattr(tk, name)(t(np.zeros((2, 3))), 0.2)
 
     def test_affine_names_mismatched_shapes(self):
         with pytest.raises(ShapeError, match=r"got \[2, 3\], \[4, 5\] and \[4\]"):
