@@ -34,4 +34,4 @@ class ConfigError(HseError):
 
 
 class TrainingDiverged(HseError):
-    """A loss component became non-finite during training."""
+    """An embedding, a loss component or a weight went non-finite in training."""

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import tensorkit as tk
 from .data import ParagraphSample, VideoSample
-from .errors import ContractError, HseError, ShapeError
+from .errors import ContractError, DegenerateInputError, ShapeError
 from .tensorkit import Tensor
 
 __all__ = [
@@ -322,7 +322,7 @@ def encode_batch(params: HseModelParams, samples: Sequence) -> EncodedBatch:
     high_in = tk.take(low, _segment_rows(np.cumsum([0] + counts[:-1]), counts))
     high = tk.gru_sequence(high_in, counts, enc_high.weights(), pool=True)
     if not (np.all(np.isfinite(low.values)) and np.all(np.isfinite(high.values))):
-        raise HseError("non-finite embedding produced by encoder")
+        raise DegenerateInputError("non-finite embedding produced by encoder")
     return EncodedBatch(low=low, high=high, counts=counts, lengths=lengths, units=padded)
 
 

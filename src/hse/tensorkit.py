@@ -17,7 +17,10 @@ model layer can encode a whole batch with a handful of records.
 gru_sequence orders the rows longest first and runs each step over the
 rows still running only. It forms the input terms ahead of the
 recurrence, one product per sequence for each window of _WINDOW steps,
-and writes each step's arithmetic into buffers made once per run. With
+a step's two recurrent products as one GEMM each over the running rows,
+padded to 2 rows or more and to a width that is a multiple of 4 (where
+OpenBLAS gives a row the same bits at any row count and place), and
+writes each step's arithmetic into buffers made once per run. With
 pool=True it returns the pooled [B, H] maxima; when nothing will record
 them it keeps only a running maximum, so an evaluation run holds no
 [B, T, .] buffer. None of this changes a row's bits, which do not depend
@@ -444,13 +447,14 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def _rowwise(a: np.ndarray, wt: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """a @ wt into out for a C-contiguous [K, N] wt, with every row of a
-    multiplied on its own (a batched vector-matrix product), so a row's
-    result is the same bits whatever the other rows are and wherever it
-    sits."""
-    np.matmul(a[..., None, :], wt, out=out[..., None, :])
-    return out
+def _padded_columns(u: np.ndarray) -> np.ndarray:
+    """u with zero columns appended up to a width that is a multiple of 4
+    (u itself when its width is one already). OpenBLAS's GEMM gives a row
+    of A @ u bits that depend on A's row count and on the row's position
+    for some widths (N = 1 from K = 8, N mod 8 in {1, 2, 3} from K = 16),
+    and for none that is a multiple of 4."""
+    width = u.shape[1]
+    return u if width % 4 == 0 else np.pad(u, ((0, 0), (0, -width % 4)))
 
 
 def _check_lengths(lengths, batch: int, steps: int) -> np.ndarray:
@@ -498,6 +502,9 @@ def _window_input_terms(
             np.matmul(xp[i0:i1, t0 : t0 + m], w, out=out[i0:i1, :m])
 
 
+# exp(-v) overflows below v = -709.78, where sigmoid takes its limit 0; one
+# errstate per run, as entering and leaving one per step takes about 2 us
+@np.errstate(over="ignore")
 def gru_sequence(
     x: Tensor | None,
     lengths,
@@ -529,16 +536,18 @@ def gru_sequence(
     Before each window of _WINDOW steps, the input terms x w of every
     row's steps in the window are formed by one matrix product per row
     (_window_input_terms), into a [B, min(T, _WINDOW), 3H] buffer. A step
-    then costs the two recurrent products, each row multiplied on its own
-    (_rowwise), and elementwise arithmetic written into buffers made once
-    per run. A row's products depend on its own frames, length and state
-    alone, so a sequence's states are the same bits alone or anywhere in
-    any batch. The backward pass (backpropagation through time, written
-    out by hand, in place as well) walks the same prefixes. States and
-    gradients are returned in the caller's row order. A pooled run that
-    nothing will record keeps only a running maximum, so its memory does
-    not grow with T; one that will be recorded pools its states with
-    masked_max (a second record).
+    then costs the two recurrent products, each one GEMM over the running
+    rows (a lone one beside a spare row) by u_zr and u_c with zero columns
+    up to a multiple of 4 (_padded_columns), and elementwise arithmetic
+    written into buffers made once per run. Such a GEMM gives a row the
+    bits it has beside a zero row, so a sequence's states are the same
+    bits alone or anywhere in any batch. Where exp overflows, sigmoid
+    takes its limit 0 without a warning. The backward pass
+    (backpropagation through time, written out by hand, in place as well)
+    walks the same prefixes. States and gradients are returned in the
+    caller's row order. A pooled run that nothing will record keeps only a
+    running maximum, so its memory does not grow with T; one that will be
+    recorded pools its states with masked_max (a second record).
     """
     if len(weights) != 4:
         raise ContractError(f"gru_sequence needs the 4 weight blocks, got {len(weights)}")
@@ -584,15 +593,20 @@ def gru_sequence(
     if keep:
         zs, cands = np.empty_like(hs), np.empty_like(hs)
         rs = np.zeros_like(hs)  # zero on padding, where du_c reads it
-    # per-run buffers that every step writes into; a step allocates nothing
-    zr_buf, c_buf, tmp_buf = np.empty((bsz, 2 * hid)), np.empty((bsz, hid)), np.empty((bsz, hid))
-    h_bufs = np.empty((2, bsz, hid))  # the state, written to each in turn
+    # per-run buffers that every step writes into, a spare row and the padded
+    # columns included (their results are scratch); a step allocates nothing
+    rows = max(bsz, 2)
+    u_zr_pad, u_c_pad = _padded_columns(u_zr), _padded_columns(u_c)
+    zr_buf, c_buf, tmp_buf = (np.zeros((rows, u.shape[1])) for u in (u_zr_pad, u_c_pad, u_c))
+    h_bufs = np.zeros((2, rows, hid))  # the state, step t writing h_bufs[t % 2]
+    h_bufs[1, :bsz] = h_init
     if x is not None:  # the input terms of one window of steps
         xw_buf = np.empty((bsz, min(_WINDOW, steps), 3 * hid))
-    h = h_init
     for t, n in enumerate(active):
-        hp = h[:n]
-        zr = _rowwise(hp, u_zr, zr_buf[:n])
+        m = max(n, 2)
+        h_in = h_bufs[(t + 1) % 2]  # the state step t reads
+        hp = h_in[:n]
+        zr = np.matmul(h_in[:m], u_zr_pad, out=zr_buf[:m])[:n, : 2 * hid]
         if x is not None:
             if t % _WINDOW == 0:
                 _window_input_terms(xp, w, active, t, xw_buf)
@@ -605,7 +619,8 @@ def gru_sequence(
         np.add(1.0, zr, out=zr)
         np.divide(1.0, zr, out=zr)
         z, r = zr[:, :hid], zr[:, hid:]
-        cand = _rowwise(np.multiply(r, hp, out=tmp_buf[:n]), u_c, c_buf[:n])
+        np.multiply(r, hp, out=tmp_buf[:n])
+        cand = np.matmul(tmp_buf[:m], u_c_pad, out=c_buf[:m])[:n, :hid]
         if x is not None:
             np.add(xw[:, 2 * hid :], cand, out=cand)
         np.add(cand, b_c, out=cand)

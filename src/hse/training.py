@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensorkit as tk
 from .data import Corpus
-from .errors import ConfigError, ContractError, TrainingDiverged
+from .errors import ConfigError, ContractError, DegenerateInputError, TrainingDiverged
 from .losses import (
     COMPONENTS,
     LossBreakdown,
@@ -187,10 +187,13 @@ def _mean_breakdown(breakdowns: Sequence[LossBreakdown]) -> LossBreakdown:
     return LossBreakdown(*(sum(getattr(bd, key) for bd in breakdowns) / n for key in COMPONENTS))
 
 
+# a diverging run overflows on its way to the checks below, which name the
+# epoch and the batch; numpy's warnings of it would come first
+@np.errstate(over="ignore", invalid="ignore")
 def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
     """Run the epoch loop and return final parameters plus per-epoch mean
-    loss breakdowns. Aborts with a diagnostic if any component goes
-    non-finite."""
+    loss breakdowns. Aborts with a TrainingDiverged naming the epoch and
+    batch if an embedding, a loss component or a weight goes non-finite."""
     config.validate()
     corpus.validate()
     if config.model == "hse" and config.loss.correspondence == "strong" and corpus.correspondence != "strong":
@@ -214,20 +217,24 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
         order = rng.permutation(len(corpus.pairs))
         breakdowns: list[LossBreakdown] = []
         for start in range(0, len(order), config.batch_size):
+            at = f"epoch {epoch}, batch {start // config.batch_size}"
             batch = [corpus.pairs[i] for i in order[start : start + config.batch_size]]
             grad.fill(0.0)
             with tk.Tape():
-                if config.model == "fse":
-                    bd = _fse_loss(batch, params, config.loss)
-                else:
-                    bd = total_loss(batch, params, config.loss)
+                try:
+                    if config.model == "fse":
+                        bd = _fse_loss(batch, params, config.loss)
+                    else:
+                        bd = total_loss(batch, params, config.loss)
+                except DegenerateInputError as exc:
+                    raise TrainingDiverged(f"{at}: {exc}") from None
                 for name, value in bd.components().items():
                     if not np.isfinite(value):
-                        raise TrainingDiverged(
-                            f"epoch {epoch}: loss component {name!r} is {value}"
-                        )
+                        raise TrainingDiverged(f"{at}: loss component {name!r} is {value}")
                 tk.backward(bd.node)
             optimizer_step(opt, values, grad, lr)
+            if not np.isfinite(values).all():
+                raise TrainingDiverged(f"{at}: the update made a weight non-finite")
             breakdowns.append(bd)
         epoch_log.append(_mean_breakdown(breakdowns))
         log.info(

@@ -169,15 +169,27 @@ def ref_gru_run(x, lengths, w, u_zr, u_c, b, h0, dstates, window):
 
     The forward runs one sequence at a time. A sequence's input terms are
     formed a window of steps at a time, by one product over its own steps
-    in the window, and each step multiplies one row vector. The backward
-    (backpropagation through time) runs over the rows ordered longest
-    first (a stable sort), at step t over the rows still running, and
-    forms the weight gradients by products over every padded position.
+    in the window. Each step forms a recurrent term as row 0 of the
+    product of two rows, the row and a zero row, by the weights with zero
+    columns up to a width that is a multiple of 4: the bits a row of the
+    kernel's batched product has at every batch size and position. The
+    backward (backpropagation through time) runs over the rows ordered
+    longest first (a stable sort), at step t over the rows still running,
+    and forms the weight gradients by products over every padded position.
     dx is None when x is.
     """
     lengths = np.asarray(lengths)
     bsz, hid = h0.shape
     steps = int(lengths.max()) if x is None else x.shape[1]
+    u_zr_pad, u_c_pad = (
+        np.concatenate([u, np.zeros((hid, -u.shape[1] % 4))], axis=1) for u in (u_zr, u_c)
+    )
+
+    def recurrent(v, u_pad, width):
+        pair = np.zeros((2, hid))
+        pair[0] = v
+        return (pair @ u_pad)[0, :width]
+
     states = np.zeros((bsz, steps, hid))
     zs, rs, cands = np.zeros_like(states), np.zeros_like(states), np.zeros_like(states)
     for row in range(bsz):
@@ -187,12 +199,12 @@ def ref_gru_run(x, lengths, w, u_zr, u_c, b, h0, dstates, window):
             if x is not None:
                 xw = x[row, t0 : min(t0 + window, n)] @ w
             for t in range(t0, min(t0 + window, n)):
-                pre_zr = h @ u_zr
+                pre_zr = recurrent(h, u_zr_pad, 2 * hid)
                 if x is not None:
                     pre_zr = xw[t - t0, : 2 * hid] + pre_zr
                 zr = 1.0 / (1.0 + np.exp(-(pre_zr + b[: 2 * hid])))
                 z, r = zr[:hid], zr[hid:]
-                pre_c = (r * h) @ u_c
+                pre_c = recurrent(r * h, u_c_pad, hid)
                 if x is not None:
                     pre_c = xw[t - t0, 2 * hid :] + pre_c
                 cand = np.tanh(pre_c + b[2 * hid :])

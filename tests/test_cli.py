@@ -18,6 +18,13 @@ def run(*argv):
     return cli_dispatch(list(argv))
 
 
+def run_python_m_hse(*argv) -> subprocess.CompletedProcess:
+    """python -m hse in a fresh interpreter, which prints what numpy warns."""
+    src = str(Path(hse.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "hse", *argv], env=env, capture_output=True, text=True)
+
+
 @pytest.fixture()
 def corpus_path(tmp_path):
     path = tmp_path / "corpus.jsonl"
@@ -135,6 +142,24 @@ class TestTrain:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {corpus}: {message}")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "rate, code, err",
+        [
+            ("50", 0, []),  # saturated gates: an overflowing exp takes sigmoid to its limit 0
+            ("1e308", 1, ["error: epoch 0, batch 0: the update made a weight non-finite"]),
+        ],
+        ids=["saturating", "diverging"],
+    )
+    def test_large_learning_rate_prints_no_numpy_warnings(
+        self, tmp_path, corpus_path, rate, code, err
+    ):
+        done = run_python_m_hse(
+            "train", "--corpus", str(corpus_path), "--out", str(tmp_path / "run"), "--epochs", "2",
+            "--seed", "3", "--hidden-low", "4", "--hidden-high", "4", "--batch-size", "4",
+            "--learning-rate", rate,
+        )
+        assert (done.returncode, done.stderr.splitlines()) == (code, err)
 
     def test_failed_training_leaves_no_output_directory(self, tmp_path, capsys):
         corpus = tmp_path / "weak.jsonl"
@@ -409,11 +434,7 @@ class TestDispatch:
         assert list(tmp_path.iterdir()) == []
 
     def test_python_m_hse_runs_the_cli(self):
-        src = str(Path(hse.__file__).parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run(
-            [sys.executable, "-m", "hse", "--help"], env=env, capture_output=True, text=True
-        )
+        done = run_python_m_hse("--help")
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("usage: hse ")
 

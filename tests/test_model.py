@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import oracles
@@ -175,20 +176,28 @@ def run_and_pool(p, x, lengths, h0, taped):
     return states.values, pooled.values
 
 
-class TestPackedKernel:
-    """Rows are sorted longest first inside gru_sequence; none of that may
-    show in the results."""
+# hidden sizes whose recurrent products (widths 2H and H) have every column
+# tail, taped and not; H = 4 keeps the ids [False] and [True]
+PERMUTED = [(taped, hid) for hid in (4, 16, 17, 18, 19, 25, 32) for taped in (False, True)]
 
-    @pytest.mark.parametrize("taped", [False, True])
-    def test_permuting_rows_permutes_states_and_pooled_rows(self, taped):
+
+class TestPackedKernel:
+    """Rows are sorted longest first inside gru_sequence, and each step's
+    recurrent products are one GEMM over the rows still running; none of
+    that may show in the results."""
+
+    @pytest.mark.parametrize(
+        "taped, hid", PERMUTED, ids=[f"{t}" if h == 4 else f"{t}-h{h}" for t, h in PERMUTED]
+    )
+    def test_permuting_rows_permutes_states_and_pooled_rows(self, taped, hid):
         rng = np.random.default_rng(31)
-        p = random_gru(rng, 3, 4)
+        p = random_gru(rng, 3, hid)
         # the second batch's lengths cross the input-term window boundary
         assert tk._WINDOW < 40
         for steps in (6, 40):
             x, lengths = ragged_batch(rng, 3, steps)
             assert lengths != sorted(lengths, reverse=True)
-            h0 = rng.normal(size=(steps, 4))
+            h0 = rng.normal(size=(steps, hid))
             states, pooled = run_and_pool(p, x, lengths, h0, taped)
             perm = rng.permutation(steps)
             p_states, p_pooled = run_and_pool(
@@ -202,6 +211,39 @@ class TestPackedKernel:
                 )
                 assert np.array_equal(alone[0], states[row, :n])
                 assert np.array_equal(alone_pooled[0], pooled[row])
+
+    @pytest.mark.parametrize("hid", [4, 17, 18, 32])
+    def test_padded_product_rows_do_not_depend_on_the_batch(self, hid):
+        """A row of a recurrent product, over the columns as gru_sequence
+        pads them, has the same bits in a batch of 2, 37 or 200 rows at its
+        first, middle and last position as alone beside a zero row: the
+        property of this BLAS that the kernel's batch invariance rests on."""
+        rng = np.random.default_rng(43)
+        for width in (2 * hid, hid):
+            u = tk._padded_columns(rng.normal(size=(hid, width)))
+            assert u.shape[1] % 4 == 0 and u.flags.c_contiguous
+            for row in rng.normal(size=(3, hid)):
+                want = (np.stack([row, np.zeros(hid)]) @ u)[0]
+                for m in (2, 37, 200):
+                    batch = rng.normal(size=(m, hid))
+                    for at in (0, m // 2, m - 1):
+                        batch[at] = row
+                        assert np.array_equal((batch @ u)[at], want), (width, m, at)
+
+    def test_saturated_gates_reach_their_limits_without_warnings(self):
+        """A gate's exp(-v) overflows for v below -709.78; the gate is then
+        0 exactly, and every state is h0 carried through unchanged."""
+        rng = np.random.default_rng(44)
+        p = random_gru(rng, 3, 4)
+        p.b.values[:4] = -800.0  # z = 0: every state equals h0
+        x, lengths = ragged_batch(rng, 3, 5)
+        h0 = rng.normal(size=(5, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for taped in (False, True):
+                states, pooled = run_and_pool(p, x, lengths, h0, taped)
+                assert np.array_equal(states, np.broadcast_to(h0[:, None], states.shape))
+                assert np.array_equal(pooled, h0)
 
     def test_sorted_and_shuffled_batches_agree(self):
         rng = np.random.default_rng(32)
@@ -293,10 +335,11 @@ class TestKernelBitOracle:
     with one temporary per operation, so a kernel step that reorders an
     operation fails here."""
 
-    @pytest.mark.parametrize("case", ["ragged", "no-input", "long"])
+    @pytest.mark.parametrize("case", ["ragged", "no-input", "long", "wide"])
     def test_run_equals_oracle(self, case):
         rng = np.random.default_rng(41)
-        dim, hid = 3, 4
+        # wide: H = 17, so both recurrent products' columns are padded
+        dim, hid = 3, 17 if case == "wide" else 4
         if case == "long":  # rows ending before, at and after window boundaries
             lengths = [33, 1, 70, 32, 64, 65, 7]
             assert tk._WINDOW in lengths and 2 * tk._WINDOW < max(lengths)

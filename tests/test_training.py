@@ -225,6 +225,17 @@ class TestTrain:
             train(corpus, tiny_config())
         train(corpus, tiny_config(epochs=1, loss={"correspondence": "weak"}))
 
+    def test_non_finite_embedding_names_epoch_and_batch(self, monkeypatch):
+        def poisoned(dims, seed):
+            params = init_params(dims, seed)
+            params.values[:] = np.nan
+            return params
+
+        monkeypatch.setattr("hse.training.init_params", poisoned)
+        with pytest.raises(TrainingDiverged) as caught:
+            train(tiny_corpus(), tiny_config())
+        assert str(caught.value) == "epoch 0, batch 0: non-finite embedding produced by encoder"
+
     def test_nan_loss_aborts_with_component_name(self, monkeypatch):
         corpus = tiny_corpus()
 
