@@ -65,12 +65,12 @@ CORRESPONDENCES = ("strong", "weak")  # the correspondence modes of a corpus
 
 def _validate_units(sample: str, units: list[np.ndarray], unit_name: str, feature: str) -> None:
     """Check that a sample has at least one unit (clip, sentence), that every
-    unit is a nonempty [steps, D] array of one width D, and that every
+    unit is a nonempty [steps, D] array of one width D >= 1, and that every
     feature is finite."""
     if not units:
         raise CorpusError(f"{sample} has no {unit_name}")
     dims = {u.shape[1] for u in units if u.ndim == 2}
-    if any(u.ndim != 2 or u.shape[0] < 1 for u in units) or len(dims) != 1:
+    if any(u.ndim != 2 or u.shape[0] < 1 for u in units) or len(dims) != 1 or dims == {0}:
         raise CorpusError(f"{sample} has empty or inconsistent {unit_name}")
     if not np.isfinite(np.concatenate(units)).all():
         raise CorpusError(f"{sample} has a non-finite {feature} feature")
@@ -348,11 +348,12 @@ def read_lines(path, error: type[HseError]) -> Iterator[tuple[int, str]]:
                 raise error(f"{path}: line {lineno}: not UTF-8 text") from None
 
 
-def load_corpus(path, correspondence: str | None = None) -> Corpus:
+def load_corpus(path) -> Corpus:
     """Parse a line-delimited corpus file and validate it.
 
-    When correspondence is not given it is inferred: strong if every pair
-    has matching clip and sentence counts, weak otherwise.
+    The file does not store the correspondence mode; it is inferred:
+    strong if every pair has matching clip and sentence counts, weak
+    otherwise.
     """
     pairs: list[tuple[VideoSample, ParagraphSample]] = []
     for lineno, line in read_lines(path, CorpusError):
@@ -378,10 +379,8 @@ def load_corpus(path, correspondence: str | None = None) -> Corpus:
         pairs.append((video, paragraph))
     if not pairs:
         raise CorpusError(f"{path}: corpus file has no records")
-    if correspondence is None:
-        strong = all(v.n == p.m for v, p in pairs)
-        correspondence = "strong" if strong else "weak"
-    corpus = Corpus(pairs=pairs, correspondence=correspondence)
+    strong = all(v.n == p.m for v, p in pairs)
+    corpus = Corpus(pairs=pairs, correspondence="strong" if strong else "weak")
     try:
         corpus._validate_pairs()  # every sample was validated with its line
     except CorpusError as exc:

@@ -23,7 +23,6 @@ from .model import HseModelParams, encode_batch, encode_flat_batch, encode_seque
 __all__ = [
     "RetrievalReport",
     "ZeroShotReport",
-    "rank_matrix",
     "recall_at_k",
     "median_rank",
     "encode_corpus",
@@ -41,19 +40,6 @@ def _ranks(sims: np.ndarray, true_cols) -> np.ndarray:
     row strictly greater than it, so ties resolve in the true item's favor."""
     true_sims = sims[np.arange(sims.shape[0]), true_cols]
     return 1 + np.sum(sims > true_sims[:, None], axis=1)
-
-
-def rank_matrix(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
-    """1-based rank of each query's true match (gallery row of the same index)."""
-    queries = np.asarray(queries, dtype=np.float64)
-    gallery = np.asarray(gallery, dtype=np.float64)
-    if queries.shape != gallery.shape:
-        raise ContractError(
-            f"queries and gallery must pair up row for row, got "
-            f"{list(queries.shape)} vs {list(gallery.shape)}"
-        )
-    sims = tk.cosine(tk.constant(queries), tk.constant(gallery)).values
-    return _ranks(sims, np.arange(len(queries)))
 
 
 def recall_at_k(ranks: Sequence[int], k: int) -> float:
@@ -182,7 +168,7 @@ def evaluate_retrieval(
     videos, paragraphs = encode_corpus(params, corpus, mode, max_units)
     # one matrix serves both directions: each cosine entry depends only on
     # its two rows, so its transpose is the video x paragraph matrix, bit
-    # for bit, and the ranks are rank_matrix's in either direction
+    # for bit
     sims = tk.cosine(tk.constant(paragraphs), tk.constant(videos)).values
     true_cols = np.arange(len(sims))
     p2v = RetrievalReport.from_ranks("paragraph_to_video", _ranks(sims, true_cols), topk)

@@ -53,7 +53,6 @@ __all__ = [
     "loss_cluster_high",
     "loss_cluster_low",
     "loss_reconstruct",
-    "avg_match",
     "loss_match_low_weak",
     "total_loss",
 ]
@@ -216,26 +215,6 @@ def loss_cluster_low(
     return _cluster_pair(clips, sentences, eta, "loss_cluster_low")
 
 
-def _averaged_similarity(
-    clips: Tensor, clip_counts: Sequence[int], sentences: Tensor, sentence_counts: Sequence[int]
-) -> Tensor:
-    """Matrix whose entry (a, b) is the mean cosine similarity over all
-    combinations of the clips of pair a and the sentences of pair b: one
-    similarity matrix of every clip against every sentence, reduced by
-    block means. Each block is computed from its own rows alone, so entry
-    (a, b) is the same bits as avg_match(clips of a, sentences of b)."""
-    _check_counts(clips, clip_counts, "clip")
-    _check_counts(sentences, sentence_counts, "sentence")
-    return tk.segment_mean(tk.cosine(clips, sentences), clip_counts, sentence_counts)
-
-
-def avg_match(clips: Tensor, sentences: Tensor) -> Tensor:
-    """Mean cosine similarity over all clip/sentence combinations of one
-    pair: clips [n, E] against sentences [m, E]."""
-    sim = _averaged_similarity(clips, [_rows(clips)], sentences, [_rows(sentences)])
-    return tk.reshape(sim, ())
-
-
 def loss_match_low_weak(
     clips: Tensor,
     clip_counts: Sequence[int],
@@ -244,12 +223,17 @@ def loss_match_low_weak(
     beta_prime: float,
 ) -> Tensor:
     """Low-level ranking loss without clip/sentence alignment: the ranking
-    kernel applied to the matrix of averaged similarities, entry (a, b) =
-    avg_match(clips of pair a, sentences of pair b). Pair k owns
-    clip_counts[k] rows of clips and sentence_counts[k] rows of sentences."""
+    kernel applied to the matrix of averaged similarities, entry (a, b) the
+    mean cosine similarity over every clip of pair a and sentence of pair
+    b. That matrix is one similarity matrix of every clip against every
+    sentence reduced by block means, each block from its own rows alone.
+    Pair k owns clip_counts[k] rows of clips and sentence_counts[k] rows of
+    sentences."""
     if len(clip_counts) != len(sentence_counts) or not clip_counts:
         raise ContractError("loss_match_low_weak requires a nonempty batch of pairs")
-    sim = _averaged_similarity(clips, clip_counts, sentences, sentence_counts)
+    _check_counts(clips, clip_counts, "clip")
+    _check_counts(sentences, sentence_counts, "sentence")
+    sim = tk.segment_mean(tk.cosine(clips, sentences), clip_counts, sentence_counts)
     return tk.rank_hinge(sim, beta_prime)
 
 

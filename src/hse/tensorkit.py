@@ -11,9 +11,9 @@ Broadcasting is deliberately restricted to elementwise same-shape
 operands (plus scalar constants). Sequences are batched by padding:
 gru_sequence runs a GRU over a padded [B, T, D] batch with per-row
 lengths, multiplying by the cell's four weight blocks as they are stored
-(no per-call stacking), and records the whole run as one tape record;
-masked_max pools it over the valid steps, and take gathers rows, so a
-model layer can encode a whole batch with a handful of records.
+(no per-call stacking), and records the whole run as one tape record,
+pooled or not; take gathers rows, so a model layer can encode a whole
+batch with a handful of records.
 gru_sequence orders the rows longest first and runs each step over the
 rows still running only. It forms the input terms ahead of the
 recurrence, one product per sequence for each window of _WINDOW steps,
@@ -21,10 +21,11 @@ a step's two recurrent products as one GEMM each over the running rows,
 padded to 2 rows or more and to a width that is a multiple of 4 (where
 OpenBLAS gives a row the same bits at any row count and place), and
 writes each step's arithmetic into buffers made once per run. With
-pool=True it returns the pooled [B, H] maxima; when nothing will record
-them it keeps only a running maximum, so an evaluation run holds no
-[B, T, .] buffer. None of this changes a row's bits, which do not depend
-on the batch or on the row's place in it.
+pool=True it returns each row's channel-wise maxima over its valid steps,
+kept as a running maximum; when nothing will record them that is all it
+keeps, so an evaluation run holds no [B, T, .] buffer. None of this
+changes a row's bits, which do not depend on the batch or on the row's
+place in it.
 
 The training objective's heads are one record each, with a hand-written
 backward: rank_hinge and cluster_hinge over a square similarity matrix,
@@ -457,14 +458,6 @@ def _padded_columns(u: np.ndarray) -> np.ndarray:
     return u if width % 4 == 0 else np.pad(u, ((0, 0), (0, -width % 4)))
 
 
-def _check_lengths(lengths, batch: int, steps: int) -> np.ndarray:
-    """Per-row lengths as an int array, checked to lie in 1..steps."""
-    lengths = np.asarray(lengths, dtype=np.intp)
-    if lengths.shape != (batch,) or batch and (lengths.min() < 1 or lengths.max() > steps):
-        raise ShapeError(f"need {batch} lengths in 1..{steps}, got {lengths.tolist()}")
-    return lengths
-
-
 def _packed(v: np.ndarray, order: np.ndarray | None) -> np.ndarray:
     """The rows of v in packed order (order None: v itself)."""
     return v if order is None else v[order]
@@ -524,7 +517,8 @@ def gru_sequence(
     optional [B, H] initial state, zero when omitted. Returns the [B, T, H]
     states; at a padded step a row carries its state forward unchanged.
     With pool, returns instead the [B, H] channel-wise maxima of each row's
-    states over its valid steps, the value masked_max(states, lengths) has.
+    states over its valid steps, and the gradient of a maximum flows to
+    the first step that attains it.
 
         [z | r] = sigmoid(x w[:, :2H] + h u_zr + b[:2H]),
         cand = tanh(x w[:, 2H:] + (r*h) u_c + b[2H:]), h' = (1 - z)*h + z*cand.
@@ -545,9 +539,9 @@ def gru_sequence(
     takes its limit 0 without a warning. The backward pass
     (backpropagation through time, written out by hand, in place as well)
     walks the same prefixes. States and gradients are returned in the
-    caller's row order. A pooled run that nothing will record keeps only a
-    running maximum, so its memory does not grow with T; one that will be
-    recorded pools its states with masked_max (a second record).
+    caller's row order. A pooled run keeps a running maximum of the states;
+    one that nothing will record keeps nothing else, so its memory does not
+    grow with T.
     """
     if len(weights) != 4:
         raise ContractError(f"gru_sequence needs the 4 weight blocks, got {len(weights)}")
@@ -572,7 +566,9 @@ def gru_sequence(
         raise ShapeError(
             f"gru_sequence h0 has shape {list(h0.values.shape)}, expected {[bsz, hid]}"
         )
-    lengths = _check_lengths(lengths, bsz, steps)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.shape != (bsz,) or bsz and (lengths.min() < 1 or lengths.max() > steps):
+        raise ShapeError(f"need {bsz} lengths in 1..{steps}, got {lengths.tolist()}")
     # rows still running at each step (counted from the lengths, with no
     # [B, T] temporary); with the rows sorted longest first they are the
     # first active[t] rows
@@ -585,10 +581,9 @@ def gru_sequence(
     parents = [p for p in (x, *weights, h0) if p is not None]
     requires_grad = any(p.requires_grad for p in parents)
     keep = requires_grad and _active_tape() is not None
-    running_max = pool and not keep
-    if running_max:  # a running maximum from -inf
+    if pool:  # a running maximum from -inf
         best = np.full((bsz, hid), -np.inf)
-    else:
+    if keep or not pool:
         hs = np.empty((bsz, steps, hid))
     if keep:
         zs, cands = np.empty_like(hs), np.empty_like(hs)
@@ -630,17 +625,16 @@ def gru_sequence(
         np.subtract(1.0, z, out=h)
         np.multiply(h, hp, out=h)
         np.add(h, np.multiply(z, cand, out=tmp_buf[:n]), out=h)
-        if running_max:
+        if pool:
             np.maximum(best[:n], h, out=best[:n])
-            continue
+            if not keep:
+                continue
         hs[:n, t] = h
         if n < bsz:  # finished rows carry their state (t > 0: every row runs at step 0)
             hs[n:, t] = hs[n:, t - 1]
         if keep:
             zs[:n, t], rs[:n, t], cands[:n, t] = z, r, cand
-    if running_max:
-        return Tensor(_unpacked(best, order), requires_grad=requires_grad)
-    out = Tensor(_unpacked(hs, order), requires_grad=requires_grad)
+    out = Tensor(_unpacked(best if pool else hs, order), requires_grad=requires_grad)
     if not keep:
         return out
     h_prev = np.concatenate([h_init[:, None, :], hs[:, :-1]], axis=1)
@@ -650,6 +644,12 @@ def gru_sequence(
         # BLAS treats a transposed operand
         w_t, u_zr_t, u_c_t = w.T.copy(), u_zr.T.copy(), u_c.T.copy()
         g = _packed(g, order)
+        if pool:
+            # each maximum's gradient goes to its first step: a finished row
+            # carries its last state through its padding, so none is padded
+            g_steps = np.zeros((bsz, steps, hid))
+            np.put_along_axis(g_steps, np.argmax(hs, axis=1)[:, None, :], g[:, None, :], axis=1)
+            g = g_steps
         da = np.zeros((bsz, steps, 3 * hid))  # gate pre-activation gradients
         dh = np.zeros((bsz, hid))
         # contiguous, so that each ufunc runs one loop over all rows
@@ -696,26 +696,6 @@ def gru_sequence(
             _acc(x, _unpacked(da @ w_t, order))
         if h0 is not None and h0.requires_grad:
             _acc(h0, _unpacked(dh, order))
-
-    _record(out, back)
-    return masked_max(out, lengths) if pool else out
-
-
-def masked_max(a: Tensor, lengths) -> Tensor:
-    """Channel-wise max of a [B, T, H] tensor over the first lengths[b]
-    steps of each row; gradient flows to the first attaining step."""
-    av = a.values
-    if av.ndim != 3:
-        raise ShapeError(f"masked_max expects a [B, T, H] tensor, got shape {list(a.shape)}")
-    lengths = _check_lengths(lengths, av.shape[0], av.shape[1])
-    mask = (np.arange(av.shape[1])[None, :] < lengths[:, None])[:, :, None]
-    idx = np.argmax(np.where(mask, av, -np.inf), axis=1)[:, None, :]
-    out = Tensor(np.take_along_axis(av, idx, axis=1)[:, 0, :], requires_grad=a.requires_grad)
-
-    def back(g):
-        buf = np.zeros_like(av)
-        np.put_along_axis(buf, idx, g[:, None, :], axis=1)
-        _acc(a, buf)
 
     _record(out, back)
     return out

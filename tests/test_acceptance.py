@@ -11,20 +11,19 @@ import numpy as np
 import pytest
 
 import oracles
+from hse import evaluation
 from hse import tensorkit as tk
 from hse.cli import cli_dispatch
 from hse.data import Corpus, SynthSpec, synth_generate
 from hse.evaluation import (
     evaluate_retrieval,
     median_rank,
-    rank_matrix,
     recall_at_k,
     zeroshot_classify,
 )
 from hse.gradcheck import run_gradient_suite
 from hse.losses import (
     LossConfig,
-    avg_match,
     loss_cluster_high,
     loss_cluster_low,
     loss_match_high,
@@ -174,6 +173,20 @@ def _padded(unit_rows):
     return pad_sequences(unit_rows)[0]
 
 
+def _avg_match(clips, sentences):
+    """Mean cosine similarity over every clip/sentence combination of one
+    pair, as loss_match_low_weak forms each entry of its matrix."""
+    sims = tk.cosine(Tensor(clips), Tensor(sentences))
+    return tk.segment_mean(sims, [len(clips)], [len(sentences)]).item()
+
+
+def _rank_matrix(queries, gallery):
+    """1-based rank of each query's true match, the gallery row of the same
+    index, as evaluate_retrieval ranks: over one tk.cosine matrix."""
+    sims = tk.cosine(Tensor(queries), Tensor(gallery)).values
+    return evaluation._ranks(sims, np.arange(len(queries)))
+
+
 def test_criterion_2_loss_oracles():
     rng = np.random.default_rng(2024)
     instances = 200
@@ -218,7 +231,7 @@ def test_criterion_2_loss_oracles():
         # averaged similarity matches the double loop to 1e-12
         cs = rng.normal(size=(int(rng.integers(1, 5)), d))
         ss = rng.normal(size=(int(rng.integers(1, 5)), d))
-        got = avg_match(Tensor(cs), Tensor(ss)).item()
+        got = _avg_match(cs, ss)
         want = oracles.ref_avg_match(cs, ss)
         assert abs(got - want) <= 1e-12
 
@@ -229,7 +242,7 @@ def test_criterion_2_loss_oracles():
         clips, sents = _nested(rng, k, 5, aligned=False)
         direct = loss_match_low_weak(*_stacked(clips), *_stacked(sents), 0.2).item()
         rows = [
-            [avg_match(Tensor(clips[a]), Tensor(sents[b])).item() for b in range(k)]
+            [_avg_match(clips[a], sents[b]) for b in range(k)]
             for a in range(k)
         ]
         via_matrix = rank_hinge(Tensor(rows), 0.2).item()
@@ -355,10 +368,10 @@ def test_criterion_8_scale_invariance():
         n = int(rng.integers(2, 60))
         q = rng.normal(size=(n, 8))
         g = rng.normal(size=(n, 8))
-        base_ranks = rank_matrix(q, g)
+        base_ranks = _rank_matrix(q, g)
         sq = rng.uniform(1e-2, 1e2, size=(n, 1))
         sg = rng.uniform(1e-2, 1e2, size=(n, 1))
-        assert np.array_equal(base_ranks, rank_matrix(q * sq, g * sg))
+        assert np.array_equal(base_ranks, _rank_matrix(q * sq, g * sg))
 
         labels = rng.normal(size=(7, 8))
         base_pred = np.argmax(tk.cosine(Tensor(q), Tensor(labels)).values, axis=1)

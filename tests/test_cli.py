@@ -143,6 +143,15 @@ class TestTrain:
         assert len(err) == 1 and err[0].startswith(f"error: {corpus}: {message}")
         assert not out.exists()
 
+    def test_zero_width_features_name_file_and_line(self, tmp_path, capsys):
+        corpus = tmp_path / "zero-width.jsonl"
+        corpus.write_text('{"id": "a", "clips": [[[]]], "sentences": [[[1.0]]]}\n' * 2)
+        out = tmp_path / "x"
+        assert run("train", "--corpus", str(corpus), "--out", str(out)) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {corpus}: line 1: video 'a' has empty or inconsistent clips"]
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "rate, code, err",
         [

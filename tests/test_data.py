@@ -142,7 +142,11 @@ class TestCorpusIO:
         corpus, _ = synth_generate(spec)
         path = tmp_path_factory.mktemp("rt") / "c.jsonl"
         save_corpus(corpus, path)
-        assert load_corpus(path, correspondence=corpus.correspondence) == corpus
+        loaded = load_corpus(path)
+        assert loaded.pairs == corpus.pairs
+        # the file does not store the mode: a synth weak corpus may have equal counts
+        ragged = any(v.n != p.m for v, p in corpus.pairs)
+        assert loaded.correspondence == ("weak" if ragged else "strong")
 
     @settings(max_examples=200, deadline=None)
     @given(fault=FAULTS)

@@ -8,12 +8,11 @@ import oracles
 from hse import evaluation
 from hse import tensorkit as tk
 from hse.data import Corpus, ParagraphSample, SynthSpec, VideoSample, synth_generate
-from hse.errors import ContractError, DegenerateInputError
+from hse.errors import ContractError, DegenerateInputError, ShapeError
 from hse.evaluation import (
     encode_corpus,
     evaluate_retrieval,
     median_rank,
-    rank_matrix,
     recall_at_k,
     zeroshot_classify,
 )
@@ -23,6 +22,13 @@ from hse.training import init_params
 
 def on_circle(*angles):
     return np.stack([[math.cos(a), math.sin(a)] for a in angles])
+
+
+def rank_matrix(queries, gallery):
+    """1-based rank of each query's true match, the gallery row of the same
+    index, as evaluate_retrieval ranks: over one tk.cosine matrix."""
+    sims = tk.cosine(tk.constant(queries), tk.constant(gallery)).values
+    return evaluation._ranks(sims, np.arange(len(queries)))
 
 
 class TestRankMatrix:
@@ -58,8 +64,8 @@ class TestRankMatrix:
             rank_matrix(np.zeros((2, 3)), np.ones((2, 3)))
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ContractError):
-            rank_matrix(np.ones((2, 3)), np.ones((3, 3)))
+        with pytest.raises(ShapeError, match=r"got \[2, 3\] and \[2, 4\]"):
+            rank_matrix(np.ones((2, 3)), np.ones((2, 4)))
 
 
 class TestMetrics:

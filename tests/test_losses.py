@@ -10,7 +10,6 @@ from hse.data import ParagraphSample, SynthSpec, VideoSample, synth_generate
 from hse.errors import ConfigError, ContractError, DegenerateInputError
 from hse.losses import (
     LossConfig,
-    avg_match,
     loss_cluster_high,
     loss_cluster_low,
     loss_match_high,
@@ -26,6 +25,12 @@ from hse.training import init_params
 
 def t(values):
     return Tensor(np.asarray(values, dtype=np.float64), requires_grad=True)
+
+
+def avg_match(clips, sentences):
+    """Mean cosine similarity over every clip/sentence combination of one
+    pair, as loss_match_low_weak forms each entry of its matrix."""
+    return tk.segment_mean(tk.cosine(clips, sentences), [clips.shape[0]], [sentences.shape[0]])
 
 
 def rand_batch(rng, k, d):
@@ -382,7 +387,7 @@ class TestTotalLoss:
         bd, tape = self._step_records(spec, LossConfig(tau=5e-4))
         assert bd.reconstruct > 0.0
         # one record per loss head and projection, not a chain per head
-        assert len(tape) <= 52
+        assert len(tape) <= 48
         # embeddings reach the losses as the encoder's matrices, never re-stacked rows
         assert not any(back.__qualname__.startswith("stack.") for _, back in tape._records)
 
@@ -394,7 +399,7 @@ class TestTotalLoss:
         )
         bd, tape = self._step_records(spec, LossConfig(tau=0.0, correspondence="weak"))
         assert bd.match_low > 0.0
-        assert len(tape) <= 30
+        assert len(tape) <= 26
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):

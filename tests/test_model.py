@@ -161,19 +161,23 @@ class TestGruSequence:
         with pytest.raises(ShapeError):
             tk.gru_sequence(tk.constant(np.zeros((2, 4, 2))), [4, 5], p.weights())
         with pytest.raises(ShapeError):
+            tk.gru_sequence(tk.constant(np.zeros((2, 4, 2))), [0, 4], p.weights())
+        with pytest.raises(ShapeError):
             tk.gru_sequence(tk.constant(np.zeros((2, 4, 2))), [4, 4], p.weights(), tk.constant(np.zeros((1, 3))))
 
 
 def run_and_pool(p, x, lengths, h0, taped):
-    """States and pooled rows of one kernel run, with or without a tape."""
+    """States and pooled rows of two kernel runs, unpooled and pooled, with
+    or without a tape."""
+
+    def runs():
+        args = (tk.constant(x), lengths, p.weights(), tk.constant(h0))
+        return tk.gru_sequence(*args).values, tk.gru_sequence(*args, pool=True).values
+
     if taped:
         with Tape():
-            states = tk.gru_sequence(tk.constant(x), lengths, p.weights(), tk.constant(h0))
-            pooled = tk.masked_max(states, lengths)
-    else:
-        states = tk.gru_sequence(tk.constant(x), lengths, p.weights(), tk.constant(h0))
-        pooled = tk.masked_max(states, lengths)
-    return states.values, pooled.values
+            return runs()
+    return runs()
 
 
 # hidden sizes whose recurrent products (widths 2H and H) have every column
@@ -263,16 +267,20 @@ class TestPackedKernel:
                 assert np.array_equal(s_pooled[row], pooled[src])
 
     def test_tape_free_masked_max_equals_taped(self):
+        """The pooled kernel keeps a running maximum when nothing records and
+        each maximum's first step when a tape does; both give the maximum
+        over each row's valid steps, ties included."""
         rng = np.random.default_rng(33)
-        values = rng.normal(size=(4, 5, 3))
-        values[0, 1] = values[0, 3] = 9.0  # ties inside a row
-        values[2, 4] = 50.0  # a padded step larger than every valid one
-        lengths = [5, 2, 4, 1]
-        free = tk.masked_max(tk.constant(values), lengths)
-        with Tape():
-            taped = tk.masked_max(Tensor(values, requires_grad=True), lengths)
-        assert np.array_equal(free.values, taped.values)
-        assert free.values[0].tolist() == [9.0] * 3
+        p = random_gru(rng, 3, 4)
+        p.b.values[:2] = -700.0  # channels 0-1 keep h0 exactly: a tie at every step
+        x, lengths = ragged_batch(rng, 3, 5)
+        h0 = rng.normal(size=(5, 4))
+        states, free = run_and_pool(p, x, lengths, h0, False)
+        _, taped = run_and_pool(p, x, lengths, h0, True)
+        assert np.array_equal(free, taped)
+        masked_max = np.stack([states[row, :n].max(axis=0) for row, n in enumerate(lengths)])
+        assert np.array_equal(free, masked_max)
+        assert np.array_equal(free[:, :2], h0[:, :2])
 
     def test_gradients_match_gru_step_loop(self):
         """The kernel's gradients equal complex-step derivatives of a loop of
@@ -380,8 +388,9 @@ class TestKernelBitOracle:
 
 
 class TestPooledKernel:
-    """gru_sequence(..., pool=True) keeps a running maximum when nothing
-    records; it must equal pooling the states with masked_max."""
+    """gru_sequence(..., pool=True) keeps a running maximum of the states;
+    its rows must be the oracle's pooled rows, and its gradient that of
+    the states at each maximum's first step."""
 
     def pooled_batch(self):
         rng = np.random.default_rng(36)
@@ -391,15 +400,31 @@ class TestPooledKernel:
         assert lengths != sorted(lengths, reverse=True)
         return p, x, lengths, rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
 
+    def oracle_run(self, p, x, lengths, h0):
+        """The oracle's states and pooled rows."""
+        blocks = [t.values for t in p.weights()]
+        dstates = np.zeros(x.shape[:2] + h0.shape[1:])
+        return oracles.ref_gru_run(x, lengths, *blocks, h0, dstates, tk._WINDOW)[:2]
+
     def test_tape_free_pool_equals_masked_max(self):
         p, x, lengths, h0, _ = self.pooled_batch()
-        states = tk.gru_sequence(tk.constant(x), lengths, p.weights(), tk.constant(h0))
+        states, want = self.oracle_run(p, x, lengths, h0)
+        masked_max = np.stack([states[row, :n].max(axis=0) for row, n in enumerate(lengths)])
         pooled = tk.gru_sequence(tk.constant(x), lengths, p.weights(), tk.constant(h0), pool=True)
-        assert np.array_equal(pooled.values, tk.masked_max(states, lengths).values)
+        assert np.array_equal(pooled.values, want)
+        assert np.array_equal(pooled.values, masked_max)
         assert np.array_equal(pooled.values[:, :2], h0[:, :2])
 
-    def test_taped_pool_equals_masked_max_with_gradients(self):
+    def test_taped_pool_gradients_are_those_at_the_first_maximum(self):
         p, x_values, lengths, h0_values, weight = self.pooled_batch()
+        states, _ = self.oracle_run(p, x_values, lengths, h0_values)
+        # the upstream gradient of the states, at each row's first maximum
+        # over its valid steps, channel by channel
+        dstates = np.zeros_like(states)
+        for row, n in enumerate(lengths):
+            first = np.argmax(states[row, :n], axis=0)
+            dstates[row, first, np.arange(4)] = weight[row]
+        assert np.all(np.argmax(dstates[:, :, :2] != 0.0, axis=1) == 0)  # the ties go to step 0
 
         def run(pool):
             x = Tensor(x_values, requires_grad=True)
@@ -408,13 +433,21 @@ class TestPooledKernel:
             with Tape():
                 if pool:
                     pooled = tk.gru_sequence(x, lengths, p.weights(), h0, pool=True)
+                    tk.backward(tk.reduce_sum(tk.mul(pooled, tk.constant(weight))))
                 else:
-                    pooled = tk.masked_max(tk.gru_sequence(x, lengths, p.weights(), h0), lengths)
-                tk.backward(tk.reduce_sum(tk.mul(pooled, tk.constant(weight))))
-            return [pooled.values, x.grad, h0.grad] + [g.grad.copy() for g in p.weights()]
+                    states = tk.gru_sequence(x, lengths, p.weights(), h0)
+                    tk.backward(tk.reduce_sum(tk.mul(states, tk.constant(dstates))))
+            return [x.grad, h0.grad] + [g.grad.copy() for g in p.weights()]
 
-        for got, want in zip(run(True), run(False)):
+        for got, want in zip(run(True), run(False), strict=True):
             assert np.array_equal(got, want)
+
+    def test_taped_pooled_run_is_one_tape_record(self):
+        p, x, lengths, h0, _ = self.pooled_batch()
+        x, h0 = Tensor(x, requires_grad=True), Tensor(h0, requires_grad=True)
+        with Tape() as tape:
+            pooled = tk.gru_sequence(x, lengths, p.weights(), h0, pool=True)
+        assert len(tape) == 1 and pooled.shape == (6, 4)
 
     def test_tape_free_pool_memory_does_not_grow_with_steps(self):
         bsz, steps, dim, hid = 4, 2000, 2, 8

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 import hse
-from hse import tensorkit as tk
 
 MODULES = ["hse"] + [f"hse.{info.name}" for info in pkgutil.iter_modules(hse.__path__)]
 
@@ -24,29 +23,28 @@ def test_package_root_binds_only_its_modules():
     assert [n for n in names if not inspect.ismodule(getattr(hse, n))] == []
 
 
-def _tensorkit_names_used(path: Path) -> set[str]:
-    """Names a module takes from hse.tensorkit: imported from it, or read
-    as attributes of the name it is imported as."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    aliases, used = set(), set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            if node.module == "tensorkit":
-                used.update(alias.name for alias in node.names)
-            elif node.module is None:
-                aliases.update(a.asname or a.name for a in node.names if a.name == "tensorkit")
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            if node.value.id in aliases:
-                used.add(node.attr)
-    return used
+def _names_read(path: Path) -> set[str]:
+    """Names a module reads: loaded, read as an attribute or imported,
+    leaving out what each top-level definition reads of its own name."""
+    read = set()
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name for alias in node.names)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(stmt.name)
+        read |= names
+    return read
 
 
 def test_every_tensorkit_export_has_a_caller_in_the_package():
-    package = Path(hse.__file__).parent
-    used = set()
-    for path in package.glob("*.py"):
-        if path.name != "tensorkit.py":
-            used |= _tensorkit_names_used(path)
-    unused = set(tk.__all__) - used
-    assert unused == set()
+    """Every name in the __all__ of every module, tensorkit's included, is
+    read by some module of the package outside its own definition."""
+    read = set().union(*(_names_read(path) for path in Path(hse.__file__).parent.glob("*.py")))
+    exports = [(name, n) for name in MODULES for n in getattr(importlib.import_module(name), "__all__", ())]
+    assert [f"{name}.{n}" for name, n in exports if n not in read] == []

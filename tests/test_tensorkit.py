@@ -156,7 +156,11 @@ def _primitive_cases(rng):
         ("take", lambda ps, k=c(2, 2, 4): weighted(tk.take(ps[0], np.array([[1, 0], [2, 1]])), k), [m()]),
         ("cosine", lambda ps, k=c(3, 2): weighted(tk.cosine(ps[0], ps[1]), k), [m(3, 4), m(2, 4)]),
         ("segment_mean", lambda ps, k=c(2, 2): weighted(tk.segment_mean(ps[0], [1, 2], [3, 1]), k), [m()]),
-        ("masked_max", lambda ps, k=c(3, 2): weighted(tk.masked_max(ps[0], [2, 3, 1]), k), [t(rng.normal(size=(3, 3, 2)))]),
+        (
+            "gru_sequence_pool",
+            lambda ps, k=c(3, 2): weighted(tk.gru_sequence(ps[0], [2, 3, 1], ps[1:], pool=True), k),
+            [t(rng.normal(size=(3, 3, 2))), m(2, 6), m(2, 4), m(2, 2), v(6)],
+        ),
     ]
 
 
@@ -195,27 +199,22 @@ class TestBatchPrimitives:
         with pytest.raises(ShapeError):
             tk.take(t(np.zeros((2, 2))), 2)
 
-    def test_masked_max_ties_pick_first_index(self):
-        a = t([[[1.0, 5.0], [3.0, 5.0], [3.0, 2.0]]])
+    def test_pooled_gru_ties_pick_first_step(self):
+        # z = 1 exactly and no recurrent weights: each state is tanh(x_t),
+        # so equal inputs give tied states
+        x = t([[[1.0, 5.0], [3.0, 5.0], [3.0, 2.0]]])
+        w = np.zeros((2, 6))
+        w[:, 4:] = np.eye(2)
+        b = np.zeros(6)
+        b[:2] = 40.0  # exp(-40) vanishes beside 1
+        weights = [t(w), t(np.zeros((2, 4))), t(np.zeros((2, 2))), t(b)]
         with Tape():
-            out = tk.masked_max(a, [3])
+            out = tk.gru_sequence(x, [3], weights, pool=True)
             backward(tk.reduce_sum(out))
-        assert out.values.tolist() == [[3.0, 5.0]]
-        assert a.grad.tolist() == [[[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]]
-
-    def test_masked_max_ignores_padded_steps(self):
-        a = t([[[1.0], [9.0]], [[2.0], [9.0]]])
-        with Tape():
-            out = tk.masked_max(a, [1, 2])
-            backward(tk.reduce_sum(out))
-        assert out.values.tolist() == [[1.0], [9.0]]
-        assert a.grad.tolist() == [[[1.0], [0.0]], [[0.0], [1.0]]]
-
-    def test_masked_max_lengths_checked(self):
-        with pytest.raises(ShapeError):
-            tk.masked_max(t(np.zeros((2, 3, 1))), [1, 4])
-        with pytest.raises(ShapeError):
-            tk.masked_max(t(np.zeros((2, 3, 1))), [0, 1])
+        peak = np.tanh([3.0, 5.0])
+        slope = 1.0 - peak * peak
+        assert out.values.tolist() == [peak.tolist()]
+        assert x.grad.tolist() == [[[0.0, slope[1]], [slope[0], 0.0], [0.0, 0.0]]]
 
     def test_segment_mean_blocks(self):
         a = t(np.arange(12.0).reshape(3, 4))
@@ -260,19 +259,27 @@ class TestBatchPrimitives:
                     assert full[i, j] == alone[0, 0], (u_offset, w_offset, i, j)
 
     def test_new_primitives_match_finite_differences(self):
+        # each weight is drawn once, as a default argument: one redrawn at
+        # every evaluation makes the one-sided quotients disagree, and the
+        # check then skips every coordinate as a kink
         rng = np.random.default_rng(7)
         weight = lambda *shape: tk.constant(rng.normal(size=shape))
         lengths = [2, 3, 1]
         cases = [
-            ("take", lambda ps: tk.reduce_sum(tk.mul(tk.take(ps[0], np.array([[1, 0], [1, 1]])), weight(2, 2, 4))), [t(rng.normal(size=(3, 4)))]),
-            ("cosine", lambda ps: tk.reduce_sum(tk.mul(tk.cosine(ps[0], ps[1]), weight(3, 2))), [t(rng.normal(size=(3, 4))), t(rng.normal(size=(2, 4)))]),
-            ("cosine_self", lambda ps: tk.reduce_sum(tk.mul(tk.cosine(ps[0], ps[0]), weight(3, 3))), [t(rng.normal(size=(3, 4)))]),
-            ("segment_mean", lambda ps: tk.reduce_sum(tk.mul(tk.segment_mean(ps[0], [1, 2], [3, 1]), weight(2, 2))), [t(rng.normal(size=(3, 4)))]),
-            ("masked_max", lambda ps: tk.reduce_sum(tk.mul(tk.masked_max(ps[0], lengths), weight(3, 2))), [t(rng.normal(size=(3, 3, 2)))]),
+            ("take", lambda ps, k=weight(2, 2, 4): tk.reduce_sum(tk.mul(tk.take(ps[0], np.array([[1, 0], [1, 1]])), k)), [t(rng.normal(size=(3, 4)))]),
+            ("cosine", lambda ps, k=weight(3, 2): tk.reduce_sum(tk.mul(tk.cosine(ps[0], ps[1]), k)), [t(rng.normal(size=(3, 4))), t(rng.normal(size=(2, 4)))]),
+            ("cosine_self", lambda ps, k=weight(3, 3): tk.reduce_sum(tk.mul(tk.cosine(ps[0], ps[0]), k)), [t(rng.normal(size=(3, 4)))]),
+            ("segment_mean", lambda ps, k=weight(2, 2): tk.reduce_sum(tk.mul(tk.segment_mean(ps[0], [1, 2], [3, 1]), k)), [t(rng.normal(size=(3, 4)))]),
+            (
+                "gru_sequence_pool",
+                lambda ps, k=weight(3, 2): tk.reduce_sum(tk.mul(tk.gru_sequence(ps[0], lengths, ps[1:], pool=True), k)),
+                [t(rng.normal(size=(3, 3, 2)))] + [t(rng.normal(size=s)) for s in ((2, 6), (2, 4), (2, 2), (6,))],
+            ),
         ]
         for name, f, params in cases:
             report = finite_diff_check(f, params)
             assert report.max_rel_err < 1e-4, (name, report.max_rel_err)
+            assert report.n_checked > 0 and report.n_skipped_nondifferentiable == 0, (name, report)
 
 
 class TestLossHeads:
