@@ -6,6 +6,16 @@ match (ties resolve in the query's favor). Similarities are
 tensorkit.cosine, the kernel the losses use. Median rank is the lower
 median for even counts. Everything here is read-only over parameters and
 corpus.
+
+Retrieval, partial retrieval and zero-shot transfer encode tape-free, a
+chunk of consecutive items (pairs, label phrases or clips) at a time.
+_chunks plans the chunks in linear time from the items' lengths: a chunk
+grows while every GRU run it makes fits in ENCODE_CHUNK_BYTES
+(_run_bytes counts a run's padded input, the kernel's copy of it and its
+input terms), and an item over that budget is a chunk alone. So every
+tape-free encode has one memory bound, and a corpus that fits makes one
+run per level and modality. A row's states do not depend on its batch,
+so embeddings keep their bits at any budget.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ import numpy as np
 from . import tensorkit as tk
 from .data import Corpus, ParagraphSample, VideoSample
 from .errors import ContractError
-from .model import HseModelParams, encode_batch, encode_flat_batch, encode_sequences
+from .model import GruParams, HseModelParams, encode_batch, encode_flat_batch, encode_sequences
 
 __all__ = [
     "RetrievalReport",
@@ -31,7 +41,7 @@ __all__ = [
 ]
 
 DEFAULT_TOPK = (1, 5, 50)
-ENCODE_CHUNK_PAIRS = 32  # pairs encoded per GRU batch by encode_corpus
+ENCODE_CHUNK_BYTES = 8 << 20  # the largest GRU run of an encoding chunk, in bytes
 ENCODING_MODES = ("hierarchical", "flat")
 
 
@@ -126,30 +136,85 @@ def _truncated(sample, max_units: int | None):
     return ParagraphSample(sample.id, sample.sentences[:max_units])
 
 
+def _run_bytes(gru: GruParams, rows, longest):
+    """The bytes a tape-free run of gru over rows sequences of at most
+    longest steps holds that grow with its batch: the padded [rows, longest,
+    D] input, the kernel's longest-first copy of it, and the [rows,
+    min(longest, _WINDOW), 3H] input terms. Elementwise over arrays."""
+    d, h3 = gru.w.values.shape
+    return 8 * rows * (2 * longest * d + np.minimum(longest, tk._WINDOW) * h3)
+
+
+def _chunks(runs: Sequence[tuple[GruParams, Sequence[int], Sequence[int]]]) -> list[slice]:
+    """Consecutive items grouped into chunks. Each run (gru, rows, steps) is
+    a GRU run that every chunk makes, to which item i adds rows[i]
+    sequences of at most steps[i] steps. A chunk takes items while each of
+    its runs, with running row counts and longest lengths, stays within
+    ENCODE_CHUNK_BYTES; an item over that is a chunk alone.
+
+    Linear time: a chunk's end is searched in a window of the items after
+    its start, twice the previous chunk's size (all items for the first
+    chunk), and the window doubles until the end is inside it."""
+    runs = [(gru, np.asarray(rows), np.asarray(steps)) for gru, rows, steps in runs]
+    count = len(runs[0][1])
+    chunks, start, span = [], 0, count
+    while start < count:
+        window = slice(start, min(start + span, count))
+        over = np.zeros(window.stop - start, dtype=bool)
+        for gru, rows, steps in runs:
+            size = _run_bytes(gru, np.cumsum(rows[window]), np.maximum.accumulate(steps[window]))
+            over |= size > ENCODE_CHUNK_BYTES
+        ends = np.flatnonzero(over[1:])  # the first item is in the chunk, fitting or not
+        if ends.size == 0 and window.stop < count:
+            span *= 2
+            continue
+        end = start + 1 + int(ends[0]) if ends.size else count
+        chunks.append(slice(start, end))
+        start, span = end, 2 * (end - start)
+    return chunks
+
+
+def _encode_sequences(gru: GruParams, sequences: Sequence[np.ndarray]) -> np.ndarray:
+    """encode_sequences a chunk at a time (_chunks)."""
+    sequences = list(sequences)
+    # a sequence that is not [T, D] gets a length here, for encode_sequences to reject
+    steps = [len(s) if np.ndim(s) else 0 for s in sequences]
+    chunks = _chunks([(gru, np.ones(len(steps), dtype=int), steps)])
+    return np.concatenate([encode_sequences(gru, sequences[c]).values for c in chunks])
+
+
 def encode_corpus(
     params: HseModelParams,
     corpus: Corpus,
     mode: str = "hierarchical",
     max_units: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Whole-sample embeddings of every pair, as (videos, paragraphs) arrays."""
+    """Whole-sample embeddings of every pair, as (videos, paragraphs) arrays,
+    encoded a chunk of pairs at a time (_chunks)."""
     if mode not in ENCODING_MODES:
         raise ContractError(f"unknown encoding mode {mode!r}")
-    videos = []
-    paragraphs = []
-    # a chunk at a time, so that the padded GRU states of the whole corpus
-    # are never held at once
-    for start in range(0, len(corpus.pairs), ENCODE_CHUNK_PAIRS):
-        chunk = corpus.pairs[start : start + ENCODE_CHUNK_PAIRS]
-        vs = [_truncated(video, max_units) for video, _ in chunk]
-        ps = [_truncated(paragraph, max_units) for _, paragraph in chunk]
+    videos = [_truncated(video, max_units) for video, _ in corpus.pairs]
+    paragraphs = [_truncated(paragraph, max_units) for _, paragraph in corpus.pairs]
+    ones = np.ones(len(videos), dtype=int)
+    runs = []
+    for unit_lists, low, high in (
+        ([v.clips for v in videos], params.enc_v_low, params.enc_v_high),
+        ([p.sentences for p in paragraphs], params.enc_p_low, params.enc_p_high),
+    ):
         if mode == "flat":
-            videos.append(encode_flat_batch(params, vs).values)
-            paragraphs.append(encode_flat_batch(params, ps).values)
+            runs.append((low, ones, [sum(map(len, units)) for units in unit_lists]))
         else:
-            videos.append(encode_batch(params, vs).high.values)
-            paragraphs.append(encode_batch(params, ps).high.values)
-    return np.concatenate(videos), np.concatenate(paragraphs)
+            counts = list(map(len, unit_lists))
+            runs.append((low, counts, [max(map(len, units)) if units else 0 for units in unit_lists]))
+            runs.append((high, ones, counts))
+
+    def encode(samples) -> np.ndarray:
+        if mode == "flat":
+            return encode_flat_batch(params, samples).values
+        return encode_batch(params, samples).high.values
+
+    chunks = _chunks(runs)
+    return tuple(np.concatenate([encode(samples[c]) for c in chunks]) for samples in (videos, paragraphs))
 
 
 def evaluate_retrieval(
@@ -195,9 +260,9 @@ def zeroshot_classify(
             raise ContractError(
                 f"zeroshot_classify: clip {i} has label {label} outside [0, {len(label_phrases)})"
             )
-    label_embs = encode_sequences(params.enc_p_low, label_phrases)
-    clip_embs = encode_sequences(params.enc_v_low, [frames for frames, _ in labeled_clips])
-    sims = tk.cosine(clip_embs, label_embs).values
+    label_embs = _encode_sequences(params.enc_p_low, label_phrases)
+    clip_embs = _encode_sequences(params.enc_v_low, [frames for frames, _ in labeled_clips])
+    sims = tk.cosine(tk.constant(clip_embs), tk.constant(label_embs)).values
     predicted = np.argmax(sims, axis=1)  # the first label wins a tie
     top5_hits = _ranks(sims, true_labels) <= min(5, len(label_phrases))
     n = len(true_labels)

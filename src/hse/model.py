@@ -251,22 +251,25 @@ class DecodedBatch:
 def pad_sequences(sequences: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int]]:
     """Stack [T_b, D] sequences into a zero-padded [B, max T_b, D] array;
     returns it with the lengths T_b."""
-    seqs = [np.asarray(s, dtype=np.float64) for s in sequences]
-    if not seqs:
+    if not sequences:
         raise ContractError("need at least one sequence")
     try:
-        frames = np.concatenate(seqs)
-        lengths = [len(s) for s in seqs]
+        frames = np.concatenate(sequences)
+        lengths = [len(s) for s in sequences]
     except ValueError:  # a width or rank mismatch
         frames, lengths = None, [0]
     if frames is None or frames.ndim != 2 or min(lengths) < 1:
         raise ShapeError(
             f"sequences must be nonempty [T, D] arrays of one width, got shapes "
-            f"{[list(s.shape) for s in seqs]}"
+            f"{[list(np.shape(s)) for s in sequences]}"
         )
-    out = np.zeros((len(seqs), max(lengths), frames.shape[1]))
-    out[np.arange(out.shape[1]) < np.array(lengths)[:, None]] = frames
-    return out, lengths
+    bsz, steps = len(lengths), max(lengths)
+    out = np.zeros((bsz * steps, frames.shape[1]))
+    # frame j of row b goes to flat row b * steps + j: each frame's index,
+    # shifted by the padding of the rows before it
+    starts = np.cumsum(lengths) - lengths
+    out[np.arange(len(frames)) + np.repeat(np.arange(0, bsz * steps, steps) - starts, lengths)] = frames
+    return out.reshape(bsz, steps, -1), lengths
 
 
 def _segment_rows(starts: Sequence[int], lengths: Sequence[int]) -> np.ndarray:

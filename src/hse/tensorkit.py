@@ -454,8 +454,12 @@ def _padded_columns(u: np.ndarray) -> np.ndarray:
     of A @ u bits that depend on A's row count and on the row's position
     for some widths (N = 1 from K = 8, N mod 8 in {1, 2, 3} from K = 16),
     and for none that is a multiple of 4."""
-    width = u.shape[1]
-    return u if width % 4 == 0 else np.pad(u, ((0, 0), (0, -width % 4)))
+    rows, width = u.shape
+    if width % 4 == 0:
+        return u
+    out = np.zeros((rows, width + -width % 4))
+    out[:, :width] = u
+    return out
 
 
 def _packed(v: np.ndarray, order: np.ndarray | None) -> np.ndarray:

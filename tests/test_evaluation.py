@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,17 +173,151 @@ class TestEvaluateRetrieval:
         assert hier.ranks != flat.ranks or hier.recall_at != flat.recall_at
 
 
+def count_calls(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that appends to the returned list
+    on every call."""
+    calls, inner = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestEncodeCorpusChunks:
-    @pytest.mark.parametrize("mode", ["hierarchical", "flat"])
-    def test_chunk_size_does_not_change_embeddings(self, monkeypatch, mode):
+    @pytest.mark.parametrize(
+        "mode, max_units",
+        [
+            pytest.param("hierarchical", None, id="hierarchical"),
+            pytest.param("flat", None, id="flat"),
+            pytest.param("hierarchical", 1, id="hierarchical-max_units_1"),
+            pytest.param("flat", 1, id="flat-max_units_1"),
+        ],
+    )
+    def test_chunk_size_does_not_change_embeddings(self, monkeypatch, mode, max_units):
         corpus, _ = small_corpus(pairs=37, seed=4, num_events=37, clips_per_pair=(1, 4))
         params = init_params(ModelDims(d_v=4, d_t=4, hidden_low=5, hidden_high=6), 11)
-        encoded = []
-        for chunk in (1, 7, 32, len(corpus)):
-            monkeypatch.setattr(evaluation, "ENCODE_CHUNK_PAIRS", chunk)
-            videos, paragraphs = encode_corpus(params, corpus, mode=mode)
+        calls = count_calls(monkeypatch, evaluation, "encode_flat_batch" if mode == "flat" else "encode_batch")
+        few_pairs = evaluation._run_bytes(params.enc_v_low, 12, 2)
+        encoded, chunks = [], []
+        # below one pair, a few pairs, the whole corpus
+        for budget in (1, few_pairs, 1 << 40):
+            monkeypatch.setattr(evaluation, "ENCODE_CHUNK_BYTES", budget)
+            calls.clear()
+            videos, paragraphs = encode_corpus(params, corpus, mode=mode, max_units=max_units)
             encoded.append(videos.tobytes() + paragraphs.tobytes())
+            chunks.append(len(calls) // 2)  # one call per modality and chunk
         assert len(set(encoded)) == 1
+        assert chunks[0] == len(corpus) and 1 < chunks[1] < len(corpus) and chunks[2] == 1
+
+    def test_max_units_sizes_chunks_after_truncation(self, monkeypatch):
+        corpus, _ = small_corpus(pairs=20, seed=3, num_events=20, clips_per_pair=(3, 4))
+        params = init_params(ModelDims(d_v=4, d_t=4, hidden_low=5, hidden_high=6), 2)
+        calls = count_calls(monkeypatch, evaluation, "encode_batch")
+        # the truncated corpus's largest run: over the first clips
+        # (sentences), or over one embedding per video (paragraph)
+        n = len(corpus)
+        budget = max(
+            evaluation._run_bytes(params.enc_v_low, n, max(len(v.clips[0]) for v, _ in corpus.pairs)),
+            evaluation._run_bytes(params.enc_p_low, n, max(len(p.sentences[0]) for _, p in corpus.pairs)),
+            evaluation._run_bytes(params.enc_v_high, n, 1),
+            evaluation._run_bytes(params.enc_p_high, n, 1),
+        )
+        monkeypatch.setattr(evaluation, "ENCODE_CHUNK_BYTES", budget)
+        encode_corpus(params, corpus, max_units=1)
+        assert len(calls) == 2  # one chunk
+        encode_corpus(params, corpus)
+        assert len(calls) > 4
+
+    def test_peak_memory_stays_within_twice_the_budget(self, monkeypatch):
+        spec = SynthSpec(
+            num_pairs=64,
+            num_events=8,
+            clips_per_pair=(2, 5),
+            frames_per_clip=(2, 8),
+            words_per_sentence=(2, 8),
+            d_v=16,
+            d_t=16,
+            noise_std=0.1,
+            seed=8,
+        )
+        corpus, _ = synth_generate(spec)
+        params = init_params(ModelDims(d_v=16, d_t=16, hidden_low=32, hidden_high=32), 5)
+        clips = [c for v, _ in corpus.pairs for c in v.clips]
+        sentences = [s for _, p in corpus.pairs for s in p.sentences]
+        whole = max(
+            evaluation._run_bytes(params.enc_v_low, len(clips), max(map(len, clips))),
+            evaluation._run_bytes(params.enc_p_low, len(sentences), max(map(len, sentences))),
+        )
+        budget = whole // 4  # the corpus's low-level runs need 4 times the budget
+
+        def peak(budget):
+            monkeypatch.setattr(evaluation, "ENCODE_CHUNK_BYTES", budget)
+            tracemalloc.start()
+            try:
+                encode_corpus(params, corpus)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(budget) < 2 * budget
+        # the whole corpus in one chunk takes more
+        assert peak(1 << 40) > 2 * budget
+
+
+class TestChunkPlanner:
+    def setup_method(self):
+        params = init_params(ModelDims(d_v=4, d_t=3, hidden_low=5, hidden_high=6), 1)
+        self.grus = [params.enc_v_low, params.enc_p_low]
+
+    def plan(self, monkeypatch, rows, steps, budget):
+        """Chunks of items that add rows[j][i] sequences of steps[j][i]
+        steps to the run of self.grus[j]."""
+        monkeypatch.setattr(evaluation, "ENCODE_CHUNK_BYTES", budget)
+        return evaluation._chunks(list(zip(self.grus, rows, steps)))
+
+    def fits(self, rows, steps, chunk, budget):
+        return all(
+            evaluation._run_bytes(g, sum(r[chunk]), max(t[chunk])) <= budget
+            for g, r, t in zip(self.grus, rows, steps)
+        )
+
+    def test_oversize_item_is_a_chunk_alone(self, monkeypatch):
+        rows = [[1] * 6, [1] * 6]
+        steps = [[2] * 6, [2, 50, 2, 2, 2, 50]]
+        budget = max(evaluation._run_bytes(g, 3, 2) for g in self.grus)
+        chunks = self.plan(monkeypatch, rows, steps, budget)
+        assert chunks == [slice(0, 1), slice(1, 2), slice(2, 5), slice(5, 6)]
+
+    def test_small_budget_gives_more_than_one_chunk(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        rows, steps = rng.integers(1, 4, size=(2, 20)), rng.integers(1, 12, size=(2, 20))
+        assert self.plan(monkeypatch, rows, steps, 1 << 40) == [slice(0, 20)]
+        assert len(self.plan(monkeypatch, rows, steps, evaluation._run_bytes(self.grus[0], 8, 11))) > 1
+
+    def test_no_items_no_chunks(self, monkeypatch):
+        assert self.plan(monkeypatch, [[], []], [[], []], 1 << 20) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        count=st.integers(min_value=1, max_value=60),
+        budget=st.integers(min_value=1, max_value=40_000),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_chunks_are_nonempty_consecutive_and_greedy(self, count, budget, seed):
+        rng = np.random.default_rng(seed)
+        rows, steps = rng.integers(1, 4, size=(2, count)), rng.integers(1, 40, size=(2, count))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            chunks = self.plan(monkeypatch, rows, steps, budget)
+        assert chunks[0].start == 0 and chunks[-1].stop == count
+        assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+        for chunk in chunks:
+            assert chunk.stop > chunk.start
+            assert chunk.stop - chunk.start == 1 or self.fits(rows, steps, chunk, budget)
+            # a chunk ends where the next item would not fit
+            assert chunk.stop == count or not self.fits(rows, steps, slice(chunk.start, chunk.stop + 1), budget)
 
 
 class TestEvaluatePartial:
@@ -273,6 +409,21 @@ class TestZeroShot:
         assert ranks[:2] == [1, 1]  # seven tied labels, yet a top-5 hit
         assert report.top1 == sum(p == label for p, (_, label) in zip(first_max, clips)) / 8
         assert report.top5 == sum(r <= 5 for r in ranks) / 8
+
+    def test_report_does_not_depend_on_the_chunk_budget(self, monkeypatch):
+        params = init_params(ModelDims(d_v=3, d_t=4, hidden_low=5, hidden_high=4), 15)
+        rng = np.random.default_rng(8)
+        phrases = [rng.normal(size=(int(n), 4)) for n in rng.integers(1, 5, size=9)]
+        clips = [(rng.normal(size=(int(n), 3)), int(rng.integers(0, 9))) for n in rng.integers(1, 7, size=31)]
+        calls = count_calls(monkeypatch, evaluation, "encode_sequences")
+        reports, chunks = [], []
+        for budget in (1, evaluation._run_bytes(params.enc_v_low, 5, 6), 1 << 40):
+            monkeypatch.setattr(evaluation, "ENCODE_CHUNK_BYTES", budget)
+            calls.clear()
+            reports.append(json.dumps(zeroshot_classify(params, clips, phrases).summary()))
+            chunks.append(len(calls))
+        assert len(set(reports)) == 1
+        assert chunks[0] == 9 + 31 and 2 < chunks[1] < 9 + 31 and chunks[2] == 2
 
     def test_empty_labels_rejected(self):
         params = init_params(ModelDims(d_v=2, d_t=2, hidden_low=2, hidden_high=2), 0)
