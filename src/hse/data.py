@@ -250,7 +250,8 @@ def synth_generate(spec: SynthSpec) -> tuple[Corpus, SynthLabels]:
     unused sequence left (all num_events ** n are taken) is a ContractError.
     Weak mode shuffles each pair's sentence order and occasionally repeats
     one event as an extra sentence, producing pairs with more sentences
-    than clips.
+    than clips. If no earlier pair drew one, the last pair gets one, so a
+    weak corpus always has a pair whose counts differ and loads as weak.
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
@@ -287,7 +288,7 @@ def synth_generate(spec: SynthSpec) -> tuple[Corpus, SynthLabels]:
         if spec.correspondence == "weak":
             order = rng.permutation(len(sentence_events))
             sentence_events = [sentence_events[i] for i in order]
-            if rng.random() < 0.25:
+            if rng.random() < 0.25 or (k == spec.num_pairs - 1 and all(v.n == p.m for v, p in pairs)):
                 sentence_events.append(sentence_events[int(rng.integers(0, len(sentence_events)))])
         sentences = []
         for ev in sentence_events:

@@ -234,7 +234,7 @@ def evaluate_retrieval(
     # one matrix serves both directions: each cosine entry depends only on
     # its two rows, so its transpose is the video x paragraph matrix, bit
     # for bit
-    sims = tk.cosine(tk.constant(paragraphs), tk.constant(videos)).values
+    sims = tk.cosine(tk.Tensor(paragraphs), tk.Tensor(videos)).values
     true_cols = np.arange(len(sims))
     p2v = RetrievalReport.from_ranks("paragraph_to_video", _ranks(sims, true_cols), topk)
     v2p = RetrievalReport.from_ranks("video_to_paragraph", _ranks(sims.T, true_cols), topk)
@@ -262,7 +262,7 @@ def zeroshot_classify(
             )
     label_embs = _encode_sequences(params.enc_p_low, label_phrases)
     clip_embs = _encode_sequences(params.enc_v_low, [frames for frames, _ in labeled_clips])
-    sims = tk.cosine(tk.constant(clip_embs), tk.constant(label_embs)).values
+    sims = tk.cosine(tk.Tensor(clip_embs), tk.Tensor(label_embs)).values
     predicted = np.argmax(sims, axis=1)  # the first label wins a tie
     top5_hits = _ranks(sims, true_labels) <= min(5, len(label_phrases))
     n = len(true_labels)

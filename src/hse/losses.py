@@ -119,7 +119,7 @@ def compose_objective(
     each divided by pairs; a head not given is 0."""
     heads = (match_high, match_low, cluster_high, cluster_low, reconstruct)
     mh, ml, ch, cl, rec = (
-        tk.constant(0.0) if head is None else tk.mul_scalar(head, 1.0 / pairs) for head in heads
+        Tensor(0.0) if head is None else tk.mul_scalar(head, 1.0 / pairs) for head in heads
     )
     total = tk.add(mh, ml, ch, cl, tk.mul_scalar(rec, tau))
     return LossBreakdown(*(t.item() for t in (mh, ml, ch, cl, rec, total)), node=total)

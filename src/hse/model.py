@@ -284,7 +284,7 @@ def encode_sequences(params: GruParams, sequences: Sequence[np.ndarray]) -> Tens
     """Embed a batch of [T_b, D] feature sequences in one GRU run from a
     zero state: the [B, H] channel-wise maxima of their hidden states."""
     x, lengths = pad_sequences(sequences)
-    return tk.gru_sequence(tk.constant(x), lengths, params.weights(), pool=True)
+    return tk.gru_sequence(Tensor(x), lengths, params.weights(), pool=True)
 
 
 def _modality(params: HseModelParams, samples: Sequence) -> tuple[GruParams, GruParams, list]:
@@ -321,7 +321,7 @@ def encode_batch(params: HseModelParams, samples: Sequence) -> EncodedBatch:
     enc_low, enc_high, unit_lists = _modality(params, samples)
     counts = [len(units) for units in unit_lists]
     padded, lengths = pad_sequences([u for units in unit_lists for u in units])
-    low = tk.gru_sequence(tk.constant(padded), lengths, enc_low.weights(), pool=True)
+    low = tk.gru_sequence(Tensor(padded), lengths, enc_low.weights(), pool=True)
     high_in = tk.take(low, _segment_rows(np.cumsum([0] + counts[:-1]), counts))
     high = tk.gru_sequence(high_in, counts, enc_high.weights(), pool=True)
     if not (np.all(np.isfinite(low.values)) and np.all(np.isfinite(high.values))):

@@ -7,8 +7,9 @@ closures in reverse execution order, which is a valid reverse
 topological order because records are appended as operations run.
 Tapes are single use; build a fresh one per optimization step.
 
-Broadcasting is deliberately restricted to elementwise same-shape
-operands (plus scalar constants). Sequences are batched by padding:
+The primitives are those the model runs (add, mul_scalar, reshape, take,
+cosine, segment_mean, gru_sequence and the loss heads below), with no
+broadcasting: add takes same-shape terms. Sequences are batched by padding:
 gru_sequence runs a GRU over a padded [B, T, D] batch with per-row
 lengths, multiplying by the cell's four weight blocks as they are stored
 (no per-call stacking), and records the whole run as one tape record,
@@ -48,12 +49,9 @@ __all__ = [
     "Tensor",
     "Tape",
     "backward",
-    "constant",
     "add",
-    "mul",
     "mul_scalar",
     "reshape",
-    "reduce_sum",
     "take",
     "cosine",
     "segment_mean",
@@ -91,10 +89,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={list(self.shape)}, requires_grad={self.requires_grad})"
-
-
-def constant(values) -> Tensor:
-    return Tensor(values, requires_grad=False)
 
 
 class Tape:
@@ -202,36 +196,19 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return out
 
 
-def _binary(a: Tensor, b: Tensor, op: str) -> tuple[np.ndarray, np.ndarray]:
-    av, bv = a.values, b.values
-    if av.shape != bv.shape:
-        raise ShapeError(f"{op} shape mismatch: {list(av.shape)} vs {list(bv.shape)}")
-    return av, bv
-
-
 def add(a: Tensor, b: Tensor, *rest: Tensor) -> Tensor:
     """Sum of two or more same-shape terms, added left to right: one record."""
     terms = (a, b, *rest)
     total = a.values
     for t in terms[1:]:
-        total = total + _binary(a, t, "add")[1]
+        if t.values.shape != a.values.shape:
+            raise ShapeError(f"add shape mismatch: {list(a.shape)} vs {list(t.shape)}")
+        total = total + t.values
     out = Tensor(total, requires_grad=any(t.requires_grad for t in terms))
 
     def back(g):
         for t in terms:
             _acc(t, g)
-
-    _record(out, back)
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    av, bv = _binary(a, b, "mul")
-    out = Tensor(av * bv, requires_grad=a.requires_grad or b.requires_grad)
-
-    def back(g):
-        _acc(a, g * bv)
-        _acc(b, g * av)
 
     _record(out, back)
     return out
@@ -243,16 +220,6 @@ def mul_scalar(a: Tensor, c: float) -> Tensor:
 
     def back(g):
         _acc(a, g * c)
-
-    _record(out, back)
-    return out
-
-
-def reduce_sum(a: Tensor) -> Tensor:
-    out = Tensor(np.sum(a.values), requires_grad=a.requires_grad)
-
-    def back(g):
-        _acc(a, np.broadcast_to(g, a.values.shape))
 
     _record(out, back)
     return out

@@ -6,12 +6,15 @@ math. Keep it that way so the oracles stay an independent route. The
 exceptions are numpy routines: ref_gru_step, one GRU update gate by gate,
 and two whose contract is byte equality with the production code:
 ref_adam_step, a per-tensor loop of the Adam update, and ref_gru_run, a
-GRU run written one temporary per operation.
+GRU run written one temporary per operation. probe is no oracle but the
+tests' one scalar readout of a tensor, built from tensorkit primitives.
 """
 
 import math
 
 import numpy as np
+
+from hse import tensorkit as tk
 
 
 def hinge(x):
@@ -245,3 +248,11 @@ def ref_gru_run(x, lengths, w, u_zr, u_c, b, h0, dstates, window):
     dh0 = np.empty_like(h0)
     dh0[order] = dh
     return states, pooled, (dw, du_zr, du_c, flat.sum(axis=0), dx, dh0)
+
+
+def probe(x, w):
+    """The scalar sum(x * w) of a tensor x and a constant array w of x's
+    size, as one affine record over x flattened to a row. Its gradient with
+    respect to x is w, reshaped to x's shape, bit for bit."""
+    n = x.values.size
+    return tk.affine(tk.reshape(x, (1, n)), tk.Tensor(np.reshape(w, (1, n))), tk.Tensor(np.zeros(1)))

@@ -181,6 +181,19 @@ class TestTrain:
         assert len(err) == 1 and "strong-correspondence training needs a strong corpus" in err[0]
         assert not out.exists()
 
+    def test_weak_synth_with_no_drawn_extra_sentence_still_refuses_strong_training(
+        self, tmp_path, capsys
+    ):
+        # at this seed no pair draws an extra sentence: every pair has 3
+        # clips and 3 shuffled sentences unless the generator adds one
+        corpus = tmp_path / "w.jsonl"
+        assert run("synth", "--pairs", "4", "--events", "4", "--correspondence", "weak",
+                   "--seed", "4", "--out", str(corpus)) == 0
+        capsys.readouterr()
+        assert run("train", "--corpus", str(corpus), "--out", str(tmp_path / "run"), "--epochs", "2") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "strong-correspondence training needs a strong corpus" in err[0]
+
     def test_non_utf8_config_names_file_and_line(self, tmp_path, corpus_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_bytes(b"epochs = 1\n# caf\xff\n")

@@ -144,9 +144,7 @@ class TestCorpusIO:
         save_corpus(corpus, path)
         loaded = load_corpus(path)
         assert loaded.pairs == corpus.pairs
-        # the file does not store the mode: a synth weak corpus may have equal counts
-        ragged = any(v.n != p.m for v, p in corpus.pairs)
-        assert loaded.correspondence == ("weak" if ragged else "strong")
+        assert loaded.correspondence == spec.correspondence
 
     @settings(max_examples=200, deadline=None)
     @given(fault=FAULTS)

@@ -29,7 +29,7 @@ def on_circle(*angles):
 def rank_matrix(queries, gallery):
     """1-based rank of each query's true match, the gallery row of the same
     index, as evaluate_retrieval ranks: over one tk.cosine matrix."""
-    sims = tk.cosine(tk.constant(queries), tk.constant(gallery)).values
+    sims = tk.cosine(tk.Tensor(queries), tk.Tensor(gallery)).values
     return evaluation._ranks(sims, np.arange(len(queries)))
 
 
@@ -434,11 +434,11 @@ class TestZeroShot:
         rng = np.random.default_rng(6)
         clip_embs = rng.normal(size=(30, 8))
         label_embs = rng.normal(size=(7, 8))
-        base = np.argmax(tk.cosine(tk.constant(clip_embs), tk.constant(label_embs)).values, axis=1)
+        base = np.argmax(tk.cosine(tk.Tensor(clip_embs), tk.Tensor(label_embs)).values, axis=1)
         scaled = np.argmax(
             tk.cosine(
-                tk.constant(clip_embs * rng.uniform(0.01, 100.0, size=(30, 1))),
-                tk.constant(label_embs * rng.uniform(0.01, 100.0, size=(7, 1))),
+                tk.Tensor(clip_embs * rng.uniform(0.01, 100.0, size=(30, 1))),
+                tk.Tensor(label_embs * rng.uniform(0.01, 100.0, size=(7, 1))),
             ).values,
             axis=1,
         )

@@ -4,6 +4,7 @@ import pytest
 from hse import tensorkit as tk
 from hse.errors import ContractError, ShapeError
 from hse.tensorkit import Tape, Tensor, backward, finite_diff_check
+from oracles import probe
 
 
 def t(values, grad=True):
@@ -21,50 +22,45 @@ class TestPointwise:
         a, b, c = t([1.0]), t([1e16]), t([-1e16])
         with Tape() as tape:
             total = tk.add(a, b, c, a)
-            backward(tk.reduce_sum(total))
+            backward(probe(total, np.ones(1)))
         assert total.item() == 1.0  # ((1 + 1e16) - 1e16) + 1; any other order gives 2
-        assert len(tape) == 2
+        assert len(tape) == 3
         assert b.grad.tolist() == c.grad.tolist() == [1.0]
         assert a.grad.tolist() == [2.0]
-
-
-class TestReduce:
-    def test_sum(self):
-        assert tk.reduce_sum(t([1.0, 2.0, 3.0])).item() == 6.0
 
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = t([1.0, 2.0, 3.0])
         with Tape():
-            backward(tk.reduce_sum(x))
+            backward(probe(x, np.ones(3)))
         assert x.grad.tolist() == [1.0, 1.0, 1.0]
 
     def test_non_scalar_loss_rejected(self):
         x = t([1.0, 2.0])
         with Tape():
-            y = tk.mul(x, x)
+            y = tk.add(x, x)
             with pytest.raises(ContractError):
                 backward(y)
 
     def test_tape_is_single_use(self):
         x = t([1.0, 2.0])
         with Tape():
-            loss = tk.reduce_sum(x)
+            loss = probe(x, np.ones(2))
             backward(loss)
             with pytest.raises(ContractError, match="single use"):
                 backward(loss)
 
     def test_loss_without_tape_rejected(self):
         x = t([1.0])
-        loss = tk.reduce_sum(x)
+        loss = probe(x, np.ones(1))
         with pytest.raises(ContractError):
             backward(loss)
 
     def test_gradients_accumulate_across_reuse(self):
         x = t([3.0])
         with Tape():
-            loss = tk.reduce_sum(tk.add(tk.mul(x, x), x))  # x^2 + x
+            loss = probe(tk.add(tk.mul_scalar(x, 6.0), x), np.ones(1))  # 6x + x
             backward(loss)
         assert x.grad.tolist() == [7.0]
 
@@ -72,17 +68,26 @@ class TestBackward:
         x = t([1.0, 2.0])
         tape = Tape()
         with tape:
-            tk.reduce_sum(x)
+            probe(x, np.ones(2))
         n = len(tape)
-        tk.reduce_sum(x)  # outside: not recorded anywhere
+        probe(x, np.ones(2))  # outside: not recorded anywhere
         assert len(tape) == n
 
     def test_constants_not_recorded(self):
-        c1, c2 = tk.constant([1.0]), tk.constant([2.0])
+        c1, c2 = Tensor([1.0]), Tensor([2.0])
         tape = Tape()
         with tape:
             tk.add(c1, c2)
         assert len(tape) == 0
+
+
+@pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 3, 4)])
+def test_probe_gradient_is_its_weights(shape):
+    rng = np.random.default_rng(len(shape))
+    x, w = t(rng.normal(size=shape)), rng.normal(size=shape)
+    with Tape():
+        backward(probe(x, w))
+    assert np.array_equal(x.grad, w)
 
 
 class TestStructuralOps:
@@ -109,7 +114,7 @@ class TestFiniteDiff:
         theta = t([1.0, 2.0])
 
         def f(ps):
-            return tk.reduce_sum(tk.constant([5.0]))
+            return probe(Tensor([5.0]), np.ones(1))
 
         report = finite_diff_check(f, [theta])
         assert report.max_rel_err == 0.0
@@ -120,7 +125,7 @@ class TestFiniteDiff:
         w = t(rng.normal(size=(1, 4)))
 
         def f(ps):
-            return tk.reduce_sum(tk.cosine(ps[0], ps[1]))
+            return probe(tk.cosine(ps[0], ps[1]), np.ones(1))
 
         report = finite_diff_check(f, [u, w])
         assert report.max_rel_err < 1e-4
@@ -132,34 +137,35 @@ def _primitive_cases(rng):
     an objective sees the same one."""
     v = lambda n=4: t(rng.normal(size=n))
     m = lambda r=3, c=4: t(rng.normal(size=(r, c)))
-    c = lambda *shape: tk.constant(rng.normal(size=shape))
+    c = lambda *shape: rng.normal(size=shape)
     w = c(4)
 
-    def weighted(x, weight):
-        return tk.reduce_sum(tk.mul(x, weight))
-
     return [
-        ("add", lambda ps: weighted(tk.add(ps[0], ps[1]), w), [v(), v()]),
-        ("mul", lambda ps: weighted(tk.mul(ps[0], ps[1]), w), [v(), v()]),
-        ("mul_scalar", lambda ps: weighted(tk.mul_scalar(ps[0], -1.3), w), [v()]),
-        ("reshape", lambda ps, k=c(12): weighted(tk.reshape(ps[0], (12,)), k), [m()]),
-        ("sum_all", lambda ps: tk.reduce_sum(ps[0]), [m()]),
+        ("add", lambda ps: probe(tk.add(ps[0], ps[1]), w), [v(), v()]),
+        ("mul_scalar", lambda ps: probe(tk.mul_scalar(ps[0], -1.3), w), [v()]),
+        ("reshape", lambda ps, k=c(12): probe(tk.reshape(ps[0], (12,)), k), [m()]),
         ("rank_hinge", lambda ps: tk.rank_hinge(ps[0], 0.6), [m(4, 4)]),
         ("cluster_hinge", lambda ps: tk.cluster_hinge(ps[0], 1.2), [m(4, 4)]),
-        ("weighted_sq_err", lambda ps, y=c(3, 4): tk.weighted_sq_err(ps[0], y.values), [m()]),
+        ("weighted_sq_err", lambda ps, y=c(3, 4): tk.weighted_sq_err(ps[0], y), [m()]),
         (
             "weighted_sq_err_weights",
-            lambda ps, y=c(3, 4), k=rng.uniform(size=(3, 4)): tk.weighted_sq_err(ps[0], y.values, k),
+            lambda ps, y=c(3, 4), k=rng.uniform(size=(3, 4)): tk.weighted_sq_err(ps[0], y, k),
             [m()],
         ),
-        ("affine", lambda ps, k=c(3, 2): weighted(tk.affine(ps[0], ps[1], ps[2]), k), [m(3, 4), m(2, 4), v(2)]),
-        ("take", lambda ps, k=c(2, 2, 4): weighted(tk.take(ps[0], np.array([[1, 0], [2, 1]])), k), [m()]),
-        ("cosine", lambda ps, k=c(3, 2): weighted(tk.cosine(ps[0], ps[1]), k), [m(3, 4), m(2, 4)]),
-        ("segment_mean", lambda ps, k=c(2, 2): weighted(tk.segment_mean(ps[0], [1, 2], [3, 1]), k), [m()]),
+        ("affine", lambda ps, k=c(3, 2): probe(tk.affine(ps[0], ps[1], ps[2]), k), [m(3, 4), m(2, 4), v(2)]),
+        ("take", lambda ps, k=c(2, 2, 4): probe(tk.take(ps[0], np.array([[1, 0], [2, 1]])), k), [m()]),
+        ("cosine", lambda ps, k=c(3, 2): probe(tk.cosine(ps[0], ps[1]), k), [m(3, 4), m(2, 4)]),
+        ("segment_mean", lambda ps, k=c(2, 2): probe(tk.segment_mean(ps[0], [1, 2], [3, 1]), k), [m()]),
         (
             "gru_sequence_pool",
-            lambda ps, k=c(3, 2): weighted(tk.gru_sequence(ps[0], [2, 3, 1], ps[1:], pool=True), k),
+            lambda ps, k=c(3, 2): probe(tk.gru_sequence(ps[0], [2, 3, 1], ps[1:], pool=True), k),
             [t(rng.normal(size=(3, 3, 2))), m(2, 6), m(2, 4), m(2, 2), v(6)],
+        ),
+        ("add_repeated_term", lambda ps: probe(tk.add(ps[0], ps[1], ps[0]), w), [v(), v()]),
+        (
+            "gru_sequence_h0",
+            lambda ps, k=c(3, 3, 2): probe(tk.gru_sequence(ps[0], [2, 3, 1], ps[1:5], ps[5]), k),
+            [t(rng.normal(size=(3, 3, 2))), m(2, 6), m(2, 4), m(2, 2), v(6), m(3, 2)],
         ),
     ]
 
@@ -181,8 +187,8 @@ def test_every_primitive_matches_finite_differences():
 def test_forward_deterministic():
     rng = np.random.default_rng(0)
     vals = rng.normal(size=(50,))
-    a = tk.reduce_sum(tk.mul(Tensor(vals), Tensor(vals))).item()
-    b = tk.reduce_sum(tk.mul(Tensor(vals), Tensor(vals))).item()
+    a = probe(Tensor(vals), vals).item()
+    b = probe(Tensor(vals), vals).item()
     assert a == b
 
 
@@ -192,7 +198,7 @@ class TestBatchPrimitives:
         with Tape():
             rows = tk.take(a, np.array([[2, 0], [2, 2]]))
             assert rows.values.tolist() == [[[4.0, 5.0], [0.0, 1.0]], [[4.0, 5.0], [4.0, 5.0]]]
-            backward(tk.reduce_sum(tk.add(tk.reduce_sum(rows), tk.reduce_sum(tk.take(a, 1)))))
+            backward(tk.add(probe(rows, np.ones(8)), probe(tk.take(a, 1), np.ones(2))))
         assert a.grad.tolist() == [[1.0, 1.0], [1.0, 1.0], [3.0, 3.0]]
 
     def test_take_out_of_range(self):
@@ -210,7 +216,7 @@ class TestBatchPrimitives:
         weights = [t(w), t(np.zeros((2, 4))), t(np.zeros((2, 2))), t(b)]
         with Tape():
             out = tk.gru_sequence(x, [3], weights, pool=True)
-            backward(tk.reduce_sum(out))
+            backward(probe(out, np.ones(2)))
         peak = np.tanh([3.0, 5.0])
         slope = 1.0 - peak * peak
         assert out.values.tolist() == [peak.tolist()]
@@ -263,16 +269,16 @@ class TestBatchPrimitives:
         # every evaluation makes the one-sided quotients disagree, and the
         # check then skips every coordinate as a kink
         rng = np.random.default_rng(7)
-        weight = lambda *shape: tk.constant(rng.normal(size=shape))
+        weight = lambda *shape: rng.normal(size=shape)
         lengths = [2, 3, 1]
         cases = [
-            ("take", lambda ps, k=weight(2, 2, 4): tk.reduce_sum(tk.mul(tk.take(ps[0], np.array([[1, 0], [1, 1]])), k)), [t(rng.normal(size=(3, 4)))]),
-            ("cosine", lambda ps, k=weight(3, 2): tk.reduce_sum(tk.mul(tk.cosine(ps[0], ps[1]), k)), [t(rng.normal(size=(3, 4))), t(rng.normal(size=(2, 4)))]),
-            ("cosine_self", lambda ps, k=weight(3, 3): tk.reduce_sum(tk.mul(tk.cosine(ps[0], ps[0]), k)), [t(rng.normal(size=(3, 4)))]),
-            ("segment_mean", lambda ps, k=weight(2, 2): tk.reduce_sum(tk.mul(tk.segment_mean(ps[0], [1, 2], [3, 1]), k)), [t(rng.normal(size=(3, 4)))]),
+            ("take", lambda ps, k=weight(2, 2, 4): probe(tk.take(ps[0], np.array([[1, 0], [1, 1]])), k), [t(rng.normal(size=(3, 4)))]),
+            ("cosine", lambda ps, k=weight(3, 2): probe(tk.cosine(ps[0], ps[1]), k), [t(rng.normal(size=(3, 4))), t(rng.normal(size=(2, 4)))]),
+            ("cosine_self", lambda ps, k=weight(3, 3): probe(tk.cosine(ps[0], ps[0]), k), [t(rng.normal(size=(3, 4)))]),
+            ("segment_mean", lambda ps, k=weight(2, 2): probe(tk.segment_mean(ps[0], [1, 2], [3, 1]), k), [t(rng.normal(size=(3, 4)))]),
             (
                 "gru_sequence_pool",
-                lambda ps, k=weight(3, 2): tk.reduce_sum(tk.mul(tk.gru_sequence(ps[0], lengths, ps[1:], pool=True), k)),
+                lambda ps, k=weight(3, 2): probe(tk.gru_sequence(ps[0], lengths, ps[1:], pool=True), k),
                 [t(rng.normal(size=(3, 3, 2)))] + [t(rng.normal(size=s)) for s in ((2, 6), (2, 4), (2, 2), (6,))],
             ),
         ]

@@ -242,7 +242,7 @@ class TestTrain:
         def poisoned(batch, params, config, reconstruction_targets=None):
             from hse import tensorkit as tk
 
-            node = tk.constant(0.0)
+            node = tk.Tensor(0.0)
             return LossBreakdown(
                 match_high=float("nan"),
                 match_low=0.0,
