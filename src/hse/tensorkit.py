@@ -21,12 +21,16 @@ recurrence, one product per sequence for each window of _WINDOW steps,
 a step's two recurrent products as one GEMM each over the running rows,
 padded to 2 rows or more and to a width that is a multiple of 4 (where
 OpenBLAS gives a row the same bits at any row count and place), and
-writes each step's arithmetic into buffers made once per run. With
-pool=True it returns each row's channel-wise maxima over its valid steps,
-kept as a running maximum; when nothing will record them that is all it
-keeps, so an evaluation run holds no [B, T, .] buffer. None of this
-changes a row's bits, which do not depend on the batch or on the row's
-place in it.
+writes each step's arithmetic into buffers made once per run. A run a
+tape records keeps its states and gates time-major ([T, B, H]), so that
+a step stores and the backward reads contiguous rows, and its closing
+products sum over positions in [B, T] order. With pool=True it returns
+each row's channel-wise maxima over its valid steps, kept as a running
+maximum; a recorded run also keeps the step of each first maximum, where
+the backward sends the gradient. When nothing will record them the maxima
+are all it keeps, so an evaluation run holds no [B, T, .] buffer. None of
+this changes a row's bits, which do not depend on the batch or on the
+row's place in it.
 
 The training objective's heads are one record each, with a hand-written
 backward: rank_hinge and cluster_hinge over a square similarity matrix,
@@ -435,10 +439,11 @@ def _packed(v: np.ndarray, order: np.ndarray | None) -> np.ndarray:
 
 
 def _unpacked(v: np.ndarray, order: np.ndarray | None) -> np.ndarray:
-    """Packed rows back in the caller's order (order None: v itself)."""
+    """Packed rows back in the caller's order, C-contiguous (order None: v
+    itself when it is C-contiguous)."""
     if order is None:
-        return v
-    out = np.empty_like(v)
+        return np.ascontiguousarray(v)
+    out = np.empty(v.shape)
     out[order] = v
     return out
 
@@ -489,7 +494,7 @@ def gru_sequence(
     states; at a padded step a row carries its state forward unchanged.
     With pool, returns instead the [B, H] channel-wise maxima of each row's
     states over its valid steps, and the gradient of a maximum flows to
-    the first step that attains it.
+    the first step that attains it (a later NaN state does not draw it).
 
         [z | r] = sigmoid(x w[:, :2H] + h u_zr + b[:2H]),
         cand = tanh(x w[:, 2H:] + (r*h) u_c + b[2H:]), h' = (1 - z)*h + z*cand.
@@ -507,12 +512,23 @@ def gru_sequence(
     written into buffers made once per run. Such a GEMM gives a row the
     bits it has beside a zero row, so a sequence's states are the same
     bits alone or anywhere in any batch. Where exp overflows, sigmoid
-    takes its limit 0 without a warning. The backward pass
-    (backpropagation through time, written out by hand, in place as well)
-    walks the same prefixes. States and gradients are returned in the
-    caller's row order. A pooled run keeps a running maximum of the states;
-    one that nothing will record keeps nothing else, so its memory does not
-    grow with T.
+    takes its limit 0 without a warning. States and gradients are
+    returned in the caller's row order.
+
+    A run that a tape records keeps its states, gates and candidates
+    time-major, [T, B, H], so that each step stores contiguous [n, H] rows;
+    an unpooled one returns its states with one transposing copy. A pooled
+    one also records, channel by channel, the step of each row's first
+    maximum: a state strictly greater than the running maximum moves it.
+    The backward pass (backpropagation through time, written out by hand,
+    in place as well) copies the upstream gradient time-major into a buffer
+    of its own (a pooled gradient goes to its first-maximum step) and walks
+    the same prefixes over contiguous rows. The closing products (the
+    blocks' and the input's gradients) sum over positions in [B, T] order,
+    the previous states and their products with r built batch-major in
+    the spent gradient buffer, so that the run allocates no further
+    [B, T, H] array. A pooled run that nothing will record keeps only its
+    running maximum, so its memory does not grow with T.
     """
     if len(weights) != 4:
         raise ContractError(f"gru_sequence needs the 4 weight blocks, got {len(weights)}")
@@ -554,11 +570,18 @@ def gru_sequence(
     keep = requires_grad and _active_tape() is not None
     if pool:  # a running maximum from -inf
         best = np.full((bsz, hid), -np.inf)
-    if keep or not pool:
-        hs = np.empty((bsz, steps, hid))
+    # the states, indexed [t, b]: time-major on the tape, so that each step
+    # stores and the backward reads contiguous [n, H] slices; batch-major
+    # memory otherwise, which is what an unpooled run returns
     if keep:
+        hs = np.empty((steps, bsz, hid))
         zs, cands = np.empty_like(hs), np.empty_like(hs)
         rs = np.zeros_like(hs)  # zero on padding, where du_c reads it
+        if pool:  # the step of each channel's first maximum
+            first = np.zeros((bsz, hid), dtype=np.intp)
+            rises = np.empty((bsz, hid), dtype=bool)
+    elif not pool:
+        hs = np.empty((bsz, steps, hid)).transpose(1, 0, 2)
     # per-run buffers that every step writes into, a spare row and the padded
     # columns included (their results are scratch); a step allocates nothing
     rows = max(bsz, 2)
@@ -597,38 +620,45 @@ def gru_sequence(
         np.multiply(h, hp, out=h)
         np.add(h, np.multiply(z, cand, out=tmp_buf[:n]), out=h)
         if pool:
+            if keep:
+                np.greater(h, best[:n], out=rises[:n])
+                np.copyto(first[:n], t, where=rises[:n])
             np.maximum(best[:n], h, out=best[:n])
             if not keep:
                 continue
-        hs[:n, t] = h
+        hs[t, :n] = h
         if n < bsz:  # finished rows carry their state (t > 0: every row runs at step 0)
-            hs[n:, t] = hs[n:, t - 1]
+            hs[t, n:] = hs[t - 1, n:]
         if keep:
-            zs[:n, t], rs[:n, t], cands[:n, t] = z, r, cand
-    out = Tensor(_unpacked(best if pool else hs, order), requires_grad=requires_grad)
+            zs[t, :n], rs[t, :n], cands[t, :n] = z, r, cand
+    out = Tensor(
+        _unpacked(best if pool else hs.transpose(1, 0, 2), order), requires_grad=requires_grad
+    )
     if not keep:
         return out
-    h_prev = np.concatenate([h_init[:, None, :], hs[:, :-1]], axis=1)
 
     def back(g):
         # contiguous transposes, so that dx, d_rh and dh do not depend on how
         # BLAS treats a transposed operand
         w_t, u_zr_t, u_c_t = w.T.copy(), u_zr.T.copy(), u_c.T.copy()
-        g = _packed(g, order)
+        # the upstream gradient of the states, time-major, in a buffer of the
+        # run's own (a caller's [B, T, H] gradient can be its time-major view)
         if pool:
-            # each maximum's gradient goes to its first step: a finished row
-            # carries its last state through its padding, so none is padded
-            g_steps = np.zeros((bsz, steps, hid))
-            np.put_along_axis(g_steps, np.argmax(hs, axis=1)[:, None, :], g[:, None, :], axis=1)
-            g = g_steps
+            # each maximum's gradient goes to the first step that attains it
+            g_steps = np.zeros((steps, bsz, hid))
+            np.put_along_axis(g_steps, first[None], _packed(g, order)[None], axis=0)
+        else:
+            g_steps = np.empty((steps, bsz, hid))
+            np.copyto(g_steps.transpose(1, 0, 2), _packed(g, order))
         da = np.zeros((bsz, steps, 3 * hid))  # gate pre-activation gradients
         dh = np.zeros((bsz, hid))
         # contiguous, so that each ufunc runs one loop over all rows
         dz_buf, dr_buf, dc_buf, d_rh_buf, dh_buf, tmp_buf = np.empty((6, bsz, hid))
         for t in range(steps - 1, -1, -1):
             n = active[t]
-            dh += g[:, t]
-            z, r, cand, hp = zs[:n, t], rs[:n, t], cands[:n, t], h_prev[:n, t]
+            dh += g_steps[t]
+            z, r, cand = zs[t, :n], rs[t, :n], cands[t, :n]
+            hp = hs[t - 1, :n] if t else h_init[:n]
             dnew = dh[:n]
             da_t = da[:n, t]
             tmp = tmp_buf[:n]
@@ -654,13 +684,19 @@ def gru_sequence(
             da_t[:, :hid], da_t[:, hid : 2 * hid], da_t[:, 2 * hid :] = da_z, da_r, da_c
             np.add(dh_new, np.multiply(d_rh, r, out=tmp), out=dh_new)
             np.add(dh_new, np.matmul(da_t[:, : 2 * hid], u_zr_t, out=tmp), out=dnew)
+        # the closing products sum over positions in [B, T] order: h_prev and
+        # then rs * h_prev are built batch-major in g_steps, which is spent
         flat = da.reshape(-1, 3 * hid)
         if x is None:
             dw = np.zeros((3 * hid, dim))
         else:
             dw = flat.T @ xp.reshape(-1, dim)
+        h_prev = g_steps.reshape(bsz, steps, hid)
+        h_prev[:, 0] = h_init
+        h_prev[:, 1:] = hs[:-1].transpose(1, 0, 2)
         du_zr = flat[:, : 2 * hid].T @ h_prev.reshape(-1, hid)
-        du_c = flat[:, 2 * hid :].T @ (rs * h_prev).reshape(-1, hid)
+        rh_prev = np.multiply(rs.transpose(1, 0, 2), h_prev, out=h_prev)
+        du_c = flat[:, 2 * hid :].T @ rh_prev.reshape(-1, hid)
         for block, grad in zip(weights, (dw.T, du_zr.T, du_c.T, flat.sum(axis=0))):
             _acc(block, grad)
         if x is not None and x.requires_grad:

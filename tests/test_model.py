@@ -341,9 +341,13 @@ class TestKernelBitOracle:
     """gru_sequence equals oracles.ref_gru_run to the last bit: states,
     pooled rows and all six gradients. The oracle writes every expression
     with one temporary per operation, so a kernel step that reorders an
-    operation fails here."""
+    operation fails here. The run must also leave the gradient it was handed
+    as it was: with one row or one step, a [B, T, H] array's transpose is
+    C-contiguous, so a time-major "copy" of it could be the array itself."""
 
-    @pytest.mark.parametrize("case", ["ragged", "no-input", "long", "wide"])
+    @pytest.mark.parametrize(
+        "case", ["ragged", "no-input", "long", "wide", "single-row", "single-step"]
+    )
     def test_run_equals_oracle(self, case):
         rng = np.random.default_rng(41)
         # wide: H = 17, so both recurrent products' columns are padded
@@ -351,6 +355,10 @@ class TestKernelBitOracle:
         if case == "long":  # rows ending before, at and after window boundaries
             lengths = [33, 1, 70, 32, 64, 65, 7]
             assert tk._WINDOW in lengths and 2 * tk._WINDOW < max(lengths)
+        elif case == "single-row":
+            lengths = [6]
+        elif case == "single-step":
+            lengths = [1] * 6
         else:
             lengths = [3, 6, 1, 5, 6, 2]
         steps = max(lengths)
@@ -376,6 +384,7 @@ class TestKernelBitOracle:
         want_states, want_pooled, want_grads = oracles.ref_gru_run(
             x_values, lengths, *blocks, h0_values, weight, tk._WINDOW
         )
+        assert np.array_equal(states.grad, weight)
         assert np.array_equal(states.values, want_states)
         assert np.array_equal(free.values, want_states)
         assert np.array_equal(pooled.values, want_pooled)
@@ -448,6 +457,28 @@ class TestPooledKernel:
         with Tape() as tape:
             pooled = tk.gru_sequence(x, lengths, p.weights(), h0, pool=True)
         assert len(tape) == 1 and pooled.shape == (6, 4)
+
+    def test_taped_pool_memory_is_bounded(self):
+        """One taped pooled forward and backward at weak-ragged's low-level
+        shape peaks below 12.63 [B, T, H] float64 buffers, the peak of the
+        kernel's batch-major tape (the time-major one peaks at 11.4). A fresh
+        h_prev and rs * h_prev beside the time-major tape's gradient buffer
+        would peak at 13.9."""
+        bsz, steps, dim, hid = 56, 8, 16, 32
+        rng = np.random.default_rng(38)
+        p = random_gru(rng, dim, hid)
+        lengths = rng.permutation(np.arange(bsz) % (steps - 1) + 2)  # 2..8, 8 rows each
+        x = rng.normal(size=(bsz, steps, dim))
+        x[np.arange(steps)[None, :] >= lengths[:, None]] = 0.0
+        x, weight, weights = Tensor(x), rng.normal(size=(bsz, hid)), p.weights()
+        tracemalloc.start()
+        try:
+            with Tape():
+                tk.backward(oracles.probe(tk.gru_sequence(x, lengths, weights, pool=True), weight))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12.63 * bsz * steps * hid * 8
 
     def test_tape_free_pool_memory_does_not_grow_with_steps(self):
         bsz, steps, dim, hid = 4, 2000, 2, 8
