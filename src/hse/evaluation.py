@@ -210,8 +210,8 @@ def encode_corpus(
 
     def encode(samples) -> np.ndarray:
         if mode == "flat":
-            return encode_flat_batch(params, samples).values
-        return encode_batch(params, samples).high.values
+            return encode_flat_batch(params, samples)[0].values
+        return encode_batch(params, samples)[0].high.values
 
     chunks = _chunks(runs)
     return tuple(np.concatenate([encode(samples[c]) for c in chunks]) for samples in (videos, paragraphs))

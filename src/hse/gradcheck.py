@@ -133,7 +133,7 @@ def _trial(component: str, rng: np.random.Generator) -> FiniteDiffReport:
         dec_params = [t for name, t in model.named_parameters() if name.startswith("dec_v_")]
 
         def f(ps):
-            decoded = decode_batch(model, high, [video.n], video.n_i, "video")
+            (decoded,) = decode_batch(model, (high, [video.n], video.n_i, "video"))
             return losses.loss_reconstruct(decoded, target_low, units)
 
         return tk.finite_diff_check(f, dec_params)
@@ -151,9 +151,9 @@ def _trial(component: str, rng: np.random.Generator) -> FiniteDiffReport:
         params = [t for _, t in model.named_parameters()]
         # reconstruction targets carry no gradient, so the differenced
         # function must hold them fixed at the evaluation point
-        frozen = (
-            encode_batch(model, [video for video, _ in batch]).low.values,
-            encode_batch(model, [paragraph for _, paragraph in batch]).low.values,
+        frozen = tuple(
+            encoded.low.values
+            for encoded in encode_batch(model, [video for video, _ in batch], [paragraph for _, paragraph in batch])
         )
 
         def f(ps):
@@ -173,7 +173,7 @@ def _trial(component: str, rng: np.random.Generator) -> FiniteDiffReport:
         enc_params = [t for name, t in model.named_parameters() if name.startswith("enc_v_")]
 
         def f(ps):
-            return _weighted_sum(encode_batch(model, [video]).high, weight)
+            return _weighted_sum(encode_batch(model, [video])[0].high, weight)
 
         return tk.finite_diff_check(f, enc_params)
 
@@ -190,7 +190,7 @@ def _trial(component: str, rng: np.random.Generator) -> FiniteDiffReport:
         generated = [i * steps + j for i, count in enumerate(n_i) for j in range(count)]
 
         def f(ps):
-            decoded = decode_batch(model, high, [n], n_i, "video")
+            (decoded,) = decode_batch(model, (high, [n], n_i, "video"))
             return tk.add(_weighted_sum(decoded.low), _weighted_sum(tk.take(decoded.units, generated)))
 
         return tk.finite_diff_check(f, dec_params)

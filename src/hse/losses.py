@@ -4,11 +4,14 @@ combined objective, which compose_objective sums from the unnormalized
 heads into a LossBreakdown (whose fields name the components).
 
 Embeddings arrive as matrices, one row per item, in the EncodedBatch that
-encode_batch returns: videos and paragraphs as [K, E], the clips
-(sentences) of a batch as [N, E], pair after pair, counts[k] of those rows
-belonging to pair k. The same record carries the lengths and the padded
-input units that reconstruction compares against, so nothing is padded
-twice. Every similarity matrix is one tensorkit.cosine over two of them.
+encode_batch returns for each modality: total_loss encodes the videos and
+the paragraphs of a batch in one call, one paired GRU run per level, and
+decodes both in one decode_batch call when tau > 0. Videos and paragraphs
+come as [K, E], the clips (sentences) of a batch as [N, E], pair after
+pair, counts[k] of those rows belonging to pair k. The same record carries
+the lengths and the padded input units that reconstruction compares
+against, so nothing is padded twice. Every similarity matrix is one
+tensorkit.cosine over two of them.
 
 Sign convention. The ranking and clustering losses are the standard
 triplet hinges. For a batch of K aligned pairs the high-level matching term
@@ -246,8 +249,8 @@ def loss_reconstruct(
 
         sum_i { |low_hat_i - low_i|^2 + (1/n_i) sum_j |unit_hat_ij - unit_ij|^2 }
 
-    over its clips (sentences) i, n_i = decoded.lengths[i]: decoded is the
-    decode_batch output, low_targets the [N, E] encoder embeddings and units
+    over its clips (sentences) i, n_i = decoded.lengths[i]: decoded is one of
+    decode_batch's results, low_targets the [N, E] encoder embeddings and units
     the [N, T, D] padded clips (sentences) of EncodedBatch.units. Targets are
     constants; only the decoded branch gets gradients. Add both modalities.
     """
@@ -289,8 +292,7 @@ def total_loss(
     config.validate()
     if not batch:
         raise ContractError("total_loss requires a nonempty batch")
-    v = encode_batch(params, [video for video, _ in batch])
-    p = encode_batch(params, [paragraph for _, paragraph in batch])
+    v, p = encode_batch(params, [video for video, _ in batch], [paragraph for _, paragraph in batch])
 
     # the heads run in this order: shared embeddings accumulate gradients in
     # reverse tape order, so another order would change trained bits
@@ -306,9 +308,11 @@ def total_loss(
     if config.tau > 0.0:
         if reconstruction_targets is None:
             reconstruction_targets = (v.low.values, p.low.values)
-        terms = []
-        for encoded, targets, modality in zip((v, p), reconstruction_targets, ("video", "text")):
-            decoded = decode_batch(params, encoded.high, encoded.counts, encoded.lengths, modality)
-            terms.append(loss_reconstruct(decoded, targets, encoded.units))
-        rec = tk.add(*terms)
+        v_targets, p_targets = reconstruction_targets
+        v_dec, p_dec = decode_batch(
+            params, (v.high, v.counts, v.lengths, "video"), (p.high, p.counts, p.lengths, "text")
+        )
+        rec = tk.add(
+            loss_reconstruct(v_dec, v_targets, v.units), loss_reconstruct(p_dec, p_targets, p.units)
+        )
     return compose_objective(len(batch), config.tau, mh, ch, ml, cl, rec)

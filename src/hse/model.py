@@ -11,22 +11,27 @@ turn seeds the low-level decoder GRU emitting generated frame (word)
 features. Decoders have no step input; the hidden state carries all
 information.
 
-A GRU's weights are stored as the four blocks tensorkit.gru_sequence
-multiplies by (see GruParams); the per-gate weights of a checkpoint are
-views of them (HseModelParams.checkpoint_views). All weight tensors of a
-model are in turn views of one flat buffer, HseModelParams.values, which
-they tile in named_parameters order, so that training can update a
-leading span of it with whole-buffer operations. Every GRU runs through
-tensorkit.gru_sequence over a padded batch:
-encode_batch and decode_batch handle all samples of one modality at once
-(one GRU run per level), encode_sequences a batch of plain sequences, and
-encode_flat_batch each sample's concatenated frames (words). encode_batch
-and encode_flat_batch pick the encoders of the samples' modality by one
-rule (_modality). The encoders let the kernel pool (pool=True).
-Embeddings stay matrices: one row per clip (sentence) or per sample, with
-the clip counts, lengths and padded units alongside (EncodedBatch), the
-form the losses take. A sample's embedding is the same bits alone, in any
-batch and in any row order.
+A GRU's weights are stored as the four blocks the GRU kernel
+(tensorkit.gru_runs) multiplies by (see GruParams); the per-gate weights
+of a checkpoint are views of them (HseModelParams.checkpoint_views). All
+weight tensors of a model are in turn views of one flat buffer,
+HseModelParams.values, which they tile in named_parameters order, so that
+training can update a leading span of it with whole-buffer operations.
+Every GRU runs through the kernel over a padded batch. The video and
+paragraph towers have one hidden size per level and meet only in the
+losses, so encode_batch, encode_flat_batch and decode_batch take one or
+two batches, each of one modality, and return one result per batch: the
+two batches' runs of a level are one paired kernel call (one tape record),
+and training passes its video and paragraph batches together. Evaluation
+passes one batch at a time, one run per modality. encode_sequences embeds
+a batch of plain sequences, and encode_flat_batch each sample's
+concatenated frames (words). encode_batch and encode_flat_batch pick the
+encoders of each batch's modality by one rule (_modality). The encoders
+let the kernel pool (pool=True). Embeddings stay matrices: one row per
+clip (sentence) or per sample, with the clip counts, lengths and padded
+units alongside (EncodedBatch), the form the losses take. A sample's
+embedding is the same bits alone, in any batch, in any row order and
+beside any batch of the other modality.
 """
 
 from __future__ import annotations
@@ -304,62 +309,96 @@ def _modality(params: HseModelParams, samples: Sequence) -> tuple[GruParams, Gru
     return params.enc_p_low, params.enc_p_high, unit_lists
 
 
-def encode_flat_batch(params: HseModelParams, samples: Sequence) -> Tensor:
+def _one_or_two(batches: Sequence, what: str) -> None:
+    if not 1 <= len(batches) <= 2:
+        raise ContractError(f"{what} takes one or two batches, got {len(batches)}")
+
+
+def encode_flat_batch(params: HseModelParams, *batches: Sequence) -> tuple[Tensor, ...]:
     """Flat-sequence baseline: ignore clip/sentence boundaries and encode the
     concatenation of each sample's frames (words) as one sequence with the
-    low-level encoder of the samples' modality. Returns the [K, H]
+    low-level encoder of the samples' modality. Takes one or two batches,
+    each of one modality, in one GRU run; returns each batch's [K, H]
     embeddings."""
-    enc_low, _, unit_lists = _modality(params, samples)
-    return encode_sequences(enc_low, [np.concatenate(units) for units in unit_lists])
+    _one_or_two(batches, "encode_flat_batch")
+    runs = []
+    for samples in batches:
+        enc_low, _, unit_lists = _modality(params, samples)
+        x, lengths = pad_sequences([np.concatenate(units) for units in unit_lists])
+        runs.append((Tensor(x), lengths, enc_low.weights(), None))
+    return tk.gru_runs(runs, pool=True)
 
 
-def encode_batch(params: HseModelParams, samples: Sequence) -> EncodedBatch:
+def encode_batch(params: HseModelParams, *batches: Sequence) -> tuple[EncodedBatch, ...]:
     """Embed every clip (sentence) of a batch of videos (paragraphs)
     independently, each from a zero state, then embed each sample's
-    sequence of those embeddings with the high-level encoder: one GRU run
-    per level."""
-    enc_low, enc_high, unit_lists = _modality(params, samples)
-    counts = [len(units) for units in unit_lists]
-    padded, lengths = pad_sequences([u for units in unit_lists for u in units])
-    low = tk.gru_sequence(Tensor(padded), lengths, enc_low.weights(), pool=True)
-    high_in = tk.take(low, _segment_rows(np.cumsum([0] + counts[:-1]), counts))
-    high = tk.gru_sequence(high_in, counts, enc_high.weights(), pool=True)
-    if not (np.all(np.isfinite(low.values)) and np.all(np.isfinite(high.values))):
+    sequence of those embeddings with the high-level encoder. Takes one or
+    two batches, each of one modality (a video batch and a paragraph batch
+    in training), in one GRU run per level; returns one EncodedBatch per
+    batch."""
+    _one_or_two(batches, "encode_batch")
+    encoders, counts, padded = [], [], []
+    for samples in batches:
+        enc_low, enc_high, unit_lists = _modality(params, samples)
+        encoders.append((enc_low, enc_high))
+        counts.append([len(units) for units in unit_lists])
+        padded.append(pad_sequences([u for units in unit_lists for u in units]))
+    lows = tk.gru_runs(
+        [(Tensor(x), lengths, low.weights(), None) for (low, _), (x, lengths) in zip(encoders, padded)],
+        pool=True,
+    )
+    high_ins = [tk.take(low, _segment_rows(np.cumsum([0] + c[:-1]), c)) for low, c in zip(lows, counts)]
+    highs = tk.gru_runs(
+        [(x, c, high.weights(), None) for (_, high), x, c in zip(encoders, high_ins, counts)], pool=True
+    )
+    if not all(np.all(np.isfinite(t.values)) for t in (*lows, *highs)):
         raise DegenerateInputError("non-finite embedding produced by encoder")
-    return EncodedBatch(low=low, high=high, counts=counts, lengths=lengths, units=padded)
+    return tuple(
+        EncodedBatch(low=low, high=high, counts=c, lengths=lengths, units=x)
+        for low, high, c, (x, lengths) in zip(lows, highs, counts, padded)
+    )
 
 
-def decode_batch(
-    params: HseModelParams,
-    high: Tensor,
-    counts: Sequence[int],
-    lengths: Sequence[int],
-    modality: str,
-) -> DecodedBatch:
-    """Generate, for each row k of the [K, hidden_high] embeddings high,
-    counts[k] low-level embeddings, and from the i-th low-level embedding of
-    the batch lengths[i] feature vectors (as counted in an EncodedBatch).
+def decode_batch(params: HseModelParams, *batches: tuple) -> tuple[DecodedBatch, ...]:
+    """Decode one or two batches, each a tuple (high, counts, lengths,
+    modality): generate, for each row k of the [K, hidden_high] embeddings
+    high, counts[k] low-level embeddings, and from the i-th low-level
+    embedding of the batch lengths[i] feature vectors (as counted in an
+    EncodedBatch), with the decoders of modality ("video" or "text").
 
     The high-level decoder GRU starts from the sample embedding and runs one
     step per clip (sentence) without input; every hidden state is projected
     to a generated low-level embedding. Each of those seeds the low-level
     decoder GRU for one step per frame (word), whose hidden states are
-    projected to generated features. One GRU run per level.
+    projected to generated features. One GRU run per level for both
+    batches; returns one DecodedBatch per batch.
     """
-    if modality == "video":
-        dec_high, dec_low = params.dec_v_high, params.dec_v_low
-    elif modality == "text":
-        dec_high, dec_low = params.dec_p_high, params.dec_p_low
-    else:
-        raise ContractError(f"unknown modality {modality!r}")
-    if not counts or min(counts) < 1 or sum(counts) != len(lengths) or min(lengths) < 1:
-        raise ContractError(f"decode_batch: counts {counts} must split lengths {lengths}, all >= 1")
-    k, n_max, t_max = len(counts), max(counts), max(lengths)
-    states = tk.gru_sequence(None, counts, dec_high.gru.weights(), high)
-    valid = [b * n_max + i for b, n in enumerate(counts) for i in range(n)]
-    flat = tk.reshape(states, (k * n_max, dec_high.gru.hidden_dim))
-    low = tk.affine(tk.take(flat, valid), dec_high.out_w, dec_high.out_b)
-    unit_states = tk.gru_sequence(None, lengths, dec_low.gru.weights(), low)
-    flat = tk.reshape(unit_states, (len(lengths) * t_max, dec_low.gru.hidden_dim))
-    units = tk.affine(flat, dec_low.out_w, dec_low.out_b)
-    return DecodedBatch(low=low, units=units, lengths=list(lengths))
+    _one_or_two(batches, "decode_batch")
+    decoders = []
+    for _, counts, lengths, modality in batches:
+        if modality == "video":
+            decoders.append((params.dec_v_high, params.dec_v_low))
+        elif modality == "text":
+            decoders.append((params.dec_p_high, params.dec_p_low))
+        else:
+            raise ContractError(f"unknown modality {modality!r}")
+        if not counts or min(counts) < 1 or sum(counts) != len(lengths) or min(lengths) < 1:
+            raise ContractError(f"decode_batch: counts {counts} must split lengths {lengths}, all >= 1")
+    states = tk.gru_runs(
+        [(None, counts, high_dec.gru.weights(), high) for (high, counts, _, _), (high_dec, _) in zip(batches, decoders)]
+    )
+    lows = []
+    for clip_states, (_, counts, _, _), (high_dec, _) in zip(states, batches, decoders):
+        k, n_max = len(counts), max(counts)
+        valid = [b * n_max + i for b, n in enumerate(counts) for i in range(n)]
+        flat = tk.reshape(clip_states, (k * n_max, high_dec.gru.hidden_dim))
+        lows.append(tk.affine(tk.take(flat, valid), high_dec.out_w, high_dec.out_b))
+    states = tk.gru_runs(
+        [(None, lengths, low_dec.gru.weights(), low) for (_, _, lengths, _), (_, low_dec), low in zip(batches, decoders, lows)]
+    )
+    decoded = []
+    for unit_states, (_, _, lengths, _), (_, low_dec), low in zip(states, batches, decoders, lows):
+        flat = tk.reshape(unit_states, (len(lengths) * max(lengths), low_dec.gru.hidden_dim))
+        units = tk.affine(flat, low_dec.out_w, low_dec.out_b)
+        decoded.append(DecodedBatch(low=low, units=units, lengths=list(lengths)))
+    return tuple(decoded)

@@ -8,29 +8,33 @@ topological order because records are appended as operations run.
 Tapes are single use; build a fresh one per optimization step.
 
 The primitives are those the model runs (add, mul_scalar, reshape, take,
-cosine, segment_mean, gru_sequence and the loss heads below), with no
+cosine, segment_mean, gru_runs and the loss heads below), with no
 broadcasting: add takes same-shape terms. Sequences are batched by padding:
-gru_sequence runs a GRU over a padded [B, T, D] batch with per-row
-lengths, multiplying by the cell's four weight blocks as they are stored
-(no per-call stacking), and records the whole run as one tape record,
-pooled or not; take gathers rows, so a model layer can encode a whole
-batch with a handful of records.
-gru_sequence orders the rows longest first and runs each step over the
-rows still running only. It forms the input terms ahead of the
+gru_runs runs one GRU, or two of one hidden size, over padded [B, T, D]
+batches with per-row lengths, multiplying by each cell's four weight
+blocks as they are stored (no per-call stacking), and records the call as
+one tape record, pooled or not; gru_sequence is its one-run form. take
+gathers rows, so a model layer can encode a whole batch with a handful of
+records.
+The kernel orders each run's rows longest first and runs each step over
+the rows still running only. It forms the input terms ahead of the
 recurrence, one product per sequence for each window of _WINDOW steps,
-a step's two recurrent products as one GEMM each over the running rows,
-padded to 2 rows or more and to a width that is a multiple of 4 (where
-OpenBLAS gives a row the same bits at any row count and place), and
-writes each step's arithmetic into buffers made once per run. A run a
-tape records keeps its states and gates time-major ([T, B, H]), so that
-a step stores and the backward reads contiguous rows, and its closing
-products sum over positions in [B, T] order. With pool=True it returns
-each row's channel-wise maxima over its valid steps, kept as a running
-maximum; a recorded run also keeps the step of each first maximum, where
-the backward sends the gradient. When nothing will record them the maxima
+a step's two recurrent products as one GEMM each per run over its running
+rows, padded to 2 rows or more and to a width that is a multiple of 4
+(where OpenBLAS gives a row the same bits at any row count and place),
+and writes each step's arithmetic into buffers made once per call. Two
+runs sit back to back in one row space, each packed longest first toward
+the row where they meet, so the rows still running form one window and
+each elementwise operation is one call for both. A run a tape records
+keeps its states and gates time-major ([T, B, H]), so that a step stores
+and the backward reads contiguous rows, and its closing products sum over
+its positions in [B, T] order. With pool=True it returns each row's
+channel-wise maxima over its valid steps, kept as a running maximum; a
+recorded run also keeps the step of each first maximum, where the
+backward sends the gradient. When nothing will record them the maxima
 are all it keeps, so an evaluation run holds no [B, T, .] buffer. None of
-this changes a row's bits, which do not depend on the batch or on the
-row's place in it.
+this changes a row's bits, which do not depend on the batch, on the row's
+place in it or on the run beside it.
 
 The training objective's heads are one record each, with a hand-written
 backward: rank_hinge and cluster_hinge over a square similarity matrix,
@@ -64,6 +68,7 @@ __all__ = [
     "weighted_sq_err",
     "affine",
     "gru_sequence",
+    "gru_runs",
     "zero_grads",
     "finite_diff_check",
     "FiniteDiffReport",
@@ -103,7 +108,8 @@ class Tape:
     """
 
     def __init__(self):
-        self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        # (output or tuple of outputs, backward closure), in execution order
+        self._records: list[tuple[Tensor | tuple[Tensor, ...], Callable]] = []
         self._used = False
 
     def __len__(self) -> int:
@@ -131,10 +137,17 @@ def _active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def _record(out: Tensor, back: Callable[[np.ndarray], None]) -> None:
+def _record(out: Tensor | tuple[Tensor, ...], back: Callable) -> None:
+    """Record back, the backward of an operation with output out, or with
+    the outputs in the tuple out; back then takes their gradients as one
+    list (see backward)."""
     tape = _active_tape()
-    if tape is not None and out.requires_grad:
-        out.tape = tape
+    if tape is None:
+        return
+    outs = out if isinstance(out, tuple) else (out,)
+    if any(o.requires_grad for o in outs):
+        for o in outs:
+            o.tape = tape
         tape._records.append((out, back))
 
 
@@ -165,16 +178,23 @@ def backward(loss: Tensor) -> None:
     tape._used = True
     loss.grad = np.ones_like(loss.values)
     for out, back in reversed(tape._records):
-        g = out.grad
-        if g is None:
-            continue
+        if isinstance(out, tuple):
+            # one call with every output's gradient, None where it got none
+            g = [o.grad for o in out]
+            if all(gi is None for gi in g):
+                continue
+        else:
+            g = out.grad
+            if g is None:
+                continue
         back(g)
     # Each output references its tape, which references the output: a
     # reference cycle that would keep the whole graph alive until a garbage
     # collection. Re-pointing the outputs at a shared spent tape frees the
     # graph as soon as the caller drops the tape.
     for out, _ in tape._records:
-        out.tape = _SPENT_TAPE
+        for o in out if isinstance(out, tuple) else (out,):
+            o.tape = _SPENT_TAPE
 
 
 def zero_grads(tensors: Sequence[Tensor]) -> None:
@@ -448,8 +468,8 @@ def _unpacked(v: np.ndarray, order: np.ndarray | None) -> np.ndarray:
     return out
 
 
-# steps whose input terms gru_sequence forms ahead of the recurrence, a
-# window at a time, so that its buffer for them does not grow with T
+# steps whose input terms gru_runs forms ahead of the recurrence, a window
+# at a time, so that its buffer for them does not grow with T
 _WINDOW = 32
 
 
@@ -471,9 +491,355 @@ def _window_input_terms(
             np.matmul(xp[i0:i1, t0 : t0 + m], w, out=out[i0:i1, :m])
 
 
+class _Run:
+    """One GRU run of a gru_runs call: its operands, checked, with its rows
+    packed longest first, and where those rows sit in the row space the
+    call's runs share (place)."""
+
+    def __init__(self, x: Tensor | None, lengths, weights: Sequence[Tensor], h0: Tensor | None):
+        if len(weights) != 4:
+            raise ContractError(f"gru_sequence needs the 4 weight blocks, got {len(weights)}")
+        w, u_zr, u_c, b = (t.values for t in weights)
+        hid = u_c.shape[0] if u_c.ndim == 2 else -1
+        lengths = np.asarray(lengths, dtype=np.intp)
+        if x is None:
+            dim = w.shape[0]
+            bsz = lengths.size
+            steps = int(lengths.max()) if bsz else 0
+        else:
+            xv = x.values
+            if xv.ndim != 3:
+                raise ShapeError(f"gru_sequence input must be [B, T, D], got shape {list(xv.shape)}")
+            bsz, steps, dim = xv.shape
+        expect = {"w": (dim, 3 * hid), "u_zr": (hid, 2 * hid), "u_c": (hid, hid), "b": (3 * hid,)}
+        for (name, shape), v in zip(expect.items(), (w, u_zr, u_c, b)):
+            if v.shape != shape:
+                raise ShapeError(
+                    f"gru_sequence {name} has shape {list(v.shape)}, expected {list(shape)}"
+                )
+        if h0 is not None and h0.values.shape != (bsz, hid):
+            raise ShapeError(
+                f"gru_sequence h0 has shape {list(h0.values.shape)}, expected {[bsz, hid]}"
+            )
+        if lengths.shape != (bsz,) or bsz and (lengths.min() < 1 or lengths.max() > steps):
+            raise ShapeError(f"need {bsz} lengths in 1..{steps}, got {lengths.tolist()}")
+        self.x, self.weights, self.h0 = x, weights, h0
+        self.w, self.u_zr, self.u_c, self.b = w, u_zr, u_c, b
+        self.hid, self.dim, self.bsz, self.steps = hid, dim, bsz, steps
+        # rows still running at each step (counted from the lengths, with no
+        # [B, T] temporary); with the rows sorted longest first they are the
+        # first active[t] rows
+        self.active = (bsz - np.cumsum(np.bincount(lengths, minlength=steps))[:steps]).tolist()
+        order = None if (lengths[:-1] >= lengths[1:]).all() else np.argsort(-lengths, kind="stable")
+        self.order = order
+        self.xp = None if x is None else _packed(xv, order)
+        self.h_init = np.zeros((bsz, hid)) if h0 is None else _packed(h0.values, order)
+        self.requires_grad = any(p.requires_grad for p in (x, *weights, h0) if p is not None)
+
+    def place(self, edge: int, below: bool) -> None:
+        """Put the packed rows next to row edge: below it, longest last (run
+        A), or from it on, longest first (run B)."""
+        self.below = below
+        self.rows = slice(edge - self.bsz, edge) if below else slice(edge, edge + self.bsz)
+
+    def own(self, v: np.ndarray) -> np.ndarray:
+        """The run's rows of v (its first axis), in packed order."""
+        return v[self.rows][::-1] if self.below else v[self.rows]
+
+
 # exp(-v) overflows below v = -709.78, where sigmoid takes its limit 0; one
-# errstate per run, as entering and leaving one per step takes about 2 us
+# errstate per call, as entering and leaving one per step takes about 2 us
 @np.errstate(over="ignore")
+def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
+    """Hidden states of one or two GRU runs of one hidden size, stepped in
+    one loop and recorded as one tape record.
+
+    Each run is a tuple (x, lengths, weights, h0), as gru_sequence takes
+    them; both runs have an input or neither has. Returns one tensor per
+    run, in the order given, each the same bits as gru_sequence returns
+    for that run alone; the backward gives each run's parents the
+    gradients that run's own record would, bit for bit.
+
+    The runs share one row space, [spare | run A, longest row last | run B,
+    longest row first | spare] (a spare row only beside a run of one row;
+    a lone run is run B), so the rows running at step t are one window,
+    [edge - n_A(t), edge + n_B(t)), where edge is the row at which the runs
+    meet. No run is padded to the other's row count. Every elementwise
+    operation, the input-term and bias adds (the bias one [rows, 3H] array
+    for two runs), the pooling and the tape stores are one call over that
+    window. Each run forms its own input terms, run A's into a reversed
+    view of the shared buffer. The GEMMs go run by run:
+
+    * A step's recurrent products take each run's max(n, 2) rows next to
+      the edge (a lone row beside a finished row of its run or a spare
+      row), by columns padded to a multiple of 4, where a row's bits do
+      not depend on its position, so run A's reversed rows keep theirs.
+    * The backward's products (d_rh and the u_zr product) have unpadded
+      widths, where OpenBLAS can give a row other bits at another
+      position (at N mod 8 in {1, 2, 3}), so they take each run's n
+      running rows in packed order: run A's through a contiguous reversed
+      copy.
+    * Each run's gate gradients go to a [B, T, 3H] array of its own, in its
+      packed order (run A's through a reversed view), so the closing
+      products sum over the run's positions in its own [B, T] order.
+
+    The record's closure takes both outputs' gradients; a run whose output
+    got none leaves its parents' gradients as they were. Once it has run,
+    it lets go of the call's tape buffers, so that the records replayed
+    after it can reuse their memory.
+    """
+    if not 1 <= len(runs) <= 2:
+        raise ContractError(f"gru_runs takes one or two runs, got {len(runs)}")
+    runs = [_Run(*run) for run in runs]
+    hid = runs[0].hid
+    if runs[-1].hid != hid:
+        raise ShapeError(f"paired GRU runs need one hidden size, got {hid} and {runs[-1].hid}")
+    inputs = runs[0].x is not None
+    if (runs[-1].x is not None) != inputs:
+        raise ContractError("paired GRU runs need an input in both runs or in neither")
+    a, b = runs if len(runs) == 2 else (None, runs[0])
+    steps = max(run.steps for run in runs)
+    # each run's running rows at every step of the loop, 0 once it has ended
+    act_b = b.active + [0] * (steps - b.steps)
+    if a:
+        edge = max(a.bsz, 2)
+        a_bsz, a_steps = a.bsz, a.steps
+        act_a = a.active + [0] * (steps - a.steps)
+        a.place(edge, below=True)
+    else:
+        edge = a_bsz = a_steps = 0
+        act_a = [0] * steps
+    b.place(edge, below=False)
+    b_end = edge + b.bsz
+    rows = edge + max(b.bsz, 2)
+    keep = any(run.requires_grad for run in runs) and _active_tape() is not None
+    h2 = 2 * hid
+    h_init = np.zeros((rows, hid))
+    for run in runs:
+        if run.h0 is not None:
+            run.own(h_init)[...] = run.h_init
+    # each run's recurrent weights with zero columns up to a multiple of 4
+    padded = [(_padded_columns(run.u_zr), _padded_columns(run.u_c)) for run in runs]
+    (ua_zr, ua_c), (ub_zr, ub_c) = padded[0], padded[-1]
+    # the bias of each row for two runs; one row, broadcast, for one
+    if a:
+        bias = np.zeros((rows, 3 * hid))
+        bias[a.rows], bias[b.rows] = a.b, b.b
+    else:
+        bias = b.b[None]
+    if pool:  # a running maximum from -inf
+        best = np.full((rows, hid), -np.inf)
+    # the states, indexed [t, row]: time-major on the tape, so that each step
+    # writes and the backward reads contiguous [n, H] slices; batch-major
+    # memory otherwise, which is what an unpooled run returns
+    if keep:
+        hs, zs, cands = np.empty((3, steps, rows, hid))
+        if rows > b_end or edge > a_bsz:  # spare rows, which a lone row's GEMM reads
+            hs[:, : edge - a_bsz] = hs[:, b_end:] = 0.0
+        rs = np.zeros((steps, rows, hid))  # zero on padding, where du_c reads it
+        if pool:  # the step of each channel's first maximum
+            first = np.zeros((rows, hid), dtype=np.intp)
+            rises = np.empty((rows, hid), dtype=bool)
+    else:
+        h_bufs = np.zeros((2, rows, hid))  # the state, step t writing h_bufs[t % 2]
+        h_bufs[1] = h_init
+        if not pool:
+            hs = np.empty((rows, steps, hid)).transpose(1, 0, 2)
+    # buffers that every step writes into, spare rows and padded columns
+    # included (their results are scratch); a step allocates nothing
+    zr_buf, c_buf = np.zeros((rows, ub_zr.shape[1])), np.zeros((rows, ub_c.shape[1]))
+    tmp_buf = np.zeros((rows, hid))
+    if inputs:  # the input terms of one window of steps, each run's rows in packed order
+        xw_buf = np.empty((rows, min(_WINDOW, steps), 3 * hid))
+        xw_runs = [(run, run.own(xw_buf)) for run in runs]
+    for t in range(steps):
+        na, nb = act_a[t], act_b[t]
+        lo, hi = edge - na, edge + nb
+        # the state step t reads, and the one it writes: on the tape itself
+        # when it keeps one
+        if keep:
+            h_in, h_out = hs[t - 1] if t else h_init, hs[t]
+        else:
+            h_in, h_out = h_bufs[(t + 1) % 2], h_bufs[t % 2]
+        hp = h_in[lo:hi]
+        # each run's GEMM rows: its max(n, 2) rows next to the edge
+        ga, gb = edge - max(na, 2), edge + max(nb, 2)
+        if na:
+            np.matmul(h_in[ga:edge], ua_zr, out=zr_buf[ga:edge])
+        if nb:
+            np.matmul(h_in[edge:gb], ub_zr, out=zr_buf[edge:gb])
+        zr = zr_buf[lo:hi, :h2]
+        if inputs:
+            if t % _WINDOW == 0:
+                for run, out in xw_runs:
+                    if t < run.steps:
+                        _window_input_terms(run.xp, run.w, run.active, t, out)
+            xw = xw_buf[lo:hi, t % _WINDOW]
+            np.add(xw[:, :h2], zr, out=zr)
+        bias_t = bias[lo:hi] if a else bias
+        np.add(zr, bias_t[:, :h2], out=zr)
+        # sigmoid, 1/(1 + exp(-v)), in place
+        np.negative(zr, out=zr)
+        np.exp(zr, out=zr)
+        np.add(1.0, zr, out=zr)
+        np.divide(1.0, zr, out=zr)
+        z, r = zr[:, :hid], zr[:, hid:]
+        np.multiply(r, hp, out=tmp_buf[lo:hi])
+        if na:
+            np.matmul(tmp_buf[ga:edge], ua_c, out=c_buf[ga:edge])
+        if nb:
+            np.matmul(tmp_buf[edge:gb], ub_c, out=c_buf[edge:gb])
+        cand = c_buf[lo:hi, :hid]
+        if inputs:
+            np.add(xw[:, h2:], cand, out=cand)
+        np.add(cand, bias_t[:, h2:], out=cand)
+        cand = np.tanh(cand, out=cands[t, lo:hi] if keep else cand)
+        # h' = (1 - z)*h + z*cand
+        h = h_out[lo:hi]
+        np.subtract(1.0, z, out=h)
+        np.multiply(h, hp, out=h)
+        np.add(h, np.multiply(z, cand, out=tmp_buf[lo:hi]), out=h)
+        if pool:
+            if keep and t:  # at step 0 every first maximum is at step 0
+                np.greater(h, best[lo:hi], out=rises[lo:hi])
+                np.putmask(first[lo:hi], rises[lo:hi], t)
+            np.maximum(best[lo:hi], h, out=best[lo:hi])
+            if not keep:
+                continue
+        elif not keep:
+            hs[t, lo:hi] = h
+        if t:  # finished rows carry their state (every row runs at step 0)
+            if na < a_bsz and t < a_steps:
+                hs[t, edge - a_bsz : lo] = hs[t - 1, edge - a_bsz : lo]
+            if nb < b.bsz and t < b.steps:
+                hs[t, hi:b_end] = hs[t - 1, hi:b_end]
+        if keep:
+            zs[t, lo:hi], rs[t, lo:hi] = z, r
+    hs_rows = None if pool else hs.transpose(1, 0, 2)
+    outs = tuple(
+        Tensor(
+            _unpacked(run.own(best) if pool else run.own(hs_rows)[:, : run.steps], run.order),
+            requires_grad=run.requires_grad,
+        )
+        for run in runs
+    )
+    if not keep:
+        return outs
+
+    def back(grads):
+        nonlocal runs, hs, zs, rs, cands, h_init
+        # each run's gate pre-activation gradients, [B, T, 3H] in its packed
+        # order, and contiguous transposes, so that dx, d_rh and dh do not
+        # depend on how BLAS treats a transposed operand
+        per_run = [
+            (np.zeros((run.bsz, run.steps, 3 * hid)), run.u_zr.T.copy(), run.u_c.T.copy())
+            for run in runs
+        ]
+        (da_a, ua_zr_t, ua_c_t), (da_b, ub_zr_t, ub_c_t) = per_run[0], per_run[-1]
+        # the upstream gradient of the states, time-major, in a buffer of the
+        # call's own (a caller's [B, T, H] gradient can be its time-major view)
+        if pool:
+            # each maximum's gradient goes to the first step that attains it
+            g_best = np.zeros((rows, hid))
+            for run, g in zip(runs, grads):
+                if g is not None:
+                    run.own(g_best)[...] = _packed(g, run.order)
+            g_steps = np.zeros((steps, rows, hid))
+            np.put_along_axis(g_steps, first[None], g_best[None], axis=0)
+        else:
+            g_steps = np.empty((steps, rows, hid))
+            for run, g in zip(runs, grads):
+                g_run = run.own(g_steps.transpose(1, 0, 2))[:, : run.steps]
+                if g is None:
+                    g_run.fill(0.0)
+                else:
+                    np.copyto(g_run, _packed(g, run.order))
+        dh = np.zeros((rows, hid))
+        # contiguous, so that each ufunc runs one loop over all rows; the
+        # first three hold a step's da_z, da_r and da_c, in gate order
+        bufs = np.empty((6, rows, hid))
+        dz_buf, dr_buf, dc_buf, d_rh_buf, dh_buf, tmp_buf = bufs
+        if a:  # run A's running rows in packed order, contiguous
+            a_c, a_out = np.empty((a_bsz, hid)), np.empty((a_bsz, hid))
+        for t in range(steps - 1, -1, -1):
+            na, nb = act_a[t], act_b[t]
+            lo, hi = edge - na, edge + nb
+            # every row of a run that has step t takes its upstream gradient
+            g_lo, g_hi = edge - a_bsz if t < a_steps else edge, b_end if t < b.steps else edge
+            dh[g_lo:g_hi] += g_steps[t, g_lo:g_hi]
+            z, r, cand = zs[t, lo:hi], rs[t, lo:hi], cands[t, lo:hi]
+            hp = hs[t - 1, lo:hi] if t else h_init[lo:hi]
+            dnew = dh[lo:hi]
+            tmp = tmp_buf[lo:hi]
+            # da_c = dnew * z * (1.0 - cand * cand)
+            da_c = np.multiply(dnew, z, out=dc_buf[lo:hi])
+            np.multiply(cand, cand, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            np.multiply(da_c, tmp, out=da_c)
+            # d_rh = da_c @ u_c_t, each run's rows in packed order
+            if na:
+                np.copyto(a_c[:na], dc_buf[lo:edge][::-1])
+                np.copyto(d_rh_buf[lo:edge][::-1], np.matmul(a_c[:na], ua_c_t, out=a_out[:na]))
+            if nb:
+                np.matmul(dc_buf[edge:hi], ub_c_t, out=d_rh_buf[edge:hi])
+            d_rh = d_rh_buf[lo:hi]
+            # da_z = dnew * (cand - hp) * z * (1.0 - z)
+            da_z = np.subtract(cand, hp, out=dz_buf[lo:hi])
+            np.multiply(dnew, da_z, out=da_z)
+            np.multiply(da_z, z, out=da_z)
+            np.subtract(1.0, z, out=tmp)
+            np.multiply(da_z, tmp, out=da_z)
+            # the new dh, dnew * (1.0 - z) + d_rh * r + da_zr @ u_zr_t, starts here
+            dh_new = np.multiply(dnew, tmp, out=dh_buf[lo:hi])
+            # da_r = d_rh * hp * r * (1.0 - r)
+            da_r = np.multiply(d_rh, hp, out=dr_buf[lo:hi])
+            np.multiply(da_r, r, out=da_r)
+            np.subtract(1.0, r, out=tmp)
+            np.multiply(da_r, tmp, out=da_r)
+            np.add(dh_new, np.multiply(d_rh, r, out=tmp), out=dh_new)
+            # each run's [da_z | da_r | da_c] rows, then da_zr @ u_zr_t over them
+            if na:
+                gates = bufs[:3, lo:edge][:, ::-1].transpose(1, 0, 2)
+                np.copyto(da_a[:na, t].reshape(na, 3, hid), gates)
+                np.copyto(tmp[:na][::-1], np.matmul(da_a[:na, t, :h2], ua_zr_t, out=a_out[:na]))
+            if nb:
+                np.copyto(da_b[:nb, t].reshape(nb, 3, hid), bufs[:3, edge:hi].transpose(1, 0, 2))
+                np.matmul(da_b[:nb, t, :h2], ub_zr_t, out=tmp_buf[edge:hi])
+            np.add(dh_new, tmp, out=dnew)
+        # the closing products sum over each run's positions in its packed
+        # [B, T] order: h_prev and then rs * h_prev are built batch-major in
+        # g_steps, which is spent. The later run's gradients accumulate
+        # first, as two records' would.
+        spent = g_steps.reshape(-1)
+        for run, g, (da, _, _) in reversed(list(zip(runs, grads, per_run))):
+            if g is None:
+                continue
+            bsz, n_steps = run.bsz, run.steps
+            flat = da.reshape(-1, 3 * hid)
+            if run.x is None:
+                dw = np.zeros((3 * hid, run.dim))
+            else:
+                dw = flat.T @ run.xp.reshape(-1, run.dim)
+            h_prev = spent[: bsz * n_steps * hid].reshape(bsz, n_steps, hid)
+            h_prev[:, 0] = run.h_init
+            h_prev[:, 1:] = run.own(hs.transpose(1, 0, 2))[:, : n_steps - 1]
+            du_zr = flat[:, :h2].T @ h_prev.reshape(-1, hid)
+            rh_prev = np.multiply(run.own(rs.transpose(1, 0, 2))[:, :n_steps], h_prev, out=h_prev)
+            du_c = flat[:, h2:].T @ rh_prev.reshape(-1, hid)
+            for block, grad in zip(run.weights, (dw.T, du_zr.T, du_c.T, flat.sum(axis=0))):
+                _acc(block, grad)
+            if run.x is not None and run.x.requires_grad:
+                _acc(run.x, _unpacked(da @ run.w.T.copy(), run.order))
+            if run.h0 is not None and run.h0.requires_grad:
+                _acc(run.h0, _unpacked(run.own(dh), run.order))
+        # the tape is single use: its buffers go now, not when it is dropped,
+        # so that the records replayed after this one can reuse their memory
+        runs = hs = zs = rs = cands = h_init = None
+
+    _record(outs, back)
+    return outs
+
+
 def gru_sequence(
     x: Tensor | None,
     lengths,
@@ -482,7 +848,7 @@ def gru_sequence(
     pool: bool = False,
 ) -> Tensor:
     """Hidden states of a GRU run over a padded batch, recorded as one
-    tape record.
+    tape record: gru_runs with this one run.
 
     x is [B, T, D]; row b has lengths[b] valid steps (1..T) followed by
     padding. x may be None for a GRU without input (the decoders): the
@@ -516,8 +882,9 @@ def gru_sequence(
     returned in the caller's row order.
 
     A run that a tape records keeps its states, gates and candidates
-    time-major, [T, B, H], so that each step stores contiguous [n, H] rows;
-    an unpooled one returns its states with one transposing copy. A pooled
+    time-major, [T, B, H], so that each step writes contiguous [n, H] rows
+    (the states and candidates straight into the tape); an unpooled one
+    returns its states with one transposing copy. A pooled
     one also records, channel by channel, the step of each row's first
     maximum: a state strictly greater than the running maximum moves it.
     The backward pass (backpropagation through time, written out by hand,
@@ -530,182 +897,7 @@ def gru_sequence(
     [B, T, H] array. A pooled run that nothing will record keeps only its
     running maximum, so its memory does not grow with T.
     """
-    if len(weights) != 4:
-        raise ContractError(f"gru_sequence needs the 4 weight blocks, got {len(weights)}")
-    w, u_zr, u_c, b = (t.values for t in weights)
-    hid = u_c.shape[0] if u_c.ndim == 2 else -1
-    if x is None:
-        dim = w.shape[0]
-        bsz = np.size(lengths)
-        steps = int(np.max(lengths)) if bsz else 0
-    else:
-        xv = x.values
-        if xv.ndim != 3:
-            raise ShapeError(f"gru_sequence input must be [B, T, D], got shape {list(xv.shape)}")
-        bsz, steps, dim = xv.shape
-    expect = {"w": (dim, 3 * hid), "u_zr": (hid, 2 * hid), "u_c": (hid, hid), "b": (3 * hid,)}
-    for (name, shape), v in zip(expect.items(), (w, u_zr, u_c, b)):
-        if v.shape != shape:
-            raise ShapeError(
-                f"gru_sequence {name} has shape {list(v.shape)}, expected {list(shape)}"
-            )
-    if h0 is not None and h0.values.shape != (bsz, hid):
-        raise ShapeError(
-            f"gru_sequence h0 has shape {list(h0.values.shape)}, expected {[bsz, hid]}"
-        )
-    lengths = np.asarray(lengths, dtype=np.intp)
-    if lengths.shape != (bsz,) or bsz and (lengths.min() < 1 or lengths.max() > steps):
-        raise ShapeError(f"need {bsz} lengths in 1..{steps}, got {lengths.tolist()}")
-    # rows still running at each step (counted from the lengths, with no
-    # [B, T] temporary); with the rows sorted longest first they are the
-    # first active[t] rows
-    active = (bsz - np.cumsum(np.bincount(lengths, minlength=steps))[:steps]).tolist()
-    order = None if np.all(lengths[:-1] >= lengths[1:]) else np.argsort(-lengths, kind="stable")
-    b_zr, b_c = b[: 2 * hid], b[2 * hid :]
-    if x is not None:
-        xp = _packed(xv, order)
-    h_init = np.zeros((bsz, hid)) if h0 is None else _packed(h0.values, order)
-    parents = [p for p in (x, *weights, h0) if p is not None]
-    requires_grad = any(p.requires_grad for p in parents)
-    keep = requires_grad and _active_tape() is not None
-    if pool:  # a running maximum from -inf
-        best = np.full((bsz, hid), -np.inf)
-    # the states, indexed [t, b]: time-major on the tape, so that each step
-    # stores and the backward reads contiguous [n, H] slices; batch-major
-    # memory otherwise, which is what an unpooled run returns
-    if keep:
-        hs = np.empty((steps, bsz, hid))
-        zs, cands = np.empty_like(hs), np.empty_like(hs)
-        rs = np.zeros_like(hs)  # zero on padding, where du_c reads it
-        if pool:  # the step of each channel's first maximum
-            first = np.zeros((bsz, hid), dtype=np.intp)
-            rises = np.empty((bsz, hid), dtype=bool)
-    elif not pool:
-        hs = np.empty((bsz, steps, hid)).transpose(1, 0, 2)
-    # per-run buffers that every step writes into, a spare row and the padded
-    # columns included (their results are scratch); a step allocates nothing
-    rows = max(bsz, 2)
-    u_zr_pad, u_c_pad = _padded_columns(u_zr), _padded_columns(u_c)
-    zr_buf, c_buf, tmp_buf = (np.zeros((rows, u.shape[1])) for u in (u_zr_pad, u_c_pad, u_c))
-    h_bufs = np.zeros((2, rows, hid))  # the state, step t writing h_bufs[t % 2]
-    h_bufs[1, :bsz] = h_init
-    if x is not None:  # the input terms of one window of steps
-        xw_buf = np.empty((bsz, min(_WINDOW, steps), 3 * hid))
-    for t, n in enumerate(active):
-        m = max(n, 2)
-        h_in = h_bufs[(t + 1) % 2]  # the state step t reads
-        hp = h_in[:n]
-        zr = np.matmul(h_in[:m], u_zr_pad, out=zr_buf[:m])[:n, : 2 * hid]
-        if x is not None:
-            if t % _WINDOW == 0:
-                _window_input_terms(xp, w, active, t, xw_buf)
-            xw = xw_buf[:n, t % _WINDOW]
-            np.add(xw[:, : 2 * hid], zr, out=zr)
-        np.add(zr, b_zr, out=zr)
-        # sigmoid, 1/(1 + exp(-v)), in place
-        np.negative(zr, out=zr)
-        np.exp(zr, out=zr)
-        np.add(1.0, zr, out=zr)
-        np.divide(1.0, zr, out=zr)
-        z, r = zr[:, :hid], zr[:, hid:]
-        np.multiply(r, hp, out=tmp_buf[:n])
-        cand = np.matmul(tmp_buf[:m], u_c_pad, out=c_buf[:m])[:n, :hid]
-        if x is not None:
-            np.add(xw[:, 2 * hid :], cand, out=cand)
-        np.add(cand, b_c, out=cand)
-        np.tanh(cand, out=cand)
-        # h' = (1 - z)*h + z*cand
-        h = h_bufs[t % 2, :n]
-        np.subtract(1.0, z, out=h)
-        np.multiply(h, hp, out=h)
-        np.add(h, np.multiply(z, cand, out=tmp_buf[:n]), out=h)
-        if pool:
-            if keep:
-                np.greater(h, best[:n], out=rises[:n])
-                np.copyto(first[:n], t, where=rises[:n])
-            np.maximum(best[:n], h, out=best[:n])
-            if not keep:
-                continue
-        hs[t, :n] = h
-        if n < bsz:  # finished rows carry their state (t > 0: every row runs at step 0)
-            hs[t, n:] = hs[t - 1, n:]
-        if keep:
-            zs[t, :n], rs[t, :n], cands[t, :n] = z, r, cand
-    out = Tensor(
-        _unpacked(best if pool else hs.transpose(1, 0, 2), order), requires_grad=requires_grad
-    )
-    if not keep:
-        return out
-
-    def back(g):
-        # contiguous transposes, so that dx, d_rh and dh do not depend on how
-        # BLAS treats a transposed operand
-        w_t, u_zr_t, u_c_t = w.T.copy(), u_zr.T.copy(), u_c.T.copy()
-        # the upstream gradient of the states, time-major, in a buffer of the
-        # run's own (a caller's [B, T, H] gradient can be its time-major view)
-        if pool:
-            # each maximum's gradient goes to the first step that attains it
-            g_steps = np.zeros((steps, bsz, hid))
-            np.put_along_axis(g_steps, first[None], _packed(g, order)[None], axis=0)
-        else:
-            g_steps = np.empty((steps, bsz, hid))
-            np.copyto(g_steps.transpose(1, 0, 2), _packed(g, order))
-        da = np.zeros((bsz, steps, 3 * hid))  # gate pre-activation gradients
-        dh = np.zeros((bsz, hid))
-        # contiguous, so that each ufunc runs one loop over all rows
-        dz_buf, dr_buf, dc_buf, d_rh_buf, dh_buf, tmp_buf = np.empty((6, bsz, hid))
-        for t in range(steps - 1, -1, -1):
-            n = active[t]
-            dh += g_steps[t]
-            z, r, cand = zs[t, :n], rs[t, :n], cands[t, :n]
-            hp = hs[t - 1, :n] if t else h_init[:n]
-            dnew = dh[:n]
-            da_t = da[:n, t]
-            tmp = tmp_buf[:n]
-            # da_c = dnew * z * (1.0 - cand * cand)
-            da_c = np.multiply(dnew, z, out=dc_buf[:n])
-            np.multiply(cand, cand, out=tmp)
-            np.subtract(1.0, tmp, out=tmp)
-            np.multiply(da_c, tmp, out=da_c)
-            d_rh = np.matmul(da_c, u_c_t, out=d_rh_buf[:n])
-            # da_z = dnew * (cand - hp) * z * (1.0 - z)
-            da_z = np.subtract(cand, hp, out=dz_buf[:n])
-            np.multiply(dnew, da_z, out=da_z)
-            np.multiply(da_z, z, out=da_z)
-            np.subtract(1.0, z, out=tmp)
-            np.multiply(da_z, tmp, out=da_z)
-            # the new dh, dnew * (1.0 - z) + d_rh * r + da_zr @ u_zr_t, starts here
-            dh_new = np.multiply(dnew, tmp, out=dh_buf[:n])
-            # da_r = d_rh * hp * r * (1.0 - r)
-            da_r = np.multiply(d_rh, hp, out=dr_buf[:n])
-            np.multiply(da_r, r, out=da_r)
-            np.subtract(1.0, r, out=tmp)
-            np.multiply(da_r, tmp, out=da_r)
-            da_t[:, :hid], da_t[:, hid : 2 * hid], da_t[:, 2 * hid :] = da_z, da_r, da_c
-            np.add(dh_new, np.multiply(d_rh, r, out=tmp), out=dh_new)
-            np.add(dh_new, np.matmul(da_t[:, : 2 * hid], u_zr_t, out=tmp), out=dnew)
-        # the closing products sum over positions in [B, T] order: h_prev and
-        # then rs * h_prev are built batch-major in g_steps, which is spent
-        flat = da.reshape(-1, 3 * hid)
-        if x is None:
-            dw = np.zeros((3 * hid, dim))
-        else:
-            dw = flat.T @ xp.reshape(-1, dim)
-        h_prev = g_steps.reshape(bsz, steps, hid)
-        h_prev[:, 0] = h_init
-        h_prev[:, 1:] = hs[:-1].transpose(1, 0, 2)
-        du_zr = flat[:, : 2 * hid].T @ h_prev.reshape(-1, hid)
-        rh_prev = np.multiply(rs.transpose(1, 0, 2), h_prev, out=h_prev)
-        du_c = flat[:, 2 * hid :].T @ rh_prev.reshape(-1, hid)
-        for block, grad in zip(weights, (dw.T, du_zr.T, du_c.T, flat.sum(axis=0))):
-            _acc(block, grad)
-        if x is not None and x.requires_grad:
-            _acc(x, _unpacked(da @ w_t, order))
-        if h0 is not None and h0.requires_grad:
-            _acc(h0, _unpacked(dh, order))
-
-    _record(out, back)
-    return out
+    return gru_runs([(x, lengths, weights, h0)], pool)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -162,8 +162,9 @@ def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
 def _fse_loss(batch, params: HseModelParams, config: LossConfig) -> LossBreakdown:
     """Objective of the flat baseline: whole-sample matching and clustering
     over single-level embeddings, no low-level or reconstruction terms."""
-    videos = encode_flat_batch(params, [video for video, _ in batch])
-    paragraphs = encode_flat_batch(params, [paragraph for _, paragraph in batch])
+    videos, paragraphs = encode_flat_batch(
+        params, [video for video, _ in batch], [paragraph for _, paragraph in batch]
+    )
     mh = loss_match_high(videos, paragraphs, config.alpha)
     ch = loss_cluster_high(videos, paragraphs, config.gamma)
     return compose_objective(len(batch), config.tau, mh, ch)

@@ -369,9 +369,9 @@ class TestTotalLoss:
             total_loss([], params, LossConfig())
 
     @staticmethod
-    def _step_records(spec, config):
+    def _step_records(spec, config, hidden=32):
         corpus, _ = synth_generate(spec)
-        params = init_params(ModelDims(d_v=16, d_t=16, hidden_low=32, hidden_high=32), 7)
+        params = init_params(ModelDims(d_v=spec.d_v, d_t=spec.d_t, hidden_low=hidden, hidden_high=hidden), 7)
         with Tape() as tape:
             bd = total_loss(corpus.pairs, params, config)
             backward(bd.node)
@@ -387,7 +387,7 @@ class TestTotalLoss:
         bd, tape = self._step_records(spec, LossConfig(tau=5e-4))
         assert bd.reconstruct > 0.0
         # one record per loss head and projection, not a chain per head
-        assert len(tape) <= 48
+        assert len(tape) <= 44
         # embeddings reach the losses as the encoder's matrices, never re-stacked rows
         assert not any(back.__qualname__.startswith("stack.") for _, back in tape._records)
 
@@ -399,7 +399,20 @@ class TestTotalLoss:
         )
         bd, tape = self._step_records(spec, LossConfig(tau=0.0, correspondence="weak"))
         assert bd.match_low > 0.0
-        assert len(tape) <= 26
+        assert len(tape) <= 24
+
+    @pytest.mark.parametrize("tau, runs", [(5e-4, 4), (0.0, 2)])
+    def test_each_level_pairs_its_video_and_paragraph_runs(self, tau, runs):
+        """One GRU record per level for both modalities: the two encoder
+        levels, and the two decoder levels when tau > 0."""
+        spec = SynthSpec(
+            num_pairs=4, num_events=4, clips_per_pair=(1, 3), frames_per_clip=(1, 4),
+            words_per_sentence=(1, 4), d_v=3, d_t=2, seed=8,
+        )
+        _, tape = self._step_records(spec, LossConfig(tau=tau), hidden=4)
+        kernel = [out for out, back in tape._records if back.__qualname__.startswith("gru_runs.")]
+        assert len(kernel) == runs
+        assert all(isinstance(out, tuple) and len(out) == 2 for out in kernel)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):

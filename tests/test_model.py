@@ -396,6 +396,90 @@ class TestKernelBitOracle:
                 assert np.array_equal(g, want), name
 
 
+    # (run A, run B) of each paired case: each run's lengths and input width
+    # (0: no input, the decoder form, with an initial state)
+    PAIRS = {
+        "a-ends-first": (([3, 6, 1, 5], 3), ([7, 2, 8, 4, 8], 5)),
+        "b-ends-first": (([9, 2, 7], 2), ([4, 1, 3, 4, 2, 2], 4)),
+        "decoder": (([2, 4, 1], 0), ([3, 3, 5, 1], 0)),
+        # H = 17 and 25: the backward products' widths give a row other bits
+        # at another position, so run A's reversed rows must be copied
+        "h17": (([3, 6, 1, 5, 6, 2, 4, 6, 3], 3), ([5, 2, 6, 6, 1], 6)),
+        "h25": (([2, 5, 5, 1, 4, 3, 5, 5], 4), ([4, 3, 4, 1, 2, 4, 4], 2)),
+        "lone-a": (([5], 3), ([3, 5, 2, 4], 2)),  # beside a spare row
+        "lone-b": (([3, 5, 2, 4], 2), ([6], 3)),
+        "one-row-tail": (([2, 9, 3], 2), ([4, 4, 5], 3)),  # A runs one row from step 3
+        "one-run": (([3, 6, 1, 5, 6, 2], 3),),
+    }
+
+    @pytest.mark.parametrize("pool", [False, True], ids=["states", "pooled"])
+    @pytest.mark.parametrize("case", list(PAIRS))
+    def test_paired_runs_equal_oracle_alone(self, case, pool):
+        """Each run of a gru_runs call equals oracles.ref_gru_run of that run
+        alone, bit for bit: states or pooled rows, all six gradients, and the
+        gradient handed to it left as it was."""
+        rng = np.random.default_rng(43)
+        hid = {"h17": 17, "h25": 25}.get(case, 4)
+        runs = []
+        for lengths, dim in self.PAIRS[case]:
+            steps, bsz = max(lengths), len(lengths)
+            p = random_gru(rng, max(dim, 1), hid)
+            x_values = None
+            if dim:
+                x_values = rng.normal(size=(bsz, steps, dim))
+                x_values[np.arange(steps)[None, :] >= np.array(lengths)[:, None]] = 0.0
+            h0_values = rng.normal(size=(bsz, hid))
+            weight = rng.normal(size=(bsz, hid) if pool else (bsz, steps, hid))
+            runs.append((p, lengths, x_values, h0_values, weight))
+
+        tensors = []
+        for p, lengths, x_values, h0_values, _ in runs:
+            tk.zero_grads(p.weights())
+            x = None if x_values is None else Tensor(x_values, requires_grad=True)
+            tensors.append((x, Tensor(h0_values, requires_grad=True)))
+        with Tape() as tape:
+            outs = tk.gru_runs(
+                [(x, lengths, p.weights(), h0) for (p, lengths, *_), (x, h0) in zip(runs, tensors)], pool
+            )
+            assert len(tape) == 1
+            probes = [oracles.probe(out, run[4]) for out, run in zip(outs, runs)]
+            tk.backward(tk.add(*probes) if len(probes) == 2 else probes[0])
+        free = tk.gru_runs(
+            [
+                (None if x is None else Tensor(x), lengths, p.weights(), Tensor(h0))
+                for p, lengths, x, h0, _ in runs
+            ],
+            pool,
+        )
+
+        for (p, lengths, x_values, h0_values, weight), (x, h0), out, free_out in zip(
+            runs, tensors, outs, free, strict=True
+        ):
+            blocks = [t.values for t in p.weights()]
+            dstates = weight
+            if pool:  # the pooled gradient, at each channel's first maximum
+                states = oracles.ref_gru_run(
+                    x_values, lengths, *blocks, h0_values, np.zeros((len(lengths), max(lengths), hid)),
+                    tk._WINDOW,
+                )[0]
+                dstates = np.zeros_like(states)
+                for row, n in enumerate(lengths):
+                    dstates[row, np.argmax(states[row, :n], axis=0), np.arange(hid)] = weight[row]
+            want_states, want_pooled, want_grads = oracles.ref_gru_run(
+                x_values, lengths, *blocks, h0_values, dstates, tk._WINDOW
+            )
+            want = want_pooled if pool else want_states
+            assert np.array_equal(out.grad, weight)
+            assert np.array_equal(out.values, want)
+            assert np.array_equal(free_out.values, want)
+            got = [t.grad for t in p.weights()] + [None if x is None else x.grad, h0.grad]
+            for name, g, w in zip(("w", "u_zr", "u_c", "b", "x", "h0"), got, want_grads, strict=True):
+                if w is None:
+                    assert g is None, name
+                else:
+                    assert np.array_equal(g, w), name
+
+
 class TestPooledKernel:
     """gru_sequence(..., pool=True) keeps a running maximum of the states;
     its rows must be the oracle's pooled rows, and its gradient that of
@@ -558,7 +642,7 @@ class TestEncodeFlat:
         params = init_params(dims, 0)
         frame = rng.normal(size=3)
         video = VideoSample("v", [frame.reshape(1, 3)])
-        flat = encode_flat_batch(params, [video])
+        (flat,) = encode_flat_batch(params, [video])
         direct = oracle_states(params.enc_v_low, frame[None, None, :], [1])[0, 0]
         assert np.array_equal(flat.values[0], direct)
 
@@ -568,7 +652,7 @@ class TestEncodeFlat:
         params = init_params(dims, 1)
         clips = [rng.normal(size=(2, 3)), rng.normal(size=(2, 3))]
         video = VideoSample("v", clips)
-        flat = encode_flat_batch(params, [video])
+        (flat,) = encode_flat_batch(params, [video])
         manual = encode_sequences(params.enc_v_low, [np.stack([r for c in clips for r in c])])
         assert np.array_equal(flat.values, manual.values)
 
@@ -577,9 +661,10 @@ class TestEncodeFlat:
         dims = ModelDims(d_v=3, d_t=3, hidden_low=4, hidden_high=4)
         params = init_params(dims, 2)
         clips = [rng.normal(size=(2, 3)), rng.normal(size=(2, 3))]
-        a, b = encode_flat_batch(
+        (flat,) = encode_flat_batch(
             params, [VideoSample("v", clips), VideoSample("v", clips[::-1])]
-        ).values
+        )
+        a, b = flat.values
         assert not np.array_equal(a, b)
 
     def test_paragraphs_use_the_text_encoder(self):
@@ -587,7 +672,7 @@ class TestEncodeFlat:
         dims = ModelDims(d_v=3, d_t=3, hidden_low=4, hidden_high=4)
         params = init_params(dims, 4)
         sentences = [rng.normal(size=(2, 3)), rng.normal(size=(1, 3))]
-        flat = encode_flat_batch(params, [ParagraphSample("p", sentences)])
+        (flat,) = encode_flat_batch(params, [ParagraphSample("p", sentences)])
         manual = encode_sequences(params.enc_p_low, [np.concatenate(sentences)])
         assert np.array_equal(flat.values, manual.values)
         video = encode_sequences(params.enc_v_low, [np.concatenate(sentences)])
@@ -615,26 +700,26 @@ class TestEncodeHierarchical:
 
     def test_single_clip_high_embedding(self):
         video = self._video(n=1)
-        emb = encode_batch(self.params, [video])
+        (emb,) = encode_batch(self.params, [video])
         direct = encode_sequences(self.params.enc_v_high, [emb.low.values])
         assert np.array_equal(emb.high.values, direct.values)
 
     def test_low_embeddings_are_local(self):
         video = self._video(n=3)
-        before = encode_batch(self.params, [video]).low.values
+        before = encode_batch(self.params, [video])[0].low.values
         perturbed = VideoSample(
             "v", [video.clips[0], video.clips[1] + 1.0, video.clips[2]]
         )
-        after = encode_batch(self.params, [perturbed]).low.values
+        after = encode_batch(self.params, [perturbed])[0].low.values
         assert np.array_equal(before[0], after[0])
         assert np.array_equal(before[2], after[2])
         assert not np.array_equal(before[1], after[1])
 
     def test_permuting_clips_permutes_low_and_changes_high(self):
         video = self._video(n=3)
-        base = encode_batch(self.params, [video])
+        (base,) = encode_batch(self.params, [video])
         perm = [2, 0, 1]
-        permuted = encode_batch(
+        (permuted,) = encode_batch(
             self.params, [VideoSample("v", [video.clips[i] for i in perm])]
         )
         assert np.array_equal(permuted.low.values, base.low.values[perm])
@@ -642,7 +727,7 @@ class TestEncodeHierarchical:
 
     def test_paragraph_side_uses_text_encoders(self):
         paragraph = ParagraphSample("p", [self.rng.normal(size=(2, 3)) for _ in range(2)])
-        emb = encode_batch(self.params, [paragraph])
+        (emb,) = encode_batch(self.params, [paragraph])
         assert emb.high.values.shape == (1, 6)
         assert emb.low.values.shape == (2, 5)
         assert emb.counts == [2]
@@ -655,7 +740,7 @@ class TestEncodeHierarchical:
         ]
 
         def f(ps):
-            return oracles.probe(encode_batch(self.params, [video]).high, weight)
+            return oracles.probe(encode_batch(self.params, [video])[0].high, weight)
 
         assert finite_diff_check(f, enc_params).max_rel_err < 1e-4
 
@@ -677,11 +762,11 @@ class TestEncodeBatch:
 
     def test_sample_alone_equals_sample_in_ragged_batch(self):
         videos = self._videos(6)
-        batch = encode_batch(self.params, videos)
+        (batch,) = encode_batch(self.params, videos)
         assert batch.counts == [video.n for video in videos]
         start = 0
         for k, video in enumerate(videos):
-            alone = encode_batch(self.params, [video])
+            (alone,) = encode_batch(self.params, [video])
             in_batch_high = batch.high.values[k : k + 1]
             assert np.allclose(alone.high.values, in_batch_high, rtol=0.0, atol=1e-12)
             # rows are multiplied one at a time, so the match is exact
@@ -691,7 +776,7 @@ class TestEncodeBatch:
 
     def test_units_are_the_padded_clips(self):
         videos = self._videos(5)
-        batch = encode_batch(self.params, videos)
+        (batch,) = encode_batch(self.params, videos)
         units, lengths = pad_sequences([clip for video in videos for clip in video.clips])
         assert batch.lengths == lengths
         assert np.array_equal(batch.units, units)
@@ -711,7 +796,7 @@ class TestDecodeHierarchical:
 
     def test_single_unit_counts(self):
         high = Tensor(self.rng.normal(size=(1, 5)))
-        decoded = decode_batch(self.params, high, [1], [1], "video")
+        (decoded,) = decode_batch(self.params, (high, [1], [1], "video"))
         assert decoded.low.values.shape == (1, 4)
         assert decoded.lengths == [1]
         assert decoded.units.values.shape == (1, 3)
@@ -719,7 +804,7 @@ class TestDecodeHierarchical:
     def test_counts_match_requested_lengths(self):
         high = Tensor(self.rng.normal(size=(1, 5)))
         n_i = [2, 1, 3]
-        decoded = decode_batch(self.params, high, [3], n_i, "text")
+        (decoded,) = decode_batch(self.params, (high, [3], n_i, "text"))
         assert decoded.low.values.shape == (3, 4)
         assert decoded.lengths == n_i
         assert decoded.steps == 3
@@ -728,13 +813,13 @@ class TestDecodeHierarchical:
     def test_zero_counts_rejected(self):
         high = Tensor(np.zeros((1, 5)))
         with pytest.raises(ContractError):
-            decode_batch(self.params, high, [0], [], "video")
+            decode_batch(self.params, (high, [0], [], "video"))
         with pytest.raises(ContractError):
-            decode_batch(self.params, high, [2], [1, 0], "video")
+            decode_batch(self.params, (high, [2], [1, 0], "video"))
 
     def test_unknown_modality(self):
         with pytest.raises(ContractError):
-            decode_batch(self.params, Tensor(np.zeros((1, 5))), [1], [1], "audio")
+            decode_batch(self.params, (Tensor(np.zeros((1, 5))), [1], [1], "audio"))
 
     def test_decoder_gradients_vs_finite_differences(self):
         high = Tensor(self.rng.normal(size=(1, 5)))
@@ -744,7 +829,7 @@ class TestDecodeHierarchical:
         generated = [0, 1, 2]  # two rows per unit; row 3 is unit 1's padding
 
         def f(ps):
-            decoded = decode_batch(self.params, high, [2], [2, 1], "video")
+            (decoded,) = decode_batch(self.params, (high, [2], [2, 1], "video"))
             units = tk.take(decoded.units, generated)
             return tk.add(
                 oracles.probe(decoded.low, np.ones(decoded.low.shape)),

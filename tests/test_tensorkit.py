@@ -81,6 +81,48 @@ class TestBackward:
         assert len(tape) == 0
 
 
+class TestTwoOutputRecord:
+    """gru_runs records two GRU runs as one record, (outputs, closure),
+    whose closure takes both outputs' gradients in one call."""
+
+    def runs(self):
+        """Two pooled runs of hidden size 3: (x, lengths, weights) each."""
+        rng = np.random.default_rng(17)
+        runs = []
+        for bsz, dim, lengths in ((2, 2, [4, 2]), (3, 5, [1, 4, 3])):
+            weights = [t(rng.normal(size=s)) for s in ((dim, 9), (3, 6), (3, 3), (9,))]
+            runs.append((t(rng.normal(size=(bsz, 4, dim))), lengths, weights))
+        return runs
+
+    def test_gradients_reach_both_runs_parents(self):
+        runs = self.runs()
+        with Tape() as tape:
+            outs = tk.gru_runs([(x, lengths, w, None) for x, lengths, w in runs], pool=True)
+            assert len(tape) == 1
+            backward(tk.add(*(probe(out, np.ones(out.shape)) for out in outs)))
+        for x, _, weights in runs:
+            for p in (x, *weights):
+                assert p.grad is not None and np.any(p.grad != 0.0)
+        assert outs[0].tape is outs[1].tape is tk._SPENT_TAPE
+
+    @pytest.mark.parametrize("fed", [0, 1])
+    def test_a_run_without_gradient_leaves_its_parents_alone(self, fed):
+        runs = self.runs()
+        before = [np.full(p.shape, 7.0) for _, _, w in runs for p in w]
+        for p, g in zip((p for _, _, w in runs for p in w), before):
+            p.grad = g
+        with Tape():
+            outs = tk.gru_runs([(x, lengths, w, None) for x, lengths, w in runs], pool=True)
+            backward(probe(outs[fed], np.ones(outs[fed].shape)))
+        x, _, weights = runs[fed]
+        assert np.any(weights[0].grad != 7.0) and x.grad is not None
+        x, _, weights = runs[1 - fed]
+        assert x.grad is None
+        for p in weights:
+            assert np.array_equal(p.grad, np.full(p.shape, 7.0))
+        assert outs[1 - fed].grad is None and outs[1 - fed].tape is tk._SPENT_TAPE
+
+
 @pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 3, 4)])
 def test_probe_gradient_is_its_weights(shape):
     rng = np.random.default_rng(len(shape))
