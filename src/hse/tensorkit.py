@@ -25,16 +25,17 @@ rows, padded to 2 rows or more and to a width that is a multiple of 4
 and writes each step's arithmetic into buffers made once per call. Two
 runs sit back to back in one row space, each packed longest first toward
 the row where they meet, so the rows still running form one window and
-each elementwise operation is one call for both. A run a tape records
-keeps its states and gates time-major ([T, B, H]), so that a step stores
-and the backward reads contiguous rows, and its closing products sum over
-its positions in [B, T] order. With pool=True it returns each row's
-channel-wise maxima over its valid steps, kept as a running maximum; a
-recorded run also keeps the step of each first maximum, where the
-backward sends the gradient. When nothing will record them the maxima
-are all it keeps, so an evaluation run holds no [B, T, .] buffer. None of
-this changes a row's bits, which do not depend on the batch, on the row's
-place in it or on the run beside it.
+each elementwise operation is one call for both. A call keeps its states
+in one time-major array from the initial state at step 0, and a recorded
+call its gates too, so that a step stores and the backward reads
+contiguous rows; each run's closing products sum over its positions in
+[B, T] order. With pool=True it returns each row's channel-wise maxima
+over its valid steps, kept as a running maximum; a recorded run also
+keeps the step of each first maximum, where the backward sends the
+gradient. When nothing will record them the maxima and two states are
+all it keeps, so an evaluation run holds no [B, T, .] buffer. None of
+this changes a row's bits, which do not depend on the batch, on the
+row's place in it or on the run beside it.
 
 The training objective's heads are one record each, with a hand-written
 backward: rank_hinge and cluster_hinge over a square similarity matrix,
@@ -533,7 +534,6 @@ class _Run:
         order = None if (lengths[:-1] >= lengths[1:]).all() else np.argsort(-lengths, kind="stable")
         self.order = order
         self.xp = None if x is None else _packed(xv, order)
-        self.h_init = np.zeros((bsz, hid)) if h0 is None else _packed(h0.values, order)
         self.requires_grad = any(p.requires_grad for p in (x, *weights, h0) if p is not None)
 
     def place(self, edge: int, below: bool) -> None:
@@ -583,6 +583,21 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
       packed order (run A's through a reversed view), so the closing
       products sum over the run's positions in its own [B, T] order.
 
+    The call keeps its states in one array, hs, indexed [step, row]: hs[0]
+    is the initial state (zero, with each run's h0 on its rows), and step t
+    reads hs[t % len(hs)] and writes hs[(t + 1) % len(hs)]. hs holds all
+    T + 1 steps when every state is kept, because a tape records the call
+    or because it returns them (hs[1:], with one transposing copy);
+    otherwise it holds two, so a pooled call that nothing records does not
+    grow with T. A recorded call keeps z, r and cand as [T, rows, H] arrays
+    of their own and, pooled, the step of each channel's first maximum: a
+    state strictly greater than the running maximum moves it. Its backward
+    copies the upstream gradient time-major into a buffer of its own (a
+    pooled gradient goes to its first-maximum step), reads the state before
+    step t as hs[t], and builds each run's previous states, and then their
+    products with r, batch-major in that spent buffer for the closing
+    products.
+
     The record's closure takes both outputs' gradients; a run whose output
     got none leaves its parents' gradients as they were. Once it has run,
     it lets go of the call's tape buffers, so that the records replayed
@@ -614,10 +629,6 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
     rows = edge + max(b.bsz, 2)
     keep = any(run.requires_grad for run in runs) and _active_tape() is not None
     h2 = 2 * hid
-    h_init = np.zeros((rows, hid))
-    for run in runs:
-        if run.h0 is not None:
-            run.own(h_init)[...] = run.h_init
     # each run's recurrent weights with zero columns up to a multiple of 4
     padded = [(_padded_columns(run.u_zr), _padded_columns(run.u_c)) for run in runs]
     (ua_zr, ua_c), (ub_zr, ub_c) = padded[0], padded[-1]
@@ -629,22 +640,21 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
         bias = b.b[None]
     if pool:  # a running maximum from -inf
         best = np.full((rows, hid), -np.inf)
-    # the states, indexed [t, row]: time-major on the tape, so that each step
-    # writes and the backward reads contiguous [n, H] slices; batch-major
-    # memory otherwise, which is what an unpooled run returns
-    if keep:
-        hs, zs, cands = np.empty((3, steps, rows, hid))
-        if rows > b_end or edge > a_bsz:  # spare rows, which a lone row's GEMM reads
-            hs[:, : edge - a_bsz] = hs[:, b_end:] = 0.0
+    # the states, [step, row], from the initial ones in hs[0]: all T + 1 steps
+    # when they are kept, two otherwise (the docstring gives the rule)
+    hs = np.empty((steps + 1 if keep or not pool else 2, rows, hid))
+    hs[0] = 0.0
+    for run in runs:
+        if run.h0 is not None:
+            run.own(hs[0])[...] = _packed(run.h0.values, run.order)
+    if rows > b_end or edge > a_bsz:  # spare rows, which a lone row's GEMM reads
+        hs[:, : edge - a_bsz] = hs[:, b_end:] = 0.0
+    if keep:  # the gates and candidates, [t, row] like the states
+        zs, cands = np.empty((2, steps, rows, hid))
         rs = np.zeros((steps, rows, hid))  # zero on padding, where du_c reads it
         if pool:  # the step of each channel's first maximum
             first = np.zeros((rows, hid), dtype=np.intp)
             rises = np.empty((rows, hid), dtype=bool)
-    else:
-        h_bufs = np.zeros((2, rows, hid))  # the state, step t writing h_bufs[t % 2]
-        h_bufs[1] = h_init
-        if not pool:
-            hs = np.empty((rows, steps, hid)).transpose(1, 0, 2)
     # buffers that every step writes into, spare rows and padded columns
     # included (their results are scratch); a step allocates nothing
     zr_buf, c_buf = np.zeros((rows, ub_zr.shape[1])), np.zeros((rows, ub_c.shape[1]))
@@ -655,12 +665,7 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
     for t in range(steps):
         na, nb = act_a[t], act_b[t]
         lo, hi = edge - na, edge + nb
-        # the state step t reads, and the one it writes: on the tape itself
-        # when it keeps one
-        if keep:
-            h_in, h_out = hs[t - 1] if t else h_init, hs[t]
-        else:
-            h_in, h_out = h_bufs[(t + 1) % 2], h_bufs[t % 2]
+        h_in, h_out = hs[t % len(hs)], hs[(t + 1) % len(hs)]
         hp = h_in[lo:hi]
         # each run's GEMM rows: its max(n, 2) rows next to the edge
         ga, gb = edge - max(na, 2), edge + max(nb, 2)
@@ -706,16 +711,14 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
             np.maximum(best[lo:hi], h, out=best[lo:hi])
             if not keep:
                 continue
-        elif not keep:
-            hs[t, lo:hi] = h
-        if t:  # finished rows carry their state (every row runs at step 0)
-            if na < a_bsz and t < a_steps:
-                hs[t, edge - a_bsz : lo] = hs[t - 1, edge - a_bsz : lo]
-            if nb < b.bsz and t < b.steps:
-                hs[t, hi:b_end] = hs[t - 1, hi:b_end]
+        # finished rows carry their state (none at step 0, where all run)
+        if na < a_bsz and t < a_steps:
+            hs[t + 1, edge - a_bsz : lo] = hs[t, edge - a_bsz : lo]
+        if nb < b.bsz and t < b.steps:
+            hs[t + 1, hi:b_end] = hs[t, hi:b_end]
         if keep:
             zs[t, lo:hi], rs[t, lo:hi] = z, r
-    hs_rows = None if pool else hs.transpose(1, 0, 2)
+    hs_rows = None if pool else hs[1:].transpose(1, 0, 2)
     outs = tuple(
         Tensor(
             _unpacked(run.own(best) if pool else run.own(hs_rows)[:, : run.steps], run.order),
@@ -727,7 +730,7 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
         return outs
 
     def back(grads):
-        nonlocal runs, hs, zs, rs, cands, h_init
+        nonlocal runs, hs, zs, rs, cands
         # each run's gate pre-activation gradients, [B, T, 3H] in its packed
         # order, and contiguous transposes, so that dx, d_rh and dh do not
         # depend on how BLAS treats a transposed operand
@@ -768,7 +771,7 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
             g_lo, g_hi = edge - a_bsz if t < a_steps else edge, b_end if t < b.steps else edge
             dh[g_lo:g_hi] += g_steps[t, g_lo:g_hi]
             z, r, cand = zs[t, lo:hi], rs[t, lo:hi], cands[t, lo:hi]
-            hp = hs[t - 1, lo:hi] if t else h_init[lo:hi]
+            hp = hs[t, lo:hi]
             dnew = dh[lo:hi]
             tmp = tmp_buf[lo:hi]
             # da_c = dnew * z * (1.0 - cand * cand)
@@ -821,8 +824,7 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
             else:
                 dw = flat.T @ run.xp.reshape(-1, run.dim)
             h_prev = spent[: bsz * n_steps * hid].reshape(bsz, n_steps, hid)
-            h_prev[:, 0] = run.h_init
-            h_prev[:, 1:] = run.own(hs.transpose(1, 0, 2))[:, : n_steps - 1]
+            np.copyto(h_prev, run.own(hs.transpose(1, 0, 2))[:, :n_steps])
             du_zr = flat[:, :h2].T @ h_prev.reshape(-1, hid)
             rh_prev = np.multiply(run.own(rs.transpose(1, 0, 2))[:, :n_steps], h_prev, out=h_prev)
             du_c = flat[:, h2:].T @ rh_prev.reshape(-1, hid)
@@ -834,7 +836,7 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
                 _acc(run.h0, _unpacked(run.own(dh), run.order))
         # the tape is single use: its buffers go now, not when it is dropped,
         # so that the records replayed after this one can reuse their memory
-        runs = hs = zs = rs = cands = h_init = None
+        runs = hs = zs = rs = cands = None
 
     _record(outs, back)
     return outs
@@ -881,21 +883,9 @@ def gru_sequence(
     takes its limit 0 without a warning. States and gradients are
     returned in the caller's row order.
 
-    A run that a tape records keeps its states, gates and candidates
-    time-major, [T, B, H], so that each step writes contiguous [n, H] rows
-    (the states and candidates straight into the tape); an unpooled one
-    returns its states with one transposing copy. A pooled
-    one also records, channel by channel, the step of each row's first
-    maximum: a state strictly greater than the running maximum moves it.
-    The backward pass (backpropagation through time, written out by hand,
-    in place as well) copies the upstream gradient time-major into a buffer
-    of its own (a pooled gradient goes to its first-maximum step) and walks
-    the same prefixes over contiguous rows. The closing products (the
-    blocks' and the input's gradients) sum over positions in [B, T] order,
-    the previous states and their products with r built batch-major in
-    the spent gradient buffer, so that the run allocates no further
-    [B, T, H] array. A pooled run that nothing will record keeps only its
-    running maximum, so its memory does not grow with T.
+    The backward pass is backpropagation through time, written out by hand
+    over the same prefixes. gru_runs says how the states, gates and
+    gradients are stored.
     """
     return gru_runs([(x, lengths, weights, h0)], pool)[0]
 

@@ -397,7 +397,10 @@ class TestKernelBitOracle:
 
 
     # (run A, run B) of each paired case: each run's lengths and input width
-    # (0: no input, the decoder form, with an initial state)
+    # (0: no input, the decoder form), and NO_H0 for a run that starts from
+    # zero with no initial-state tensor, as the encoders do (every other run
+    # gets one)
+    NO_H0 = "no-h0"
     PAIRS = {
         "a-ends-first": (([3, 6, 1, 5], 3), ([7, 2, 8, 4, 8], 5)),
         "b-ends-first": (([9, 2, 7], 2), ([4, 1, 3, 4, 2, 2], 4)),
@@ -410,6 +413,10 @@ class TestKernelBitOracle:
         "lone-b": (([3, 5, 2, 4], 2), ([6], 3)),
         "one-row-tail": (([2, 9, 3], 2), ([4, 4, 5], 3)),  # A runs one row from step 3
         "one-run": (([3, 6, 1, 5, 6, 2], 3),),
+        "one-run-no-h0": (([3, 6, 1, 5, 6, 2], 3, NO_H0),),
+        "no-h0": (([3, 6, 1, 5], 3, NO_H0), ([7, 2, 8, 4, 8], 5, NO_H0)),
+        "h0-on-a": (([9, 2, 7], 2), ([4, 1, 3, 4, 2, 2], 4, NO_H0)),
+        "h0-on-b": (([9, 2, 7], 2, NO_H0), ([4, 1, 3, 4, 2, 2], 4)),
     }
 
     @pytest.mark.parametrize("pool", [False, True], ids=["states", "pooled"])
@@ -417,18 +424,19 @@ class TestKernelBitOracle:
     def test_paired_runs_equal_oracle_alone(self, case, pool):
         """Each run of a gru_runs call equals oracles.ref_gru_run of that run
         alone, bit for bit: states or pooled rows, all six gradients, and the
-        gradient handed to it left as it was."""
+        gradient handed to it left as it was. A run without h0 equals the
+        oracle's run from a zero h0, and has no h0 gradient."""
         rng = np.random.default_rng(43)
         hid = {"h17": 17, "h25": 25}.get(case, 4)
         runs = []
-        for lengths, dim in self.PAIRS[case]:
+        for lengths, dim, *marks in self.PAIRS[case]:
             steps, bsz = max(lengths), len(lengths)
             p = random_gru(rng, max(dim, 1), hid)
             x_values = None
             if dim:
                 x_values = rng.normal(size=(bsz, steps, dim))
                 x_values[np.arange(steps)[None, :] >= np.array(lengths)[:, None]] = 0.0
-            h0_values = rng.normal(size=(bsz, hid))
+            h0_values = None if self.NO_H0 in marks else rng.normal(size=(bsz, hid))
             weight = rng.normal(size=(bsz, hid) if pool else (bsz, steps, hid))
             runs.append((p, lengths, x_values, h0_values, weight))
 
@@ -436,7 +444,8 @@ class TestKernelBitOracle:
         for p, lengths, x_values, h0_values, _ in runs:
             tk.zero_grads(p.weights())
             x = None if x_values is None else Tensor(x_values, requires_grad=True)
-            tensors.append((x, Tensor(h0_values, requires_grad=True)))
+            h0 = None if h0_values is None else Tensor(h0_values, requires_grad=True)
+            tensors.append((x, h0))
         with Tape() as tape:
             outs = tk.gru_runs(
                 [(x, lengths, p.weights(), h0) for (p, lengths, *_), (x, h0) in zip(runs, tensors)], pool
@@ -446,7 +455,12 @@ class TestKernelBitOracle:
             tk.backward(tk.add(*probes) if len(probes) == 2 else probes[0])
         free = tk.gru_runs(
             [
-                (None if x is None else Tensor(x), lengths, p.weights(), Tensor(h0))
+                (
+                    None if x is None else Tensor(x),
+                    lengths,
+                    p.weights(),
+                    None if h0 is None else Tensor(h0),
+                )
                 for p, lengths, x, h0, _ in runs
             ],
             pool,
@@ -456,23 +470,27 @@ class TestKernelBitOracle:
             runs, tensors, outs, free, strict=True
         ):
             blocks = [t.values for t in p.weights()]
+            ref_h0 = np.zeros((len(lengths), hid)) if h0_values is None else h0_values
             dstates = weight
             if pool:  # the pooled gradient, at each channel's first maximum
                 states = oracles.ref_gru_run(
-                    x_values, lengths, *blocks, h0_values, np.zeros((len(lengths), max(lengths), hid)),
+                    x_values, lengths, *blocks, ref_h0, np.zeros((len(lengths), max(lengths), hid)),
                     tk._WINDOW,
                 )[0]
                 dstates = np.zeros_like(states)
                 for row, n in enumerate(lengths):
                     dstates[row, np.argmax(states[row, :n], axis=0), np.arange(hid)] = weight[row]
             want_states, want_pooled, want_grads = oracles.ref_gru_run(
-                x_values, lengths, *blocks, h0_values, dstates, tk._WINDOW
+                x_values, lengths, *blocks, ref_h0, dstates, tk._WINDOW
             )
+            if h0 is None:
+                want_grads = want_grads[:5] + (None,)
             want = want_pooled if pool else want_states
             assert np.array_equal(out.grad, weight)
             assert np.array_equal(out.values, want)
             assert np.array_equal(free_out.values, want)
-            got = [t.grad for t in p.weights()] + [None if x is None else x.grad, h0.grad]
+            got = [t.grad for t in p.weights()]
+            got += [None if x is None else x.grad, None if h0 is None else h0.grad]
             for name, g, w in zip(("w", "u_zr", "u_c", "b", "x", "h0"), got, want_grads, strict=True):
                 if w is None:
                     assert g is None, name
@@ -545,9 +563,10 @@ class TestPooledKernel:
     def test_taped_pool_memory_is_bounded(self):
         """One taped pooled forward and backward at weak-ragged's low-level
         shape peaks below 12.63 [B, T, H] float64 buffers, the peak of the
-        kernel's batch-major tape (the time-major one peaks at 11.4). A fresh
-        h_prev and rs * h_prev beside the time-major tape's gradient buffer
-        would peak at 13.9."""
+        kernel's batch-major tape. The time-major one, whose states start
+        from the initial state at step 0, peaks at 11.40. A fresh h_prev and
+        rs * h_prev beside the time-major tape's gradient buffer would peak
+        at 13.9."""
         bsz, steps, dim, hid = 56, 8, 16, 32
         rng = np.random.default_rng(38)
         p = random_gru(rng, dim, hid)
