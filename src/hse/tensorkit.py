@@ -22,7 +22,8 @@ recurrence, one product per sequence for each window of _WINDOW steps,
 a step's two recurrent products as one GEMM each per run over its running
 rows, padded to 2 rows or more and to a width that is a multiple of 4
 (where OpenBLAS gives a row the same bits at any row count and place),
-and writes each step's arithmetic into buffers made once per call. Two
+and writes each step's arithmetic into buffers taken before the first
+step. Two
 runs sit back to back in one row space, each packed longest first toward
 the row where they meet, so the rows still running form one window and
 each elementwise operation is one call for both. A call keeps its states
@@ -37,6 +38,19 @@ all it keeps, so an evaluation run holds no [B, T, .] buffer. None of
 this changes a row's bits, which do not depend on the batch, on the
 row's place in it or on the run beside it.
 
+Memory: a tape may hold a Workspace, a grown-only float64 block that
+whoever made it owns (training keeps one from step to step and from call
+to call). While such a tape is active, gru_runs takes every buffer from
+the block rather than from numpy. What a recorded call keeps for its
+backward lives until the tape exits, the forward's scratch goes back when
+the forward ends, and the backward's when the closure returns. Every
+buffer that must start at zero (or at -inf) is filled explicitly, so no
+bit depends on what the block held, and a returned tensor is a copy, never
+a view of the block. The tape's exit resets the workspace: every slot is
+free again and its generation moves on, so a record replayed after it
+raises ContractError instead of reading reused memory. Without a
+workspace, gru_runs allocates with numpy.
+
 The training objective's heads are one record each, with a hand-written
 backward: rank_hinge and cluster_hinge over a square similarity matrix,
 weighted_sq_err against constant targets, and affine for a projection
@@ -47,6 +61,7 @@ weights keep their bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -57,6 +72,7 @@ from .errors import ContractError, DegenerateInputError, ShapeError
 __all__ = [
     "Tensor",
     "Tape",
+    "Workspace",
     "backward",
     "add",
     "mul_scalar",
@@ -101,17 +117,63 @@ class Tensor:
         return f"Tensor(shape={list(self.shape)}, requires_grad={self.requires_grad})"
 
 
+class Workspace:
+    """A grown-only float64 block that gru_runs takes its buffers from while
+    a tape holding this workspace is active (see the module docstring).
+
+    take hands out the next free slots as an array, or a plain allocation
+    for a need past the block's capacity. reset (at the tape's exit) frees
+    every slot at once and bumps generation. If the need since the last
+    reset overflowed the block, reset also drops it, and the next take
+    makes one of max(need, 2 * capacity) slots, once the last tape's
+    buffers are freed and their memory can serve it; the capacity never
+    shrinks. A caller may hand slots back early by setting offset back to
+    a value it read before taking them."""
+
+    def __init__(self):
+        self.capacity = 0
+        self.block: np.ndarray | None = None
+        self.offset = 0  # the first free slot
+        self.need = 0  # the most slots in use at once since the last reset
+        self.generation = 0
+
+    def take(self, shape, dtype=np.float64) -> np.ndarray:
+        """An uninitialised array of shape and dtype (at most 8 bytes an
+        item): a slot per item, from a 64-byte boundary of the block."""
+        size = math.prod(shape)
+        start = self.offset
+        self.offset = end = start + -(-size // 8) * 8
+        if end > self.need:
+            self.need = end
+        if end > self.capacity:
+            return np.empty(shape, dtype)
+        if self.block is None:
+            self.block = np.empty(self.capacity)
+        view = self.block[start : start + size]
+        return (view if dtype is np.float64 else view.view(dtype)[:size]).reshape(shape)
+
+    def reset(self) -> None:
+        if self.need > self.capacity:
+            self.capacity = max(self.need, 2 * self.capacity)
+            self.block = None
+        self.offset = self.need = 0
+        self.generation += 1
+
+
 class Tape:
     """Ordered record of the primitives applied during one forward pass.
 
     Usable as a context manager; the innermost active tape receives the
-    records. A tape may be replayed (via backward) at most once.
+    records. A tape may be replayed (via backward) at most once. A tape
+    made with a workspace lends it to gru_runs while active and resets it
+    at exit, so it must be replayed before it exits.
     """
 
-    def __init__(self):
+    def __init__(self, workspace: Workspace | None = None):
         # (output or tuple of outputs, backward closure), in execution order
         self._records: list[tuple[Tensor | tuple[Tensor, ...], Callable]] = []
         self._used = False
+        self.workspace = workspace
 
     def __len__(self) -> int:
         return len(self._records)
@@ -124,6 +186,8 @@ class Tape:
         popped = _TAPE_STACK.pop()
         if popped is not self:  # pragma: no cover - misuse guard
             raise ContractError("tape context exited out of order")
+        if self.workspace is not None:
+            self.workspace.reset()
         return False
 
 
@@ -460,10 +524,10 @@ def _packed(v: np.ndarray, order: np.ndarray | None) -> np.ndarray:
 
 
 def _unpacked(v: np.ndarray, order: np.ndarray | None) -> np.ndarray:
-    """Packed rows back in the caller's order, C-contiguous (order None: v
-    itself when it is C-contiguous)."""
+    """Packed rows back in the caller's order, in a new C-contiguous array
+    (v may be a view of a workspace, which the next tape reuses)."""
     if order is None:
-        return np.ascontiguousarray(v)
+        return v.copy()
     out = np.empty(v.shape)
     out[order] = v
     return out
@@ -599,9 +663,20 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
     products.
 
     The record's closure takes both outputs' gradients; a run whose output
-    got none leaves its parents' gradients as they were. Once it has run,
-    it lets go of the call's tape buffers, so that the records replayed
-    after it can reuse their memory.
+    got none leaves its parents' gradients as they were.
+
+    Memory: under a tape that holds a Workspace, every buffer above comes
+    from the workspace's block (the module docstring gives the rule): the
+    states, gates and first-maximum steps until the tape exits, the
+    forward's scratch (bias, running maxima, step and input-term buffers)
+    until the forward ends, and the backward's (gate and state gradients,
+    step buffers) until the closure returns. rs, hs[0] and the spare rows,
+    the running maxima, the first-maximum steps, the step buffers, the pair
+    bias and the backward's da, g_best, g_steps (pooled), dh and input-free
+    dw are filled explicitly. The closure raises ContractError if the
+    workspace was reset since the forward. Without a workspace the closure
+    lets go of the call's buffers once it has run, so that the records
+    replayed after it can reuse their memory.
     """
     if not 1 <= len(runs) <= 2:
         raise ContractError(f"gru_runs takes one or two runs, got {len(runs)}")
@@ -627,22 +702,19 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
     b.place(edge, below=False)
     b_end = edge + b.bsz
     rows = edge + max(b.bsz, 2)
-    keep = any(run.requires_grad for run in runs) and _active_tape() is not None
+    tape = _active_tape()
+    keep = any(run.requires_grad for run in runs) and tape is not None
+    # every buffer below comes from the tape's workspace when it has one
+    ws = None if tape is None else tape.workspace
+    empty = np.empty if ws is None else ws.take
+    generation = None if ws is None else ws.generation
     h2 = 2 * hid
     # each run's recurrent weights with zero columns up to a multiple of 4
     padded = [(_padded_columns(run.u_zr), _padded_columns(run.u_c)) for run in runs]
     (ua_zr, ua_c), (ub_zr, ub_c) = padded[0], padded[-1]
-    # the bias of each row for two runs; one row, broadcast, for one
-    if a:
-        bias = np.zeros((rows, 3 * hid))
-        bias[a.rows], bias[b.rows] = a.b, b.b
-    else:
-        bias = b.b[None]
-    if pool:  # a running maximum from -inf
-        best = np.full((rows, hid), -np.inf)
     # the states, [step, row], from the initial ones in hs[0]: all T + 1 steps
     # when they are kept, two otherwise (the docstring gives the rule)
-    hs = np.empty((steps + 1 if keep or not pool else 2, rows, hid))
+    hs = empty((steps + 1 if keep or not pool else 2, rows, hid))
     hs[0] = 0.0
     for run in runs:
         if run.h0 is not None:
@@ -650,17 +722,33 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
     if rows > b_end or edge > a_bsz:  # spare rows, which a lone row's GEMM reads
         hs[:, : edge - a_bsz] = hs[:, b_end:] = 0.0
     if keep:  # the gates and candidates, [t, row] like the states
-        zs, cands = np.empty((2, steps, rows, hid))
-        rs = np.zeros((steps, rows, hid))  # zero on padding, where du_c reads it
+        zs, cands, rs = empty((3, steps, rows, hid))
+        rs.fill(0.0)  # zero on padding, where du_c reads it
         if pool:  # the step of each channel's first maximum
-            first = np.zeros((rows, hid), dtype=np.intp)
-            rises = np.empty((rows, hid), dtype=bool)
+            first = empty((rows, hid), np.intp)
+            first.fill(0)
+    # the rest is the forward's scratch, which a workspace gets back at its end
+    scratch = None if ws is None else ws.offset
+    # the bias of each row for two runs; one row, broadcast, for one
+    if a:
+        bias = empty((rows, 3 * hid))
+        bias.fill(0.0)
+        bias[a.rows], bias[b.rows] = a.b, b.b
+    else:
+        bias = b.b[None]
+    if pool:  # a running maximum from -inf
+        best = empty((rows, hid))
+        best.fill(-np.inf)
+        if keep:
+            rises = empty((rows, hid), bool)
     # buffers that every step writes into, spare rows and padded columns
     # included (their results are scratch); a step allocates nothing
-    zr_buf, c_buf = np.zeros((rows, ub_zr.shape[1])), np.zeros((rows, ub_c.shape[1]))
-    tmp_buf = np.zeros((rows, hid))
+    zr_buf, c_buf = empty((rows, ub_zr.shape[1])), empty((rows, ub_c.shape[1]))
+    tmp_buf = empty((rows, hid))
+    for buf in (zr_buf, c_buf, tmp_buf):
+        buf.fill(0.0)
     if inputs:  # the input terms of one window of steps, each run's rows in packed order
-        xw_buf = np.empty((rows, min(_WINDOW, steps), 3 * hid))
+        xw_buf = empty((rows, min(_WINDOW, steps), 3 * hid))
         xw_runs = [(run, run.own(xw_buf)) for run in runs]
     for t in range(steps):
         na, nb = act_a[t], act_b[t]
@@ -726,44 +814,54 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
         )
         for run in runs
     )
+    if ws is not None:
+        ws.offset = scratch
     if not keep:
         return outs
 
     def back(grads):
         nonlocal runs, hs, zs, rs, cands
+        if ws is not None:
+            if ws.generation != generation:
+                raise ContractError("gru_runs: replayed after its tape's workspace was reset")
+            mark = ws.offset  # the backward's scratch goes back at return
         # each run's gate pre-activation gradients, [B, T, 3H] in its packed
         # order, and contiguous transposes, so that dx, d_rh and dh do not
         # depend on how BLAS treats a transposed operand
         per_run = [
-            (np.zeros((run.bsz, run.steps, 3 * hid)), run.u_zr.T.copy(), run.u_c.T.copy())
+            (empty((run.bsz, run.steps, 3 * hid)), run.u_zr.T.copy(), run.u_c.T.copy())
             for run in runs
         ]
+        for da, _, _ in per_run:
+            da.fill(0.0)
         (da_a, ua_zr_t, ua_c_t), (da_b, ub_zr_t, ub_c_t) = per_run[0], per_run[-1]
         # the upstream gradient of the states, time-major, in a buffer of the
         # call's own (a caller's [B, T, H] gradient can be its time-major view)
         if pool:
             # each maximum's gradient goes to the first step that attains it
-            g_best = np.zeros((rows, hid))
+            g_best, g_steps = empty((rows, hid)), empty((steps, rows, hid))
+            g_best.fill(0.0)
             for run, g in zip(runs, grads):
                 if g is not None:
                     run.own(g_best)[...] = _packed(g, run.order)
-            g_steps = np.zeros((steps, rows, hid))
+            g_steps.fill(0.0)
             np.put_along_axis(g_steps, first[None], g_best[None], axis=0)
         else:
-            g_steps = np.empty((steps, rows, hid))
+            g_steps = empty((steps, rows, hid))
             for run, g in zip(runs, grads):
                 g_run = run.own(g_steps.transpose(1, 0, 2))[:, : run.steps]
                 if g is None:
                     g_run.fill(0.0)
                 else:
                     np.copyto(g_run, _packed(g, run.order))
-        dh = np.zeros((rows, hid))
+        dh = empty((rows, hid))
+        dh.fill(0.0)
         # contiguous, so that each ufunc runs one loop over all rows; the
         # first three hold a step's da_z, da_r and da_c, in gate order
-        bufs = np.empty((6, rows, hid))
+        bufs = empty((6, rows, hid))
         dz_buf, dr_buf, dc_buf, d_rh_buf, dh_buf, tmp_buf = bufs
         if a:  # run A's running rows in packed order, contiguous
-            a_c, a_out = np.empty((a_bsz, hid)), np.empty((a_bsz, hid))
+            a_c, a_out = empty((2, a_bsz, hid))
         for t in range(steps - 1, -1, -1):
             na, nb = act_a[t], act_b[t]
             lo, hi = edge - na, edge + nb
@@ -820,7 +918,8 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
             bsz, n_steps = run.bsz, run.steps
             flat = da.reshape(-1, 3 * hid)
             if run.x is None:
-                dw = np.zeros((3 * hid, run.dim))
+                dw = empty((3 * hid, run.dim))
+                dw.fill(0.0)
             else:
                 dw = flat.T @ run.xp.reshape(-1, run.dim)
             h_prev = spent[: bsz * n_steps * hid].reshape(bsz, n_steps, hid)
@@ -834,9 +933,12 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
                 _acc(run.x, _unpacked(da @ run.w.T.copy(), run.order))
             if run.h0 is not None and run.h0.requires_grad:
                 _acc(run.h0, _unpacked(run.own(dh), run.order))
-        # the tape is single use: its buffers go now, not when it is dropped,
-        # so that the records replayed after this one can reuse their memory
-        runs = hs = zs = rs = cands = None
+        if ws is None:
+            # the tape is single use: its buffers go now, not when it is dropped,
+            # so that the records replayed after this one can reuse their memory
+            runs = hs = zs = rs = cands = None
+        else:
+            ws.offset = mark
 
     _record(outs, back)
     return outs
@@ -877,9 +979,9 @@ def gru_sequence(
     then costs the two recurrent products, each one GEMM over the running
     rows (a lone one beside a spare row) by u_zr and u_c with zero columns
     up to a multiple of 4 (_padded_columns), and elementwise arithmetic
-    written into buffers made once per run. Such a GEMM gives a row the
-    bits it has beside a zero row, so a sequence's states are the same
-    bits alone or anywhere in any batch. Where exp overflows, sigmoid
+    written into buffers taken before the first step. Such a GEMM gives a
+    row the bits it has beside a zero row, so a sequence's states are the
+    same bits alone or anywhere in any batch. Where exp overflows, sigmoid
     takes its limit 0 without a warning. States and gradients are
     returned in the caller's row order.
 

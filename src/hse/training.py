@@ -188,6 +188,14 @@ def _mean_breakdown(breakdowns: Sequence[LossBreakdown]) -> LossBreakdown:
     return LossBreakdown(*(sum(getattr(bd, key) for bd in breakdowns) / n for key in COMPONENTS))
 
 
+# The GRU kernel's buffers (tensorkit.Workspace), kept from step to step and
+# from one train call to the next: glibc can hand a block freed at the end of
+# a call back to the OS, and the next call then faults it in afresh. A call
+# made while another holds the workspace makes its own. No bit depends on
+# what a workspace held before.
+_SPARE_WORKSPACES: list[tk.Workspace] = []
+
+
 # a diverging run overflows on its way to the checks below, which name the
 # epoch and the batch; numpy's warnings of it would come first
 @np.errstate(over="ignore", invalid="ignore")
@@ -211,6 +219,10 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
     for t, view in zip(tensors, tile(grad, [t.shape for t in tensors])):
         t.grad = view
     opt = OptimizerState(values.size)
+    try:  # one pop, so that two calls in two threads cannot take one workspace
+        workspace = _SPARE_WORKSPACES.pop()
+    except IndexError:
+        workspace = tk.Workspace()
     rng = np.random.default_rng(config.seed)
     epoch_log: list[LossBreakdown] = []
     for epoch in range(config.epochs):
@@ -221,7 +233,7 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
             at = f"epoch {epoch}, batch {start // config.batch_size}"
             batch = [corpus.pairs[i] for i in order[start : start + config.batch_size]]
             grad.fill(0.0)
-            with tk.Tape():
+            with tk.Tape(workspace):
                 try:
                     if config.model == "fse":
                         bd = _fse_loss(batch, params, config.loss)
@@ -241,5 +253,6 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
         log.info(
             "epoch %d lr=%g total=%g", epoch, lr, epoch_log[-1].total
         )
+    _SPARE_WORKSPACES.append(workspace)
     tk.zero_grads(tensors)
     return TrainResult(params=params, log=epoch_log)

@@ -498,6 +498,81 @@ class TestKernelBitOracle:
                     assert np.array_equal(g, w), name
 
 
+class TestWorkspace:
+    """gru_runs under a tape that holds a tk.Workspace: the same bits as
+    without one, whatever the block held before; no tensor it returns is a
+    view of the block; and its record fails once the block was reset."""
+
+    def pair_case(self, case, pool):
+        """The runs of one TestKernelBitOracle.PAIRS case, and the gradient
+        each output is probed with."""
+        rng = np.random.default_rng(43)
+        hid = {"h17": 17, "h25": 25}.get(case, 4)
+        runs, probes = [], []
+        for lengths, dim, *marks in TestKernelBitOracle.PAIRS[case]:
+            steps, bsz = max(lengths), len(lengths)
+            p = random_gru(rng, max(dim, 1), hid)
+            x = Tensor(rng.normal(size=(bsz, steps, dim)), requires_grad=True) if dim else None
+            h0 = None if TestKernelBitOracle.NO_H0 in marks else Tensor(rng.normal(size=(bsz, hid)), requires_grad=True)
+            runs.append((x, lengths, p.weights(), h0))
+            probes.append(rng.normal(size=(bsz, hid) if pool else (bsz, steps, hid)))
+        return runs, probes
+
+    def taped(self, runs, probes, pool, workspace=None):
+        """The outputs and every gradient of one recorded call."""
+        tensors = [t for x, _, weights, h0 in runs for t in (x, *weights, h0) if t is not None]
+        tk.zero_grads(tensors)
+        with Tape(workspace):
+            outs = tk.gru_runs(runs, pool)
+            terms = [oracles.probe(out, w) for out, w in zip(outs, probes)]
+            tk.backward(tk.add(*terms) if len(terms) == 2 else terms[0])
+        return [out.values for out in outs] + [t.grad for t in tensors]
+
+    @pytest.mark.parametrize("pool", [False, True], ids=["states", "pooled"])
+    @pytest.mark.parametrize("case", list(TestKernelBitOracle.PAIRS))
+    def test_a_nan_filled_block_moves_no_bit(self, case, pool):
+        runs, probes = self.pair_case(case, pool)
+        want = self.taped(runs, probes, pool)
+        workspace = tk.Workspace()
+        self.taped(runs, probes, pool, workspace)  # sizes the block to the call's need
+        workspace.block = np.full(workspace.capacity, np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = self.taped(runs, probes, pool, workspace)
+        assert not np.isnan(workspace.block).all()  # the call ran in the block
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g, w)
+
+    # lengths already longest first, so no row order is undone by a copy; a
+    # pooled run's maxima and a one-step run's states are then contiguous
+    # rows of the kernel's buffers
+    @pytest.mark.parametrize("pool, lengths", [(True, [3, 2, 2]), (False, [1, 1, 1])], ids=["pooled", "states"])
+    def test_a_returned_tensor_keeps_its_values_when_the_block_is_reused(self, pool, lengths):
+        rng = np.random.default_rng(44)
+        weights = random_gru(rng, 3, 4).weights()
+        workspace = tk.Workspace()
+
+        def call():
+            with Tape(workspace):
+                return tk.gru_sequence(Tensor(rng.normal(size=(3, max(lengths), 3))), lengths, weights, pool=pool)
+
+        call()  # sizes the block
+        out = call()
+        kept = out.values.copy()
+        call()
+        assert not np.shares_memory(out.values, workspace.block)
+        assert np.array_equal(out.values, kept)
+
+    def test_a_record_replayed_after_its_workspace_was_reset_fails(self):
+        rng = np.random.default_rng(45)
+        weights = random_gru(rng, 3, 4).weights()
+        with Tape(tk.Workspace()):
+            pooled = tk.gru_sequence(Tensor(rng.normal(size=(2, 3, 3))), [3, 2], weights, pool=True)
+            loss = oracles.probe(pooled, rng.normal(size=(2, 4)))
+        with pytest.raises(ContractError, match="reset"):
+            tk.backward(loss)
+
+
 class TestPooledKernel:
     """gru_sequence(..., pool=True) keeps a running maximum of the states;
     its rows must be the oracle's pooled rows, and its gradient that of

@@ -138,6 +138,33 @@ class TestStructuralOps:
             tk.reshape(t([1.0, 2.0]), (3,))
 
 
+class TestWorkspace:
+    def test_the_block_grows_to_twice_its_capacity_and_never_shrinks(self):
+        workspace, n = tk.Workspace(), 1000
+        blocks, capacities = [], []  # the blocks kept, so that `is` tells them apart
+        for scale in (1.0, 1.1, 0.9, 1.2):
+            workspace.take((int(scale * n),))
+            if workspace.block is not None and all(workspace.block is not b for b in blocks):
+                blocks.append(workspace.block)
+            workspace.reset()
+            capacities.append(workspace.capacity)
+        assert len(blocks) <= 2
+        assert capacities == sorted(capacities) and capacities[-1] >= 1.2 * n
+
+    def test_takes_are_views_of_the_block_in_the_dtype_asked(self):
+        workspace = tk.Workspace()
+        workspace.take((8, 8))
+        workspace.reset()  # sizes the block
+        a = workspace.take((2, 4))
+        b = workspace.take((3,), np.intp)
+        c = workspace.take((3,), bool)
+        assert (a.shape, b.dtype, c.dtype) == ((2, 4), np.intp, np.bool_)
+        for v in (a, b, c):
+            assert np.shares_memory(v, workspace.block) and v.flags.c_contiguous
+        assert not np.shares_memory(a, b) and not np.shares_memory(b, c)
+        assert workspace.take((workspace.capacity,)).base is None  # past the block
+
+
 class TestFiniteDiff:
     def test_sum_of_squares_closed_form(self):
         theta = t([1.0, 2.0])
