@@ -148,7 +148,10 @@ class Workspace:
         if end > self.capacity:
             return np.empty(shape, dtype)
         if self.block is None:
-            self.block = np.empty(self.capacity)
+            # from a 64-byte boundary, so that every take starts on a cache line
+            raw = np.empty(self.capacity + 7)
+            first = -raw.ctypes.data % 64 // 8
+            self.block = raw[first : first + self.capacity]
         view = self.block[start : start + size]
         return (view if dtype is np.float64 else view.view(dtype)[:size]).reshape(shape)
 
