@@ -23,14 +23,13 @@ a step's two recurrent products as one GEMM each per run over its running
 rows, padded to 2 rows or more and to a width that is a multiple of 4
 (where OpenBLAS gives a row the same bits at any row count and place),
 and writes each step's arithmetic into buffers taken before the first
-step. Two
-runs sit back to back in one row space, each packed longest first toward
-the row where they meet, so the rows still running form one window and
-each elementwise operation is one call for both. A call keeps its states
-in one time-major array from the initial state at step 0, and a recorded
-call its gates too, so that a step stores and the backward reads
-contiguous rows; each run's closing products sum over its positions in
-[B, T] order. With pool=True it returns each row's channel-wise maxima
+step. Two runs sit back to back in one row space, each packed longest
+first toward the row where they meet, so the rows still running form one
+window and each elementwise operation is one call for both. A call keeps
+its states in one time-major array from the initial state at step 0, and
+a recorded call its gates too, so that a step stores and the backward
+reads contiguous rows; each run's closing products sum over its positions
+in [B, T] order. With pool=True it returns each row's channel-wise maxima
 over its valid steps, kept as a running maximum; a recorded run also
 keeps the step of each first maximum, where the backward sends the
 gradient. When nothing will record them the maxima and two states are
@@ -40,8 +39,9 @@ row's place in it or on the run beside it.
 
 Memory: a tape may hold a Workspace, a grown-only float64 block that
 whoever made it owns (training keeps one from step to step and from call
-to call). While such a tape is active, gru_runs takes every buffer from
-the block rather than from numpy. What a recorded call keeps for its
+to call, and a second, outside any tape, for each call's gradient and
+optimizer buffers). While such a tape is active, gru_runs takes every
+buffer from the block rather than from numpy. What a recorded call keeps for its
 backward lives until the tape exits, the forward's scratch goes back when
 the forward ends, and the backward's when the closure returns. Every
 buffer that must start at zero (or at -inf) is filled explicitly, so no
@@ -119,7 +119,8 @@ class Tensor:
 
 class Workspace:
     """A grown-only float64 block that gru_runs takes its buffers from while
-    a tape holding this workspace is active (see the module docstring).
+    a tape holding this workspace is active (see the module docstring). Its
+    owner may also take from it and reset it directly, outside any tape.
 
     take hands out the next free slots as an array, or a plain allocation
     for a need past the block's capacity. reset (at the tape's exit) frees

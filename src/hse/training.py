@@ -112,14 +112,14 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 class OptimizerState:
     """Adam's step count and moments m and v for a flat buffer of size
     values, plus two scratch buffers, so that an update is a handful of
-    whole-buffer operations."""
+    whole-buffer operations. The four buffers come from empty (np.empty, or
+    a tk.Workspace's take), and the moments are zeroed here."""
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, empty=np.empty):
         self.step = 0
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
-        self._denom = np.empty(size)
-        self._update = np.empty(size)
+        self.m, self.v, self._denom, self._update = (empty((size,)) for _ in range(4))
+        self.m.fill(0.0)
+        self.v.fill(0.0)
 
 
 def optimizer_step(state: OptimizerState, values: np.ndarray, grad: np.ndarray, lr: float) -> None:
@@ -188,12 +188,13 @@ def _mean_breakdown(breakdowns: Sequence[LossBreakdown]) -> LossBreakdown:
     return LossBreakdown(*(sum(getattr(bd, key) for bd in breakdowns) / n for key in COMPONENTS))
 
 
-# The GRU kernel's buffers (tensorkit.Workspace), kept from step to step and
-# from one train call to the next: glibc can hand a block freed at the end of
-# a call back to the OS, and the next call then faults it in afresh. A call
-# made while another holds the workspace makes its own. No bit depends on
+# Two tensorkit.Workspaces, kept from one train call to the next: the GRU
+# kernel's, which each step's tape resets, and the call's flat gradient and
+# Adam buffers, reset at the call's end. glibc can hand a buffer freed at the
+# end of a call back to the OS, and the next call then faults it in afresh.
+# A call made while another holds the pair makes its own. No bit depends on
 # what a workspace held before.
-_SPARE_WORKSPACES: list[tk.Workspace] = []
+_SPARE_WORKSPACES: list[tuple[tk.Workspace, tk.Workspace]] = []
 
 
 # a diverging run overflows on its way to the checks below, which name the
@@ -214,15 +215,16 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
     params = init_params(dims, config.seed)
     tensors = [t for _, t in params.leading_parameters(_last_trained(config))]
     values = params.values[: sum(t.values.size for t in tensors)]
-    # backward accumulates each tensor's gradient into its view of one buffer
-    grad = np.zeros_like(values)
+    try:  # one pop, so that two calls in two threads cannot take one pair
+        workspace, kept = _SPARE_WORKSPACES.pop()
+    except IndexError:
+        workspace, kept = tk.Workspace(), tk.Workspace()
+    # backward accumulates each tensor's gradient into its view of one
+    # buffer, zeroed before each step
+    grad = kept.take(values.shape)
     for t, view in zip(tensors, tile(grad, [t.shape for t in tensors])):
         t.grad = view
-    opt = OptimizerState(values.size)
-    try:  # one pop, so that two calls in two threads cannot take one workspace
-        workspace = _SPARE_WORKSPACES.pop()
-    except IndexError:
-        workspace = tk.Workspace()
+    opt = OptimizerState(values.size, kept.take)
     rng = np.random.default_rng(config.seed)
     epoch_log: list[LossBreakdown] = []
     for epoch in range(config.epochs):
@@ -253,6 +255,7 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
         log.info(
             "epoch %d lr=%g total=%g", epoch, lr, epoch_log[-1].total
         )
-    _SPARE_WORKSPACES.append(workspace)
     tk.zero_grads(tensors)
+    kept.reset()
+    _SPARE_WORKSPACES.append((workspace, kept))
     return TrainResult(params=params, log=epoch_log)

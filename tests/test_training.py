@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from hse import training
 from hse.data import SynthSpec, synth_generate
 from hse.errors import ConfigError, ContractError, TrainingDiverged
 from hse.losses import LossBreakdown, LossConfig
@@ -161,6 +162,24 @@ class TestTrain:
             a.params.named_parameters(), b.params.named_parameters()
         ):
             assert ta.values.tobytes() == tb.values.tobytes()
+
+    def test_nan_filled_kept_workspaces_move_no_bit(self, monkeypatch):
+        """train keeps its two workspaces (the GRU kernel's, and the call's
+        gradient and Adam buffers) from one call to the next; no bit may
+        depend on what they held."""
+        monkeypatch.setattr(training, "_SPARE_WORKSPACES", [])
+        corpus = tiny_corpus()
+        want = train(corpus, tiny_config())
+        train(corpus, tiny_config())  # runs in blocks that fit every step
+        (pair,) = training._SPARE_WORKSPACES
+        for workspace in pair:
+            workspace.block.fill(np.nan)
+        got = train(corpus, tiny_config())
+        assert training._SPARE_WORKSPACES == [pair]
+        for workspace in pair:  # the call ran in the blocks
+            assert not np.isnan(workspace.block).all()
+        assert [bd.components() for bd in got.log] == [bd.components() for bd in want.log]
+        assert got.params.values.tobytes() == want.params.values.tobytes()
 
     def test_zero_learning_rate_is_noop(self):
         corpus = tiny_corpus()
