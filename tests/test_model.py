@@ -155,15 +155,41 @@ class TestGruSequence:
         assert len(tape) == 1
 
     def test_shape_errors(self):
+        """Each rejection is one line that names the operand at fault."""
         p = zero_gru(2, 3)
-        with pytest.raises(ShapeError):
-            tk.gru_sequence(Tensor(np.zeros((2, 4, 5))), [4, 4], p.weights())
-        with pytest.raises(ShapeError):
-            tk.gru_sequence(Tensor(np.zeros((2, 4, 2))), [4, 5], p.weights())
-        with pytest.raises(ShapeError):
-            tk.gru_sequence(Tensor(np.zeros((2, 4, 2))), [0, 4], p.weights())
-        with pytest.raises(ShapeError):
-            tk.gru_sequence(Tensor(np.zeros((2, 4, 2))), [4, 4], p.weights(), Tensor(np.zeros((1, 3))))
+        x, weights = Tensor(np.zeros((2, 4, 2))), p.weights()
+
+        def with_block(i, shape):
+            return weights[:i] + [Tensor(np.zeros(shape))] + weights[i + 1 :]
+
+        cases = [
+            ((Tensor(np.zeros((2, 4, 5))), [4, 4], weights), "gru_sequence w has shape [2, 9], expected [5, 9]"),
+            ((x, [4, 4], with_block(1, (3, 5))), "gru_sequence u_zr has shape [3, 5], expected [3, 6]"),
+            ((x, [4, 4], with_block(2, (3, 4))), "gru_sequence u_c has shape [3, 4], expected [3, 3]"),
+            ((x, [4, 4], with_block(3, (8,))), "gru_sequence b has shape [8], expected [9]"),
+            ((x, [4, 4], weights, Tensor(np.zeros((1, 3)))), "gru_sequence h0 has shape [1, 3], expected [2, 3]"),
+            ((x, [4, 5], weights), "need 2 lengths in 1..4, got [4, 5]"),
+            ((x, [0, 4], weights), "need 2 lengths in 1..4, got [0, 4]"),
+            ((x, [4], weights), "need 2 lengths in 1..4, got [4]"),
+            ((Tensor(np.zeros((2, 4))), [4, 4], weights), "gru_sequence input must be [B, T, D], got shape [2, 4]"),
+            ((None, [2, 0], weights), "need 2 lengths in 1..2, got [2, 0]"),
+            ((None, [[2, 1]], weights), "need 2 lengths in 1..2, got [[2, 1]]"),
+        ]
+        for args, message in cases:
+            with pytest.raises(ShapeError) as caught:
+                tk.gru_sequence(*args)
+            assert str(caught.value) == message
+        with pytest.raises(ContractError, match="^gru_sequence needs the 4 weight blocks, got 3$"):
+            tk.gru_sequence(x, [4, 4], weights[:3])
+
+    def test_pairing_errors(self):
+        run3, run4 = ((Tensor(np.zeros((2, 4, 2))), [4, 4], zero_gru(2, h).weights(), None) for h in (3, 4))
+        with pytest.raises(ContractError, match="^gru_runs takes one or two runs, got 3$"):
+            tk.gru_runs([run3] * 3)
+        with pytest.raises(ShapeError, match="^paired GRU runs need one hidden size, got 3 and 4$"):
+            tk.gru_runs([run3, run4])
+        with pytest.raises(ContractError, match="^paired GRU runs need an input in both runs or in neither$"):
+            tk.gru_runs([run3, (None, [4, 4], run3[2], None)])
 
 
 def run_and_pool(p, x, lengths, h0, taped):
@@ -528,20 +554,34 @@ class TestWorkspace:
             tk.backward(tk.add(*terms) if len(terms) == 2 else terms[0])
         return [out.values for out in outs] + [t.grad for t in tensors]
 
-    @pytest.mark.parametrize("pool", [False, True], ids=["states", "pooled"])
-    @pytest.mark.parametrize("case", list(TestKernelBitOracle.PAIRS))
-    def test_a_nan_filled_block_moves_no_bit(self, case, pool):
+    def garbage_block_moves_no_bit(self, case, pool, garbage):
+        """The call in a block that holds only garbage before it runs gives
+        the bits of the call without a workspace, with warnings as errors."""
         runs, probes = self.pair_case(case, pool)
         want = self.taped(runs, probes, pool)
         workspace = tk.Workspace()
         self.taped(runs, probes, pool, workspace)  # sizes the block to the call's need
-        workspace.block = np.full(workspace.capacity, np.nan)
+        workspace.block = np.full(workspace.capacity, garbage)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = self.taped(runs, probes, pool, workspace)
-        assert not np.isnan(workspace.block).all()  # the call ran in the block
+        # the call ran in the block
+        assert not np.array_equal(workspace.block, np.full(workspace.capacity, garbage), equal_nan=True)
         for g, w in zip(got, want, strict=True):
             assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("pool", [False, True], ids=["states", "pooled"])
+    @pytest.mark.parametrize("case", list(TestKernelBitOracle.PAIRS))
+    def test_a_nan_filled_block_moves_no_bit(self, case, pool):
+        self.garbage_block_moves_no_bit(case, pool, np.nan)
+
+    # a quiet NaN passes through a product without a warning, but inf * 0
+    # warns: a product that reads a slot nothing wrote (a lone row's
+    # neighbour, say) fails here
+    @pytest.mark.parametrize("pool", [False, True], ids=["states", "pooled"])
+    @pytest.mark.parametrize("case", list(TestKernelBitOracle.PAIRS))
+    def test_an_inf_filled_block_moves_no_bit(self, case, pool):
+        self.garbage_block_moves_no_bit(case, pool, np.inf)
 
     # lengths already longest first, so no row order is undone by a copy; a
     # pooled run's maxima and a one-step run's states are then contiguous

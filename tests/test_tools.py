@@ -65,3 +65,18 @@ def test_faults_summary_gives_medians_quartiles_and_wins():
 
 def test_faults_seed_list_takes_ranges_and_single_seeds():
     assert load_tool("faults").seed_list("61001-61003,7") == [61001, 61002, 61003, 7]
+
+
+def test_kernel_cost_fits_each_round_and_summarises_the_fits():
+    kernel_cost = load_tool("kernel_cost")
+    assert kernel_cost.STEPS == (1, 2, 4, 8)
+    intercept, slope = kernel_cost.fit([12.0, 14.0, 18.0, 26.0])
+    assert (round(intercept, 9), round(slope, 9)) == (10.0, 2.0)
+    # intercepts 10, 20, 30 and 5, 23, 3; every slope 2
+    parent = [[12.0, 14.0, 18.0, 26.0], [22.0, 24.0, 28.0, 36.0], [32.0, 34.0, 38.0, 46.0]]
+    change = [[7.0, 9.0, 13.0, 21.0], [25.0, 27.0, 31.0, 39.0], [5.0, 7.0, 11.0, 19.0]]
+    assert kernel_cost.summary(["parent", "change"], [parent, change], [17, 9]) == [
+        "parent: intercept 20.0 us [15.0, 25.0], slope 2.0 us/step [2.0, 2.0], 17 takes per call, 3 rounds",
+        "change: intercept 5.0 us [4.0, 14.0], slope 2.0 us/step [2.0, 2.0], 9 takes per call, 3 rounds",
+        "change: intercept below parent's in 2 of 3 rounds",
+    ]

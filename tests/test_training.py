@@ -163,7 +163,8 @@ class TestTrain:
         ):
             assert ta.values.tobytes() == tb.values.tobytes()
 
-    def test_nan_filled_kept_workspaces_move_no_bit(self, monkeypatch):
+    @staticmethod
+    def garbage_filled_kept_workspaces_move_no_bit(monkeypatch, garbage):
         """train keeps its two workspaces (the GRU kernel's, and the call's
         gradient and Adam buffers) from one call to the next; no bit may
         depend on what they held."""
@@ -173,13 +174,22 @@ class TestTrain:
         train(corpus, tiny_config())  # runs in blocks that fit every step
         (pair,) = training._SPARE_WORKSPACES
         for workspace in pair:
-            workspace.block.fill(np.nan)
+            workspace.block.fill(garbage)
         got = train(corpus, tiny_config())
         assert training._SPARE_WORKSPACES == [pair]
         for workspace in pair:  # the call ran in the blocks
-            assert not np.isnan(workspace.block).all()
+            assert not np.array_equal(workspace.block, np.full_like(workspace.block, garbage), equal_nan=True)
         assert [bd.components() for bd in got.log] == [bd.components() for bd in want.log]
         assert got.params.values.tobytes() == want.params.values.tobytes()
+
+    def test_nan_filled_kept_workspaces_move_no_bit(self, monkeypatch):
+        self.garbage_filled_kept_workspaces_move_no_bit(monkeypatch, np.nan)
+
+    # inf, unlike NaN, compares greater than a finite value, so a
+    # comparison that reads an unwritten slot can pass with one of the two
+    # and fail with the other
+    def test_inf_filled_kept_workspaces_move_no_bit(self, monkeypatch):
+        self.garbage_filled_kept_workspaces_move_no_bit(monkeypatch, np.inf)
 
     def test_zero_learning_rate_is_noop(self):
         corpus = tiny_corpus()
