@@ -43,13 +43,25 @@ to call, and a second, outside any tape, for each call's gradient and
 optimizer buffers). While such a tape is active, gru_runs takes every
 buffer from the block rather than from numpy. What a recorded call keeps for its
 backward lives until the tape exits, the forward's scratch goes back when
-the forward ends, and the backward's when the closure returns. Every
-buffer that must start at zero (or at -inf) is filled explicitly, so no
-bit depends on what the block held, and a returned tensor is a copy, never
-a view of the block. The tape's exit resets the workspace: every slot is
-free again and its generation moves on, so a record replayed after it
-raises ContractError instead of reading reused memory. Without a
+the forward ends, and the backward's when the closure returns. Without a
 workspace, gru_runs allocates with numpy.
+
+Outside its two step loops, a recorded pooled pair with input takes 13
+buffers: in the forward, one for the states, gates and candidates, and
+one each for the first-maximum steps, the pair's bias, the running
+maxima, their rises, the two recurrent products' outputs, their scratch
+and the input terms; in the backward, one for each run's gate gradients,
+one for the upstream gradient and one for the step buffers with dh. It
+fills only what a read can reach before a write: the initial state
+(unless every run has an h0), the spare rows that a lone row's GEMMs read,
+the reset gates and gate gradients at padded positions, which the closing
+products read (none for a run with no padded row), the running maxima
+(-inf) and first-maximum steps, the upstream gradient buffer (pooled,
+all of it; unpooled, only a run that got no gradient) and dh. So no bit
+depends on what the block held, and a returned tensor is a copy, never a
+view of the block. The tape's exit resets the workspace: every slot is
+free again and its generation moves on, so a record replayed after it
+raises ContractError instead of reading reused memory.
 
 The training objective's heads are one record each, with a hand-written
 backward: rank_hinge and cluster_hinge over a square similarity matrix,
@@ -62,6 +74,7 @@ weights keep their bits.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -568,7 +581,7 @@ class _Run:
     def __init__(self, x: Tensor | None, lengths, weights: Sequence[Tensor], h0: Tensor | None):
         if len(weights) != 4:
             raise ContractError(f"gru_sequence needs the 4 weight blocks, got {len(weights)}")
-        w, u_zr, u_c, b = (t.values for t in weights)
+        w, u_zr, u_c, b = blocks = [t.values for t in weights]
         hid = u_c.shape[0] if u_c.ndim == 2 else -1
         lengths = np.asarray(lengths, dtype=np.intp)
         if x is None:
@@ -580,29 +593,34 @@ class _Run:
             if xv.ndim != 3:
                 raise ShapeError(f"gru_sequence input must be [B, T, D], got shape {list(xv.shape)}")
             bsz, steps, dim = xv.shape
-        expect = {"w": (dim, 3 * hid), "u_zr": (hid, 2 * hid), "u_c": (hid, hid), "b": (3 * hid,)}
-        for (name, shape), v in zip(expect.items(), (w, u_zr, u_c, b)):
-            if v.shape != shape:
-                raise ShapeError(
-                    f"gru_sequence {name} has shape {list(v.shape)}, expected {list(shape)}"
-                )
+        expect = ((dim, 3 * hid), (hid, 2 * hid), (hid, hid), (3 * hid,))
+        if (w.shape, u_zr.shape, u_c.shape, b.shape) != expect:
+            for name, v, shape in zip(("w", "u_zr", "u_c", "b"), blocks, expect):
+                if v.shape != shape:
+                    raise ShapeError(
+                        f"gru_sequence {name} has shape {list(v.shape)}, expected {list(shape)}"
+                    )
         if h0 is not None and h0.values.shape != (bsz, hid):
             raise ShapeError(
                 f"gru_sequence h0 has shape {list(h0.values.shape)}, expected {[bsz, hid]}"
             )
-        if lengths.shape != (bsz,) or bsz and (lengths.min() < 1 or lengths.max() > steps):
-            raise ShapeError(f"need {bsz} lengths in 1..{steps}, got {lengths.tolist()}")
+        listed = lengths.tolist()
+        ascending = sorted(listed) if lengths.shape == (bsz,) else None
+        if ascending is None or bsz and not 1 <= ascending[0] <= ascending[-1] <= steps:
+            raise ShapeError(f"need {bsz} lengths in 1..{steps}, got {listed}")
         self.x, self.weights, self.h0 = x, weights, h0
         self.w, self.u_zr, self.u_c, self.b = w, u_zr, u_c, b
         self.hid, self.dim, self.bsz, self.steps = hid, dim, bsz, steps
-        # rows still running at each step (counted from the lengths, with no
-        # [B, T] temporary); with the rows sorted longest first they are the
-        # first active[t] rows
-        self.active = (bsz - np.cumsum(np.bincount(lengths, minlength=steps))[:steps]).tolist()
-        order = None if (lengths[:-1] >= lengths[1:]).all() else np.argsort(-lengths, kind="stable")
+        # longest first: a stable sort, skipped when the lengths do not increase
+        order = None if listed == ascending[::-1] else np.argsort(-lengths, kind="stable")
         self.order = order
+        # the steps that every row runs: all of them when no row is padded
+        self.full = full = ascending[0] if bsz else steps
+        # rows still running at each step (counted from the lengths, with no
+        # [B, T] temporary); in packed order they are the first active[t] rows
+        self.active = [bsz] * full + [bsz - bisect_right(ascending, t) for t in range(full, steps)]
         self.xp = None if x is None else _packed(xv, order)
-        self.requires_grad = any(p.requires_grad for p in (x, *weights, h0) if p is not None)
+        self.requires_grad = any(t is not None and t.requires_grad for t in (*weights, x, h0))
 
     def place(self, edge: int, below: bool) -> None:
         """Put the packed rows next to row edge: below it, longest last (run
@@ -658,29 +676,28 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
     or because it returns them (hs[1:], with one transposing copy);
     otherwise it holds two, so a pooled call that nothing records does not
     grow with T. A recorded call keeps z, r and cand as [T, rows, H] arrays
-    of their own and, pooled, the step of each channel's first maximum: a
-    state strictly greater than the running maximum moves it. Its backward
-    copies the upstream gradient time-major into a buffer of its own (a
-    pooled gradient goes to its first-maximum step), reads the state before
-    step t as hs[t], and builds each run's previous states, and then their
-    products with r, batch-major in that spent buffer for the closing
-    products.
+    after hs in one buffer and, pooled, the step of each channel's first
+    maximum: a state strictly greater than the running maximum moves it.
+    Its backward copies the upstream gradient time-major into a buffer of
+    its own (a pooled gradient goes to its first-maximum step, by one flat
+    index per entry), reads the state before step t as hs[t], and builds
+    each run's previous states, and then their products with r,
+    batch-major in that spent buffer for the closing products. Where exp
+    overflows, sigmoid takes its limit 0 without a warning.
 
     The record's closure takes both outputs' gradients; a run whose output
     got none leaves its parents' gradients as they were.
 
     Memory: under a tape that holds a Workspace, every buffer above comes
-    from the workspace's block (the module docstring gives the rule): the
-    states, gates and first-maximum steps until the tape exits, the
-    forward's scratch (bias, running maxima, step and input-term buffers)
-    until the forward ends, and the backward's (gate and state gradients,
-    step buffers) until the closure returns. rs, hs[0] and the spare rows,
-    the running maxima, the first-maximum steps, the step buffers, the pair
-    bias and the backward's da, g_best, g_steps (pooled), dh and input-free
-    dw are filled explicitly. The closure raises ContractError if the
-    workspace was reset since the forward. Without a workspace the closure
-    lets go of the call's buffers once it has run, so that the records
-    replayed after it can reuse their memory.
+    from the workspace's block (the module docstring gives the rule, and
+    which buffers a call takes and fills): the states, gates and
+    first-maximum steps until the tape exits, the forward's scratch (bias,
+    running maxima, step and input-term buffers) until the forward ends,
+    and the backward's (gate and state gradients, step buffers) until the
+    closure returns. The closure raises ContractError if the workspace was
+    reset since the forward. Without a workspace the closure lets go of the
+    call's buffers once it has run, so that the records replayed after it
+    can reuse their memory.
     """
     if not 1 <= len(runs) <= 2:
         raise ContractError(f"gru_runs takes one or two runs, got {len(runs)}")
@@ -692,7 +709,7 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
     if (runs[-1].x is not None) != inputs:
         raise ContractError("paired GRU runs need an input in both runs or in neither")
     a, b = runs if len(runs) == 2 else (None, runs[0])
-    steps = max(run.steps for run in runs)
+    steps = max(runs[0].steps, runs[-1].steps)
     # each run's running rows at every step of the loop, 0 once it has ended
     act_b = b.active + [0] * (steps - b.steps)
     if a:
@@ -707,7 +724,7 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
     b_end = edge + b.bsz
     rows = edge + max(b.bsz, 2)
     tape = _active_tape()
-    keep = any(run.requires_grad for run in runs) and tape is not None
+    keep = tape is not None and (runs[0].requires_grad or runs[-1].requires_grad)
     # every buffer below comes from the tape's workspace when it has one
     ws = None if tape is None else tape.workspace
     empty = np.empty if ws is None else ws.take
@@ -718,25 +735,32 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
     (ua_zr, ua_c), (ub_zr, ub_c) = padded[0], padded[-1]
     # the states, [step, row], from the initial ones in hs[0]: all T + 1 steps
     # when they are kept, two otherwise (the docstring gives the rule)
-    hs = empty((steps + 1 if keep or not pool else 2, rows, hid))
-    hs[0] = 0.0
-    for run in runs:
-        if run.h0 is not None:
-            run.own(hs[0])[...] = _packed(run.h0.values, run.order)
-    if rows > b_end or edge > a_bsz:  # spare rows, which a lone row's GEMM reads
-        hs[:, : edge - a_bsz] = hs[:, b_end:] = 0.0
-    if keep:  # the gates and candidates, [t, row] like the states
-        zs, cands, rs = empty((3, steps, rows, hid))
-        rs.fill(0.0)  # zero on padding, where du_c reads it
+    if keep:  # and the gates and candidates, [t, row] like the states
+        kept = empty((4 * steps + 1, rows, hid))
+        hs = kept[: steps + 1]
+        zs, cands, rs = kept[steps + 1 :].reshape(3, steps, rows, hid)
+        for run in runs:  # zero where a row is padded, where du_c reads it
+            if run.full < run.steps:
+                rs[run.full : run.steps, run.rows] = 0.0
         if pool:  # the step of each channel's first maximum
             first = empty((rows, hid), np.intp)
             first.fill(0)
+    else:
+        hs = empty((2 if pool else steps + 1, rows, hid))
+    if runs[0].h0 is None or runs[-1].h0 is None:
+        hs[0] = 0.0
+    for run in runs:
+        if run.h0 is not None:
+            run.own(hs[0])[...] = _packed(run.h0.values, run.order)
+    spare = rows > b_end or edge > a_bsz  # rows that a lone row's GEMMs read
+    if spare:
+        hs[:, : edge - a_bsz] = hs[:, b_end:] = 0.0
     # the rest is the forward's scratch, which a workspace gets back at its end
     scratch = None if ws is None else ws.offset
-    # the bias of each row for two runs; one row, broadcast, for one
+    # the bias of each row for two runs (no step reads a spare row's); one
+    # row, broadcast, for one
     if a:
         bias = empty((rows, 3 * hid))
-        bias.fill(0.0)
         bias[a.rows], bias[b.rows] = a.b, b.b
     else:
         bias = b.b[None]
@@ -745,12 +769,14 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
         best.fill(-np.inf)
         if keep:
             rises = empty((rows, hid), bool)
-    # buffers that every step writes into, spare rows and padded columns
-    # included (their results are scratch); a step allocates nothing
+    # buffers that every step writes into, a GEMM's spare rows and padded
+    # columns included (their results are scratch); a step allocates
+    # nothing. A step writes tmp_buf's rows of both runs before any GEMM
+    # reads them, and its spare rows start at zero.
     zr_buf, c_buf = empty((rows, ub_zr.shape[1])), empty((rows, ub_c.shape[1]))
     tmp_buf = empty((rows, hid))
-    for buf in (zr_buf, c_buf, tmp_buf):
-        buf.fill(0.0)
+    if spare:
+        tmp_buf[: edge - a_bsz] = tmp_buf[b_end:] = 0.0
     if inputs:  # the input terms of one window of steps, each run's rows in packed order
         xw_buf = empty((rows, min(_WINDOW, steps), 3 * hid))
         xw_runs = [(run, run.own(xw_buf)) for run in runs]
@@ -830,42 +856,43 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
                 raise ContractError("gru_runs: replayed after its tape's workspace was reset")
             mark = ws.offset  # the backward's scratch goes back at return
         # each run's gate pre-activation gradients, [B, T, 3H] in its packed
-        # order, and contiguous transposes, so that dx, d_rh and dh do not
+        # order (zero where a row is padded, where the closing products read
+        # them), and contiguous transposes, so that dx, d_rh and dh do not
         # depend on how BLAS treats a transposed operand
-        per_run = [
-            (empty((run.bsz, run.steps, 3 * hid)), run.u_zr.T.copy(), run.u_c.T.copy())
-            for run in runs
-        ]
-        for da, _, _ in per_run:
-            da.fill(0.0)
+        per_run = []
+        for run in runs:
+            da = empty((run.bsz, run.steps, 3 * hid))
+            if run.full < run.steps:
+                da[:, run.full :] = 0.0
+            per_run.append((da, run.u_zr.T.copy(), run.u_c.T.copy()))
         (da_a, ua_zr_t, ua_c_t), (da_b, ub_zr_t, ub_c_t) = per_run[0], per_run[-1]
         # the upstream gradient of the states, time-major, in a buffer of the
         # call's own (a caller's [B, T, H] gradient can be its time-major view)
+        g_steps = empty((steps, rows, hid))
         if pool:
-            # each maximum's gradient goes to the first step that attains it
-            g_best, g_steps = empty((rows, hid)), empty((steps, rows, hid))
-            g_best.fill(0.0)
+            # each maximum's gradient goes to the first step that attains it:
+            # at holds that entry's flat index in g_steps
+            g_steps.fill(0.0)
+            at = first * (rows * hid)
+            at += np.arange(rows * hid).reshape(rows, hid)
             for run, g in zip(runs, grads):
                 if g is not None:
-                    run.own(g_best)[...] = _packed(g, run.order)
-            g_steps.fill(0.0)
-            np.put_along_axis(g_steps, first[None], g_best[None], axis=0)
+                    g_steps.reshape(-1)[run.own(at)] = _packed(g, run.order)
         else:
-            g_steps = empty((steps, rows, hid))
             for run, g in zip(runs, grads):
                 g_run = run.own(g_steps.transpose(1, 0, 2))[:, : run.steps]
                 if g is None:
                     g_run.fill(0.0)
                 else:
                     np.copyto(g_run, _packed(g, run.order))
-        dh = empty((rows, hid))
-        dh.fill(0.0)
         # contiguous, so that each ufunc runs one loop over all rows; the
-        # first three hold a step's da_z, da_r and da_c, in gate order
-        bufs = empty((6, rows, hid))
-        dz_buf, dr_buf, dc_buf, d_rh_buf, dh_buf, tmp_buf = bufs
-        if a:  # run A's running rows in packed order, contiguous
-            a_c, a_out = empty((2, a_bsz, hid))
+        # first three hold a step's da_z, da_r and da_c, in gate order, and
+        # the last two run A's running rows in packed order, contiguous
+        bufs = empty((9 if a else 7, rows, hid))
+        dz_buf, dr_buf, dc_buf, d_rh_buf, dh_buf, tmp_buf, dh = bufs[:7]
+        dh.fill(0.0)
+        if a:
+            a_c, a_out = bufs[7:, :a_bsz]
         for t in range(steps - 1, -1, -1):
             na, nb = act_a[t], act_b[t]
             lo, hi = edge - na, edge + nb
@@ -921,17 +948,16 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
                 continue
             bsz, n_steps = run.bsz, run.steps
             flat = da.reshape(-1, 3 * hid)
-            if run.x is None:
-                dw = empty((3 * hid, run.dim))
-                dw.fill(0.0)
-            else:
-                dw = flat.T @ run.xp.reshape(-1, run.dim)
+            if run.x is not None:
+                dw_t = (flat.T @ run.xp.reshape(-1, run.dim)).T
+            else:  # no input term: the input weights' gradient is exactly zero
+                dw_t = 0.0 if run.weights[0].grad is not None else np.zeros(run.w.shape)
             h_prev = spent[: bsz * n_steps * hid].reshape(bsz, n_steps, hid)
             np.copyto(h_prev, run.own(hs.transpose(1, 0, 2))[:, :n_steps])
             du_zr = flat[:, :h2].T @ h_prev.reshape(-1, hid)
             rh_prev = np.multiply(run.own(rs.transpose(1, 0, 2))[:, :n_steps], h_prev, out=h_prev)
             du_c = flat[:, h2:].T @ rh_prev.reshape(-1, hid)
-            for block, grad in zip(run.weights, (dw.T, du_zr.T, du_c.T, flat.sum(axis=0))):
+            for block, grad in zip(run.weights, (dw_t, du_zr.T, du_c.T, flat.sum(axis=0))):
                 _acc(block, grad)
             if run.x is not None and run.x.requires_grad:
                 _acc(run.x, _unpacked(da @ run.w.T.copy(), run.order))
@@ -956,42 +982,24 @@ def gru_sequence(
     pool: bool = False,
 ) -> Tensor:
     """Hidden states of a GRU run over a padded batch, recorded as one
-    tape record: gru_runs with this one run.
+    tape record: gru_runs with this one run (gru_runs gives the kernel).
 
     x is [B, T, D]; row b has lengths[b] valid steps (1..T) followed by
     padding. x may be None for a GRU without input (the decoders): the
-    batch is then len(lengths) rows of max(lengths) steps and the input
-    term is left out, and the input weights get exact zero gradients.
-    weights are the cell's four C-contiguous blocks, columns in z|r|h gate
-    order: w [D, 3H], u_zr [H, 2H], u_c [H, H] and b [3H]. h0 is an
-    optional [B, H] initial state, zero when omitted. Returns the [B, T, H]
-    states; at a padded step a row carries its state forward unchanged.
-    With pool, returns instead the [B, H] channel-wise maxima of each row's
-    states over its valid steps, and the gradient of a maximum flows to
-    the first step that attains it (a later NaN state does not draw it).
+    batch is then len(lengths) rows of max(lengths) steps, the input term
+    is left out and the input weights get exact zero gradients. weights
+    are the cell's four C-contiguous blocks, columns in z|r|h gate order:
+    w [D, 3H], u_zr [H, 2H], u_c [H, H] and b [3H].
 
         [z | r] = sigmoid(x w[:, :2H] + h u_zr + b[:2H]),
         cand = tanh(x w[:, 2H:] + (r*h) u_c + b[2H:]), h' = (1 - z)*h + z*cand.
 
-    The blocks are multiplied by as they are. The kernel is packed: rows
-    are ordered longest first (a stable sort, skipped when the lengths
-    already do not increase), so the rows still running at step t are a
-    prefix and only they are computed; the others carry their state.
-    Before each window of _WINDOW steps, the input terms x w of every
-    row's steps in the window are formed by one matrix product per row
-    (_window_input_terms), into a [B, min(T, _WINDOW), 3H] buffer. A step
-    then costs the two recurrent products, each one GEMM over the running
-    rows (a lone one beside a spare row) by u_zr and u_c with zero columns
-    up to a multiple of 4 (_padded_columns), and elementwise arithmetic
-    written into buffers taken before the first step. Such a GEMM gives a
-    row the bits it has beside a zero row, so a sequence's states are the
-    same bits alone or anywhere in any batch. Where exp overflows, sigmoid
-    takes its limit 0 without a warning. States and gradients are
-    returned in the caller's row order.
-
-    The backward pass is backpropagation through time, written out by hand
-    over the same prefixes. gru_runs says how the states, gates and
-    gradients are stored.
+    h0 is an optional [B, H] initial state, zero when omitted. Returns the
+    [B, T, H] states in the caller's row order; at a padded step a row
+    carries its state forward unchanged. With pool, returns instead the
+    [B, H] channel-wise maxima of each row's states over its valid steps,
+    and the gradient of a maximum flows to the first step that attains it
+    (a later NaN state does not draw it).
     """
     return gru_runs([(x, lengths, weights, h0)], pool)[0]
 
