@@ -584,10 +584,12 @@ class _Run:
         w, u_zr, u_c, b = blocks = [t.values for t in weights]
         hid = u_c.shape[0] if u_c.ndim == 2 else -1
         lengths = np.asarray(lengths, dtype=np.intp)
+        listed = lengths.tolist()
+        ascending = np.sort(lengths).tolist() if lengths.ndim == 1 else None
         if x is None:
             dim = w.shape[0]
             bsz = lengths.size
-            steps = int(lengths.max()) if bsz else 0
+            steps = ascending[-1] if ascending else int(lengths.max()) if bsz else 0
         else:
             xv = x.values
             if xv.ndim != 3:
@@ -604,9 +606,7 @@ class _Run:
             raise ShapeError(
                 f"gru_sequence h0 has shape {list(h0.values.shape)}, expected {[bsz, hid]}"
             )
-        listed = lengths.tolist()
-        ascending = sorted(listed) if lengths.shape == (bsz,) else None
-        if ascending is None or bsz and not 1 <= ascending[0] <= ascending[-1] <= steps:
+        if lengths.shape != (bsz,) or bsz and not 1 <= ascending[0] <= ascending[-1] <= steps:
             raise ShapeError(f"need {bsz} lengths in 1..{steps}, got {listed}")
         self.x, self.weights, self.h0 = x, weights, h0
         self.w, self.u_zr, self.u_c, self.b = w, u_zr, u_c, b
@@ -737,8 +737,8 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
     # when they are kept, two otherwise (the docstring gives the rule)
     if keep:  # and the gates and candidates, [t, row] like the states
         kept = empty((4 * steps + 1, rows, hid))
-        hs = kept[: steps + 1]
-        zs, cands, rs = kept[steps + 1 :].reshape(3, steps, rows, hid)
+        hs, zs = kept[: steps + 1], kept[steps + 1 : 2 * steps + 1]
+        cands, rs = kept[2 * steps + 1 : 3 * steps + 1], kept[3 * steps + 1 :]
         for run in runs:  # zero where a row is padded, where du_c reads it
             if run.full < run.steps:
                 rs[run.full : run.steps, run.rows] = 0.0
