@@ -584,12 +584,16 @@ class _Run:
         w, u_zr, u_c, b = blocks = [t.values for t in weights]
         hid = u_c.shape[0] if u_c.ndim == 2 else -1
         lengths = np.asarray(lengths, dtype=np.intp)
-        listed = lengths.tolist()
-        ascending = np.sort(lengths).tolist() if lengths.ndim == 1 else None
+        # longest first: a stable sort, skipped when the lengths do not increase
+        order = descending = None
+        if lengths.ndim == 1:
+            if not (lengths[:-1] >= lengths[1:]).all():
+                order = np.argsort(-lengths, kind="stable")
+            descending = _packed(lengths, order).tolist()
         if x is None:
             dim = w.shape[0]
             bsz = lengths.size
-            steps = ascending[-1] if ascending else int(lengths.max()) if bsz else 0
+            steps = descending[0] if descending else int(lengths.max()) if bsz else 0
         else:
             xv = x.values
             if xv.ndim != 3:
@@ -606,18 +610,17 @@ class _Run:
             raise ShapeError(
                 f"gru_sequence h0 has shape {list(h0.values.shape)}, expected {[bsz, hid]}"
             )
-        if lengths.shape != (bsz,) or bsz and not 1 <= ascending[0] <= ascending[-1] <= steps:
-            raise ShapeError(f"need {bsz} lengths in 1..{steps}, got {listed}")
+        if lengths.shape != (bsz,) or bsz and not 1 <= descending[-1] <= descending[0] <= steps:
+            raise ShapeError(f"need {bsz} lengths in 1..{steps}, got {lengths.tolist()}")
         self.x, self.weights, self.h0 = x, weights, h0
         self.w, self.u_zr, self.u_c, self.b = w, u_zr, u_c, b
         self.hid, self.dim, self.bsz, self.steps = hid, dim, bsz, steps
-        # longest first: a stable sort, skipped when the lengths do not increase
-        order = None if listed == ascending[::-1] else np.argsort(-lengths, kind="stable")
         self.order = order
         # the steps that every row runs: all of them when no row is padded
-        self.full = full = ascending[0] if bsz else steps
+        self.full = full = descending[-1] if bsz else steps
         # rows still running at each step (counted from the lengths, with no
         # [B, T] temporary); in packed order they are the first active[t] rows
+        ascending = descending[::-1]
         self.active = [bsz] * full + [bsz - bisect_right(ascending, t) for t in range(full, steps)]
         self.xp = None if x is None else _packed(xv, order)
         self.requires_grad = any(t is not None and t.requires_grad for t in (*weights, x, h0))
