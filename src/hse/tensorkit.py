@@ -774,8 +774,9 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
             rises = empty((rows, hid), bool)
     # buffers that every step writes into, a GEMM's spare rows and padded
     # columns included (their results are scratch); a step allocates
-    # nothing. A step writes tmp_buf's rows of both runs before any GEMM
-    # reads them, and its spare rows start at zero.
+    # nothing. A step writes tmp_buf's running rows before its GEMMs read
+    # them, and a lone row's neighbour there is a finished row, written at
+    # an earlier step, or a spare row, which starts at zero.
     zr_buf, c_buf = empty((rows, ub_zr.shape[1])), empty((rows, ub_c.shape[1]))
     tmp_buf = empty((rows, hid))
     if spare:
