@@ -587,9 +587,10 @@ class _Run:
         # longest first: a stable sort, skipped when the lengths do not increase
         order = descending = None
         if lengths.ndim == 1:
-            if not (lengths[:-1] >= lengths[1:]).all():
+            given = lengths.tolist()
+            descending = sorted(given, reverse=True)
+            if descending != given:
                 order = np.argsort(-lengths, kind="stable")
-            descending = _packed(lengths, order).tolist()
         if x is None:
             dim = w.shape[0]
             bsz = lengths.size
