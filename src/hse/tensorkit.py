@@ -46,12 +46,15 @@ backward lives until the tape exits, the forward's scratch goes back when
 the forward ends, and the backward's when the closure returns. Without a
 workspace, gru_runs allocates with numpy.
 
-Outside its two step loops, a recorded pooled pair with input takes 13
+Outside its two step loops, a recorded pooled pair with input takes 14
 buffers: in the forward, one for the states, gates and candidates, and
 one each for the first-maximum steps, the pair's bias, the running
 maxima, their rises, the two recurrent products' outputs, their scratch
 and the input terms; in the backward, one for each run's gate gradients,
-one for the upstream gradient and one for the step buffers with dh. It
+one for the upstream gradient, one for the pooled gradient's flat index
+and one for the step buffers with dh. Its other arrays are numpy's: the
+transposed weight copies, the closing products, the gradients it hands
+on and, pooled, the index's arange of the cells. It
 fills only what a read can reach before a write: the initial state
 (unless every run has an h0), the spare rows that a lone row's GEMMs read,
 the reset gates and gate gradients at padded positions, which the closing
@@ -697,9 +700,9 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
     which buffers a call takes and fills): the states, gates and
     first-maximum steps until the tape exits, the forward's scratch (bias,
     running maxima, step and input-term buffers) until the forward ends,
-    and the backward's (gate and state gradients, step buffers) until the
-    closure returns. The closure raises ContractError if the workspace was
-    reset since the forward. Without a workspace the closure lets go of the
+    and the backward's (gate and state gradients, the pooled gradient's
+    flat index, step buffers) until the closure returns. The closure
+    raises ContractError if the workspace was reset since the forward. Without a workspace the closure lets go of the
     call's buffers once it has run, so that the records replayed after it
     can reuse their memory.
     """
@@ -876,9 +879,10 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
         g_steps = empty((steps, rows, hid))
         if pool:
             # each maximum's gradient goes to the first step that attains it:
-            # at holds that entry's flat index in g_steps
+            # at holds that entry's flat index in g_steps (the cells' arange
+            # is a numpy temporary)
             g_steps.fill(0.0)
-            at = first * (rows * hid)
+            at = np.multiply(first, rows * hid, out=empty((rows, hid), np.intp))
             at += np.arange(rows * hid).reshape(rows, hid)
             for run, g in zip(runs, grads):
                 if g is not None:
@@ -956,7 +960,7 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
             if run.x is not None:
                 dw_t = (flat.T @ run.xp.reshape(-1, run.dim)).T
             else:  # no input term: the input weights' gradient is exactly zero
-                dw_t = 0.0 if run.weights[0].grad is not None else np.zeros(run.w.shape)
+                dw_t = np.zeros(run.w.shape)
             h_prev = spent[: bsz * n_steps * hid].reshape(bsz, n_steps, hid)
             np.copyto(h_prev, run.own(hs.transpose(1, 0, 2))[:, :n_steps])
             du_zr = flat[:, :h2].T @ h_prev.reshape(-1, hid)

@@ -1,6 +1,6 @@
 """Time the GRU kernel's fixed cost per call and its cost per step.
 
-    python tools/kernel_cost.py [TREE ...] [--workload overfit-recon] [--rounds 200] [--calls 10]
+    python tools/kernel_cost.py [TREE ...] [--workload overfit-recon]
 
 Loads hse from each TREE's src/ (default: this checkout), each tree under a
 package name of its own, so that several trees are timed in one process.
@@ -8,8 +8,8 @@ The call timed is one taped tensorkit.gru_runs pair in a kept Workspace,
 forward and then its record's backward closure, at a training workload's
 shapes: its low-level encoder pair (video clips and sentences), pooled,
 with weights that take gradients and inputs that take none, as a training
-step makes it. Each round times --calls such calls for every tree and for
-T = 1, 2, 4 and 8 in turn. A least-squares line through a round's four
+step makes it. Each of ROUNDS rounds times CALLS such calls for every tree
+and for T = 1, 2, 4 and 8 in turn. A least-squares line through a round's four
 (T, us per call) points gives the per-call intercept, the cost a call pays
 outside its step loops, and the slope, the cost of one more step. Prints
 per tree the median [q1, q3] of both over the rounds and the workspace
@@ -28,8 +28,11 @@ import sys
 import time
 from pathlib import Path
 
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+from faults import quartiles
+from same_bits import THREAD_VARS
+
 STEPS = (1, 2, 4, 8)
+ROUNDS, CALLS = 200, 10  # rounds of timed calls; calls timed together at each point of a round
 # the low-level encoder pair of one training step (perfbench/workloads.py):
 # rows per run (batch_size pairs times their mean clip count) and whether
 # the frame counts are ragged; every workload has D = 16 and H = 32
@@ -105,12 +108,6 @@ def fit(times: list[float]) -> tuple[float, float]:
     return intercept, slope
 
 
-def quartiles(values: list[float]) -> tuple[float, float, float]:
-    """q1, median and q3 (inclusive method)."""
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, median, q3
-
-
 def summary(labels: list[str], rounds: list[list[list[float]]], takes: list[int]) -> list[str]:
     """One line per tree from its rounds (each the us per call at STEPS) and
     its takes per call; then, for each later tree, in how many rounds its
@@ -134,11 +131,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", type=Path, nargs="*", help="source trees (default: this checkout)")
     parser.add_argument("--workload", choices=sorted(WORKLOADS), default="overfit-recon")
-    parser.add_argument("--rounds", type=int, default=200, help="rounds of timed calls")
-    parser.add_argument("--calls", type=int, default=10, help="calls timed together at each point of a round")
     args = parser.parse_args(argv)
-    if args.rounds < 2 or args.calls < 1:
-        parser.error("--rounds must be at least 2 and --calls at least 1")
     trees = [tree.resolve() for tree in args.trees or [Path(__file__).resolve().parent.parent]]
     for var in THREAD_VARS:  # before numpy is imported
         os.environ[var] = "1"
@@ -155,14 +148,14 @@ def main(argv: list[str] | None = None) -> int:
             call()
         calls.append([call for call, _ in per_steps])
     rounds: list[list[list[float]]] = [[] for _ in trees]
-    for _ in range(args.rounds):
+    for _ in range(ROUNDS):
         for tree_calls, tree_rounds in zip(calls, rounds):
             times = []
             for call in tree_calls:
                 started = time.perf_counter()
-                for _ in range(args.calls):
+                for _ in range(CALLS):
                     call()
-                times.append((time.perf_counter() - started) / args.calls * 1e6)
+                times.append((time.perf_counter() - started) / CALLS * 1e6)
             tree_rounds.append(times)
     labels = [str(tree) for tree in trees]
     print(f"{args.workload}: a pooled encoder pair of {rows} rows per run, D = {DIM}, H = {HID}, T = {STEPS}")
