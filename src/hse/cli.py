@@ -34,9 +34,8 @@ from .data import (
 )
 from .errors import ConfigError, CorpusError, HseError, LabelsError
 from .evaluation import DEFAULT_TOPK, ENCODING_MODES, evaluate_retrieval, zeroshot_classify
-from .gradcheck import run_gradient_suite
+from .gradcheck import FD_TOLERANCE, run_gradient_suite
 from .losses import COMPONENTS, CORRESPONDENCE_MODES, LossConfig
-from .tensorkit import FD_TOLERANCE
 from .training import MODEL_KINDS, TrainConfig, train
 
 log = logging.getLogger("hse.cli")

@@ -28,7 +28,7 @@ import numpy as np
 from . import tensorkit as tk
 from .data import Corpus, ParagraphSample, VideoSample
 from .errors import ContractError
-from .model import GruParams, HseModelParams, encode_batch, encode_flat_batch, encode_sequences
+from .model import GruParams, HseModelParams, encode_batch, encode_flat_batch, pad_sequences
 
 __all__ = [
     "RetrievalReport",
@@ -175,12 +175,17 @@ def _chunks(runs: Sequence[tuple[GruParams, Sequence[int], Sequence[int]]]) -> l
 
 
 def _encode_sequences(gru: GruParams, sequences: Sequence[np.ndarray]) -> np.ndarray:
-    """encode_sequences a chunk at a time (_chunks)."""
+    """The [B, H] embeddings of [T_b, D] feature sequences: the channel-wise
+    maxima of gru's states from a zero state, one run a chunk (_chunks)."""
     sequences = list(sequences)
-    # a sequence that is not [T, D] gets a length here, for encode_sequences to reject
+    # a sequence that is not [T, D] gets a length here, for pad_sequences to reject
     steps = [len(s) if np.ndim(s) else 0 for s in sequences]
     chunks = _chunks([(gru, np.ones(len(steps), dtype=int), steps)])
-    return np.concatenate([encode_sequences(gru, sequences[c]).values for c in chunks])
+    embeddings = []
+    for c in chunks:
+        x, lengths = pad_sequences(sequences[c])
+        embeddings.append(tk.gru_runs([(tk.Tensor(x), lengths, gru.weights(), None)], pool=True)[0].values)
+    return np.concatenate(embeddings)
 
 
 def encode_corpus(

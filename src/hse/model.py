@@ -23,15 +23,14 @@ losses, so encode_batch, encode_flat_batch and decode_batch take one or
 two batches, each of one modality, and return one result per batch: the
 two batches' runs of a level are one paired kernel call (one tape record),
 and training passes its video and paragraph batches together. Evaluation
-passes one batch at a time, one run per modality. encode_sequences embeds
-a batch of plain sequences, and encode_flat_batch each sample's
-concatenated frames (words). encode_batch and encode_flat_batch pick the
-encoders of each batch's modality by one rule (_modality). The encoders
-let the kernel pool (pool=True). Embeddings stay matrices: one row per
-clip (sentence) or per sample, with the clip counts, lengths and padded
-units alongside (EncodedBatch), the form the losses take. A sample's
-embedding is the same bits alone, in any batch, in any row order and
-beside any batch of the other modality.
+passes one batch at a time, one run per modality. encode_flat_batch
+embeds each sample's concatenated frames (words). encode_batch and
+encode_flat_batch pick the encoders of each batch's modality by one rule
+(_modality). The encoders let the kernel pool (pool=True). Embeddings
+stay matrices: one row per clip (sentence) or per sample, with the clip
+counts, lengths and padded units alongside (EncodedBatch), the form the
+losses take. A sample's embedding is the same bits alone, in any batch,
+in any row order and beside any batch of the other modality.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ __all__ = [
     "build_params",
     "tile",
     "pad_sequences",
-    "encode_sequences",
     "encode_flat_batch",
     "encode_batch",
     "decode_batch",
@@ -114,7 +112,7 @@ class ModelDims:
 @dataclass
 class GruParams:
     """Weights of one GRU cell, stored as the four C-contiguous blocks
-    tensorkit.gru_sequence multiplies by, columns in z|r|h gate order:
+    tensorkit.gru_runs multiplies by, columns in z|r|h gate order:
     w [D, 3H] (input weights), u_zr [H, 2H] (update and reset recurrent
     weights), u_c [H, H] (candidate recurrent weights) and b [3H] (biases)."""
 
@@ -128,7 +126,7 @@ class GruParams:
         return self.u_c.values.shape[0]
 
     def weights(self) -> list[Tensor]:
-        """The four blocks in the order tensorkit.gru_sequence takes."""
+        """The four blocks in the order a tensorkit.gru_runs run takes."""
         return [self.w, self.u_zr, self.u_c, self.b]
 
     def named(self, prefix: str) -> Iterable[tuple[str, Tensor]]:
@@ -283,13 +281,6 @@ def _segment_rows(starts: Sequence[int], lengths: Sequence[int]) -> np.ndarray:
     steps = np.arange(max(lengths))[None, :]
     last = np.asarray(lengths)[:, None] - 1
     return np.asarray(starts)[:, None] + np.minimum(steps, last)
-
-
-def encode_sequences(params: GruParams, sequences: Sequence[np.ndarray]) -> Tensor:
-    """Embed a batch of [T_b, D] feature sequences in one GRU run from a
-    zero state: the [B, H] channel-wise maxima of their hidden states."""
-    x, lengths = pad_sequences(sequences)
-    return tk.gru_sequence(Tensor(x), lengths, params.weights(), pool=True)
 
 
 def _modality(params: HseModelParams, samples: Sequence) -> tuple[GruParams, GruParams, list]:

@@ -4,8 +4,9 @@ Operations execute eagerly on 64-bit numpy arrays. While a Tape is
 active, every primitive whose output depends on a gradient-bearing
 tensor appends a backward closure to the tape. backward() replays the
 closures in reverse execution order, which is a valid reverse
-topological order because records are appended as operations run.
-Tapes are single use; build a fresh one per optimization step.
+topological order because records are appended as operations run. A
+tape is recorded and replayed inside one with block, once: build a fresh
+one per optimization step.
 
 The primitives are those the model runs (add, mul_scalar, reshape, take,
 cosine, segment_mean, gru_runs and the loss heads below), with no
@@ -13,9 +14,8 @@ broadcasting: add takes same-shape terms. Sequences are batched by padding:
 gru_runs runs one GRU, or two of one hidden size, over padded [B, T, D]
 batches with per-row lengths, multiplying by each cell's four weight
 blocks as they are stored (no per-call stacking), and records the call as
-one tape record, pooled or not; gru_sequence is its one-run form. take
-gathers rows, so a model layer can encode a whole batch with a handful of
-records.
+one tape record, pooled or not. take gathers rows, so a model layer can
+encode a whole batch with a handful of records.
 The kernel orders each run's rows longest first and runs each step over
 the rows still running only. It forms the input terms ahead of the
 recurrence, one product per sequence for each window of _WINDOW steps,
@@ -37,14 +37,15 @@ all it keeps, so an evaluation run holds no [B, T, .] buffer. None of
 this changes a row's bits, which do not depend on the batch, on the
 row's place in it or on the run beside it.
 
-Memory: a tape may hold a Workspace, a grown-only float64 block that
-whoever made it owns (training keeps one from step to step and from call
-to call, and a second, outside any tape, for each call's gradient and
-optimizer buffers). While such a tape is active, gru_runs takes every
-buffer from the block rather than from numpy. What a recorded call keeps for its
-backward lives until the tape exits, the forward's scratch goes back when
-the forward ends, and the backward's when the closure returns. Without a
-workspace, gru_runs allocates with numpy.
+Memory: every tape holds a Workspace, a grown-only float64 block: its
+own, or one it was given and whose maker owns it (training keeps one from
+step to step and from call to call, and a second, outside any tape, for
+each call's gradient and optimizer buffers). While a tape is active,
+gru_runs takes every buffer from its workspace; a fresh workspace has no
+block yet, so each of its takes is a plain numpy allocation. What a
+recorded call keeps for its backward lives until the tape exits, the
+forward's scratch goes back when the forward ends, and the backward's
+when the closure returns. Outside any tape, gru_runs allocates with numpy.
 
 Outside its two step loops, a recorded pooled pair with input takes 14
 buffers: in the forward, one for the states, gates and candidates, and
@@ -62,9 +63,9 @@ products read (none for a run with no padded row), the running maxima
 (-inf) and first-maximum steps, the upstream gradient buffer (pooled,
 all of it; unpooled, only a run that got no gradient) and dh. So no bit
 depends on what the block held, and a returned tensor is a copy, never a
-view of the block. The tape's exit resets the workspace: every slot is
-free again and its generation moves on, so a record replayed after it
-raises ContractError instead of reading reused memory.
+view of the block. The tape's exit resets the workspace, so every slot
+is free again; backward refuses a tape that has exited, so no record
+reads reused memory.
 
 The training objective's heads are one record each, with a hand-written
 backward: rank_hinge and cluster_hinge over a square similarity matrix,
@@ -78,7 +79,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -100,12 +100,8 @@ __all__ = [
     "cluster_hinge",
     "weighted_sq_err",
     "affine",
-    "gru_sequence",
     "gru_runs",
     "zero_grads",
-    "finite_diff_check",
-    "FiniteDiffReport",
-    "FD_TOLERANCE",
 ]
 
 
@@ -139,20 +135,19 @@ class Workspace:
     owner may also take from it and reset it directly, outside any tape.
 
     take hands out the next free slots as an array, or a plain allocation
-    for a need past the block's capacity. reset (at the tape's exit) frees
-    every slot at once and bumps generation. If the need since the last
-    reset overflowed the block, reset also drops it, and the next take
-    makes one of max(need, 2 * capacity) slots, once the last tape's
-    buffers are freed and their memory can serve it; the capacity never
-    shrinks. A caller may hand slots back early by setting offset back to
-    a value it read before taking them."""
+    for a need past the block's capacity (every take of a fresh workspace,
+    whose capacity is 0). reset (at the tape's exit) frees every slot at
+    once. If the need since the last reset overflowed the block, reset also
+    drops it, and the next take makes one of max(need, 2 * capacity) slots,
+    once the last tape's buffers are freed and their memory can serve it;
+    the capacity never shrinks. A caller may hand slots back early by
+    setting offset back to a value it read before taking them."""
 
     def __init__(self):
         self.capacity = 0
         self.block: np.ndarray | None = None
         self.offset = 0  # the first free slot
         self.need = 0  # the most slots in use at once since the last reset
-        self.generation = 0
 
     def take(self, shape, dtype=np.float64) -> np.ndarray:
         """An uninitialised array of shape and dtype (at most 8 bytes an
@@ -177,28 +172,30 @@ class Workspace:
             self.capacity = max(self.need, 2 * self.capacity)
             self.block = None
         self.offset = self.need = 0
-        self.generation += 1
 
 
 class Tape:
     """Ordered record of the primitives applied during one forward pass.
 
-    Usable as a context manager; the innermost active tape receives the
-    records. A tape may be replayed (via backward) at most once. A tape
-    made with a workspace lends it to gru_runs while active and resets it
-    at exit, so it must be replayed before it exits.
+    A context manager, entered once; the innermost active tape receives the
+    records. It holds a workspace, its own (a fresh Workspace) unless it is
+    given one, lends it to gru_runs while active and resets it at exit. So
+    a tape is replayed (via backward) inside its with block, at most once.
     """
 
     def __init__(self, workspace: Workspace | None = None):
         # (output or tuple of outputs, backward closure), in execution order
         self._records: list[tuple[Tensor | tuple[Tensor, ...], Callable]] = []
-        self._used = False
-        self.workspace = workspace
+        self._entered = self._used = False
+        self.workspace = Workspace() if workspace is None else workspace
 
     def __len__(self) -> int:
         return len(self._records)
 
     def __enter__(self) -> "Tape":
+        if self._entered:
+            raise ContractError("tape already entered; tapes are single use")
+        self._entered = True
         _TAPE_STACK.append(self)
         return self
 
@@ -206,8 +203,7 @@ class Tape:
         popped = _TAPE_STACK.pop()
         if popped is not self:  # pragma: no cover - misuse guard
             raise ContractError("tape context exited out of order")
-        if self.workspace is not None:
-            self.workspace.reset()
+        self.workspace.reset()
         return False
 
 
@@ -249,7 +245,7 @@ def backward(loss: Tensor) -> None:
     """Populate dLoss/dLeaf on every gradient-bearing tensor in the graph.
 
     The loss must be a scalar produced while a tape was active, and that
-    tape must not have been replayed before.
+    tape must still be active and not have been replayed before.
     """
     if loss.values.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {list(loss.shape)}")
@@ -260,6 +256,8 @@ def backward(loss: Tensor) -> None:
         raise ContractError("loss was not produced while a tape was active")
     if tape._used:
         raise ContractError("tape already replayed; tapes are single use")
+    if tape not in _TAPE_STACK:
+        raise ContractError("tape exited and its workspace was reset; replay a tape inside its with block")
     tape._used = True
     loss.grad = np.ones_like(loss.values)
     for out, back in reversed(tape._records):
@@ -583,7 +581,7 @@ class _Run:
 
     def __init__(self, x: Tensor | None, lengths, weights: Sequence[Tensor], h0: Tensor | None):
         if len(weights) != 4:
-            raise ContractError(f"gru_sequence needs the 4 weight blocks, got {len(weights)}")
+            raise ContractError(f"gru_runs needs the 4 weight blocks, got {len(weights)}")
         w, u_zr, u_c, b = blocks = [t.values for t in weights]
         hid = u_c.shape[0] if u_c.ndim == 2 else -1
         lengths = np.asarray(lengths, dtype=np.intp)
@@ -601,18 +599,18 @@ class _Run:
         else:
             xv = x.values
             if xv.ndim != 3:
-                raise ShapeError(f"gru_sequence input must be [B, T, D], got shape {list(xv.shape)}")
+                raise ShapeError(f"gru_runs input must be [B, T, D], got shape {list(xv.shape)}")
             bsz, steps, dim = xv.shape
         expect = ((dim, 3 * hid), (hid, 2 * hid), (hid, hid), (3 * hid,))
         if (w.shape, u_zr.shape, u_c.shape, b.shape) != expect:
             for name, v, shape in zip(("w", "u_zr", "u_c", "b"), blocks, expect):
                 if v.shape != shape:
                     raise ShapeError(
-                        f"gru_sequence {name} has shape {list(v.shape)}, expected {list(shape)}"
+                        f"gru_runs {name} has shape {list(v.shape)}, expected {list(shape)}"
                     )
         if h0 is not None and h0.values.shape != (bsz, hid):
             raise ShapeError(
-                f"gru_sequence h0 has shape {list(h0.values.shape)}, expected {[bsz, hid]}"
+                f"gru_runs h0 has shape {list(h0.values.shape)}, expected {[bsz, hid]}"
             )
         if lengths.shape != (bsz,) or bsz and not 1 <= descending[-1] <= descending[0] <= steps:
             raise ShapeError(f"need {bsz} lengths in 1..{steps}, got {lengths.tolist()}")
@@ -644,14 +642,29 @@ class _Run:
 # errstate per call, as entering and leaving one per step takes about 2 us
 @np.errstate(over="ignore")
 def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
-    """Hidden states of one or two GRU runs of one hidden size, stepped in
-    one loop and recorded as one tape record.
+    """Hidden states of one or two GRU runs of one hidden size over padded
+    batches, stepped in one loop and recorded as one tape record.
 
-    Each run is a tuple (x, lengths, weights, h0), as gru_sequence takes
-    them; both runs have an input or neither has. Returns one tensor per
-    run, in the order given, each the same bits as gru_sequence returns
-    for that run alone; the backward gives each run's parents the
-    gradients that run's own record would, bit for bit.
+    Each run is a tuple (x, lengths, weights, h0). x is [B, T, D]; row b has
+    lengths[b] valid steps (1..T) followed by padding. x may be None for a
+    GRU without input (the decoders): the batch is then len(lengths) rows
+    of max(lengths) steps, the input term is left out and the input weights
+    get exact zero gradients. Both runs have an input or neither has.
+    weights are the cell's four C-contiguous blocks, columns in z|r|h gate
+    order: w [D, 3H], u_zr [H, 2H], u_c [H, H] and b [3H].
+
+        [z | r] = sigmoid(x w[:, :2H] + h u_zr + b[:2H]),
+        cand = tanh(x w[:, 2H:] + (r*h) u_c + b[2H:]), h' = (1 - z)*h + z*cand.
+
+    h0 is an optional [B, H] initial state, zero when None. Returns one
+    tensor per run, in the order given: the [B, T, H] states in the
+    caller's row order, where at a padded step a row carries its state
+    forward unchanged. With pool, each is instead the [B, H] channel-wise
+    maxima of the row's states over its valid steps, and the gradient of a
+    maximum flows to the first step that attains it (a later NaN state does
+    not draw it). Each run's output is the same bits as a call with that
+    run alone returns, and the backward gives each run's parents the
+    gradients that call's record would, bit for bit.
 
     The runs share one row space, [spare | run A, longest row last | run B,
     longest row first | spare] (a spare row only beside a run of one row;
@@ -695,16 +708,13 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
     The record's closure takes both outputs' gradients; a run whose output
     got none leaves its parents' gradients as they were.
 
-    Memory: under a tape that holds a Workspace, every buffer above comes
-    from the workspace's block (the module docstring gives the rule, and
-    which buffers a call takes and fills): the states, gates and
-    first-maximum steps until the tape exits, the forward's scratch (bias,
-    running maxima, step and input-term buffers) until the forward ends,
-    and the backward's (gate and state gradients, the pooled gradient's
-    flat index, step buffers) until the closure returns. The closure
-    raises ContractError if the workspace was reset since the forward. Without a workspace the closure lets go of the
-    call's buffers once it has run, so that the records replayed after it
-    can reuse their memory.
+    Memory: under a tape, every buffer above comes from the tape's
+    workspace (the module docstring gives the rule, and which buffers a
+    call takes and fills): the states, gates and first-maximum steps until
+    the tape exits, the forward's scratch (bias, running maxima, step and
+    input-term buffers) until the forward ends, and the backward's (gate
+    and state gradients, the pooled gradient's flat index, step buffers)
+    until the closure returns. Outside any tape they are numpy's.
     """
     if not 1 <= len(runs) <= 2:
         raise ContractError(f"gru_runs takes one or two runs, got {len(runs)}")
@@ -732,10 +742,9 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
     rows = edge + max(b.bsz, 2)
     tape = _active_tape()
     keep = tape is not None and (runs[0].requires_grad or runs[-1].requires_grad)
-    # every buffer below comes from the tape's workspace when it has one
+    # every buffer below comes from the tape's workspace under a tape
     ws = None if tape is None else tape.workspace
     empty = np.empty if ws is None else ws.take
-    generation = None if ws is None else ws.generation
     h2 = 2 * hid
     # each run's recurrent weights with zero columns up to a multiple of 4
     padded = [(_padded_columns(run.u_zr), _padded_columns(run.u_c)) for run in runs]
@@ -858,11 +867,7 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
         return outs
 
     def back(grads):
-        nonlocal runs, hs, zs, rs, cands
-        if ws is not None:
-            if ws.generation != generation:
-                raise ContractError("gru_runs: replayed after its tape's workspace was reset")
-            mark = ws.offset  # the backward's scratch goes back at return
+        mark = ws.offset  # the backward's scratch goes back at return
         # each run's gate pre-activation gradients, [B, T, 3H] in its packed
         # order (zero where a row is padded, where the closing products read
         # them), and contiguous transposes, so that dx, d_rh and dh do not
@@ -972,146 +977,7 @@ def gru_runs(runs: Sequence[tuple], pool: bool = False) -> tuple[Tensor, ...]:
                 _acc(run.x, _unpacked(da @ run.w.T.copy(), run.order))
             if run.h0 is not None and run.h0.requires_grad:
                 _acc(run.h0, _unpacked(run.own(dh), run.order))
-        if ws is None:
-            # the tape is single use: its buffers go now, not when it is dropped,
-            # so that the records replayed after this one can reuse their memory
-            runs = hs = zs = rs = cands = None
-        else:
-            ws.offset = mark
+        ws.offset = mark
 
     _record(outs, back)
     return outs
-
-
-def gru_sequence(
-    x: Tensor | None,
-    lengths,
-    weights: Sequence[Tensor],
-    h0: Tensor | None = None,
-    pool: bool = False,
-) -> Tensor:
-    """Hidden states of a GRU run over a padded batch, recorded as one
-    tape record: gru_runs with this one run (gru_runs gives the kernel).
-
-    x is [B, T, D]; row b has lengths[b] valid steps (1..T) followed by
-    padding. x may be None for a GRU without input (the decoders): the
-    batch is then len(lengths) rows of max(lengths) steps, the input term
-    is left out and the input weights get exact zero gradients. weights
-    are the cell's four C-contiguous blocks, columns in z|r|h gate order:
-    w [D, 3H], u_zr [H, 2H], u_c [H, H] and b [3H].
-
-        [z | r] = sigmoid(x w[:, :2H] + h u_zr + b[:2H]),
-        cand = tanh(x w[:, 2H:] + (r*h) u_c + b[2H:]), h' = (1 - z)*h + z*cand.
-
-    h0 is an optional [B, H] initial state, zero when omitted. Returns the
-    [B, T, H] states in the caller's row order; at a padded step a row
-    carries its state forward unchanged. With pool, returns instead the
-    [B, H] channel-wise maxima of each row's states over its valid steps,
-    and the gradient of a maximum flows to the first step that attains it
-    (a later NaN state does not draw it).
-    """
-    return gru_runs([(x, lengths, weights, h0)], pool)[0]
-
-
-# ---------------------------------------------------------------------------
-# finite-difference gradient verification
-
-# the largest floored relative error between a tape gradient and its central
-# difference that passes; a coordinate that errs more is tested for a kink
-FD_TOLERANCE = 1e-4
-# the perturbation of a checked coordinate, each way
-FD_STEP = 1e-5
-
-
-@dataclass
-class FiniteDiffReport:
-    """Result of comparing analytic gradients against central differences."""
-
-    max_rel_err: float
-    n_checked: int
-    n_skipped_nondifferentiable: int
-
-
-def _rel_err(a: float, n: float, floor: float) -> float:
-    return abs(a - n) / max(floor, abs(a) + abs(n))
-
-
-def finite_diff_check(
-    f: Callable[[Sequence[Tensor]], Tensor],
-    params: Sequence[Tensor],
-    coords_per_param: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> FiniteDiffReport:
-    """Compare analytic gradients of scalar f(params) with central differences.
-
-    Each checked coordinate is perturbed by +/-FD_STEP; the central-difference
-    quotient is compared with the tape gradient via a floored relative
-    error. The denominator floor scales with |f| because the quotient's
-    rounding noise does too; coordinates whose gradients sit below that
-    noise are vacuously fine. Coordinates where the one-sided quotients
-    disagree strongly lie on a hinge/max kink where the derivative is not
-    defined; they are skipped and counted instead of reported as failures
-    (a genuinely wrong gradient produces matching one-sided quotients and
-    still fails).
-
-    coords_per_param limits the check to a random subset per parameter,
-    for use on expensive full-pipeline objectives.
-    """
-    params = list(params)
-    for p in params:
-        if not p.requires_grad:
-            raise ContractError("all checked parameters must have requires_grad set")
-    zero_grads(params)
-    with Tape():
-        loss = f(params)
-        if loss.requires_grad:
-            backward(loss)
-        # a loss not touching any parameter has an all-zero gradient
-    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.values) for p in params]
-    zero_grads(params)
-
-    def eval_f() -> float:
-        out = f(params)
-        return float(out.values.reshape(()))
-
-    if rng is None:
-        rng = np.random.default_rng(0)
-
-    f_mid = eval_f()
-    floor = 1e-6 * max(1.0, abs(f_mid))
-    max_err = 0.0
-    n_checked = 0
-    n_skipped = 0
-    for p, a_grad in zip(params, analytic):
-        flat = p.values.reshape(-1)
-        a_flat = a_grad.reshape(-1)
-        size = flat.size
-        if coords_per_param is not None and coords_per_param < size:
-            coords = np.sort(rng.choice(size, size=coords_per_param, replace=False))
-        else:
-            coords = range(size)
-        for idx in coords:
-            orig = flat[idx]
-            flat[idx] = orig + FD_STEP
-            f_plus = eval_f()
-            flat[idx] = orig - FD_STEP
-            f_minus = eval_f()
-            flat[idx] = orig
-            numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
-            err = _rel_err(a_flat[idx], numeric, floor)
-            if err >= FD_TOLERANCE:
-                # split test: disagreeing one-sided quotients mean the
-                # objective is locally nondifferentiable at this coordinate
-                right = (f_plus - f_mid) / FD_STEP
-                left = (f_mid - f_minus) / FD_STEP
-                if abs(right - left) / max(1.0, abs(right), abs(left)) > 1e-3:
-                    n_skipped += 1
-                    continue
-            n_checked += 1
-            if err > max_err:
-                max_err = err
-    return FiniteDiffReport(
-        max_rel_err=max_err,
-        n_checked=n_checked,
-        n_skipped_nondifferentiable=n_skipped,
-    )

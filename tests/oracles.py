@@ -6,8 +6,11 @@ math. Keep it that way so the oracles stay an independent route. The
 exceptions are numpy routines: ref_gru_step, one GRU update gate by gate,
 and two whose contract is byte equality with the production code:
 ref_adam_step, a per-tensor loop of the Adam update, and ref_gru_run, a
-GRU run written one temporary per operation. probe is no oracle but the
-tests' one scalar readout of a tensor, built from tensorkit primitives.
+GRU run written one temporary per operation. probe, gru_run and pooled
+are no oracles but the tests' shorthands for production calls: probe the
+one scalar readout of a tensor, built from tensorkit primitives, gru_run
+one run of the GRU kernel and pooled one run's embeddings of plain
+sequences.
 """
 
 import math
@@ -15,6 +18,7 @@ import math
 import numpy as np
 
 from hse import tensorkit as tk
+from hse.model import pad_sequences
 
 
 def hinge(x):
@@ -256,3 +260,15 @@ def probe(x, w):
     respect to x is w, reshaped to x's shape, bit for bit."""
     n = x.values.size
     return tk.affine(tk.reshape(x, (1, n)), tk.Tensor(np.reshape(w, (1, n))), tk.Tensor(np.zeros(1)))
+
+
+def gru_run(x, lengths, weights, h0=None, pool=False):
+    """The output of tk.gru_runs for the one run (x, lengths, weights, h0)."""
+    return tk.gru_runs([(x, lengths, weights, h0)], pool)[0]
+
+
+def pooled(gru, sequences):
+    """The [B, H] channel-wise maxima of the GRU's states over a batch of
+    [T_b, D] feature sequences, padded, in one run from a zero state."""
+    x, lengths = pad_sequences(sequences)
+    return gru_run(tk.Tensor(x), lengths, gru.weights(), pool=True)

@@ -18,7 +18,7 @@ from hse.evaluation import (
     recall_at_k,
     zeroshot_classify,
 )
-from hse.model import ModelDims, encode_sequences
+from hse.model import ModelDims
 from hse.training import init_params
 
 
@@ -398,8 +398,8 @@ class TestZeroShot:
         clips = [(tied.copy(), 8), (tied.copy(), 1), (tied.copy(), 0)]
         clips += [(rng.normal(size=(2, 3)), int(rng.integers(0, 9))) for _ in range(5)]
         report = zeroshot_classify(params, clips, phrases)
-        clip_embs = encode_sequences(params.enc_v_low, [c for c, _ in clips]).values
-        label_embs = encode_sequences(params.enc_p_low, phrases).values
+        clip_embs = oracles.pooled(params.enc_v_low, [c for c, _ in clips]).values
+        label_embs = oracles.pooled(params.enc_p_low, phrases).values
         sims = oracles.ref_sim_matrix(clip_embs, label_embs)
         true_first = [[row[label]] + row for row, (_, label) in zip(sims, clips)]
         ranks = [oracles.ref_ranks([row])[0] for row in true_first]
@@ -415,7 +415,7 @@ class TestZeroShot:
         rng = np.random.default_rng(8)
         phrases = [rng.normal(size=(int(n), 4)) for n in rng.integers(1, 5, size=9)]
         clips = [(rng.normal(size=(int(n), 3)), int(rng.integers(0, 9))) for n in rng.integers(1, 7, size=31)]
-        calls = count_calls(monkeypatch, evaluation, "encode_sequences")
+        calls = count_calls(monkeypatch, tk, "gru_runs")
         reports, chunks = [], []
         for budget in (1, evaluation._run_bytes(params.enc_v_low, 5, 6), 1 << 40):
             monkeypatch.setattr(evaluation, "ENCODE_CHUNK_BYTES", budget)

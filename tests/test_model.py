@@ -8,6 +8,7 @@ import pytest
 from hse import tensorkit as tk
 from hse.data import ParagraphSample, VideoSample, load_checkpoint, save_checkpoint
 from hse.errors import ContractError, ShapeError
+from hse.gradcheck import finite_diff_check
 from hse.model import (
     GruParams,
     ModelDims,
@@ -15,10 +16,9 @@ from hse.model import (
     decode_batch,
     encode_batch,
     encode_flat_batch,
-    encode_sequences,
     pad_sequences,
 )
-from hse.tensorkit import Tape, Tensor, finite_diff_check
+from hse.tensorkit import Tape, Tensor
 from hse.training import init_params
 
 
@@ -43,9 +43,9 @@ def per_gate(p: GruParams, dtype=float) -> dict[str, np.ndarray]:
 
 def one_step(p: GruParams, x, h) -> np.ndarray:
     """One update of the state h [H] on the input x [D], run through
-    tensorkit.gru_sequence at T = 1."""
+    tensorkit.gru_runs at T = 1."""
     x, h = Tensor(np.asarray(x)[None, None, :]), Tensor(np.asarray(h)[None, :])
-    return tk.gru_sequence(x, [1], p.weights(), h).values[0, 0]
+    return oracles.gru_run(x, [1], p.weights(), h).values[0, 0]
 
 
 def oracle_states(p: GruParams, x, lengths) -> np.ndarray:
@@ -74,7 +74,7 @@ def complex_step_grads(f, arrays, step=1e-20) -> list[np.ndarray]:
 
 
 class TestGruStep:
-    """One step of tensorkit.gru_sequence (T = 1)."""
+    """One step of tensorkit.gru_runs (T = 1)."""
 
     def test_zero_weights_halve_the_state(self):
         p = zero_gru(2, 2)
@@ -102,7 +102,7 @@ class TestGruStep:
         weight = rng.normal(size=(1, 1, 3))
 
         def f(ps):
-            return oracles.probe(tk.gru_sequence(x, [1], p.weights(), h), weight)
+            return oracles.probe(oracles.gru_run(x, [1], p.weights(), h), weight)
 
         assert finite_diff_check(f, [*p.weights(), x, h]).max_rel_err < 1e-4
 
@@ -121,7 +121,7 @@ class TestGruSequence:
         p = random_gru(rng, 3, 4)
         x, lengths = ragged_batch(rng, 3, 5)
         h0 = rng.normal(size=(5, 4))
-        states = tk.gru_sequence(Tensor(x), lengths, p.weights(), Tensor(h0)).values
+        states = oracles.gru_run(Tensor(x), lengths, p.weights(), Tensor(h0)).values
         gates = per_gate(p)
         for b, n in enumerate(lengths):
             h = h0[b]
@@ -141,7 +141,7 @@ class TestGruSequence:
         weight = rng.normal(size=(4, 4, 4))
 
         def f(ps):
-            return oracles.probe(tk.gru_sequence(x, lengths, p.weights(), h0), weight)
+            return oracles.probe(oracles.gru_run(x, lengths, p.weights(), h0), weight)
 
         report = finite_diff_check(f, [*p.weights(), x, h0])
         assert report.max_rel_err < 1e-4
@@ -151,7 +151,7 @@ class TestGruSequence:
         p = random_gru(rng, 2, 3)
         x, lengths = ragged_batch(rng, 2, 4)
         with Tape() as tape:
-            tk.gru_sequence(Tensor(x), lengths, p.weights())
+            oracles.gru_run(Tensor(x), lengths, p.weights())
         assert len(tape) == 1
 
     def test_shape_errors(self):
@@ -163,24 +163,24 @@ class TestGruSequence:
             return weights[:i] + [Tensor(np.zeros(shape))] + weights[i + 1 :]
 
         cases = [
-            ((Tensor(np.zeros((2, 4, 5))), [4, 4], weights), "gru_sequence w has shape [2, 9], expected [5, 9]"),
-            ((x, [4, 4], with_block(1, (3, 5))), "gru_sequence u_zr has shape [3, 5], expected [3, 6]"),
-            ((x, [4, 4], with_block(2, (3, 4))), "gru_sequence u_c has shape [3, 4], expected [3, 3]"),
-            ((x, [4, 4], with_block(3, (8,))), "gru_sequence b has shape [8], expected [9]"),
-            ((x, [4, 4], weights, Tensor(np.zeros((1, 3)))), "gru_sequence h0 has shape [1, 3], expected [2, 3]"),
+            ((Tensor(np.zeros((2, 4, 5))), [4, 4], weights), "gru_runs w has shape [2, 9], expected [5, 9]"),
+            ((x, [4, 4], with_block(1, (3, 5))), "gru_runs u_zr has shape [3, 5], expected [3, 6]"),
+            ((x, [4, 4], with_block(2, (3, 4))), "gru_runs u_c has shape [3, 4], expected [3, 3]"),
+            ((x, [4, 4], with_block(3, (8,))), "gru_runs b has shape [8], expected [9]"),
+            ((x, [4, 4], weights, Tensor(np.zeros((1, 3)))), "gru_runs h0 has shape [1, 3], expected [2, 3]"),
             ((x, [4, 5], weights), "need 2 lengths in 1..4, got [4, 5]"),
             ((x, [0, 4], weights), "need 2 lengths in 1..4, got [0, 4]"),
             ((x, [4], weights), "need 2 lengths in 1..4, got [4]"),
-            ((Tensor(np.zeros((2, 4))), [4, 4], weights), "gru_sequence input must be [B, T, D], got shape [2, 4]"),
+            ((Tensor(np.zeros((2, 4))), [4, 4], weights), "gru_runs input must be [B, T, D], got shape [2, 4]"),
             ((None, [2, 0], weights), "need 2 lengths in 1..2, got [2, 0]"),
             ((None, [[2, 1]], weights), "need 2 lengths in 1..2, got [[2, 1]]"),
         ]
         for args, message in cases:
             with pytest.raises(ShapeError) as caught:
-                tk.gru_sequence(*args)
+                oracles.gru_run(*args)
             assert str(caught.value) == message
-        with pytest.raises(ContractError, match="^gru_sequence needs the 4 weight blocks, got 3$"):
-            tk.gru_sequence(x, [4, 4], weights[:3])
+        with pytest.raises(ContractError, match="^gru_runs needs the 4 weight blocks, got 3$"):
+            oracles.gru_run(x, [4, 4], weights[:3])
 
     def test_pairing_errors(self):
         run3, run4 = ((Tensor(np.zeros((2, 4, 2))), [4, 4], zero_gru(2, h).weights(), None) for h in (3, 4))
@@ -198,7 +198,7 @@ def run_and_pool(p, x, lengths, h0, taped):
 
     def runs():
         args = (Tensor(x), lengths, p.weights(), Tensor(h0))
-        return tk.gru_sequence(*args).values, tk.gru_sequence(*args, pool=True).values
+        return oracles.gru_run(*args).values, oracles.gru_run(*args, pool=True).values
 
     if taped:
         with Tape():
@@ -212,7 +212,7 @@ PERMUTED = [(taped, hid) for hid in (4, 16, 17, 18, 19, 25, 32) for taped in (Fa
 
 
 class TestPackedKernel:
-    """Rows are sorted longest first inside gru_sequence, and each step's
+    """Rows are sorted longest first inside gru_runs, and each step's
     recurrent products are one GEMM over the rows still running; none of
     that may show in the results."""
 
@@ -244,7 +244,7 @@ class TestPackedKernel:
 
     @pytest.mark.parametrize("hid", [4, 17, 18, 32])
     def test_padded_product_rows_do_not_depend_on_the_batch(self, hid):
-        """A row of a recurrent product, over the columns as gru_sequence
+        """A row of a recurrent product, over the columns as gru_runs
         pads them, has the same bits in a batch of 2, 37 or 200 rows at its
         first, middle and last position as alone beside a zero row: the
         property of this BLAS that the kernel's batch invariance rests on."""
@@ -321,7 +321,7 @@ class TestPackedKernel:
         h0 = Tensor(h0_values, requires_grad=True)
         tk.zero_grads(p.weights())
         with Tape():
-            states = tk.gru_sequence(x, lengths, p.weights(), h0)
+            states = oracles.gru_run(x, lengths, p.weights(), h0)
             tk.backward(oracles.probe(states, weight))
         # the kernel's block gradients, read gate by gate as the loop has them
         blocks = GruParams(*(Tensor(t.grad) for t in p.weights()))
@@ -355,7 +355,7 @@ class TestPackedKernel:
             h0 = Tensor(h0_values, requires_grad=True)
             tk.zero_grads(p.weights())
             with Tape():
-                states = tk.gru_sequence(x, lengths, p.weights(), h0)
+                states = oracles.gru_run(x, lengths, p.weights(), h0)
                 tk.backward(oracles.probe(states, weight))
             results.append([states.values, h0.grad] + [g.grad for g in p.weights()])
         for got, want in zip(*results):
@@ -364,7 +364,7 @@ class TestPackedKernel:
 
 
 class TestKernelBitOracle:
-    """gru_sequence equals oracles.ref_gru_run to the last bit: states,
+    """gru_runs equals oracles.ref_gru_run to the last bit: states,
     pooled rows and all six gradients. The oracle writes every expression
     with one temporary per operation, so a kernel step that reorders an
     operation fails here. The run must also leave the gradient it was handed
@@ -400,11 +400,11 @@ class TestKernelBitOracle:
         h0 = Tensor(h0_values, requires_grad=True)
         tk.zero_grads(p.weights())
         with Tape():
-            states = tk.gru_sequence(x, lengths, p.weights(), h0)
+            states = oracles.gru_run(x, lengths, p.weights(), h0)
             tk.backward(oracles.probe(states, weight))
         free_x = None if x_values is None else Tensor(x_values)
-        free = tk.gru_sequence(free_x, lengths, p.weights(), Tensor(h0_values))
-        pooled = tk.gru_sequence(free_x, lengths, p.weights(), Tensor(h0_values), pool=True)
+        free = oracles.gru_run(free_x, lengths, p.weights(), Tensor(h0_values))
+        pooled = oracles.gru_run(free_x, lengths, p.weights(), Tensor(h0_values), pool=True)
 
         blocks = [t.values for t in p.weights()]
         want_states, want_pooled, want_grads = oracles.ref_gru_run(
@@ -525,9 +525,10 @@ class TestKernelBitOracle:
 
 
 class TestWorkspace:
-    """gru_runs under a tape that holds a tk.Workspace: the same bits as
-    without one, whatever the block held before; no tensor it returns is a
-    view of the block; and its record fails once the block was reset."""
+    """gru_runs under a tape whose tk.Workspace has a block: the same bits
+    as in a fresh workspace, whatever the block held before; no tensor it
+    returns is a view of the block; and its record fails once the block
+    was reset."""
 
     def pair_case(self, case, pool):
         """The runs of one TestKernelBitOracle.PAIRS case, and the gradient
@@ -556,7 +557,7 @@ class TestWorkspace:
 
     def garbage_block_moves_no_bit(self, case, pool, garbage):
         """The call in a block that holds only garbage before it runs gives
-        the bits of the call without a workspace, with warnings as errors."""
+        the bits of the call in a fresh workspace, with warnings as errors."""
         runs, probes = self.pair_case(case, pool)
         want = self.taped(runs, probes, pool)
         workspace = tk.Workspace()
@@ -594,7 +595,7 @@ class TestWorkspace:
 
         def call():
             with Tape(workspace):
-                return tk.gru_sequence(Tensor(rng.normal(size=(3, max(lengths), 3))), lengths, weights, pool=pool)
+                return oracles.gru_run(Tensor(rng.normal(size=(3, max(lengths), 3))), lengths, weights, pool=pool)
 
         call()  # sizes the block
         out = call()
@@ -604,17 +605,19 @@ class TestWorkspace:
         assert np.array_equal(out.values, kept)
 
     def test_a_record_replayed_after_its_workspace_was_reset_fails(self):
+        """Every tape holds a workspace: its own, or one it was given."""
         rng = np.random.default_rng(45)
         weights = random_gru(rng, 3, 4).weights()
-        with Tape(tk.Workspace()):
-            pooled = tk.gru_sequence(Tensor(rng.normal(size=(2, 3, 3))), [3, 2], weights, pool=True)
-            loss = oracles.probe(pooled, rng.normal(size=(2, 4)))
-        with pytest.raises(ContractError, match="reset"):
-            tk.backward(loss)
+        for workspace in (None, tk.Workspace()):
+            with Tape(workspace):
+                pooled = oracles.gru_run(Tensor(rng.normal(size=(2, 3, 3))), [3, 2], weights, pool=True)
+                loss = oracles.probe(pooled, rng.normal(size=(2, 4)))
+            with pytest.raises(ContractError, match="reset"):
+                tk.backward(loss)
 
 
 class TestPooledKernel:
-    """gru_sequence(..., pool=True) keeps a running maximum of the states;
+    """gru_runs(..., pool=True) keeps a running maximum of the states;
     its rows must be the oracle's pooled rows, and its gradient that of
     the states at each maximum's first step."""
 
@@ -636,7 +639,7 @@ class TestPooledKernel:
         p, x, lengths, h0, _ = self.pooled_batch()
         states, want = self.oracle_run(p, x, lengths, h0)
         masked_max = np.stack([states[row, :n].max(axis=0) for row, n in enumerate(lengths)])
-        pooled = tk.gru_sequence(Tensor(x), lengths, p.weights(), Tensor(h0), pool=True)
+        pooled = oracles.gru_run(Tensor(x), lengths, p.weights(), Tensor(h0), pool=True)
         assert np.array_equal(pooled.values, want)
         assert np.array_equal(pooled.values, masked_max)
         assert np.array_equal(pooled.values[:, :2], h0[:, :2])
@@ -658,10 +661,10 @@ class TestPooledKernel:
             tk.zero_grads(p.weights())
             with Tape():
                 if pool:
-                    pooled = tk.gru_sequence(x, lengths, p.weights(), h0, pool=True)
+                    pooled = oracles.gru_run(x, lengths, p.weights(), h0, pool=True)
                     tk.backward(oracles.probe(pooled, weight))
                 else:
-                    states = tk.gru_sequence(x, lengths, p.weights(), h0)
+                    states = oracles.gru_run(x, lengths, p.weights(), h0)
                     tk.backward(oracles.probe(states, dstates))
             return [x.grad, h0.grad] + [g.grad.copy() for g in p.weights()]
 
@@ -672,7 +675,7 @@ class TestPooledKernel:
         p, x, lengths, h0, _ = self.pooled_batch()
         x, h0 = Tensor(x, requires_grad=True), Tensor(h0, requires_grad=True)
         with Tape() as tape:
-            pooled = tk.gru_sequence(x, lengths, p.weights(), h0, pool=True)
+            pooled = oracles.gru_run(x, lengths, p.weights(), h0, pool=True)
         assert len(tape) == 1 and pooled.shape == (6, 4)
 
     def test_taped_pool_memory_is_bounded(self):
@@ -692,7 +695,7 @@ class TestPooledKernel:
         tracemalloc.start()
         try:
             with Tape():
-                tk.backward(oracles.probe(tk.gru_sequence(x, lengths, weights, pool=True), weight))
+                tk.backward(oracles.probe(oracles.gru_run(x, lengths, weights, pool=True), weight))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -707,7 +710,7 @@ class TestPooledKernel:
         weights = p.weights()
         tracemalloc.start()
         try:
-            tk.gru_sequence(x, lengths, weights, pool=True)
+            oracles.gru_run(x, lengths, weights, pool=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -746,7 +749,7 @@ class TestEncodeSequence:
         rng = np.random.default_rng(1)
         p = random_gru(rng, 3, hid)
         x = rng.normal(size=3)
-        single = encode_sequences(p, [x[None, :]])
+        single = oracles.pooled(p, [x[None, :]])
         assert np.array_equal(single.values[0], oracle_states(p, x[None, None, :], [1])[0, 0])
 
     def test_pooling_is_channelwise_max_of_steps(self):
@@ -760,13 +763,13 @@ class TestEncodeSequence:
             h = oracles.ref_gru_step(gates, x, h)
             outputs.append(h)
         expected = np.max(np.stack(outputs), axis=0)
-        assert np.allclose(encode_sequences(p, [np.stack(xs)]).values[0], expected, atol=1e-12)
+        assert np.allclose(oracles.pooled(p, [np.stack(xs)]).values[0], expected, atol=1e-12)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ContractError):
-            encode_sequences(zero_gru(2, 2), [])
+            oracles.pooled(zero_gru(2, 2), [])
         with pytest.raises(ShapeError):
-            encode_sequences(zero_gru(2, 2), [np.zeros((0, 2))])
+            oracles.pooled(zero_gru(2, 2), [np.zeros((0, 2))])
 
 
 class TestEncodeFlat:
@@ -787,7 +790,7 @@ class TestEncodeFlat:
         clips = [rng.normal(size=(2, 3)), rng.normal(size=(2, 3))]
         video = VideoSample("v", clips)
         (flat,) = encode_flat_batch(params, [video])
-        manual = encode_sequences(params.enc_v_low, [np.stack([r for c in clips for r in c])])
+        manual = oracles.pooled(params.enc_v_low, [np.stack([r for c in clips for r in c])])
         assert np.array_equal(flat.values, manual.values)
 
     def test_sensitive_to_clip_order(self):
@@ -807,9 +810,9 @@ class TestEncodeFlat:
         params = init_params(dims, 4)
         sentences = [rng.normal(size=(2, 3)), rng.normal(size=(1, 3))]
         (flat,) = encode_flat_batch(params, [ParagraphSample("p", sentences)])
-        manual = encode_sequences(params.enc_p_low, [np.concatenate(sentences)])
+        manual = oracles.pooled(params.enc_p_low, [np.concatenate(sentences)])
         assert np.array_equal(flat.values, manual.values)
-        video = encode_sequences(params.enc_v_low, [np.concatenate(sentences)])
+        video = oracles.pooled(params.enc_v_low, [np.concatenate(sentences)])
         assert not np.array_equal(flat.values, video.values)
 
     def test_mixed_or_empty_batch_rejected(self):
@@ -835,7 +838,7 @@ class TestEncodeHierarchical:
     def test_single_clip_high_embedding(self):
         video = self._video(n=1)
         (emb,) = encode_batch(self.params, [video])
-        direct = encode_sequences(self.params.enc_v_high, [emb.low.values])
+        direct = oracles.pooled(self.params.enc_v_high, [emb.low.values])
         assert np.array_equal(emb.high.values, direct.values)
 
     def test_low_embeddings_are_local(self):

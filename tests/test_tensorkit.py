@@ -3,8 +3,9 @@ import pytest
 
 from hse import tensorkit as tk
 from hse.errors import ContractError, ShapeError
-from hse.tensorkit import Tape, Tensor, backward, finite_diff_check
-from oracles import probe
+from hse.gradcheck import FD_TOLERANCE, FiniteDiffReport, finite_diff_check
+from hse.tensorkit import Tape, Tensor, backward
+from oracles import gru_run, probe
 
 
 def t(values, grad=True):
@@ -79,6 +80,23 @@ class TestBackward:
         with tape:
             tk.add(c1, c2)
         assert len(tape) == 0
+
+    def test_a_record_replayed_after_its_with_block_fails(self):
+        x = t([1.0, 2.0])
+        with Tape():
+            loss = probe(tk.add(x, x), np.ones(2))
+        with pytest.raises(ContractError, match="reset"):
+            backward(loss)
+        assert x.grad is None
+
+    def test_a_tape_is_entered_once(self):
+        tape = Tape()
+        with tape:
+            pass
+        with pytest.raises(ContractError, match="single use"):
+            with tape:
+                pass
+        assert tk._TAPE_STACK == []
 
 
 class TestTwoOutputRecord:
@@ -199,6 +217,42 @@ class TestFiniteDiff:
         report = finite_diff_check(f, [u, w])
         assert report.max_rel_err < 1e-4
 
+    def test_a_wrong_gradient_fails(self):
+        """A record whose backward is 1.5 times the true gradient of
+        sum(a * a): smooth, so no coordinate is taken for a kink."""
+
+        def f(ps):
+            a = ps[0]
+            out = Tensor(np.sum(a.values * a.values), requires_grad=True)
+            tk._record(out, lambda g: tk._acc(a, 1.5 * (2.0 * g * a.values)))
+            return out
+
+        report = finite_diff_check(f, [t([1.0, -2.0, 0.5])])
+        assert report.max_rel_err >= FD_TOLERANCE
+        assert report.n_skipped_nondifferentiable == 0 and report.n_checked == 3
+
+    def test_a_coordinate_on_a_kink_is_skipped(self):
+        # margin + sim[0, 1] - 1 is exactly 0, sim[1, 0]'s hinge is off
+        sim = t([[1.0, 0.75], [0.5, 1.0]])
+        report = finite_diff_check(lambda ps: tk.cluster_hinge(ps[0], 0.25), [sim])
+        assert report == FiniteDiffReport(max_rel_err=0.0, n_checked=3, n_skipped_nondifferentiable=1)
+
+    def test_a_parameter_without_gradient_is_rejected(self):
+        with pytest.raises(ContractError, match="requires_grad"):
+            finite_diff_check(lambda ps: tk.weighted_sq_err(ps[0], np.zeros(2)), [t([1.0, 2.0], grad=False)])
+
+    def test_coords_per_param_checks_that_many_of_each_tensor(self):
+        rng = np.random.default_rng(6)
+        params = [t(rng.normal(size=(2, 5))), t(rng.normal(size=3))]
+
+        def f(ps):
+            return tk.add(*(tk.weighted_sq_err(p, np.zeros(p.shape)) for p in ps))
+
+        # a tensor of fewer than k entries has each of them checked
+        for k, want in ((1, 1 + 1), (4, 4 + 3)):
+            report = finite_diff_check(f, params, coords_per_param=k)
+            assert report.n_checked + report.n_skipped_nondifferentiable == want
+
 
 def _primitive_cases(rng):
     """One scalar objective per primitive, with fresh random leaves. Each
@@ -226,14 +280,14 @@ def _primitive_cases(rng):
         ("cosine", lambda ps, k=c(3, 2): probe(tk.cosine(ps[0], ps[1]), k), [m(3, 4), m(2, 4)]),
         ("segment_mean", lambda ps, k=c(2, 2): probe(tk.segment_mean(ps[0], [1, 2], [3, 1]), k), [m()]),
         (
-            "gru_sequence_pool",
-            lambda ps, k=c(3, 2): probe(tk.gru_sequence(ps[0], [2, 3, 1], ps[1:], pool=True), k),
+            "gru_runs_pool",
+            lambda ps, k=c(3, 2): probe(gru_run(ps[0], [2, 3, 1], ps[1:], pool=True), k),
             [t(rng.normal(size=(3, 3, 2))), m(2, 6), m(2, 4), m(2, 2), v(6)],
         ),
         ("add_repeated_term", lambda ps: probe(tk.add(ps[0], ps[1], ps[0]), w), [v(), v()]),
         (
-            "gru_sequence_h0",
-            lambda ps, k=c(3, 3, 2): probe(tk.gru_sequence(ps[0], [2, 3, 1], ps[1:5], ps[5]), k),
+            "gru_runs_h0",
+            lambda ps, k=c(3, 3, 2): probe(gru_run(ps[0], [2, 3, 1], ps[1:5], ps[5]), k),
             [t(rng.normal(size=(3, 3, 2))), m(2, 6), m(2, 4), m(2, 2), v(6), m(3, 2)],
         ),
     ]
@@ -284,7 +338,7 @@ class TestBatchPrimitives:
         b[:2] = 40.0  # exp(-40) vanishes beside 1
         weights = [t(w), t(np.zeros((2, 4))), t(np.zeros((2, 2))), t(b)]
         with Tape():
-            out = tk.gru_sequence(x, [3], weights, pool=True)
+            out = gru_run(x, [3], weights, pool=True)
             backward(probe(out, np.ones(2)))
         peak = np.tanh([3.0, 5.0])
         slope = 1.0 - peak * peak
@@ -346,8 +400,8 @@ class TestBatchPrimitives:
             ("cosine_self", lambda ps, k=weight(3, 3): probe(tk.cosine(ps[0], ps[0]), k), [t(rng.normal(size=(3, 4)))]),
             ("segment_mean", lambda ps, k=weight(2, 2): probe(tk.segment_mean(ps[0], [1, 2], [3, 1]), k), [t(rng.normal(size=(3, 4)))]),
             (
-                "gru_sequence_pool",
-                lambda ps, k=weight(3, 2): probe(tk.gru_sequence(ps[0], lengths, ps[1:], pool=True), k),
+                "gru_runs_pool",
+                lambda ps, k=weight(3, 2): probe(gru_run(ps[0], lengths, ps[1:], pool=True), k),
                 [t(rng.normal(size=(3, 3, 2)))] + [t(rng.normal(size=s)) for s in ((2, 6), (2, 4), (2, 2), (6,))],
             ),
         ]
